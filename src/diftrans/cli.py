@@ -2,8 +2,7 @@
 
 Every report embeds a manifest (command, resolved configuration, input file
 digests, seed, tool version) and all randomness flows from a single --seed,
-so reruns of the same manifest are byte-identical.  The environment variable
-DIFTRANS_THREADS caps internal parallelism; results do not depend on it.
+so reruns of the same manifest are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,14 +19,6 @@ from .estimators import PlaceboConfig
 from .inference import SubsampleConfig
 from .pmf import PeriodFilter, build_pmf, ingest_csv
 from .transport import ot_cost, solve_ot, solve_ot_regularized
-
-
-def _threads() -> int:
-    raw = os.environ.get("DIFTRANS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise DiftransError(f"DIFTRANS_THREADS must be an integer, got {raw!r}") from None
 
 
 def _sha256(path: str) -> str:
@@ -150,24 +141,11 @@ def _placebo_config(args) -> PlaceboConfig:
     return PlaceboConfig(n_sims=args.sims, seed=args.seed)
 
 
-def _selected_from_scan(scan, threshold: float):
-    for row in scan.rows:
-        if row.placebo_mean < threshold:
-            return row.d
-    best = min(scan.rows, key=lambda r: r.placebo_mean)
-    raise SelectionError(
-        f"no bandwidth in the grid has placebo cost below {threshold}; "
-        f"minimum placebo mean is {best.placebo_mean:.6g} at d={best.d}"
-    )
-
-
 def cmd_scan(args) -> int:
     records = ingest_csv(args.input)
     pre, post = _city_pair(args, records, args.city)
     grid = _parse_grid(args.d_grid)
-    scan = estimators.bandwidth_scan(
-        pre, post, grid, _placebo_config(args), threads=_threads()
-    )
+    scan = estimators.bandwidth_scan(pre, post, grid, _placebo_config(args))
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
     report = {
@@ -178,7 +156,7 @@ def cmd_scan(args) -> int:
         "manifest": _manifest("scan", args, [args.input]),
     }
     try:
-        selected = _selected_from_scan(scan, args.threshold)
+        selected = scan.select(args.threshold)
         report["selected_d"] = selected
         report["estimate_at_selected_d"] = next(
             row.real_cost for row in scan.rows if row.d == selected
@@ -196,11 +174,14 @@ def cmd_dit(args) -> int:
     t_pre, t_post = _city_pair(args, records, args.treated_city)
     c_pre, c_post = _city_pair(args, records, args.control_city)
     grid = _parse_grid(args.d_grid)
-    cfg = _placebo_config(args)
-    threads = _threads()
-
+    base = {
+        "treated-pre": t_pre,
+        "treated-post": t_post,
+        "control-pre": c_pre,
+        "control-post": c_post,
+    }[args.placebo_base]
     scan = estimators.bandwidth_scan(
-        t_pre, t_post, grid, cfg, control=(c_pre, c_post), threads=threads
+        t_pre, t_post, grid, _placebo_config(args), base=base, control=(c_pre, c_post)
     )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
@@ -214,15 +195,7 @@ def cmd_dit(args) -> int:
         placebo_d = displacement_d = None
         d_min = args.d_min
     else:
-        base = {
-            "treated-pre": t_pre,
-            "treated-post": t_post,
-            "control-pre": c_pre,
-            "control-post": c_post,
-        }[args.placebo_base]
-        placebo_d = estimators.select_bandwidth(
-            base, t_pre.n, t_post.n, grid, cfg, threshold=args.threshold, threads=threads
-        )
+        placebo_d = scan.select(args.threshold)
         displacement_d = 0
         if args.diag_pre and args.diag_post:
             diag_args = argparse.Namespace(
@@ -361,8 +334,7 @@ def cmd_ci(args) -> int:
         seed=args.seed,
     )
     result = inference.subsample_ci(
-        pre, post, estimator, cfg, control=control, transform=transform,
-        threads=_threads(),
+        pre, post, estimator, cfg, control=control, transform=transform
     )
     if args.dump_draws:
         with open(args.dump_draws, "w", encoding="utf-8") as fh:
@@ -531,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--placebo-base",
         choices=["treated-pre", "treated-post", "control-pre", "control-post"],
         default="treated-post",
-        help="distribution resampled for the noise floor",
+        help="distribution resampled for the placebo columns and the noise floor",
     )
     sub.add_argument("--diag-pre", help="diagnostic window for the trends floor")
     sub.add_argument("--diag-post", help="second diagnostic window")

@@ -12,14 +12,13 @@ the difference a valid in-sample lower bound for every bandwidth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
-from .transport import ot_cost
+from .transport import ot_cost, ot_cost_batch
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,7 @@ def _replicate_pair(base: PricePMF, n_pre: int, n_post: int, seed: int, rep: int
     """One placebo draw: two independent multinomial resamples of `base`.
 
     The stream is keyed by (seed, replicate), so results do not depend on
-    execution order or parallelism, and draws are shared across bandwidths.
+    execution order or batching, and draws are shared across bandwidths.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
     c_pre = rng.multinomial(n_pre, base.mass)
@@ -65,26 +64,19 @@ def placebo_cost_matrix(
     n_post: int,
     grid: list[int],
     cfg: PlaceboConfig,
-    threads: int = 1,
 ) -> np.ndarray:
-    """Placebo transport costs, one row per replicate, one column per `d`."""
+    """Placebo transport costs, one row per replicate, one column per `d`.
+
+    Every replicate resamples the same support, so one batched transport pass
+    covers the whole matrix.
+    """
     if n_pre < 1 or n_post < 1:
         raise ValidationError("placebo sample sizes must be at least 1")
     grid = _check_grid(grid)
-    out = np.empty((cfg.n_sims, len(grid)))
-
-    def run(rep: int) -> None:
-        pre, post = _replicate_pair(base, n_pre, n_post, cfg.seed, rep)
-        for col, d in enumerate(grid):
-            out[rep, col] = ot_cost(pre, post, d)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(cfg.n_sims)))
-    else:
-        for rep in range(cfg.n_sims):
-            run(rep)
-    return out
+    pres, posts = zip(
+        *(_replicate_pair(base, n_pre, n_post, cfg.seed, rep) for rep in range(cfg.n_sims))
+    )
+    return ot_cost_batch(pres, posts, grid)
 
 
 def placebo_cost(
@@ -93,10 +85,9 @@ def placebo_cost(
     n_post: int,
     d: int,
     cfg: PlaceboConfig,
-    threads: int = 1,
 ) -> tuple[float, float, tuple[float, ...]]:
     """Mean, standard deviation, and quantiles of the placebo cost at `d`."""
-    col = placebo_cost_matrix(base, n_pre, n_post, [d], cfg, threads)[:, 0]
+    col = placebo_cost_matrix(base, n_pre, n_post, [d], cfg)[:, 0]
     return _summarize(col, cfg)
 
 
@@ -125,7 +116,6 @@ def select_bandwidth(
     grid: list[int],
     cfg: PlaceboConfig,
     threshold: float = 0.0005,
-    threads: int = 1,
     use_quantile: float | None = None,
 ) -> int:
     """Smallest grid bandwidth whose placebo mean falls below `threshold`.
@@ -135,17 +125,23 @@ def select_bandwidth(
     the given placebo quantile.
     """
     grid = _check_grid(grid)
-    matrix = placebo_cost_matrix(base, n_pre, n_post, grid, cfg, threads)
+    matrix = placebo_cost_matrix(base, n_pre, n_post, grid, cfg)
     if use_quantile is None:
         stats = np.mean(matrix, axis=0)
     else:
         stats = np.quantile(matrix, use_quantile, axis=0)
+    return _first_below(grid, stats, threshold)
+
+
+def _first_below(grid, stats, threshold: float) -> int:
+    """The selection rule: the first grid `d` whose placebo statistic is below `threshold`."""
     for d, value in zip(grid, stats):
         if value < threshold:
             return d
+    best = int(np.argmin(stats))
     raise SelectionError(
         f"no bandwidth in the grid has placebo cost below {threshold}; "
-        f"minimum placebo mean is {float(np.min(stats)):.6g} at d={grid[int(np.argmin(stats))]}"
+        f"minimum placebo mean is {float(stats[best]):.6g} at d={grid[best]}"
     )
 
 
@@ -197,6 +193,12 @@ class BandwidthScan:
         if any(b > a + 1e-12 for a, b in zip(costs, costs[1:])):
             raise ValidationError("real cost must be nonincreasing in d")
 
+    def select(self, threshold: float) -> int:
+        """`select_bandwidth`'s rule applied to the scanned placebo means."""
+        return _first_below(
+            [row.d for row in self.rows], [row.placebo_mean for row in self.rows], threshold
+        )
+
     def csv_header(self) -> str:
         labels = ",".join(quantile_label(q) for q in self.quantile_levels)
         return f"d,real_cost,placebo_mean,placebo_sd,{labels},dit"
@@ -219,7 +221,6 @@ def bandwidth_scan(
     cfg: PlaceboConfig,
     base: PricePMF | None = None,
     control: tuple[PricePMF, PricePMF] | None = None,
-    threads: int = 1,
 ) -> BandwidthScan:
     """Scan real and placebo costs over a bandwidth grid.
 
@@ -229,7 +230,7 @@ def bandwidth_scan(
     """
     grid = _check_grid(grid)
     base = pre if base is None else base
-    matrix = placebo_cost_matrix(base, pre.n, post.n, grid, cfg, threads)
+    matrix = placebo_cost_matrix(base, pre.n, post.n, grid, cfg)
     rows = []
     for col, d in enumerate(grid):
         mean, sd, qs = _summarize(matrix[:, col], cfg)

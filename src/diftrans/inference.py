@@ -10,7 +10,6 @@ hypergeometric draws so the expansion is never materialized.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +78,16 @@ def subsample_ci(
     cfg: SubsampleConfig,
     control: tuple[PricePMF, PricePMF] | None = None,
     transform=None,
-    threads: int = 1,
 ) -> SubsampleResult:
     """Percentile interval from b-out-of-n subsample draws of the estimator.
 
     `estimator` maps (pre, post) PMFs to a float, or (pre, post, control_pre,
     control_post) when `control` is given; every side is subsampled
     independently with its own replicate-keyed stream, so results are
-    reproducible for a fixed seed at any parallelism.  `transform` optionally
-    maps each raw estimate (for example through the market inversion); draws
-    where it raises are recorded as NaN and excluded from the quantiles.
+    reproducible for a fixed seed whatever the order of evaluation.
+    `transform` optionally maps each raw estimate (for example through the
+    market inversion); draws where it raises are recorded as NaN and excluded
+    from the quantiles.
     """
     sides = [pre, post] + (list(control) if control is not None else [])
     sizes = [cfg.size_for(p.n) for p in sides]
@@ -105,7 +104,7 @@ def subsample_ci(
     point = evaluate(sides)
     draws = np.empty(cfg.n_draws)
 
-    def run(k: int) -> None:
+    for k in range(cfg.n_draws):
         resampled = []
         for side_index, (pmf, b) in enumerate(zip(sides, sizes)):
             rng = np.random.default_rng(
@@ -113,13 +112,6 @@ def subsample_ci(
             )
             resampled.append(_resample(pmf, b, rng))
         draws[k] = evaluate(resampled)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(cfg.n_draws)))
-    else:
-        for k in range(cfg.n_draws):
-            run(k)
 
     finite = draws[~np.isnan(draws)]
     if finite.size == 0:

@@ -6,11 +6,33 @@ amount of mass that can be matched within distance `d`, a number in [0, 1] read
 as the minimum share of units that must have been reallocated.
 
 On sorted one-dimensional supports the free pairs form a convex bipartite
-graph (each source price is compatible with a contiguous, monotonically
-advancing window of target prices), so the maximum freely movable mass is
-attained by a single left-to-right greedy sweep.  Correctness is defined by the
-underlying linear program; the test suite checks the sweep against a dense LP
-solver and against the dual set certificate on random instances.
+graph: source price `x_i` is compatible with the contiguous window
+`[lo_i, hi_i)` of target indices within `d` of it, and both ends of the window
+advance monotonically with `i`.  A left-to-right greedy that hands each source
+the leftmost target mass still available in its window is then a maximum
+matching (Glover 1967).  Correctness is defined by the underlying linear
+program; the test suite checks the costs against a dense LP solver and against
+the dual set certificate on random instances.
+
+The greedy uses up target mass strictly from left to right, so its whole state
+is one number: the level `C`, the cumulative target mass already used up or
+passed over.  With `SB[j]` the mass of targets `0..j-1`, source `i` runs
+
+    C = max(C, SB[lo_i])                  # targets left of the window are gone
+    take = clip(SB[hi_i] - C, 0, a_i)     # mass left in the window, up to a_i
+    C += take
+    cost += a_i - take                    # the unmatched part must move far
+
+This is the sweep itself, not a relaxation of it.  After any step the targets
+whose cumulative interval `[SB[j], SB[j+1])` lies below `C` are exhausted or
+lie left of the current window; since `lo` never decreases, no later source can
+reach them either, so counting their leftovers as passed over loses nothing.
+The target straddling `C` keeps `SB[j+1] - C`, and every target above `C` is
+untouched.  Taking the leftmost available mass of the window up to `a_i` is
+therefore exactly moving `C` up by `take`.  `ot_cost` runs the recurrence in
+plain floats; `ot_cost_batch` runs the same operations in the same order with
+`C` an array over replicates and bandwidths, which share the windows whenever
+the replicates share their supports.  Both give bit-identical costs.
 """
 
 from __future__ import annotations
@@ -82,8 +104,8 @@ class TransportPlan:
             fh.write(f"{i},{j},{int(self.src_support[i])},{int(self.tgt_support[j])},{m!r}\n")
 
 
-def _sweep(a: PricePMF, b: PricePMF, d: int, want_plan: bool):
-    """Greedy maximal within-`d` matching on sorted supports.
+def _sweep(a: PricePMF, b: PricePMF, d: int):
+    """Greedy maximal within-`d` matching on sorted supports, with its plan.
 
     Returns (free entries, residual source leftovers, residual targets).
     A source keeps a leftover only when every target in its window is already
@@ -96,7 +118,7 @@ def _sweep(a: PricePMF, b: PricePMF, d: int, want_plan: bool):
     mb = b.mass.tolist()
     rem = mb[:]
     nb = len(xb)
-    entries = [] if want_plan else None
+    entries = []
     leftovers = []
     j = 0
     for i, (x, ai) in enumerate(zip(xa, ma)):
@@ -112,8 +134,7 @@ def _sweep(a: PricePMF, b: PricePMF, d: int, want_plan: bool):
             if take > 0.0:
                 ai -= take
                 rem[k] -= take
-                if want_plan:
-                    entries.append((i, k, take))
+                entries.append((i, k, take))
             if rem[k] <= 0.0:
                 k += 1
             else:
@@ -122,6 +143,30 @@ def _sweep(a: PricePMF, b: PricePMF, d: int, want_plan: bool):
             leftovers.append((i, ai))
     residual_b = [(k, r) for k, r in enumerate(rem) if r > 0.0]
     return entries, leftovers, residual_b
+
+
+#: Costs below this are indistinguishable from rounding in the marginals.
+ZERO_COST = 1e-12
+
+#: Replicates per block of `ot_cost_batch`; bounds its scratch memory.
+BATCH_BLOCK = 64
+
+
+def _windows(src: np.ndarray, tgt: np.ndarray, d):
+    """Target index bounds [lo, hi) within `d` of each source price.
+
+    `d` is one bandwidth, or an array of them that adds a trailing axis.
+    """
+    lo = np.searchsorted(tgt, np.subtract.outer(src, d), side="left")
+    hi = np.searchsorted(tgt, np.add.outer(src, d), side="right")
+    return lo, hi
+
+
+def _prefix(mass: np.ndarray) -> np.ndarray:
+    """Prefix sums along the first axis from 0: entry j is the mass of rows 0..j-1."""
+    out = np.zeros((mass.shape[0] + 1,) + mass.shape[1:])
+    np.cumsum(mass, axis=0, out=out[1:])
+    return out
 
 
 def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
@@ -134,17 +179,77 @@ def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
     marginals and report as exactly zero; the result is clamped into [0, 1].
     """
     d = _check_bandwidth(d)
-    _, leftovers, _ = _sweep(a, b, d, want_plan=False)
-    cost = math.fsum(m for _, m in leftovers)
-    if cost < 1e-12:
+    lo, hi = _windows(a.support, b.support, d)
+    sb = _prefix(b.mass)
+    level = cost = 0.0
+    for ai, passed, reach in zip(a.mass.tolist(), sb[lo].tolist(), sb[hi].tolist()):
+        if ai <= 0.0:
+            continue
+        if level < passed:
+            level = passed
+        take = reach - level
+        if take < 0.0:
+            take = 0.0
+        elif take > ai:
+            take = ai
+        level += take
+        cost += ai - take
+    if cost < ZERO_COST:
         return 0.0
     return min(cost, 1.0)
+
+
+def _shared_support(pmfs, role: str) -> np.ndarray:
+    support = pmfs[0].support
+    for p in pmfs[1:]:
+        if not np.array_equal(p.support, support):
+            raise ValidationError(f"every {role} distribution must share one support")
+    return support
+
+
+def ot_cost_batch(pres, posts, grid) -> np.ndarray:
+    """`ot_cost(pres[r], posts[r], grid[g])` for every replicate r and bandwidth g.
+
+    Every `pres[r]` shares one support and every `posts[r]` another, so the
+    windows depend on the bandwidth alone and one pass over the sources runs
+    the level recurrence for all replicates and bandwidths at once.  Replicates
+    go through in blocks of `BATCH_BLOCK`, so scratch memory is
+    O(K * len(grid) + BATCH_BLOCK * K) however many replicates there are.
+    Returns an array of shape (len(pres), len(grid)), equal to the scalar costs.
+    """
+    pres = list(pres)
+    posts = list(posts)
+    if not pres or len(pres) != len(posts):
+        raise ValidationError("need equally many source and target distributions, at least one")
+    ds = np.array([_check_bandwidth(d) for d in grid], dtype=np.int64)
+    lo, hi = _windows(
+        _shared_support(pres, "source"), _shared_support(posts, "target"), ds
+    )
+    out = np.empty((len(pres), ds.size))
+    for start in range(0, len(pres), BATCH_BLOCK):
+        stop = min(start + BATCH_BLOCK, len(pres))
+        a = np.stack([p.mass for p in pres[start:stop]], axis=1)
+        sb = _prefix(np.stack([p.mass for p in posts[start:stop]], axis=1))
+        level = np.zeros((ds.size, stop - start))
+        cost = np.zeros_like(level)
+        take = np.empty_like(level)
+        for ai, lo_i, hi_i in zip(a, lo, hi):
+            np.maximum(level, sb[lo_i], out=level)
+            np.subtract(sb[hi_i], level, out=take)
+            np.maximum(take, 0.0, out=take)
+            np.minimum(take, ai, out=take)
+            level += take
+            np.subtract(ai, take, out=take)
+            cost += take
+        out[start:stop] = cost.T
+    out[out < ZERO_COST] = 0.0
+    return np.minimum(out, 1.0, out=out)
 
 
 def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
     """An optimal plan for `ot_cost(a, b, d)`; ties between optima are not pinned."""
     d = _check_bandwidth(d)
-    entries, leftovers, residual_b = _sweep(a, b, d, want_plan=True)
+    entries, leftovers, residual_b = _sweep(a, b, d)
     # Route residual mass pairwise in sorted order; every such entry costs 1.
     li = 0
     for j, need in residual_b:
@@ -251,8 +356,7 @@ def strassen_certificate(
     na = int(a.support.size)
     nb = int(b.support.size)
 
-    lo = np.searchsorted(b.support, a.support - d, side="left")
-    hi = np.searchsorted(b.support, a.support + d, side="right")
+    lo, hi = _windows(a.support, b.support, d)
 
     if subsets is not None:
         best_val = 0.0

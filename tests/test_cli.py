@@ -376,9 +376,14 @@ class TestCi:
             tmp_path, *self.ci_args(synth_csv, extra=["--dump-draws", str(draws)])
         )
         assert code == 0
-        assert report["lower"] <= report["point"] <= report["upper"] or True
         assert report["lower"] <= report["upper"]
-        assert len(draws.read_text().splitlines()) == 41
+        header, *rows = draws.read_text().splitlines()
+        assert header == "draw_index,value"
+        assert len(rows) == report["n_draws"] == 40
+        for k, row in enumerate(rows):
+            index, value = row.split(",")
+            assert int(index) == k
+            assert 0.0 <= float(value) <= 1.0
 
     def test_dit_requires_control(self, tmp_path, synth_csv):
         args = self.ci_args(synth_csv)

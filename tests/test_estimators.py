@@ -10,6 +10,7 @@ from diftrans.estimators import (
     BandwidthScan,
     PlaceboConfig,
     ScanRow,
+    _replicate_pair,
     bandwidth_scan,
     before_after,
     d_floor,
@@ -81,15 +82,16 @@ class TestPlacebo:
         assert abs(mean - target) <= se
         assert mean == pytest.approx(0.0563, abs=3 * se + 1e-3)
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible_and_matches_scalar_cost(self):
         base = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
-        cfg = PlaceboConfig(n_sims=40, seed=77)
+        cfg = PlaceboConfig(n_sims=70, seed=77)
         grid = [0, 2, 10]
-        m1 = placebo_cost_matrix(base, 50, 80, grid, cfg, threads=1)
-        m2 = placebo_cost_matrix(base, 50, 80, grid, cfg, threads=4)
-        m3 = placebo_cost_matrix(base, 50, 80, grid, cfg, threads=1)
+        m1 = placebo_cost_matrix(base, 50, 80, grid, cfg)
+        m2 = placebo_cost_matrix(base, 50, 80, grid, cfg)
         assert np.array_equal(m1, m2)
-        assert np.array_equal(m1, m3)
+        for rep in range(cfg.n_sims):
+            pre, post = _replicate_pair(base, 50, 80, cfg.seed, rep)
+            assert list(m1[rep]) == [ot_cost(pre, post, d) for d in grid]
 
     def test_per_replicate_monotone_in_d(self):
         base = PricePMF.from_counts([1, 3, 8, 20, 50], [5, 1, 2, 2, 4])
@@ -275,10 +277,14 @@ class TestScan:
     def test_scan_is_deterministic(self, two_point):
         a, b = two_point
         cfg = PlaceboConfig(n_sims=25, seed=4)
-        s1 = bandwidth_scan(a, b, [0, 1], cfg, threads=1)
-        s2 = bandwidth_scan(a, b, [0, 1], cfg, threads=3)
+        s1 = bandwidth_scan(a, b, [0, 1], cfg)
+        s2 = bandwidth_scan(a, b, [0, 1], cfg)
         for r1, r2 in zip(s1.rows, s2.rows):
             assert r1 == r2
+        pairs = [_replicate_pair(a, a.n, b.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
+        for row in s1.rows:
+            cells = np.array([ot_cost(pre, post, row.d) for pre, post in pairs])
+            assert row.placebo_mean == pytest.approx(float(np.mean(cells)), abs=1e-15)
 
     def test_rejects_unsorted_grid(self, two_point):
         a, b = two_point

@@ -7,8 +7,9 @@ import pytest
 
 from diftrans.errors import ConfigError, ValidationError
 from diftrans.estimators import before_after, diff_in_transports
-from diftrans.inference import SubsampleConfig, dump_draws, subsample_ci
+from diftrans.inference import SubsampleConfig, _resample, dump_draws, subsample_ci
 from diftrans.pmf import PricePMF
+from diftrans.transport import ot_cost
 
 from _synth import lottery_post_prices, pmf_of, population_prices, synth_curve
 
@@ -62,16 +63,24 @@ class TestSubsampleCI:
         res = subsample_ci(pre, post, ba(0), cfg)
         assert res.draws[0] == pytest.approx(res.point, abs=0.05)
 
-    def test_reproducible_and_thread_invariant(self):
+    def test_reproducible_and_matches_scalar_cost(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
         post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
         cfg = SubsampleConfig(n_draws=50, seed=11)
-        r1 = subsample_ci(pre, post, ba(1), cfg, threads=1)
-        r2 = subsample_ci(pre, post, ba(1), cfg, threads=4)
-        r3 = subsample_ci(pre, post, ba(1), cfg, threads=1)
+        r1 = subsample_ci(pre, post, ba(1), cfg)
+        r2 = subsample_ci(pre, post, ba(1), cfg)
         assert np.array_equal(r1.draws, r2.draws)
-        assert np.array_equal(r1.draws, r3.draws)
         assert (r1.lower, r1.upper) == (r2.lower, r2.upper)
+        for k in range(cfg.n_draws):
+            sub = [
+                _resample(
+                    pmf,
+                    cfg.size_for(pmf.n),
+                    np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k, side))),
+                )
+                for side, pmf in enumerate((pre, post))
+            ]
+            assert r1.draws[k] == ot_cost(sub[0], sub[1], 1)
 
     def test_interval_orientation_and_width(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
