@@ -243,13 +243,13 @@ def cmd_equilibrium(args) -> int:
         dp_ds, dt_ds = equilibrium.comparative_statics(cfg, curve, sol.s)
         entry["comparative_statics"] = {"dp_ds": dp_ds, "dt_ds": dt_ds}
         rendered.append(entry)
-    p_notc = s_notc = None
+    p_notc = None
     if cfg.z == 0.0:
-        p_notc, s_notc = equilibrium.solve_no_tc(cfg, curve)
+        p_notc, _ = equilibrium.solve_no_tc(cfg, curve)
     report = {
         "rows": rendered,
         "p_notc": p_notc,
-        "s_notc": s_notc if s_notc is not None else cfg.s_notc,
+        "s_notc": cfg.s_notc,
         "manifest": _manifest("equilibrium", args, [args.wtp]),
     }
     if args.out_csv:
@@ -348,6 +348,7 @@ def cmd_ci(args) -> int:
         "upper": result.upper,
         "alpha": args.alpha,
         "n_draws": args.draws,
+        "n_failed": result.n_failed,
         "b": {"pre": cfg.size_for(pre.n), "post": cfg.size_for(post.n)},
         "manifest": _manifest("ci", args, inputs),
     }
@@ -570,10 +571,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DiftransError as exc:
-        print(f"diftrans {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (DiftransError, OSError) as exc:
         print(f"diftrans {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -12,12 +12,11 @@ which pins down the price, the per-side cost wedge, and the gains from trade.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InfeasibleShareError, ValidationError
+from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,8 @@ class WtpCurve:
         object.__setattr__(self, "values", values)
         if volumes.ndim != 1 or volumes.shape != values.shape or volumes.size < 2:
             raise ValidationError("curve needs at least two (volume, value) knots")
+        if not (np.all(np.isfinite(volumes)) and np.all(np.isfinite(values))):
+            raise ValidationError("curve knots must be finite")
         if volumes[0] != 0.0:
             raise ValidationError("curve must start at volume 0")
         if np.any(np.diff(volumes) <= 0):
@@ -78,15 +79,23 @@ class WtpCurve:
     def from_csv(cls, path, strictify: bool = False) -> "WtpCurve":
         """Load knots from a CSV with header `n,v` and ascending n."""
         knots = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip().lower() for h in next(reader, [])]
-            if header[:2] != ["n", "v"]:
-                raise ValidationError(f"{path}: expected header 'n,v', got {header}")
-            for row in reader:
-                if not row or all(not c.strip() for c in row):
-                    continue
-                knots.append((float(row[0]), float(row[1])))
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                reader = csv.reader(fh)
+                header = [h.strip().lower() for h in next(reader, [])]
+                if header[:2] != ["n", "v"]:
+                    raise ValidationError(f"{path}: expected header 'n,v', got {header}")
+                for rownum, row in enumerate(reader, start=2):
+                    if not row or all(not c.strip() for c in row):
+                        continue
+                    try:
+                        knots.append((float(row[0]), float(row[1])))
+                    except (IndexError, ValueError):
+                        raise ParseError(
+                            f"{path}: expected two numbers n,v, got {row}, row {rownum}"
+                        ) from None
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
         return cls.from_knots(knots, strictify=strictify)
 
     @classmethod
@@ -192,29 +201,15 @@ def supply(
 
 
 def solve_no_tc(cfg: MarketConfig, curve: WtpCurve) -> tuple[float, float]:
-    """Frictionless equilibrium: price by bisection, share by the exact identity.
+    """Frictionless equilibrium price and share, both exact.
 
-    With no cost wedge, demand equals supply where the valuation CDF hits
-    (N - q) / N, so the share is curve-independent; the price is located to
-    1e-6 RMB.
+    With no cost wedge, demand (N - q)(1 - F(p)) equals supply q F(p) where the
+    valuation CDF F hits (N - q) / N, so the share is curve-independent and
+    the price is that quantile of the schedule.
     """
     if cfg.z != 0.0:
         raise ConfigError("frictionless benchmark assumes no speculators")
-
-    def gap(p):
-        F = curve.cdf(p)
-        return cfg.q * F - (cfg.N - cfg.q) * (1.0 - F)
-
-    lo, hi = 0.0, curve.v_max
-    for _ in range(200):
-        if hi - lo <= 1e-6:
-            break
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), cfg.s_notc
+    return curve.inverse_cdf(cfg.s_notc), cfg.s_notc
 
 
 def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSolution:
@@ -251,59 +246,40 @@ def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSo
 
 
 def gains_from_trade(
-    cfg: MarketConfig,
-    curve: WtpCurve,
-    sol: MarketSolution,
-    panels: int = 10_000,
+    cfg: MarketConfig, curve: WtpCurve, sol: MarketSolution
 ) -> MarketSolution:
     """Fill the gains fields: surplus area, total cost burden, and their net.
 
     Gross gains integrate the gap between inverse demand and inverse supply up
-    to the traded volume (composite trapezoid, halving-refined until the
-    Richardson error check clears relative 1e-6); the cost burden is the full
-    two-sided wedge on every trade.
+    to the traded volume sq.  At traded volume u the marginal buyer sits at
+    schedule share u / pool and the marginal seller at share (u - zq) s /
+    ((s - z) q) of the winners (valuation zero along the speculators' flat
+    segment u <= zq), both read in shares of the curve's own market size M.
+    Both are linear in u between the images of the curve knots, so the
+    trapezoid over those images, 0, zq and sq is the exact integral.  The cost
+    burden is the full two-sided wedge on every trade.
     """
     sq = sol.s * cfg.q
     if sq <= 0.0:
         gross = 0.0
     else:
+        M = curve.market_size
         pool = cfg.N - cfg.q * (1.0 - cfg.z)
         zq = cfg.z * cfg.q
-
-        def gap(u):
-            # Marginal buyer valuation at traded volume u.
-            vb = np.interp(u * (cfg.N / pool), curve.volumes, curve.values)
-            # Marginal seller valuation: zero along the speculators' flat
-            # segment, then the winners' quantile of the schedule.
-            if cfg.z == 0.0:
-                shares = u / cfg.q
-            elif sol.s > cfg.z:
-                shares = np.clip(u - zq, 0.0, None) * (
-                    sol.s / ((sol.s - cfg.z) * cfg.q)
-                )
-            else:
-                shares = np.zeros_like(u)
-            vs = np.interp(
-                cfg.N * (1.0 - np.clip(shares, 0.0, 1.0)), curve.volumes, curve.values
-            )
-            if cfg.z > 0.0:
-                vs = np.where(u <= zq, 0.0, vs)
-            return vb - vs
-
-        def trapezoid(k):
-            u = np.linspace(0.0, sq, k + 1)
-            return float(np.trapezoid(gap(u), u))
-
-        coarse = trapezoid(panels)
-        fine = trapezoid(2 * panels)
-        for _ in range(6):
-            if abs(fine - coarse) <= 1e-6 * max(1.0, abs(fine)):
-                break
-            panels *= 2
-            coarse, fine = fine, trapezoid(2 * panels)
+        frac = curve.volumes / M
+        knots = [np.array([0.0, zq, sq]), frac * pool]
+        if sol.s > cfg.z:
+            # Winners' volume per unit of schedule share above the flat segment.
+            span = (sol.s - cfg.z) * cfg.q / sol.s
+            knots.append(zq + (1.0 - frac) * span)
+        u = np.unique(np.clip(np.concatenate(knots), 0.0, sq))
+        v_buyer = np.interp(u / pool * M, curve.volumes, curve.values)
+        if sol.s > cfg.z:
+            shares = np.clip((u - zq) / span, 0.0, 1.0)
+            v_seller = np.interp(M * (1.0 - shares), curve.volumes, curve.values)
         else:
-            raise RuntimeError("gains integral did not meet the refinement check")
-        gross = fine
+            v_seller = np.zeros_like(u)
+        gross = float(np.trapezoid(v_buyer - v_seller, u))
 
     sol.gross_gains = gross
     sol.tc_total = 2.0 * sol.t * sol.s * cfg.q

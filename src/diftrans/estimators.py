@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
-from .transport import ot_cost, ot_cost_batch
+from .transport import _check_bandwidth, ot_cost, ot_cost_batch
 
 
 @dataclass(frozen=True)
@@ -163,9 +163,8 @@ def diff_in_transports(
     bound in sample for every `d`.  Negative values are reported as-is: they
     flag a control displacement exceeding the treated one.
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
-        raise ValidationError(f"bandwidth must be a nonnegative integer, got {d!r}")
-    return ot_cost(b_pre, b_post, 2 * int(d)) - ot_cost(c_pre, c_post, int(d))
+    d = _check_bandwidth(d)
+    return ot_cost(b_pre, b_post, 2 * d) - ot_cost(c_pre, c_post, d)
 
 
 @dataclass(frozen=True)

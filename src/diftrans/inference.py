@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, DiftransError, ValidationError
 from .pmf import PricePMF
 
 
@@ -65,6 +65,11 @@ class SubsampleResult:
     upper: float
     draws: np.ndarray
 
+    @property
+    def n_failed(self) -> int:
+        """Draws whose transform failed, stored as NaN."""
+        return int(np.count_nonzero(np.isnan(self.draws)))
+
 
 def _resample(pmf: PricePMF, b: int, rng: np.random.Generator) -> PricePMF:
     counts = rng.multivariate_hypergeometric(pmf.counts(), b)
@@ -86,8 +91,9 @@ def subsample_ci(
     independently with its own replicate-keyed stream, so results are
     reproducible for a fixed seed whatever the order of evaluation.
     `transform` optionally maps each raw estimate (for example through the
-    market inversion); draws where it raises are recorded as NaN and excluded
-    from the quantiles.
+    market inversion); draws where it raises a `DiftransError` (for example a
+    share the market model cannot support) are recorded as NaN and excluded
+    from the quantiles.  Any other exception propagates.
     """
     sides = [pre, post] + (list(control) if control is not None else [])
     sizes = [cfg.size_for(p.n) for p in sides]
@@ -98,7 +104,7 @@ def subsample_ci(
             return float(value)
         try:
             return float(transform(value))
-        except Exception:
+        except DiftransError:
             return float("nan")
 
     point = evaluate(sides)

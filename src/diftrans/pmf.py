@@ -38,11 +38,11 @@ class SalesRecord:
 
     def __post_init__(self):
         if not 1 <= self.month <= 12:
-            raise ValidationError(f"month out of range: {self.month}")
+            raise ValidationError("month out of range")
         if self.price < 0:
-            raise ValidationError(f"negative price: {self.price}")
+            raise ValidationError("negative price")
         if self.quantity < 0:
-            raise ValidationError(f"negative quantity: {self.quantity}")
+            raise ValidationError("negative quantity")
 
 
 @dataclass(frozen=True)
@@ -171,37 +171,40 @@ def ingest_csv(path, schema: dict | None = None) -> list[SalesRecord]:
             raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
         columns.update(schema)
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        header = [h.strip() for h in header]
-        index = {}
-        for key, col in columns.items():
-            if col not in header:
-                raise SchemaError(f"missing column {col!r}")
-            index[key] = header.index(col)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return _read_records(csv.reader(fh), columns, path)
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
-        records = []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(header):
-                raise ParseError(f"short row, row {rownum}")
-            city = row[index["city"]].strip()
-            year = _parse_int(row[index["year"]], "year", rownum)
-            month = _parse_int(row[index["month"]], "month", rownum)
-            price = _parse_int(row[index["price"]], "price", rownum)
-            quantity = _parse_int(row[index["quantity"]], "quantity", rownum)
-            if not 1 <= month <= 12:
-                raise ValidationError(f"month out of range, row {rownum}")
-            if price < 0:
-                raise ValidationError(f"negative price, row {rownum}")
-            if quantity < 0:
-                raise ValidationError(f"negative quantity, row {rownum}")
+
+def _read_records(reader, columns: dict, path) -> list[SalesRecord]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row") from None
+    header = [h.strip() for h in header]
+    index = {}
+    for key, col in columns.items():
+        if col not in header:
+            raise SchemaError(f"missing column {col!r}")
+        index[key] = header.index(col)
+
+    records = []
+    for rownum, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) < len(header):
+            raise ParseError(f"short row, row {rownum}")
+        city = row[index["city"]].strip()
+        year = _parse_int(row[index["year"]], "year", rownum)
+        month = _parse_int(row[index["month"]], "month", rownum)
+        price = _parse_int(row[index["price"]], "price", rownum)
+        quantity = _parse_int(row[index["quantity"]], "quantity", rownum)
+        try:
             records.append(SalesRecord(city, year, month, price, quantity))
+        except ValidationError as exc:
+            raise ValidationError(f"{exc}, row {rownum}") from None
     return records
 
 

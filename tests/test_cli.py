@@ -67,6 +67,33 @@ class TestIngest:
         assert code == 1
 
 
+MALFORMED = {
+    "wtp_short_row": ("wtp", b"n,v\n0,280000\n700000\n"),
+    "wtp_non_numeric": ("wtp", b"n,v\n0,280000\n700000,zero\n"),
+    "sales_not_utf8": ("sales", b"city,year,month,price,quantity\nm\xe9tro,2010,1,5,1\n"),
+    "input_is_directory": ("sales", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
+    kind, content = MALFORMED[case]
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if kind == "wtp":
+        argv = ["equilibrium", "--wtp", str(path), "--s", "0.1"]
+    else:
+        argv = ["ingest", "--input", str(path)]
+    code, _ = run(tmp_path, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"diftrans {argv[0]}: ")
+    assert len(err.splitlines()) == 1
+
+
 class TestTransport:
     def test_worked_example(self, tmp_path, worked_csv):
         code, report = run(
@@ -380,6 +407,7 @@ class TestCi:
         header, *rows = draws.read_text().splitlines()
         assert header == "draw_index,value"
         assert len(rows) == report["n_draws"] == 40
+        assert report["n_failed"] == 0
         for k, row in enumerate(rows):
             index, value = row.split(",")
             assert int(index) == k
@@ -408,6 +436,27 @@ class TestCi:
         assert report["map"] == "t"
         # The wedge falls as the share rises, so the mapped interval flips.
         assert report["lower"] <= report["upper"]
+
+    def test_failed_draws_counted(self, tmp_path, synth_csv, uniform_wtp):
+        # s_notc = 0.28 sits inside the share draws (~0.20 to ~0.34), so the
+        # draws above it fail the inversion and dump as empty values.
+        draws = tmp_path / "draws.csv"
+        code, report = run(
+            tmp_path,
+            *self.ci_args(
+                synth_csv,
+                extra=[
+                    "--map", "t",
+                    "--wtp", str(uniform_wtp),
+                    "--market-size", "50000",
+                    "--quota", "36000",
+                    "--dump-draws", str(draws),
+                ],
+            ),
+        )
+        assert code == 0
+        values = [row.split(",")[1] for row in draws.read_text().splitlines()[1:]]
+        assert 0 < report["n_failed"] == values.count("") < report["n_draws"]
 
 
 class TestReport:

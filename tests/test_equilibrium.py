@@ -1,5 +1,7 @@
 """Market inversion: demand/supply, frictionless benchmark, gains, statics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -39,6 +41,8 @@ class TestCurve:
             WtpCurve(np.array([0.0, 10.0]), np.array([5.0, 1.0]))
         with pytest.raises(ValidationError, match="strictly decreasing"):
             WtpCurve(np.array([0.0, 5.0, 10.0]), np.array([5.0, 5.0, 0.0]))
+        with pytest.raises(ValidationError, match="finite"):
+            WtpCurve(np.array([0.0, 5.0, 10.0]), np.array([5.0, np.nan, 0.0]))
 
     def test_strictify_perturbs_ties(self):
         curve = WtpCurve.from_knots(
@@ -123,7 +127,7 @@ class TestFrictionless:
         cfg, curve = uniform
         p_notc, s_notc = solve_no_tc(cfg, curve)
         assert s_notc == (N - Q) / N
-        assert p_notc == pytest.approx(VMAX * (N - Q) / N, abs=1e-5)
+        assert p_notc == pytest.approx(VMAX * (N - Q) / N, rel=1e-12)
 
     def test_share_is_curve_free(self):
         rng = np.random.default_rng(1)
@@ -221,7 +225,7 @@ class TestGains:
         sol = invert_from_volume(cfg, curve, 0.11)
         sq = 0.11 * Q
         closed = VMAX * (sq - sq**2 / 2 * (1 / (N - Q) + 1 / Q))
-        assert sol.gross_gains == pytest.approx(closed, rel=1e-6)
+        assert sol.gross_gains == pytest.approx(closed, rel=1e-12)
         assert sol.tc_total == 2 * sol.t * 0.11 * Q
         assert sol.net_gains == sol.gross_gains - sol.tc_total
         assert sol.tc_share == sol.tc_total / sol.gross_gains
@@ -246,7 +250,22 @@ class TestGains:
             return vb - vs
 
         oracle, _ = quad(integrand, 0.0, s * Q, points=[zq], limit=200)
-        assert sol.gross_gains == pytest.approx(oracle, rel=1e-6)
+        assert sol.gross_gains == pytest.approx(oracle, rel=1e-10)
+
+    def test_invariant_to_curve_volume_scale(self):
+        # Prices and gains depend on the schedule only through shares of its
+        # own market size, whatever that size is next to cfg.N.
+        rng = np.random.default_rng(4)
+        for z in (0.0, 0.05):
+            cfg = MarketConfig(N=N, q=Q, z=z)
+            for _ in range(10):
+                curve = random_curve(rng)
+                for scale in (0.5, N / 1_000_000, 3.0):
+                    scaled = WtpCurve(curve.volumes * scale, curve.values)
+                    for s in (z or 0.02, 0.11, 0.4):
+                        want = dataclasses.asdict(invert_from_volume(cfg, curve, s))
+                        got = dataclasses.asdict(invert_from_volume(cfg, scaled, s))
+                        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestStatics:

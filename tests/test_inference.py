@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from diftrans.errors import ConfigError, ValidationError
+from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
 from diftrans.estimators import before_after, diff_in_transports
 from diftrans.inference import SubsampleConfig, _resample, dump_draws, subsample_ci
 from diftrans.pmf import PricePMF
@@ -123,14 +123,22 @@ class TestSubsampleCI:
         post = PricePMF.from_counts([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
 
-        def sometimes(s):
+        def capped(s):
             if s > 0.25:
-                raise ValueError("infeasible")
+                raise InfeasibleShareError("above the cap")
             return s
 
-        res = subsample_ci(pre, post, ba(0), cfg, transform=sometimes)
-        assert np.isnan(res.draws).any() or np.all(res.draws <= 0.25)
+        res = subsample_ci(pre, post, ba(0), cfg, transform=capped)
+        failed = np.isnan(res.draws)
+        assert 0 < res.n_failed == int(failed.sum()) < cfg.n_draws
+        assert np.all(res.draws[~failed] <= 0.25)
         assert res.lower <= res.upper
+
+        def broken(s):
+            raise ValueError("a bug, not an infeasible share")
+
+        with pytest.raises(ValueError, match="a bug"):
+            subsample_ci(pre, post, ba(0), cfg, transform=broken)
 
     def test_dump_draws_csv(self):
         pre = PricePMF.from_counts([1, 2], [5, 5])
