@@ -34,7 +34,7 @@ from .estimators import (
     select_dstar,
 )
 from .inference import SubsampleConfig, SubsampleResult, subsample_ci
-from .pmf import PeriodFilter, PricePMF, SalesRecord, build_pmf, ingest_csv
+from .pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
 from .transport import TransportPlan, ot_cost, solve_ot, solve_ot_regularized, strassen_certificate
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "PeriodFilter",
     "PlaceboConfig",
     "PricePMF",
-    "SalesRecord",
+    "SalesTable",
     "SubsampleConfig",
     "SubsampleResult",
     "TransportPlan",

@@ -80,18 +80,18 @@ def _period_filter(window: str, exclude: str | None) -> PeriodFilter:
 
 
 def _parse_grid(text: str) -> list[int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DiftransError(f"grid {text!r} is not of the form lo:hi:step")
-    lo, hi, step = (int(p) for p in parts)
+    try:
+        lo, hi, step = (int(p) for p in text.split(":"))
+    except ValueError:
+        raise DiftransError(f"grid {text!r} is not of the form lo:hi:step") from None
     if step <= 0 or hi < lo:
         raise DiftransError(f"grid {text!r} is empty")
     return list(range(lo, hi + 1, step))
 
 
-def _city_pair(args, records, city: str):
-    pre = build_pmf(records, city, _period_filter(args.pre, args.exclude))
-    post = build_pmf(records, city, _period_filter(args.post, args.exclude))
+def _city_pair(args, table, city: str):
+    pre = build_pmf(table, city, _period_filter(args.pre, args.exclude))
+    post = build_pmf(table, city, _period_filter(args.post, args.exclude))
     return pre, post
 
 
@@ -100,15 +100,14 @@ def _city_pair(args, records, city: str):
 
 
 def cmd_ingest(args) -> int:
-    records = ingest_csv(args.input)
-    cities = sorted({r.city for r in records})
-    periods = sorted({(r.year, r.month) for r in records})
+    table = ingest_csv(args.input)
+    periods = list(zip(table.year.tolist(), table.month.tolist()))
     report = {
-        "rows": len(records),
-        "total_units": sum(r.quantity for r in records),
-        "cities": cities,
-        "first_period": f"{periods[0][0]:04d}-{periods[0][1]:02d}" if periods else None,
-        "last_period": f"{periods[-1][0]:04d}-{periods[-1][1]:02d}" if periods else None,
+        "rows": len(table),
+        "total_units": int(table.quantity.sum()),
+        "cities": sorted(table.cities),
+        "first_period": "%04d-%02d" % min(periods) if periods else None,
+        "last_period": "%04d-%02d" % max(periods) if periods else None,
         "manifest": _manifest("ingest", args, [args.input]),
     }
     _write_json(report, args.out)
@@ -116,8 +115,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    records = ingest_csv(args.input)
-    pre, post = _city_pair(args, records, args.city)
+    table = ingest_csv(args.input)
+    pre, post = _city_pair(args, table, args.city)
     cost = ot_cost(pre, post, args.d)
     if args.plan:
         if args.regularize is not None:
@@ -142,8 +141,8 @@ def _placebo_config(args) -> PlaceboConfig:
 
 
 def cmd_scan(args) -> int:
-    records = ingest_csv(args.input)
-    pre, post = _city_pair(args, records, args.city)
+    table = ingest_csv(args.input)
+    pre, post = _city_pair(args, table, args.city)
     grid = _parse_grid(args.d_grid)
     scan = estimators.bandwidth_scan(pre, post, grid, _placebo_config(args))
     with open(args.out_csv, "w", encoding="utf-8") as fh:
@@ -170,9 +169,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dit(args) -> int:
-    records = ingest_csv(args.input)
-    t_pre, t_post = _city_pair(args, records, args.treated_city)
-    c_pre, c_post = _city_pair(args, records, args.control_city)
+    table = ingest_csv(args.input)
+    t_pre, t_post = _city_pair(args, table, args.treated_city)
+    c_pre, c_post = _city_pair(args, table, args.control_city)
     grid = _parse_grid(args.d_grid)
     base = {
         "treated-pre": t_pre,
@@ -201,8 +200,8 @@ def cmd_dit(args) -> int:
             diag_args = argparse.Namespace(
                 pre=args.diag_pre, post=args.diag_post, exclude=args.exclude
             )
-            dt_pre, dt_post = _city_pair(diag_args, records, args.treated_city)
-            dc_pre, dc_post = _city_pair(diag_args, records, args.control_city)
+            dt_pre, dt_post = _city_pair(diag_args, table, args.treated_city)
+            dc_pre, dc_post = _city_pair(diag_args, table, args.control_city)
             curves = estimators.equal_displacement_curves(
                 dt_pre, dt_post, dc_pre, dc_post, grid
             )
@@ -235,7 +234,10 @@ def cmd_equilibrium(args) -> int:
     cfg = equilibrium.MarketConfig(
         N=args.market_size, q=args.quota, z=args.speculator_share
     )
-    s_values = [float(part) for part in args.s.split(",") if part.strip()]
+    try:
+        s_values = [float(part) for part in args.s.split(",") if part.strip()]
+    except ValueError:
+        raise DiftransError(f"trade shares {args.s!r} are not comma-separated numbers") from None
     rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
     rendered = []
     for sol in rows:
@@ -270,29 +272,15 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_did(args) -> int:
-    records = ingest_csv(args.input)
+    table = ingest_csv(args.input)
     controls = [c.strip() for c in args.control_cities.split(",") if c.strip()]
-    pre_filter = _period_filter(args.pre, args.exclude)
-    post_filter = _period_filter(args.post, args.exclude)
-    treated, post, price, weight = [], [], [], []
-    for rec in records:
-        if rec.city == args.treated_city:
-            is_treated = True
-        elif rec.city in controls:
-            is_treated = False
-        else:
-            continue
-        if pre_filter.admits(rec.year, rec.month):
-            is_post = False
-        elif post_filter.admits(rec.year, rec.month):
-            is_post = True
-        else:
-            continue
-        treated.append(is_treated)
-        post.append(is_post)
-        price.append(rec.price)
-        weight.append(rec.quantity)
-    result = baseline.did_ols(treated, post, price, weight, weighting=args.weighting)
+    treated = table.in_cities(args.treated_city)
+    pre = _period_filter(args.pre, args.exclude).mask(table.year, table.month)
+    post = _period_filter(args.post, args.exclude).mask(table.year, table.month) & ~pre
+    keep = (treated | table.in_cities(*controls)) & (pre | post)
+    result = baseline.did_ols(
+        treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting
+    )
     report = result.as_dict()
     report["manifest"] = _manifest("did", args, [args.input])
     _write_json(report, args.out)
@@ -300,13 +288,13 @@ def cmd_did(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    records = ingest_csv(args.input)
-    pre, post = _city_pair(args, records, args.city)
+    table = ingest_csv(args.input)
+    pre, post = _city_pair(args, table, args.city)
     control = None
     if args.estimator == "dit":
         if not args.control_city:
             raise DiftransError("--control-city is required for the dit estimator")
-        control = _city_pair(args, records, args.control_city)
+        control = _city_pair(args, table, args.control_city)
         estimator = lambda a, b, ca, cb: estimators.diff_in_transports(a, b, ca, cb, args.d)
     else:
         estimator = lambda a, b: estimators.before_after(a, b, args.d)

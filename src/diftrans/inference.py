@@ -91,23 +91,19 @@ def subsample_ci(
     independently with its own replicate-keyed stream, so results are
     reproducible for a fixed seed whatever the order of evaluation.
     `transform` optionally maps each raw estimate (for example through the
-    market inversion); draws where it raises a `DiftransError` (for example a
+    market inversion).  Draws where it raises a `DiftransError` (for example a
     share the market model cannot support) are recorded as NaN and excluded
-    from the quantiles.  Any other exception propagates.
+    from the quantiles; on the full-sample point the error propagates, since
+    an interval around a point that does not exist means nothing.  Any other
+    exception propagates.
     """
     sides = [pre, post] + (list(control) if control is not None else [])
     sizes = [cfg.size_for(p.n) for p in sides]
 
-    def evaluate(pmfs):
-        value = estimator(*pmfs)
-        if transform is None:
-            return float(value)
-        try:
-            return float(transform(value))
-        except DiftransError:
-            return float("nan")
+    def transformed(value):
+        return float(value if transform is None else transform(value))
 
-    point = evaluate(sides)
+    point = transformed(estimator(*sides))
     draws = np.empty(cfg.n_draws)
 
     for k in range(cfg.n_draws):
@@ -117,7 +113,11 @@ def subsample_ci(
                 np.random.SeedSequence(entropy=(cfg.seed, k, side_index))
             )
             resampled.append(_resample(pmf, b, rng))
-        draws[k] = evaluate(resampled)
+        value = estimator(*resampled)
+        try:
+            draws[k] = transformed(value)
+        except DiftransError:
+            draws[k] = float("nan")
 
     finite = draws[~np.isnan(draws)]
     if finite.size == 0:

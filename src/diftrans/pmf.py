@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import csv
 from dataclasses import dataclass, field
 
@@ -25,24 +26,86 @@ DEFAULT_SCHEMA = {
 
 MASS_TOL = 1e-12
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+#: Largest year magnitude whose period key `year * 12 + month` fits in int64.
+MAX_YEAR = INT64_MAX // 12 - 1
 
-@dataclass(frozen=True)
-class SalesRecord:
-    """One city-month aggregate: `quantity` units sold at integer RMB `price`."""
+_COLUMNS = ("city", "year", "month", "price", "quantity")
 
-    city: str
-    year: int
-    month: int
-    price: int
-    quantity: int
+
+class _RowError(ValidationError):
+    """Row `index` of a table breaks the field rule `rule`."""
+
+    def __init__(self, rule: str, index: int):
+        super().__init__(f"{rule}, index {index}")
+        self.rule = rule
+        self.index = index
+
+
+@dataclass(frozen=True, eq=False)
+class SalesTable:
+    """City-month sales aggregates held as equal-length int64 columns.
+
+    Row `i` records `quantity[i]` units sold at integer RMB `price[i]` in
+    city `cities[city[i]]` during (`year[i]`, `month[i]`).  Zero quantities
+    are kept.  The constructor holds the only rule per field: month in 1-12,
+    price and quantity non-negative, and the year small enough that the
+    period key `year * 12 + month` cannot wrap.
+    """
+
+    cities: tuple[str, ...]
+    city: np.ndarray
+    year: np.ndarray
+    month: np.ndarray
+    price: np.ndarray
+    quantity: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise ValidationError("month out of range")
-        if self.price < 0:
-            raise ValidationError("negative price")
-        if self.quantity < 0:
-            raise ValidationError("negative quantity")
+        object.__setattr__(self, "cities", tuple(self.cities))
+        for name in _COLUMNS:
+            # A view, so freezing it leaves the caller's own array writeable.
+            column = np.asarray(getattr(self, name), dtype=np.int64).view()
+            if column.ndim != 1 or column.shape != np.shape(self.city):
+                raise ValidationError("table columns must be equal-length 1-D vectors")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if np.any((self.city < 0) | (self.city >= len(self.cities))):
+            raise ValidationError("city code outside the label tuple")
+        broken = {
+            "month out of range": (self.month < 1) | (self.month > 12),
+            "negative price": self.price < 0,
+            "negative quantity": self.quantity < 0,
+            "year out of range": (self.year < -MAX_YEAR) | (self.year > MAX_YEAR),
+        }
+        any_broken = np.logical_or.reduce(list(broken.values()))
+        if any_broken.any():
+            index = int(np.argmax(any_broken))
+            raise _RowError(next(r for r, bad in broken.items() if bad[index]), index)
+        # PMF counts are int64 sums of quantities, so the grand total must fit.
+        n = len(self)
+        if n and int(self.quantity.max()) > INT64_MAX // n:
+            if sum(self.quantity.tolist()) > INT64_MAX:
+                raise ValidationError("total quantity exceeds the int64 range")
+
+    def __len__(self) -> int:
+        return int(self.city.size)
+
+    @classmethod
+    def from_rows(cls, rows) -> "SalesTable":
+        """Table of (city, year, month, price, quantity) tuples, in row order.
+
+        City codes follow the order in which labels first appear.
+        """
+        rows = list(rows)
+        cities = tuple(dict.fromkeys(row[0] for row in rows))
+        code = {label: i for i, label in enumerate(cities)}
+        numbers = np.array([row[1:] for row in rows], dtype=np.int64).reshape(len(rows), 4)
+        return cls(cities, [code[row[0]] for row in rows], *numbers.T)
+
+    def in_cities(self, *labels: str) -> np.ndarray:
+        """Boolean mask of the rows whose city is one of `labels`."""
+        codes = [i for i, label in enumerate(self.cities) if label in labels]
+        return np.isin(self.city, codes)
 
 
 @dataclass(frozen=True)
@@ -58,19 +121,30 @@ class PeriodFilter:
 
     def __post_init__(self):
         for lo, hi in self.include:
+            if not (1 <= lo[1] <= 12 and 1 <= hi[1] <= 12):
+                raise ValidationError(f"month out of range in period range {lo}:{hi}")
             if lo > hi:
                 raise ValidationError(f"empty period range {lo}:{hi}")
         for _, m in self.exclude:
             if not 1 <= m <= 12:
                 raise ValidationError(f"month out of range in exclusion: {m}")
 
-    def admits(self, year: int, month: int) -> bool:
-        ym = (year, month)
-        if ym in self.exclude:
-            return False
-        if not self.include:
-            return True
-        return any(lo <= ym <= hi for lo, hi in self.include)
+    def mask(self, year, month) -> np.ndarray:
+        """Boolean mask of the (year, month) pairs the filter admits.
+
+        Periods are compared by the key `year * 12 + month`, which orders them
+        as (year, month) tuples do because every month lies in 1-12.
+        """
+        key = np.asarray(year, dtype=np.int64) * 12 + np.asarray(month, dtype=np.int64)
+        if self.include:
+            keep = np.zeros(key.shape, dtype=bool)
+            for (ly, lm), (hy, hm) in self.include:
+                keep |= (key >= ly * 12 + lm) & (key <= hy * 12 + hm)
+        else:
+            keep = np.ones(key.shape, dtype=bool)
+        if self.exclude:
+            keep &= ~np.isin(key, [y * 12 + m for y, m in self.exclude])
+        return keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +231,13 @@ def _parse_int(value: str, name: str, row: int) -> int:
     return int(as_float)
 
 
-def ingest_csv(path, schema: dict | None = None) -> list[SalesRecord]:
-    """Read a sales CSV into records, one per data row (zero quantities kept).
+def ingest_csv(path, schema: dict | None = None) -> SalesTable:
+    """Read a sales CSV into a table, one row per data row (zero quantities kept).
 
     `schema` maps the canonical names city/year/month/price/quantity to the
     file's column headers; omitted keys fall back to the canonical name.
-    Row numbers in error messages are 1-based file lines (header is row 1).
+    Blank rows are skipped.  Row numbers in error messages are 1-based file
+    lines (header is row 1).
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -173,12 +248,12 @@ def ingest_csv(path, schema: dict | None = None) -> list[SalesRecord]:
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _read_records(csv.reader(fh), columns, path)
+            return _read_table(csv.reader(fh), columns, path)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
 
 
-def _read_records(reader, columns: dict, path) -> list[SalesRecord]:
+def _read_table(reader, columns: dict, path) -> SalesTable:
     try:
         header = next(reader)
     except StopIteration:
@@ -189,48 +264,70 @@ def _read_records(reader, columns: dict, path) -> list[SalesRecord]:
         if col not in header:
             raise SchemaError(f"missing column {col!r}")
         index[key] = header.index(col)
+    width = len(header)
+    ic, iy, im, ip, iq = (index[key] for key in _COLUMNS)
 
-    records = []
+    # Each row goes straight into int64 buffers, so no per-row object outlives
+    # its iteration; `skipped` maps a table index back to its file row.
+    codes: dict[str, int] = {}
+    city, year, month, price, quantity = (array.array("q") for _ in _COLUMNS)
+    skipped = []
     for rownum, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
+            skipped.append(rownum)
             continue
-        if len(row) < len(header):
+        if len(row) < width:
             raise ParseError(f"short row, row {rownum}")
-        city = row[index["city"]].strip()
-        year = _parse_int(row[index["year"]], "year", rownum)
-        month = _parse_int(row[index["month"]], "month", rownum)
-        price = _parse_int(row[index["price"]], "price", rownum)
-        quantity = _parse_int(row[index["quantity"]], "quantity", rownum)
         try:
-            records.append(SalesRecord(city, year, month, price, quantity))
-        except ValidationError as exc:
-            raise ValidationError(f"{exc}, row {rownum}") from None
-    return records
+            y, m, p, q = int(row[iy]), int(row[im]), int(row[ip]), int(row[iq])
+        except ValueError:
+            y, m, p, q = (_parse_int(row[index[key]], key, rownum) for key in _COLUMNS[1:])
+        try:
+            year.append(y)
+            month.append(m)
+            price.append(p)
+            quantity.append(q)
+        except OverflowError:
+            raise ParseError(f"integer outside the int64 range, row {rownum}") from None
+        city.append(codes.setdefault(row[ic].strip(), len(codes)))
+
+    try:
+        return SalesTable(tuple(codes), city, year, month, price, quantity)
+    except _RowError as exc:
+        raise ValidationError(f"{exc.rule}, row {_file_row(exc.index, skipped)}") from None
+
+
+def _file_row(index: int, skipped: list[int]) -> int:
+    """File row of table row `index`, given the ascending skipped file rows."""
+    row = index + 2
+    for blank in skipped:
+        if blank > row:
+            break
+        row += 1
+    return row
 
 
 def build_pmf(
-    records: list[SalesRecord],
+    table: SalesTable,
     city: str,
     period_filter: PeriodFilter | None = None,
 ) -> PricePMF:
-    """Aggregate matching records into a price PMF.
+    """Aggregate the table rows of `city` in the admitted periods into a price PMF.
 
-    The support is the set of distinct matching prices in ascending order and
-    each mass is quantity-at-price divided by total quantity, so normalization
-    is exact.  No binning or rounding is applied.
+    The support is the set of distinct matching prices in ascending order
+    (prices whose units sum to zero included) and each mass is
+    quantity-at-price divided by total quantity, so normalization is exact.
+    No binning or rounding is applied.
     """
-    totals: dict[int, int] = {}
-    for rec in records:
-        if rec.city != city:
-            continue
-        if period_filter is not None and not period_filter.admits(rec.year, rec.month):
-            continue
-        totals[rec.price] = totals.get(rec.price, 0) + rec.quantity
-    grand_total = sum(totals.values())
+    keep = table.in_cities(city)
+    if period_filter is not None:
+        keep &= period_filter.mask(table.year, table.month)
+    support, group = np.unique(table.price[keep], return_inverse=True)
+    counts = np.zeros(support.size, dtype=np.int64)
+    np.add.at(counts, group, table.quantity[keep])
+    grand_total = int(counts.sum())
     if grand_total == 0:
         raise EmptyDistributionError(
             f"no units for city {city!r} in the requested periods"
         )
-    support = np.array(sorted(totals), dtype=np.int64)
-    counts = np.array([totals[p] for p in support], dtype=np.int64)
     return PricePMF(support, counts / grand_total, grand_total)

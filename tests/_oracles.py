@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 from scipy.optimize import linprog
 
+from diftrans.errors import EmptyDistributionError
 from diftrans.pmf import PricePMF
 
 
@@ -96,3 +99,49 @@ def random_curve(rng: np.random.Generator, market_size: float = 700_000.0):
     values = np.concatenate([[0.0], np.cumsum(drops[::-1])])[::-1]
     values = values / values[0] * rng.uniform(50_000.0, 500_000.0)
     return WtpCurve(volumes, values)
+
+
+def table_rows(table) -> list[tuple]:
+    """A sales table as (city, year, month, price, quantity) tuples of Python values."""
+    columns = (table.year, table.month, table.price, table.quantity)
+    return [
+        (table.cities[code], *values)
+        for code, *values in zip(table.city.tolist(), *(c.tolist() for c in columns))
+    ]
+
+
+def csv_rows(path) -> list[tuple]:
+    """Plain `csv` loop over a canonical sales file: integer cells, blank rows skipped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return [
+            (row[0].strip(), *(int(float(cell)) for cell in row[1:5]))
+            for row in reader
+            if any(cell.strip() for cell in row)
+        ]
+
+
+def admits(period_filter, year: int, month: int) -> bool:
+    """Period rule on (year, month) tuples: in an include range and not excluded."""
+    ym = (year, month)
+    if ym in period_filter.exclude:
+        return False
+    return not period_filter.include or any(lo <= ym <= hi for lo, hi in period_filter.include)
+
+
+def dict_loop_pmf(rows, city: str, period_filter=None) -> PricePMF:
+    """Price PMF of `rows` by one pass that sums quantities per price in a dict."""
+    totals: dict[int, int] = {}
+    for label, year, month, price, quantity in rows:
+        if label != city:
+            continue
+        if period_filter is not None and not admits(period_filter, year, month):
+            continue
+        totals[price] = totals.get(price, 0) + quantity
+    grand_total = sum(totals.values())
+    if grand_total == 0:
+        raise EmptyDistributionError(f"no units for city {city!r} in the requested periods")
+    support = np.array(sorted(totals), dtype=np.int64)
+    counts = np.array([totals[p] for p in support], dtype=np.int64)
+    return PricePMF(support, counts / grand_total, grand_total)

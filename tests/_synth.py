@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from diftrans.equilibrium import WtpCurve
-from diftrans.pmf import PricePMF, SalesRecord
+from diftrans.pmf import PricePMF, SalesTable
 
 LATTICE = 1000
 
@@ -80,8 +80,8 @@ def two_city_records(
     control: str = "coastal",
     pre_year: int = 2010,
     post_year: int = 2011,
-) -> list[SalesRecord]:
-    """Sales records for a treated city with a lottery and an untouched control."""
+) -> SalesTable:
+    """Sales table for a treated city with a lottery and an untouched control."""
     curve = synth_curve(n_buyers)
     prices = population_prices(n_buyers, curve)
     rows = []
@@ -89,11 +89,11 @@ def two_city_records(
     rows += sales_rows(treated, post_year, lottery_post_prices(prices, q, sigma, seed, growth))
     rows += sales_rows(control, pre_year, prices)
     rows += sales_rows(control, post_year, grow(prices, growth) if growth else prices)
-    return rows
+    return SalesTable.from_rows(rows)
 
 
-def sales_rows(city: str, year: int, prices: np.ndarray) -> list[SalesRecord]:
-    """Aggregate prices into city-month records, spreading units over months."""
+def sales_rows(city: str, year: int, prices: np.ndarray) -> list[tuple]:
+    """City-month (city, year, month, price, quantity) rows, units spread over months."""
     support, counts = np.unique(prices, return_counts=True)
     rows = []
     for price, count in zip(support.tolist(), counts.tolist()):
@@ -101,12 +101,13 @@ def sales_rows(city: str, year: int, prices: np.ndarray) -> list[SalesRecord]:
         for month in range(1, 13):
             qty = base + (1 if month <= extra else 0)
             if qty > 0:
-                rows.append(SalesRecord(city, year, month, int(price), int(qty)))
+                rows.append((city, year, month, int(price), int(qty)))
     return rows
 
 
-def write_csv(path, records: list[SalesRecord]) -> None:
+def write_csv(path, table: SalesTable) -> None:
+    columns = (table.city, table.year, table.month, table.price, table.quantity)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("city,year,month,price,quantity\n")
-        for r in records:
-            fh.write(f"{r.city},{r.year},{r.month},{r.price},{r.quantity}\n")
+        for code, year, month, price, quantity in zip(*(c.tolist() for c in columns)):
+            fh.write(f"{table.cities[code]},{year},{month},{price},{quantity}\n")

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior on small fixtures."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from diftrans.baseline import did_ols
 from diftrans.cli import main
+from diftrans.pmf import PeriodFilter
 
+from _oracles import admits, csv_rows
 from _synth import two_city_records, write_csv
 
 WORKED_EXAMPLE = (
@@ -66,6 +70,17 @@ class TestIngest:
         code, _ = run(tmp_path, "ingest", "--input", str(tmp_path / "nope.csv"))
         assert code == 1
 
+    def test_summary_matches_csv_loop(self, tmp_path, synth_csv):
+        rows = csv_rows(synth_csv)
+        periods = sorted({(year, month) for _, year, month, _, _ in rows})
+        code, report = run(tmp_path, "ingest", "--input", str(synth_csv))
+        assert code == 0
+        assert report["rows"] == len(rows)
+        assert report["total_units"] == sum(row[4] for row in rows)
+        assert report["cities"] == sorted({row[0] for row in rows})
+        assert report["first_period"] == "%04d-%02d" % periods[0]
+        assert report["last_period"] == "%04d-%02d" % periods[-1]
+
 
 MALFORMED = {
     "wtp_short_row": ("wtp", b"n,v\n0,280000\n700000\n"),
@@ -91,6 +106,27 @@ def test_malformed_input_is_one_line_error(tmp_path, capsys, case):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"diftrans {argv[0]}: ")
+    assert len(err.splitlines()) == 1
+
+
+MALFORMED_ARGUMENTS = {
+    "trade_shares": ["equilibrium", "--s", "0.1,abc"],
+    "grid_step": ["scan", "--d-grid", "0:x:10", "--out-csv", "scan.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARGUMENTS))
+def test_malformed_argument_is_one_line_error(tmp_path, capsys, worked_csv, uniform_wtp, case):
+    command, *argv = MALFORMED_ARGUMENTS[case]
+    if command == "equilibrium":
+        argv += ["--wtp", str(uniform_wtp)]
+    else:
+        argv += ["--input", str(worked_csv), "--city", "metro"]
+        argv += ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
+    code, _ = run(tmp_path, command, *argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"diftrans {command}: ")
     assert len(err.splitlines()) == 1
 
 
@@ -280,6 +316,13 @@ class TestDit:
         assert 0 <= report["d_star"] <= 8000
         assert report["s_dit"] > 0.1
         assert report["floors"]["placebo_d"] is not None
+        # DiT is a lower bound on the planted share sigma = 0.3 at every d, up
+        # to the sampling noise the placebo columns measure.
+        with open(tmp_path / "curve.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        for row in rows:
+            assert float(row["dit"]) <= 0.3 + float(row["q975"])
 
     def test_diagnostic_floor_and_trends_csv(self, tmp_path, synth_csv):
         trends = tmp_path / "trends.csv"
@@ -344,6 +387,41 @@ class TestEquilibrium:
 
 
 class TestDid:
+    @pytest.mark.parametrize("weighting", ["units", "rows"])
+    def test_matches_csv_loop(self, tmp_path, synth_csv, weighting):
+        # Overlapping windows (a period in both counts as pre), an exclusion,
+        # and a control label the file does not have.
+        pre = PeriodFilter(include=(((2010, 1), (2010, 12)),), exclude=frozenset({(2011, 3)}))
+        post = PeriodFilter(include=(((2010, 7), (2011, 12)),), exclude=frozenset({(2011, 3)}))
+        treated, is_post, price, weight = [], [], [], []
+        for city, year, month, p, q in csv_rows(synth_csv):
+            if city not in ("metro", "coastal"):
+                continue
+            if admits(pre, year, month):
+                is_post.append(False)
+            elif admits(post, year, month):
+                is_post.append(True)
+            else:
+                continue
+            treated.append(city == "metro")
+            price.append(p)
+            weight.append(q)
+        want = did_ols(treated, is_post, price, weight, weighting=weighting).as_dict()
+        code, report = run(
+            tmp_path,
+            "did",
+            "--input", str(synth_csv),
+            "--treated-city", "metro",
+            "--control-cities", "coastal,nowhere",
+            "--pre", "2010-01:2010-12",
+            "--post", "2010-07:2011-12",
+            "--exclude", "2011-03",
+            "--weighting", weighting,
+        )
+        assert code == 0
+        report.pop("manifest")
+        assert report == want
+
     def test_planted_jump_detected(self, tmp_path, synth_csv):
         code, report = run(
             tmp_path,
@@ -457,6 +535,28 @@ class TestCi:
         assert code == 0
         values = [row.split(",")[1] for row in draws.read_text().splitlines()[1:]]
         assert 0 < report["n_failed"] == values.count("") < report["n_draws"]
+
+
+    def test_failing_point_is_one_line_error(self, tmp_path, capsys, synth_csv, uniform_wtp):
+        # The full-sample share (~0.24) exceeds s_notc = 0.2, so the point
+        # itself has no market inversion.
+        code, report = run(
+            tmp_path,
+            *self.ci_args(
+                synth_csv,
+                extra=[
+                    "--map", "t",
+                    "--wtp", str(uniform_wtp),
+                    "--market-size", "50000",
+                    "--quota", "40000",
+                ],
+            ),
+        )
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans ci: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestReport:

@@ -123,15 +123,17 @@ class TestSubsampleCI:
         post = PricePMF.from_counts([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
 
+        # The point is 0.3 and the draws run from 0.12 to 0.44.
         def capped(s):
-            if s > 0.25:
+            if s > 0.34:
                 raise InfeasibleShareError("above the cap")
             return s
 
         res = subsample_ci(pre, post, ba(0), cfg, transform=capped)
         failed = np.isnan(res.draws)
+        assert res.point == pytest.approx(0.3)
         assert 0 < res.n_failed == int(failed.sum()) < cfg.n_draws
-        assert np.all(res.draws[~failed] <= 0.25)
+        assert np.all(res.draws[~failed] <= 0.34)
         assert res.lower <= res.upper
 
         def broken(s):
@@ -139,6 +141,18 @@ class TestSubsampleCI:
 
         with pytest.raises(ValueError, match="a bug"):
             subsample_ci(pre, post, ba(0), cfg, transform=broken)
+
+    def test_failing_point_raises(self):
+        pre = PricePMF.from_counts([1, 2], [50, 50])
+        post = PricePMF.from_counts([1, 2], [20, 80])
+
+        def capped(s):
+            if s > 0.25:
+                raise InfeasibleShareError("above the cap")
+            return s
+
+        with pytest.raises(InfeasibleShareError, match="above the cap"):
+            subsample_ci(pre, post, ba(0), SubsampleConfig(n_draws=25, seed=13), transform=capped)
 
     def test_dump_draws_csv(self):
         pre = PricePMF.from_counts([1, 2], [5, 5])

@@ -9,7 +9,9 @@ from diftrans.errors import (
     SchemaError,
     ValidationError,
 )
-from diftrans.pmf import PeriodFilter, PricePMF, SalesRecord, build_pmf, ingest_csv
+from diftrans.pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
+
+from _oracles import table_rows
 
 
 def write(tmp_path, text, name="sales.csv"):
@@ -27,14 +29,20 @@ class TestIngest:
             "metro,2010,2,90000,3\n"
             "coastal,2011,12,120000,0\n",
         )
-        records = ingest_csv(path)
-        assert len(records) == 3
-        assert records[0] == SalesRecord("metro", 2010, 1, 100000, 5)
-        assert records[2].quantity == 0  # zero-quantity rows are retained
+        table = ingest_csv(path)
+        assert len(table) == 3
+        assert table.cities == ("metro", "coastal")
+        assert table_rows(table) == [
+            ("metro", 2010, 1, 100000, 5),
+            ("metro", 2010, 2, 90000, 3),
+            ("coastal", 2011, 12, 120000, 0),  # zero-quantity rows are retained
+        ]
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\n")
-        assert ingest_csv(path) == []
+        table = ingest_csv(path)
+        assert len(table) == 0
+        assert table.cities == ()
 
     def test_month_out_of_range_names_row(self, tmp_path):
         path = write(
@@ -77,14 +85,14 @@ class TestIngest:
         path = write(
             tmp_path, "city,year,month,price,quantity\nmetro,2010,1,100000.0,5\n"
         )
-        assert ingest_csv(path)[0].price == 100000
+        assert ingest_csv(path).price.tolist() == [100000]
 
     def test_schema_mapping(self, tmp_path):
         path = write(
             tmp_path,
             "town,yr,mo,msrp,units\nmetro,2010,1,100000,5\n",
         )
-        records = ingest_csv(
+        table = ingest_csv(
             path,
             schema={
                 "city": "town",
@@ -94,7 +102,7 @@ class TestIngest:
                 "quantity": "units",
             },
         )
-        assert records == [SalesRecord("metro", 2010, 1, 100000, 5)]
+        assert table_rows(table) == [("metro", 2010, 1, 100000, 5)]
 
     def test_unknown_schema_key(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\n")
@@ -104,10 +112,7 @@ class TestIngest:
 
 class TestBuildPmf:
     def records(self):
-        return [
-            SalesRecord("metro", 2010, 1, 1, 6),
-            SalesRecord("metro", 2010, 2, 2, 2),
-        ]
+        return SalesTable.from_rows([("metro", 2010, 1, 1, 6), ("metro", 2010, 2, 2, 2)])
 
     def test_two_point_example(self):
         pmf = build_pmf(self.records(), "metro")
@@ -116,16 +121,13 @@ class TestBuildPmf:
         assert pmf.n == 8
 
     def test_point_mass(self):
-        pmf = build_pmf([SalesRecord("metro", 2010, 1, 50000, 10)], "metro")
+        pmf = build_pmf(SalesTable.from_rows([("metro", 2010, 1, 50000, 10)]), "metro")
         assert pmf.support.tolist() == [50000]
         assert pmf.mass.tolist() == [1.0]
         assert pmf.n == 10
 
     def test_merge_duplicate_prices(self):
-        records = [
-            SalesRecord("metro", 2010, 1, 5, 3),
-            SalesRecord("metro", 2010, 6, 5, 7),
-        ]
+        records = SalesTable.from_rows([("metro", 2010, 1, 5, 3), ("metro", 2010, 6, 5, 7)])
         pmf = build_pmf(records, "metro")
         assert pmf.support.tolist() == [5]
         assert pmf.mass.tolist() == [1.0]
@@ -133,23 +135,23 @@ class TestBuildPmf:
 
     def test_zero_quantity_errors(self):
         with pytest.raises(EmptyDistributionError):
-            build_pmf([SalesRecord("metro", 2010, 1, 5, 0)], "metro")
+            build_pmf(SalesTable.from_rows([("metro", 2010, 1, 5, 0)]), "metro")
         with pytest.raises(EmptyDistributionError):
             build_pmf(self.records(), "unknown-city")
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(3)
-        records = [
-            SalesRecord("metro", 2010, int(rng.integers(1, 13)), int(p), int(q))
+        rows = [
+            ("metro", 2010, int(rng.integers(1, 13)), int(p), int(q))
             for p, q in zip(rng.integers(0, 50, 40), rng.integers(0, 9, 40))
         ]
-        if not any(r.quantity for r in records):
-            records.append(SalesRecord("metro", 2010, 1, 3, 2))
-        base = build_pmf(records, "metro")
+        if not any(row[4] for row in rows):
+            rows.append(("metro", 2010, 1, 3, 2))
+        base = build_pmf(SalesTable.from_rows(rows), "metro")
         for _ in range(5):
-            shuffled = list(records)
+            shuffled = list(rows)
             rng.shuffle(shuffled)
-            assert build_pmf(shuffled, "metro") == base
+            assert build_pmf(SalesTable.from_rows(shuffled), "metro") == base
 
     def test_filter_excluding_nothing_is_identity(self):
         records = self.records()
@@ -177,15 +179,47 @@ class TestBuildPmf:
         rng = np.random.default_rng(11)
         for _ in range(25):
             k = int(rng.integers(1, 30))
-            records = [
-                SalesRecord("metro", 2011, 1, int(p), int(q))
+            records = SalesTable.from_rows(
+                ("metro", 2011, 1, int(p), int(q))
                 for p, q in zip(rng.integers(0, 10**6, k), rng.integers(1, 10**4, k))
-            ]
+            )
             pmf = build_pmf(records, "metro")
             assert abs(pmf.mass.sum() - 1.0) <= 1e-12
             assert np.all(np.diff(pmf.support) > 0)
             assert np.all(pmf.mass >= 0)
-            assert pmf.n == sum(r.quantity for r in records)
+            assert pmf.n == int(records.quantity.sum())
+
+
+class TestSalesTable:
+    def test_first_broken_row_named_by_index(self):
+        rows = [("metro", 2010, 1, 5, 1), ("metro", 2010, 2, 5, -1), ("metro", 2010, 13, 5, 1)]
+        with pytest.raises(ValidationError, match="^negative quantity, index 1$"):
+            SalesTable.from_rows(rows)
+
+    def test_shape_and_codes_checked(self):
+        with pytest.raises(ValidationError, match="equal-length"):
+            SalesTable(("metro",), [0, 0], [2010], [1], [5], [1])
+        with pytest.raises(ValidationError, match="city code"):
+            SalesTable(("metro",), [1], [2010], [1], [5], [1])
+
+    def test_int64_limits(self, tmp_path):
+        path = write(
+            tmp_path, f"city,year,month,price,quantity\nmetro,2010,1,{2**63},5\n"
+        )
+        with pytest.raises(ParseError, match="int64 range, row 2"):
+            ingest_csv(path)
+        path = write(
+            tmp_path, f"city,year,month,price,quantity\nmetro,{2**62},1,5,5\n"
+        )
+        with pytest.raises(ValidationError, match="year out of range, row 2"):
+            ingest_csv(path)
+        with pytest.raises(ValidationError, match="total quantity"):
+            SalesTable.from_rows([("metro", 2010, 1, 5, 2**62)] * 2)
+
+    def test_columns_read_only(self):
+        table = SalesTable.from_rows([("metro", 2010, 1, 5, 1)])
+        with pytest.raises(ValueError):
+            table.price[0] = 6
 
 
 class TestPricePMF:
@@ -224,3 +258,5 @@ class TestPricePMF:
             PeriodFilter(include=(((2011, 1), (2010, 1)),))
         with pytest.raises(ValidationError):
             PeriodFilter(exclude=frozenset({(2010, 13)}))
+        with pytest.raises(ValidationError, match="month out of range"):
+            PeriodFilter(include=(((2010, 0), (2010, 12)),))
