@@ -71,9 +71,10 @@ class SubsampleResult:
         return int(np.count_nonzero(np.isnan(self.draws)))
 
 
-def _resample(pmf: PricePMF, b: int, rng: np.random.Generator) -> PricePMF:
-    counts = rng.multivariate_hypergeometric(pmf.counts(), b)
-    return PricePMF(pmf.support, counts / b, b)
+def _resample(support, counts, b: int, rng: np.random.Generator) -> PricePMF:
+    """PMF of `b` units drawn without replacement from `counts` units on `support`."""
+    drawn = rng.multivariate_hypergeometric(counts, b)
+    return PricePMF(support, drawn / b, b)
 
 
 def subsample_ci(
@@ -99,6 +100,7 @@ def subsample_ci(
     """
     sides = [pre, post] + (list(control) if control is not None else [])
     sizes = [cfg.size_for(p.n) for p in sides]
+    counts = [p.counts() for p in sides]
 
     def transformed(value):
         return float(value if transform is None else transform(value))
@@ -108,11 +110,11 @@ def subsample_ci(
 
     for k in range(cfg.n_draws):
         resampled = []
-        for side_index, (pmf, b) in enumerate(zip(sides, sizes)):
+        for side_index, (pmf, units, b) in enumerate(zip(sides, counts, sizes)):
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(cfg.seed, k, side_index))
             )
-            resampled.append(_resample(pmf, b, rng))
+            resampled.append(_resample(pmf.support, units, b, rng))
         value = estimator(*resampled)
         try:
             draws[k] = transformed(value)

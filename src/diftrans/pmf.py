@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import array
 import csv
+import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,6 +240,19 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     file's column headers; omitted keys fall back to the canonical name.
     Blank rows are skipped.  Row numbers in error messages are 1-based file
     lines (header is row 1).
+
+    The file is read once as text.  Text without a double quote is first
+    parsed by one `np.loadtxt` call, run with warnings as errors whatever the
+    caller's filters.  It skips empty lines as the `csv` row loop does, reads
+    a cell only where the loop reads the same integer, and raises or warns on
+    anything else: a body without rows, a blank line holding spaces or
+    commas, a short or long row, or a cell such as `5.0`, `1_000` or one past
+    int64 (NumPy releases that still parse such a cell as a float and
+    truncate it do so with a DeprecationWarning).  When it raises or warns,
+    or the table's field rules reject its columns, the row loop reads the
+    same text again.  Only the loop reports errors, so the path taken changes
+    the speed, never the table or the message.  A file rejected late in the
+    body (say, one `.0` cell in its last row) pays for both passes.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -248,9 +263,61 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _read_table(csv.reader(fh), columns, path)
+            text = fh.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
+    table = None if '"' in text else _parse_plain(text, columns)
+    if table is None:
+        table = _read_table(csv.reader(io.StringIO(text, newline="")), columns, path)
+    return table
+
+
+def _locate(header: list[str], columns: dict) -> dict[str, int]:
+    """Index of each canonical column in the header row (cells stripped)."""
+    header = [h.strip() for h in header]
+    for col in columns.values():
+        if col not in header:
+            raise SchemaError(f"missing column {col!r}")
+    return {key: header.index(col) for key, col in columns.items()}
+
+
+def _parse_plain(text: str, columns: dict) -> SalesTable | None:
+    """Table of quote-free CSV text, or None when the row loop must read it."""
+    lines = io.StringIO(text, newline="")
+    header = next(csv.reader(lines), [])
+    try:
+        index = _locate(header, columns)
+    except SchemaError:
+        return None
+    numeric = [index[key] for key in _COLUMNS[1:]]
+    # A column parsed as integers cannot also give the city labels.
+    if index["city"] in numeric:
+        return None
+    kinds = [np.int64 if i in numeric else object for i in range(len(header))]
+    dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
+    # Any warning is a fallback too: some NumPy releases parse a cell such as
+    # `2.5` as a float and truncate it with only a DeprecationWarning, and a
+    # body without rows warns "input contained no data".
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(
+                lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+
+    # Code each distinct cell once; stripped labels keep first-appearance order.
+    cells = data[f"f{index['city']}"]
+    codes: dict[str, int] = {}
+    code_of = {cell: codes.setdefault(cell.strip(), len(codes)) for cell in dict.fromkeys(cells)}
+    city = np.fromiter(map(code_of.__getitem__, cells), np.int64, count=cells.size)
+    # Contiguous copies, so the table does not keep the parsed cells alive.
+    numbers = [np.ascontiguousarray(data[f"f{i}"]) for i in numeric]
+    try:
+        return SalesTable(tuple(codes), city, *numbers)
+    except ValidationError:
+        return None
 
 
 def _read_table(reader, columns: dict, path) -> SalesTable:
@@ -258,12 +325,7 @@ def _read_table(reader, columns: dict, path) -> SalesTable:
         header = next(reader)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
-    header = [h.strip() for h in header]
-    index = {}
-    for key, col in columns.items():
-        if col not in header:
-            raise SchemaError(f"missing column {col!r}")
-        index[key] = header.index(col)
+    index = _locate(header, columns)
     width = len(header)
     ic, iy, im, ip, iq = (index[key] for key in _COLUMNS)
 

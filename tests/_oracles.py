@@ -110,13 +110,21 @@ def table_rows(table) -> list[tuple]:
     ]
 
 
+def _integer(cell: str) -> int:
+    """Exact value of an integer cell; integral floats such as `5.0` go through float."""
+    try:
+        return int(cell)
+    except ValueError:
+        return int(float(cell))
+
+
 def csv_rows(path) -> list[tuple]:
     """Plain `csv` loop over a canonical sales file: integer cells, blank rows skipped."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
         return [
-            (row[0].strip(), *(int(float(cell)) for cell in row[1:5]))
+            (row[0].strip(), *(_integer(cell) for cell in row[1:5]))
             for row in reader
             if any(cell.strip() for cell in row)
         ]

@@ -11,7 +11,6 @@ from diftrans.cli import main
 from diftrans.pmf import PeriodFilter
 
 from _oracles import admits, csv_rows
-from _synth import two_city_records, write_csv
 
 WORKED_EXAMPLE = (
     "city,year,month,price,quantity\n"
@@ -32,13 +31,6 @@ POINT_MASS = (
 def worked_csv(tmp_path):
     path = tmp_path / "worked.csv"
     path.write_text(WORKED_EXAMPLE, encoding="utf-8")
-    return path
-
-
-@pytest.fixture
-def synth_csv(tmp_path):
-    path = tmp_path / "synth.csv"
-    write_csv(path, two_city_records(4000, 1600, 0.3, seed=5, growth=0.03))
     return path
 
 

@@ -74,7 +74,8 @@ class TestSubsampleCI:
         for k in range(cfg.n_draws):
             sub = [
                 _resample(
-                    pmf,
+                    pmf.support,
+                    pmf.counts(),
                     cfg.size_for(pmf.n),
                     np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k, side))),
                 )

@@ -1,8 +1,14 @@
 """Ingestion and price-distribution construction."""
 
+import csv
+import io
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from diftrans import pmf
 from diftrans.errors import (
     EmptyDistributionError,
     ParseError,
@@ -11,13 +17,52 @@ from diftrans.errors import (
 )
 from diftrans.pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
 
-from _oracles import table_rows
+from _oracles import csv_rows, table_rows
 
 
 def write(tmp_path, text, name="sales.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def forbid_row_loop(monkeypatch):
+    """Make the `csv` row loop fail, so only the `np.loadtxt` path can ingest."""
+
+    def row_loop(*args):
+        raise AssertionError("the row loop read the file")
+
+    monkeypatch.setattr(pmf, "_read_table", row_loop)
+
+
+INT64_PAST = 2**63
+
+#: A row whose cell `int()` rejects or int64 cannot hold -> the row loop's message.
+FLOAT_PARSED_ROWS = [
+    ("metro,2010,1,100000,2.5", "non-integer quantity '2.5', row 2"),
+    ("metro,2010,1,5.5,4", "non-integer price '5.5', row 2"),
+    ("metro,2010,1,-0.5,4", "non-integer price '-0.5', row 2"),
+    ("metro,2010,12.9,5,4", "non-integer month '12.9', row 2"),
+    (f"metro,2010,1,{INT64_PAST},4", "integer outside the int64 range, row 2"),
+]
+
+
+def truncating_loadtxt(fname, *args, **kwargs):
+    """`np.loadtxt` as NumPy releases with the float fallback behave.
+
+    A decimal or out-of-range integer cell is parsed as a float and cast to
+    int64 (truncated, saturated past int64) with only a DeprecationWarning.
+    """
+
+    def cast(match):
+        return str(min(int(float(match.group())), INT64_PAST - 1))
+
+    text = re.sub(r"-?\d+\.\d+|\d{19,}", cast, fname.read())
+    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+    return REAL_LOADTXT(io.StringIO(text), *args, **kwargs)
+
+
+REAL_LOADTXT = np.loadtxt
 
 
 class TestIngest:
@@ -103,6 +148,45 @@ class TestIngest:
             },
         )
         assert table_rows(table) == [("metro", 2010, 1, 100000, 5)]
+
+    def test_canonical_file_skips_row_loop(self, synth_csv, monkeypatch):
+        with open(synth_csv, encoding="utf-8", newline="") as fh:
+            loop = pmf._read_table(csv.reader(fh), dict(pmf.DEFAULT_SCHEMA), synth_csv)
+        forbid_row_loop(monkeypatch)
+        table = ingest_csv(synth_csv)
+        assert table_rows(table) == csv_rows(synth_csv)
+        assert table.cities == loop.cities
+        for name in ("city", "year", "month", "price", "quantity"):
+            column = getattr(table, name)
+            assert column.dtype == np.int64 and column.flags.c_contiguous
+            assert np.array_equal(column, getattr(loop, name))
+
+    def test_header_only_gives_empty_table_without_warning(self, tmp_path):
+        for text in ("city,year,month,price,quantity", "city,year,month,price,quantity\r\n\r\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = ingest_csv(write(tmp_path, text))
+            assert len(table) == 0
+            assert table.cities == ()
+
+    @pytest.mark.parametrize("action", ["default", "ignore"])
+    @pytest.mark.parametrize("row, message", FLOAT_PARSED_ROWS, ids=[r for r, _ in FLOAT_PARSED_ROWS])
+    def test_float_parsed_cell_reads_like_row_loop(self, tmp_path, monkeypatch, action, row, message):
+        # Also with a `loadtxt` that, as some NumPy releases do, reads the cell
+        # as a float, truncates it and only warns.
+        path = write(tmp_path, f"city,year,month,price,quantity\n{row}\n")
+        for loadtxt in (np.loadtxt, truncating_loadtxt):
+            monkeypatch.setattr(np, "loadtxt", loadtxt)
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(ParseError) as info:
+                    ingest_csv(path)
+            assert str(info.value) == message
+
+    def test_city_and_year_share_a_column(self, tmp_path):
+        path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")
+        table = ingest_csv(path, schema={"city": "year"})
+        assert table_rows(table) == [("2010", 2010, 1, 5, 4)]
 
     def test_unknown_schema_key(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\n")

@@ -5,14 +5,21 @@ and across cities) and quantities that are often zero.  Period filters mix
 include ranges, exclusions inside and outside them, and no filter at all.
 `build_pmf` must equal the dict-loop oracle bit for bit, and a CSV written
 from the rows with blank lines, padded and quoted cells and integral floats
-must ingest to the same columns as a plain `csv` loop reads.
+must ingest to the same columns as a plain `csv` loop reads.  Plain files
+with rows (unquoted integer cells, empty lines, any line ending) must take
+the `np.loadtxt` path and read the same; odd cells and lines at that path's
+boundary must give the oracle's table or the row loop's exact message.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diftrans.errors import EmptyDistributionError, ValidationError
+from diftrans import pmf
+from diftrans.errors import EmptyDistributionError, ParseError, ValidationError
 from diftrans.pmf import PeriodFilter, SalesTable, build_pmf, ingest_csv
 
 from _oracles import csv_rows, dict_loop_pmf, table_rows
@@ -22,7 +29,7 @@ PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, databas
 CSV_PROPERTIES = settings(PROPERTIES, max_examples=60)
 
 CITIES = ("metro", "coastal", "inland")
-HEADER = "city,year,month,price,quantity\n"
+HEADER = "city,year,month,price,quantity"
 
 periods = st.tuples(st.integers(2009, 2012), st.integers(1, 12))
 rows_strategy = st.lists(
@@ -74,9 +81,13 @@ def test_build_pmf_matches_dict_loop(rows, city, filt):
 
 
 @st.composite
-def formatted_cell(draw, value):
-    text = draw(st.sampled_from([str(value), f"{value}.0"])) if isinstance(value, int) else value
+def formatted_cell(draw, value, plain=False):
+    text = str(value)
+    if isinstance(value, int) and not plain:
+        text = draw(st.sampled_from([text, f"{value}.0"]))
     text = draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " "]))
+    if plain:
+        return draw(st.sampled_from(["", "\t"])) + text
     return f'"{text}"' if draw(st.booleans()) else text
 
 
@@ -84,15 +95,21 @@ BLANK_LINES = ("", "   ", ",,,,", " , ,")
 
 
 @st.composite
-def csv_files(draw):
-    """(rows, file text, file line of each row) with blank lines interleaved."""
+def csv_files(draw, plain=False):
+    """(rows, file text, file line of each row) with blank lines interleaved.
+
+    A plain file has unquoted integer cells, only empty blank lines and a
+    drawn line ending; otherwise every line ends in LF.
+    """
     rows = draw(rows_strategy)
-    lines, rownums = [HEADER], []
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"])) if plain else "\n"
+    blanks = ("",) if plain else BLANK_LINES
+    lines, rownums = [HEADER + newline], []
     for row in rows:
         for _ in range(draw(st.integers(0, 2))):
-            lines.append(draw(st.sampled_from(BLANK_LINES)) + "\n")
+            lines.append(draw(st.sampled_from(blanks)) + newline)
         rownums.append(len(lines) + 1)
-        lines.append(",".join(draw(formatted_cell(v)) for v in row) + "\n")
+        lines.append(",".join(draw(formatted_cell(v, plain)) for v in row) + newline)
     return rows, "".join(lines), rownums
 
 
@@ -104,6 +121,61 @@ def test_ingest_matches_csv_loop(csv_path, case):
     table = ingest_csv(csv_path)
     assert table_rows(table) == csv_rows(csv_path) == rows
     assert table.cities == tuple(dict.fromkeys(row[0] for row in rows))
+
+
+@CSV_PROPERTIES
+@given(case=csv_files(plain=True))
+def test_plain_file_skips_row_loop(csv_path, case):
+    rows, text, _ = case
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    # A body without rows makes `loadtxt` warn, so the row loop reads it.
+    row_loop = mock.patch.object(pmf, "_read_table", side_effect=AssertionError("row loop ran"))
+    with row_loop if rows else contextlib.nullcontext():
+        table = ingest_csv(csv_path)
+    assert table_rows(table) == csv_rows(csv_path) == rows
+    assert table.cities == tuple(dict.fromkeys(row[0] for row in rows))
+
+
+INT64_PAST = 2**63
+
+#: Line 4 of a file after one good row and an empty line -> None when the file
+#: must read as `csv_rows` does, else the row loop's error type and message.
+BOUNDARY_LINES = {
+    "whitespace": ("  \t ", None),
+    "commas": (",,,,", None),
+    "extra column": ("metro,2010,1,5,4,9", None),
+    "short row": ("metro,2010,1,5", (ParseError, "short row, row 4")),
+    "hash city": ("#north,2010,1,5,4", None),
+    "quoted city": ('"north",2010,1,5,4', None),
+    "quoted comma": ('"north, east",2010,1,5,4', None),
+    "underscore": ("metro,2010,1,1_000,4", None),
+    "arabic digit": ("metro,2010,1,\u0663,4", None),
+    "integral float": ("metro,2010,1,5.0,4", None),
+    "empty cell": ("metro,2010,1,,4", (ParseError, "non-numeric price '', row 4")),
+    "int64 max": (f"metro,2010,1,{INT64_PAST - 1},4", None),
+    "past int64": (
+        f"metro,2010,1,{INT64_PAST},4",
+        (ParseError, "integer outside the int64 range, row 4"),
+    ),
+    "below int64": (
+        f"metro,{-INT64_PAST - 1},1,5,4",
+        (ParseError, "integer outside the int64 range, row 4"),
+    ),
+    "bad month": ("metro,2010,0,5,4", (ValidationError, "month out of range, row 4")),
+}
+
+
+@pytest.mark.parametrize("line, error", BOUNDARY_LINES.values(), ids=BOUNDARY_LINES.keys())
+def test_boundary_line_reads_like_row_loop(tmp_path, line, error):
+    path = tmp_path / "sales.csv"
+    path.write_text(f"{HEADER}\nmetro,2010,1,5,4\n\n{line}\n", encoding="utf-8")
+    if error is None:
+        assert table_rows(ingest_csv(path)) == csv_rows(path)
+    else:
+        kind, message = error
+        with pytest.raises(kind) as info:
+            ingest_csv(path)
+        assert str(info.value) == message
 
 
 #: Field -> (out-of-rule values, the rule's message).
