@@ -35,7 +35,7 @@ from .estimators import (
 )
 from .inference import SubsampleConfig, SubsampleResult, subsample_ci
 from .pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
-from .transport import TransportPlan, ot_cost, solve_ot, solve_ot_regularized, strassen_certificate
+from .transport import TransportPlan, ot_cost, solve_ot, strassen_certificate
 
 __all__ = [
     "BandwidthScan",
@@ -75,7 +75,6 @@ __all__ = [
     "select_dstar",
     "solve_no_tc",
     "solve_ot",
-    "solve_ot_regularized",
     "strassen_certificate",
     "subsample_ci",
     "supply",

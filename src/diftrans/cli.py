@@ -18,7 +18,7 @@ from .errors import DiftransError, SelectionError
 from .estimators import PlaceboConfig
 from .inference import SubsampleConfig
 from .pmf import PeriodFilter, build_pmf, ingest_csv
-from .transport import ot_cost, solve_ot, solve_ot_regularized
+from .transport import ot_cost, solve_ot
 
 
 def _sha256(path: str) -> str:
@@ -119,10 +119,7 @@ def cmd_transport(args) -> int:
     pre, post = _city_pair(args, table, args.city)
     cost = ot_cost(pre, post, args.d)
     if args.plan:
-        if args.regularize is not None:
-            plan = solve_ot_regularized(pre, post, args.d, args.regularize)
-        else:
-            plan = solve_ot(pre, post, args.d)
+        plan = solve_ot(pre, post, args.d)
         with open(args.plan, "w", encoding="utf-8") as fh:
             plan.to_csv(fh)
     report = {
@@ -460,11 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sub)
     sub.add_argument("--d", type=int, required=True, help="bandwidth in RMB")
     sub.add_argument("--plan", help="write the optimal plan to this CSV")
-    sub.add_argument(
-        "--regularize",
-        type=float,
-        help="tie-break the plan with this distance weight (e.g. 0.01)",
-    )
     sub.set_defaults(func=cmd_transport)
 
     sub = subs.add_parser("scan", help="real and placebo costs over a bandwidth grid")

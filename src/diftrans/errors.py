@@ -21,10 +21,6 @@ class EmptyDistributionError(DiftransError):
     """A price distribution was requested from data with zero total quantity."""
 
 
-class CertificateSizeError(DiftransError):
-    """The support is too large for exact dual-set enumeration."""
-
-
 class SelectionError(DiftransError):
     """No bandwidth in the candidate grid satisfies the selection rule."""
 

@@ -11,8 +11,9 @@ graph: source price `x_i` is compatible with the contiguous window
 advance monotonically with `i`.  A left-to-right greedy that hands each source
 the leftmost target mass still available in its window is then a maximum
 matching (Glover 1967).  Correctness is defined by the underlying linear
-program; the test suite checks the costs against a dense LP solver and against
-the dual set certificate on random instances.
+program; the test suite checks the costs against a dense LP solver and
+against a brute-force dual on small instances, and against the dual scan
+below at any size.
 
 The greedy uses up target mass strictly from left to right, so its whole state
 is one number: the level `C`, the cumulative target mass already used up or
@@ -33,6 +34,30 @@ therefore exactly moving `C` up by `take`.  `ot_cost` runs the recurrence in
 plain floats; `ot_cost_batch` runs the same operations in the same order with
 `C` an array over replicates and bandwidths, which share the windows whenever
 the replicates share their supports.  Both give bit-identical costs.
+
+The plan is read off the same recurrence.  Source `i` holds the interval
+`[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
+`C_i = max(C, SB[lo_i])` is the level after its first line, so both ends are
+known once the level before and after each source is recorded.  The interval
+lies inside `[SB[lo_i], SB[hi_i])`, and its free entries are the overlaps
+with the target cells `[SB[j], SB[j+1])`.
+The unmatched source parts `a_i - take_i` and the target mass left uncovered
+are then paired in sorted order by the same overlap rule over their own
+prefix sums; none of those pairs is within `d`, so each costs its full mass.
+Overlaps below `ZERO_COST` are rounding slivers and are dropped.
+
+The dual is Strassen's (1965): the cost equals the largest `a(A) - b(A^d)`
+over sets `A` of source points, where `A^d` is the set of targets within `d`
+of `A`.  Because the windows are monotone, filling the gap between two chosen
+sources whose windows overlap never lowers the value, so some optimal `A` is
+a union of blocks of consecutive sources whose neighbourhoods are disjoint.
+Block `s..e` is worth `SA[e+1] - SA[s] - (SB[hi_e] - SB[lo_s])`, exactly when
+its windows chain together and as a lower bound otherwise.  With `P[s]` the
+best value of blocks ending before source `s`,
+
+    P[e+1] = max(P[e], SA[e+1] - SB[hi_e] + max_{s<=e}(P[s] - SA[s] + SB[lo_s]))
+
+is one left-to-right scan that also records where each block starts.
 """
 
 from __future__ import annotations
@@ -42,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateSizeError, ValidationError
+from .errors import ValidationError
 from .pmf import PricePMF
 
 #: Feasibility tolerance for plan marginals.
@@ -78,12 +103,6 @@ class TransportPlan:
             if abs(int(self.src_support[i]) - int(self.tgt_support[j])) > self.d
         )
 
-    def distance_cost(self) -> float:
-        return math.fsum(
-            m * abs(int(self.src_support[i]) - int(self.tgt_support[j]))
-            for i, j, m in self.entries
-        )
-
     def check_feasible(self, a: PricePMF, b: PricePMF, tol: float = MARGINAL_TOL) -> None:
         """Raise if the plan's marginals deviate from (a, b) beyond `tol`."""
         row = np.zeros(a.support.size)
@@ -104,48 +123,7 @@ class TransportPlan:
             fh.write(f"{i},{j},{int(self.src_support[i])},{int(self.tgt_support[j])},{m!r}\n")
 
 
-def _sweep(a: PricePMF, b: PricePMF, d: int):
-    """Greedy maximal within-`d` matching on sorted supports, with its plan.
-
-    Returns (free entries, residual source leftovers, residual targets).
-    A source keeps a leftover only when every target in its window is already
-    exhausted, and windows only advance, so no residual source/target pair can
-    be within `d` of each other.
-    """
-    xa = a.support.tolist()
-    ma = a.mass.tolist()
-    xb = b.support.tolist()
-    mb = b.mass.tolist()
-    rem = mb[:]
-    nb = len(xb)
-    entries = []
-    leftovers = []
-    j = 0
-    for i, (x, ai) in enumerate(zip(xa, ma)):
-        if ai <= 0.0:
-            continue
-        lo = x - d
-        hi = x + d
-        while j < nb and (xb[j] < lo or rem[j] <= 0.0):
-            j += 1
-        k = j
-        while ai > 0.0 and k < nb and xb[k] <= hi:
-            take = ai if ai < rem[k] else rem[k]
-            if take > 0.0:
-                ai -= take
-                rem[k] -= take
-                entries.append((i, k, take))
-            if rem[k] <= 0.0:
-                k += 1
-            else:
-                break
-        if ai > 0.0:
-            leftovers.append((i, ai))
-    residual_b = [(k, r) for k, r in enumerate(rem) if r > 0.0]
-    return entries, leftovers, residual_b
-
-
-#: Costs below this are indistinguishable from rounding in the marginals.
+#: Costs and plan entries below this are indistinguishable from rounding in the marginals.
 ZERO_COST = 1e-12
 
 #: Replicates per block of `ot_cost_batch`; bounds its scratch memory.
@@ -169,20 +147,21 @@ def _prefix(mass: np.ndarray) -> np.ndarray:
     return out
 
 
-def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
-    """Minimum mass that must move farther than `d` RMB to turn `a` into `b`.
+def _levels(a: PricePMF, b: PricePMF, d: int, record: bool = False):
+    """Run the level recurrence for `ot_cost(a, b, d)`.
 
-    This is the exact optimal value of the transportation linear program with
-    ground cost 1 when two support points differ by more than `d` and 0
-    otherwise.  At d = 0 it equals the total variation distance.  Values below
-    the PMF normalization tolerance are indistinguishable from rounding in the
-    marginals and report as exactly zero; the result is clamped into [0, 1].
+    Returns the raw cost, the levels (with `record`: the level before each
+    source and after the last, else None), the target prefix sums `SB` and
+    the window starts `lo`.  Recording costs ~10% of the loop, so `ot_cost`
+    skips it.
     """
-    d = _check_bandwidth(d)
     lo, hi = _windows(a.support, b.support, d)
     sb = _prefix(b.mass)
     level = cost = 0.0
+    levels = [] if record else None
     for ai, passed, reach in zip(a.mass.tolist(), sb[lo].tolist(), sb[hi].tolist()):
+        if record:
+            levels.append(level)
         if ai <= 0.0:
             continue
         if level < passed:
@@ -194,6 +173,21 @@ def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
             take = ai
         level += take
         cost += ai - take
+    if record:
+        levels.append(level)
+    return cost, levels, sb, lo
+
+
+def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
+    """Minimum mass that must move farther than `d` RMB to turn `a` into `b`.
+
+    This is the exact optimal value of the transportation linear program with
+    ground cost 1 when two support points differ by more than `d` and 0
+    otherwise.  At d = 0 it equals the total variation distance.  Values below
+    the PMF normalization tolerance are indistinguishable from rounding in the
+    marginals and report as exactly zero; the result is clamped into [0, 1].
+    """
+    cost = _levels(a, b, _check_bandwidth(d))[0]
     if cost < ZERO_COST:
         return 0.0
     return min(cost, 1.0)
@@ -246,158 +240,87 @@ def ot_cost_batch(pres, posts, grid) -> np.ndarray:
     return np.minimum(out, 1.0, out=out)
 
 
+def _pieces(starts, stops, edges):
+    """Overlaps of sorted disjoint intervals `[starts[i], stops[i])` with the
+    cells `[edges[j], edges[j + 1])` of a prefix-sum partition.
+
+    Returns arrays (i, j, length) of the overlaps at least `ZERO_COST` long.
+    """
+    first = np.searchsorted(edges[1:], starts, side="right")
+    count = np.maximum(np.searchsorted(edges[:-1], stops, side="left") - first, 0)
+    i = np.repeat(np.arange(count.size), count)
+    j = np.arange(i.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    length = np.minimum(stops[i], edges[j + 1]) - np.maximum(starts[i], edges[j])
+    keep = length >= ZERO_COST
+    return i[keep], j[keep], length[keep]
+
+
 def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
     """An optimal plan for `ot_cost(a, b, d)`; ties between optima are not pinned."""
     d = _check_bandwidth(d)
-    entries, leftovers, residual_b = _sweep(a, b, d)
-    # Route residual mass pairwise in sorted order; every such entry costs 1.
-    li = 0
-    for j, need in residual_b:
-        while need > 1e-18 and li < len(leftovers):
-            i, avail = leftovers[li]
-            take = avail if avail < need else need
-            entries.append((i, j, take))
-            need -= take
-            avail -= take
-            if avail <= 1e-18:
-                li += 1
-            else:
-                leftovers[li] = (i, avail)
-    entries.sort(key=lambda e: (e[0], e[1]))
-    plan = TransportPlan(tuple(entries), 0.0, d, a.support, b.support)
-    object.__setattr__(plan, "cost", plan.indicator_cost())
-    return plan
-
-
-def solve_ot_regularized(a: PricePMF, b: PricePMF, d, lam: float = 0.01) -> TransportPlan:
-    """Optimal plan under the tie-breaking cost `1(|dx| > d) + lam * |dx|`.
-
-    With `lam * span < 1` the distance term cannot buy a cheaper indicator
-    component, so the plan still attains `ot_cost(a, b, d)` while preferring
-    the shortest crossings; that regime is asserted.  Solved as a dense
-    transportation LP, so intended for moderate support sizes.
-    """
-    d = _check_bandwidth(d)
-    if lam < 0:
-        raise ValidationError(f"lambda must be nonnegative, got {lam}")
-    if lam == 0.0:
-        return solve_ot(a, b, d)
-
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    xa = a.support.astype(np.int64)
-    xb = b.support.astype(np.int64)
-    na, nb = xa.size, xb.size
-    dist = np.abs(xa[:, None] - xb[None, :]).astype(np.float64)
-    cost = (dist > d).astype(np.float64) + lam * dist
-
-    rows = []
-    cols = []
-    for i in range(na):
-        rows.append(np.full(nb, i))
-        cols.append(np.arange(i * nb, (i + 1) * nb))
-    for j in range(nb):
-        rows.append(np.full(na, na + j))
-        cols.append(np.arange(j, na * nb, nb))
-    A = sparse.csr_matrix(
-        (np.ones(2 * na * nb), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(na + nb, na * nb),
+    _, levels, sb, lo = _levels(a, b, d, record=True)
+    level = np.array(levels)
+    stop = level[1:]
+    # The level a source started from; a zero-mass source holds nothing.
+    start = np.minimum(np.maximum(level[:-1], sb[lo]), stop)
+    i, j, m = _pieces(start, stop, sb)
+    # The unmatched parts: nothing in them is within `d` of each other.
+    matched = np.bincount(j, weights=m, minlength=b.support.size)
+    left_a = _prefix(np.maximum(a.mass - (stop - start), 0.0))
+    far_i, far_j, far_m = _pieces(
+        left_a[:-1], left_a[1:], _prefix(np.maximum(b.mass - matched, 0.0))
     )
-    rhs = np.concatenate([a.mass, b.mass])
-    res = linprog(
-        cost.ravel(),
-        A_eq=A,
-        b_eq=rhs,
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+    i = np.concatenate([i, far_i])
+    j = np.concatenate([j, far_j])
+    m = np.concatenate([m, far_m])
+    order = np.lexsort((j, i))
+    i, j, m = i[order], j[order], m[order]
+    far = np.abs(a.support[i] - b.support[j]) > d
+    return TransportPlan(
+        tuple(zip(i.tolist(), j.tolist(), m.tolist())),
+        math.fsum(m[far].tolist()),
+        d,
+        a.support,
+        b.support,
     )
-    if not res.success:
-        raise RuntimeError(f"regularized transport LP failed: {res.message}")
-    gamma = res.x.reshape(na, nb)
-    entries = tuple(
-        (int(i), int(j), float(gamma[i, j]))
-        for i, j in zip(*np.nonzero(gamma > 1e-12))
-    )
-    plan = TransportPlan(entries, 0.0, d, a.support, b.support)
-    object.__setattr__(plan, "cost", plan.indicator_cost())
-
-    span = int(max(xa[-1], xb[-1]) - min(xa[0], xb[0]))
-    if lam * span < 1.0:
-        base = ot_cost(a, b, d)
-        if abs(plan.cost - base) > 1e-8:
-            raise RuntimeError(
-                "regularized plan broke the indicator optimum below the "
-                f"lambda breakpoint: {plan.cost!r} vs {base!r}"
-            )
-    return plan
 
 
-def strassen_certificate(
-    a: PricePMF,
-    b: PricePMF,
-    d,
-    subsets=None,
-) -> tuple[set[int], float]:
-    """Dual set certificate: max over A of a(A) - b(A^d).
+def strassen_certificate(a: PricePMF, b: PricePMF, d) -> tuple[set[int], float]:
+    """Dual set certificate: the largest a(A) - b(A^d), and a set A attaining it.
 
     `A^d` enlarges a set of source prices by `d` inside the target support.
     By strong duality on finite spaces the maximum equals `ot_cost(a, b, d)`,
-    which makes this an arithmetic-independent check on the solver.  The
-    search enumerates all subsets of the source support, so the combined
-    support size is capped; pass explicit `subsets` (iterables of source
-    indices) to evaluate a heuristic family instead.
+    which makes this a check on the solver that reaches the value by other
+    arithmetic.  One O(K) scan over the sources finds it (see the module
+    docstring); when no set has a positive value the set is empty.
     """
     d = _check_bandwidth(d)
-    na = int(a.support.size)
-    nb = int(b.support.size)
-
     lo, hi = _windows(a.support, b.support, d)
-
-    if subsets is not None:
-        best_val = 0.0
-        best_set: set[int] = set()
-        for subset in subsets:
-            idx = sorted(set(subset))
-            if any(i < 0 or i >= na for i in idx):
-                raise ValidationError("subset index out of range")
-            covered = np.zeros(nb, dtype=bool)
-            for i in idx:
-                covered[lo[i] : hi[i]] = True
-            val = float(a.mass[idx].sum() - b.mass[covered].sum())
-            if val > best_val:
-                best_val = val
-                best_set = set(idx)
-        return best_set, best_val
-
-    if na + nb > 24:
-        raise CertificateSizeError(
-            f"combined support size {na + nb} exceeds 24; "
-            "pass explicit subsets for a heuristic certificate"
-        )
-
-    n_sets = 1 << na
-    # a(A) for every subset via the standard subset-sum doubling trick.
-    a_sums = np.zeros(n_sets)
-    for i in range(na):
-        block = a_sums.reshape(-1, 2 << i)
-        block[:, (1 << i) :] += a.mass[i]
-    # b(A^d): target j is covered iff A meets the contiguous source range
-    # within d of x_j; test all subsets against that range's bitmask at once.
-    s_arr = np.arange(n_sets, dtype=np.uint32)
-    b_sums = np.zeros(n_sets)
-    src_lo = np.searchsorted(a.support, b.support - d, side="left")
-    src_hi = np.searchsorted(a.support, b.support + d, side="right")
-    for j in range(nb):
-        if src_hi[j] <= src_lo[j]:
-            continue
-        mask = np.uint32(((1 << int(src_hi[j])) - 1) ^ ((1 << int(src_lo[j])) - 1))
-        b_sums += b.mass[j] * ((s_arr & mask) != 0)
-    values = a_sums - b_sums
-    best = int(np.argmax(values))
-    best_set = {i for i in range(na) if best >> i & 1}
-    return best_set, float(values[best])
+    sa = _prefix(a.mass).tolist()
+    sb = _prefix(b.mass)
+    best = 0.0
+    # Where the block ending at each source starts, or -1 when the best sets
+    # among the sources up to it do not end there.
+    block_start = []
+    run = -math.inf
+    run_start = 0
+    for e, (passed, reach) in enumerate(zip(sb[lo].tolist(), sb[hi].tolist())):
+        opened = best - sa[e] + passed
+        if opened > run:
+            run, run_start = opened, e
+        value = sa[e + 1] - reach + run
+        if value > best:
+            best = value
+            block_start.append(run_start)
+        else:
+            block_start.append(-1)
+    chosen: set[int] = set()
+    e = len(block_start)
+    while e > 0:
+        s = block_start[e - 1]
+        if s < 0:
+            e -= 1
+        else:
+            chosen.update(range(s, e))
+            e = s
+    return chosen, best

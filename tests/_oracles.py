@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -11,13 +13,12 @@ from diftrans.errors import EmptyDistributionError
 from diftrans.pmf import PricePMF
 
 
-def lp_transport_cost(a: PricePMF, b: PricePMF, d: int, lam: float = 0.0) -> float:
+def lp_transport_cost(a: PricePMF, b: PricePMF, d: int) -> float:
     """Dense transportation LP, solved by an off-the-shelf vertex solver."""
     xa = a.support.astype(np.int64)
     xb = b.support.astype(np.int64)
     na, nb = xa.size, xb.size
-    dist = np.abs(xa[:, None] - xb[None, :]).astype(float)
-    cost = (dist > d).astype(float) + lam * dist
+    cost = (np.abs(xa[:, None] - xb[None, :]) > d).astype(float)
     A_eq = np.zeros((na + nb, na * nb))
     for i in range(na):
         A_eq[i, i * nb : (i + 1) * nb] = 1.0
@@ -27,6 +28,33 @@ def lp_transport_cost(a: PricePMF, b: PricePMF, d: int, lam: float = 0.0) -> flo
     res = linprog(cost.ravel(), A_eq=A_eq, b_eq=rhs, bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def brute_dual(a: PricePMF, b: PricePMF, d: int) -> float:
+    """Strassen's dual by enumeration: the largest a(A) - b(A^d) over every set A."""
+    xa, xb = a.support.tolist(), b.support.tolist()
+    ma, mb = a.mass.tolist(), b.mass.tolist()
+    best = 0.0
+    for size in range(1, len(xa) + 1):
+        for chosen in itertools.combinations(range(len(xa)), size):
+            near = [j for j, y in enumerate(xb) if any(abs(xa[i] - y) <= d for i in chosen)]
+            best = max(best, math.fsum(ma[i] for i in chosen) - math.fsum(mb[j] for j in near))
+    return best
+
+
+def set_value(a: PricePMF, b: PricePMF, d: int, chosen) -> float:
+    """a(A) - b(A^d) for the source indices `chosen`; a target is in A^d when its
+    nearest chosen source price is within `d`."""
+    idx = sorted(chosen)
+    if not idx:
+        return 0.0
+    x = a.support[idx]
+    k = np.searchsorted(x, b.support)
+    nearest = np.minimum(
+        np.abs(b.support - x[np.maximum(k - 1, 0)]),
+        np.abs(x[np.minimum(k, x.size - 1)] - b.support),
+    )
+    return math.fsum(a.mass[idx].tolist()) - math.fsum(b.mass[nearest <= d].tolist())
 
 
 def brute_2x2_cost(a: PricePMF, b: PricePMF, d: int) -> float:
@@ -86,6 +114,14 @@ def random_pmf(
     support = np.sort(rng.choice(max_price, size=k, replace=False))
     mass = rng.dirichlet(np.ones(k))
     return PricePMF(support, mass, 100)
+
+
+def sparse_counts(rng: np.random.Generator, k: int, zero_share: float) -> np.ndarray:
+    """Counts in 1..999 on k prices, about `zero_share` of them zeroed, at least one unit."""
+    counts = rng.integers(1, 1000, size=k)
+    counts[rng.random(k) < zero_share] = 0
+    counts[rng.integers(k)] += 1
+    return counts
 
 
 def random_curve(rng: np.random.Generator, market_size: float = 700_000.0):

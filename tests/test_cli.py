@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diftrans
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter
@@ -181,6 +186,38 @@ class TestTransport:
         assert lines[0] == "i,j,x_i,x_j,mass"
         moved = sum(float(l.split(",")[4]) for l in lines[1:] if l.split(",")[2] != l.split(",")[3])
         assert moved == pytest.approx(0.5)
+
+    def test_plan_imports_no_scipy(self, tmp_path, worked_csv):
+        # scipy is a test-only dependency: neither the package nor the CLI imports it.
+        plan = tmp_path / "plan.csv"
+        script = (
+            "import sys\n"
+            "import diftrans, diftrans.cli\n"
+            "code = diftrans.cli.main(sys.argv[1:])\n"
+            "sys.exit(3 if 'scipy' in sys.modules else code)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(diftrans.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [
+                sys.executable, "-c", script,
+                "transport",
+                "--input", str(worked_csv),
+                "--city", "metro",
+                "--pre", "2010-01:2010-12",
+                "--post", "2011-01:2011-12",
+                "--d", "0",
+                "--plan", str(plan),
+                "--out", str(tmp_path / "report.json"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert plan.read_text(encoding="utf-8").startswith("i,j,x_i,x_j,mass\n")
 
     def test_exclude_months(self, tmp_path, worked_csv):
         code, report = run(

@@ -1,20 +1,23 @@
-"""Thresholded transport: fast sweep vs. LP oracle vs. dual set certificate."""
+"""Thresholded transport: level recurrence vs. LP oracle vs. dual set certificate."""
 
 import io
 
 import numpy as np
 import pytest
 
-from diftrans.errors import CertificateSizeError, ValidationError
+from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
-from diftrans.transport import (
-    ot_cost,
-    solve_ot,
-    solve_ot_regularized,
-    strassen_certificate,
-)
+from diftrans.transport import ot_cost, solve_ot, strassen_certificate
 
-from _oracles import brute_2x2_cost, half_l1, lp_transport_cost, random_pmf
+from _oracles import (
+    brute_2x2_cost,
+    brute_dual,
+    half_l1,
+    lp_transport_cost,
+    random_pmf,
+    set_value,
+    sparse_counts,
+)
 
 
 @pytest.fixture
@@ -140,51 +143,6 @@ class TestPlan:
         assert lines[1].startswith("0,0,1,1,")
 
 
-class TestRegularized:
-    def test_identity_any_lambda(self):
-        p = PricePMF.from_counts([3, 8], [1, 3])
-        plan = solve_ot_regularized(p, p, 0, 0.01)
-        assert plan.cost == 0.0
-        assert all(i == j for i, j, _ in plan.entries)
-
-    def test_worked_example_moves_half(self, two_point):
-        a, b = two_point
-        plan = solve_ot_regularized(a, b, 0, 0.01)
-        plan.check_feasible(a, b)
-        assert plan.cost == pytest.approx(0.5, abs=1e-9)
-        # LP oracle on the modified ground cost agrees on the objective.
-        oracle = lp_transport_cost(a, b, 0, lam=0.01)
-        attained = plan.cost + 0.01 * plan.distance_cost()
-        assert attained == pytest.approx(oracle, abs=1e-9)
-
-    def test_tie_break_prefers_short_moves(self):
-        # Every pair is free at d=10; the distance term must pick the diagonal.
-        a = PricePMF.from_counts([0, 10], [1, 1])
-        b = PricePMF.from_counts([0, 10], [1, 1])
-        plan = solve_ot_regularized(a, b, 10, 0.001)
-        assert plan.distance_cost() == pytest.approx(0.0, abs=1e-12)
-        assert sorted((i, j) for i, j, _ in plan.entries) == [(0, 0), (1, 1)]
-
-    def test_indicator_component_preserved_below_breakpoint(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a = random_pmf(rng, max_points=8, max_price=90)
-            b = random_pmf(rng, max_points=8, max_price=90)
-            d = int(rng.integers(0, 100))
-            lam = 0.01  # span < 100 so lam * span < 1
-            plan = solve_ot_regularized(a, b, d, lam)
-            assert abs(plan.cost - ot_cost(a, b, d)) <= 1e-8
-
-    def test_lambda_zero_is_plain_solver(self, two_point):
-        a, b = two_point
-        assert solve_ot_regularized(a, b, 0, 0.0).cost == 0.5
-
-    def test_negative_lambda_rejected(self, two_point):
-        a, b = two_point
-        with pytest.raises(ValidationError):
-            solve_ot_regularized(a, b, 0, -0.1)
-
-
 class TestCertificate:
     def test_worked_example_value(self, two_point):
         a, b = two_point
@@ -205,17 +163,19 @@ class TestCertificate:
         assert value == 1.0
         assert best == {0, 1}
 
-    def test_size_cap(self):
-        support = np.arange(13)
-        a = PricePMF.from_counts(support, np.ones(13, dtype=int))
-        with pytest.raises(CertificateSizeError):
-            strassen_certificate(a, a, 0)
-
-    def test_heuristic_subsets(self, two_point):
-        a, b = two_point
-        best, value = strassen_certificate(a, b, 0, subsets=[{0}, {1}, {0, 1}])
-        assert value == 0.5
-        assert best == {0}
-        # A poor family still yields a valid lower bound on the cost.
-        _, weak = strassen_certificate(a, b, 0, subsets=[{1}])
-        assert weak <= 0.5
+    def test_matches_brute_force_dual(self):
+        # At most 12 combined points, zero masses, bandwidths past the span.
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            na = int(rng.integers(1, 12))
+            nb = int(rng.integers(1, 13 - na))
+            a, b = (
+                PricePMF.from_counts(
+                    np.sort(rng.choice(60, size=k, replace=False)), sparse_counts(rng, k, 0.3)
+                )
+                for k in (na, nb)
+            )
+            d = int(rng.integers(0, 70))
+            best, value = strassen_certificate(a, b, d)
+            assert abs(value - brute_dual(a, b, d)) <= 1e-12
+            assert abs(value - set_value(a, b, d, best)) <= 1e-12

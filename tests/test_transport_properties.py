@@ -4,8 +4,9 @@ Supports are small sorted price sets, masses come from integer counts with
 zeros allowed, target supports are drawn independently, equal to the source
 or shifted past it (disjoint), and bandwidths run past the combined span.
 The scalar and batched recurrences run the same float operations, so they
-must agree to rounding; the LP and the plan-building greedy sum differently,
-so they get the looser tolerance.
+must agree to rounding; the LP, the plan's entries and the dual scan sum
+differently, so they get the looser tolerance.  At paper scale (supports of
+up to ~2,000 prices) the dual scan is the oracle.
 """
 
 import numpy as np
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
-from diftrans.transport import ot_cost, ot_cost_batch, solve_ot
+from diftrans.transport import ZERO_COST, ot_cost, ot_cost_batch, solve_ot, strassen_certificate
 
-from _oracles import lp_transport_cost
+from _oracles import lp_transport_cost, set_value, sparse_counts
 
 BATCH_TOL = 1e-14
 ORACLE_TOL = 1e-12
@@ -28,6 +29,9 @@ PROPERTIES = settings(max_examples=100, deadline=None, derandomize=True, databas
 
 supports = st.lists(st.integers(0, 300), min_size=1, max_size=7, unique=True).map(sorted)
 bandwidths = st.integers(0, 1500)
+
+#: The bench's fine market: every price from 20,000 to 188,000 RMB in steps of 100.
+FINE_LATTICE = np.arange(20_000, 188_001, 100)
 
 
 def counts_on(support):
@@ -73,6 +77,24 @@ def test_batch_equals_scalar(data):
             assert abs(batch[r, g] - ot_cost(a, b, d)) <= BATCH_TOL
 
 
+def assert_optimal_plan(a, b, d):
+    """`solve_ot(a, b, d)` is feasible, has no rounding slivers, and attains `ot_cost`.
+
+    The far entries pair only mass that no free move could take: no source
+    that sends mass far is within `d` of a target that receives mass from far.
+    """
+    plan = solve_ot(a, b, d)
+    plan.check_feasible(a, b)
+    i, j, m = (np.array(column) for column in zip(*plan.entries))
+    assert m.min() >= ZERO_COST
+    src, tgt = a.support[i], b.support[j]
+    near = np.abs(src - tgt) <= d
+    gaps = np.abs(np.unique(src[~near])[:, None] - np.unique(tgt[~near])[None, :])
+    assert not np.any(gaps <= d)
+    assert plan.cost == plan.indicator_cost()
+    assert abs(plan.cost - ot_cost(a, b, d)) <= ORACLE_TOL
+
+
 @PROPERTIES
 @given(instances())
 def test_matches_lp_and_greedy_plan(instance):
@@ -80,7 +102,46 @@ def test_matches_lp_and_greedy_plan(instance):
     cost = ot_cost(a, b, d)
     assert 0.0 <= cost <= 1.0
     assert abs(cost - lp_transport_cost(a, b, d)) <= ORACLE_TOL
-    assert abs(cost - solve_ot(a, b, d).cost) <= ORACLE_TOL
+    assert_optimal_plan(a, b, d)
+
+
+@pytest.mark.parametrize("d", [0, 100, 2_500, 200_000])
+def test_plan_at_paper_scale(d):
+    rng = np.random.default_rng(d)
+    a = PricePMF.from_counts(FINE_LATTICE, sparse_counts(rng, FINE_LATTICE.size, 0.3))
+    b = PricePMF.from_counts(FINE_LATTICE + 300, sparse_counts(rng, FINE_LATTICE.size, 0.3))
+    assert_optimal_plan(a, b, d)
+
+
+@st.composite
+def paper_scale_instances(draw):
+    """Up to ~2,000 prices per side, drawn by a seeded generator: a subset of
+    the fine lattice (the target shifted by whole steps) or scattered prices,
+    a share of zero masses, and a bandwidth up to past the combined span."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_lattice = draw(st.booleans())
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    pmfs = []
+    for shift in (0, 100 * draw(st.integers(-20, 20))):
+        k = draw(st.one_of(st.integers(1, 2_000), st.integers(1_500, 2_000)))
+        if on_lattice:
+            k = min(k, FINE_LATTICE.size)
+            support = np.sort(rng.choice(FINE_LATTICE, size=k, replace=False)) + shift
+        else:
+            support = np.sort(rng.choice(200_000, size=k, replace=False))
+        pmfs.append(PricePMF.from_counts(support, sparse_counts(rng, k, zero_share)))
+    d = draw(st.one_of(st.integers(0, 3_000), st.integers(0, 250_000)))
+    return pmfs[0], pmfs[1], d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(paper_scale_instances())
+def test_dual_scan_at_paper_scale(instance):
+    a, b, d = instance
+    chosen, value = strassen_certificate(a, b, d)
+    assert abs(ot_cost(a, b, d) - value) <= ORACLE_TOL
+    assert abs(ot_cost_batch([a], [b], [d])[0, 0] - value) <= ORACLE_TOL
+    assert abs(set_value(a, b, d, chosen) - value) <= ORACLE_TOL
 
 
 @PROPERTIES
