@@ -163,6 +163,29 @@ class TestCertificate:
         assert value == 1.0
         assert best == {0, 1}
 
+    def test_size_cap(self):
+        # No size cap: 13 points (once past an enumeration cap) and 2,000 points
+        # both give the primal value and a set that attains it.
+        rng = np.random.default_rng(13)
+        for n in (13, 2000):
+            support = np.arange(n) * 100
+            a = PricePMF.from_counts(support, sparse_counts(rng, n, 0.3))
+            b = PricePMF.from_counts(support + 50, sparse_counts(rng, n, 0.3))
+            for d in (0, 50, 500):
+                best, value = strassen_certificate(a, b, d)
+                assert abs(value - ot_cost(a, b, d)) <= 1e-12
+                assert abs(value - set_value(a, b, d, best)) <= 1e-12
+
+    def test_heuristic_subsets(self, two_point):
+        # Any hand-picked family of sets is a lower bound on the scan's value,
+        # and the scan's set is at least as good as the best of them.
+        a, b = two_point
+        best, value = strassen_certificate(a, b, 0)
+        family = [set(), {0}, {1}, {0, 1}]
+        assert max(set_value(a, b, 0, s) for s in family) == value == 0.5
+        assert best == {0}
+        assert set_value(a, b, 0, {1}) <= value
+
     def test_matches_brute_force_dual(self):
         # At most 12 combined points, zero masses, bandwidths past the span.
         rng = np.random.default_rng(8)
