@@ -292,9 +292,6 @@ def cmd_ci(args) -> int:
         if not args.control_city:
             raise DiftransError("--control-city is required for the dit estimator")
         control = _city_pair(args, table, args.control_city)
-        estimator = lambda a, b, ca, cb: estimators.diff_in_transports(a, b, ca, cb, args.d)
-    else:
-        estimator = lambda a, b: estimators.before_after(a, b, args.d)
 
     transform = None
     inputs = [args.input]
@@ -319,7 +316,7 @@ def cmd_ci(args) -> int:
         seed=args.seed,
     )
     result = inference.subsample_ci(
-        pre, post, estimator, cfg, control=control, transform=transform
+        pre, post, args.d, cfg, control=control, transform=transform
     )
     if args.dump_draws:
         with open(args.dump_draws, "w", encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
-from .transport import _check_bandwidth, ot_cost, ot_cost_batch
+from .transport import _blocks, _check_bandwidth, _cost_columns, ot_cost, ot_cost_batch
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,6 @@ def quantile_label(level: float) -> str:
     return f"q{digits}"
 
 
-def _replicate_pair(base: PricePMF, n_pre: int, n_post: int, seed: int, rep: int):
-    """One placebo draw: two independent multinomial resamples of `base`.
-
-    The stream is keyed by (seed, replicate), so results do not depend on
-    execution order or batching, and draws are shared across bandwidths.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
-    c_pre = rng.multinomial(n_pre, base.mass)
-    c_post = rng.multinomial(n_post, base.mass)
-    pre = PricePMF(base.support, c_pre / n_pre, n_pre)
-    post = PricePMF(base.support, c_post / n_post, n_post)
-    return pre, post
-
-
 def placebo_cost_matrix(
     base: PricePMF,
     n_pre: int,
@@ -67,16 +53,26 @@ def placebo_cost_matrix(
 ) -> np.ndarray:
     """Placebo transport costs, one row per replicate, one column per `d`.
 
-    Every replicate resamples the same support, so one batched transport pass
-    covers the whole matrix.
+    Replicate `rep` is two independent multinomial resamples of `base`, of
+    sizes `n_pre` and `n_post`, from a stream keyed by (seed, rep), so results
+    do not depend on execution order or batching, and draws are shared across
+    bandwidths.  Every replicate lives on the base support, so the replicates
+    go through the transport kernel as blocks of mass columns.
     """
     if n_pre < 1 or n_post < 1:
         raise ValidationError("placebo sample sizes must be at least 1")
     grid = _check_grid(grid)
-    pres, posts = zip(
-        *(_replicate_pair(base, n_pre, n_post, cfg.seed, rep) for rep in range(cfg.n_sims))
-    )
-    return ot_cost_batch(pres, posts, grid)
+    k = base.support.size
+    out = np.empty((cfg.n_sims, len(grid)))
+    for block in _blocks(cfg.n_sims, k, k, len(grid)):
+        pre = np.empty((k, len(block)))
+        post = np.empty((k, len(block)))
+        for col, rep in enumerate(block):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, rep)))
+            pre[:, col] = rng.multinomial(n_pre, base.mass) / n_pre
+            post[:, col] = rng.multinomial(n_post, base.mass) / n_post
+        out[block.start : block.stop] = _cost_columns(base.support, base.support, pre, post, grid)
+    return out
 
 
 def placebo_cost(
@@ -143,6 +139,18 @@ def _first_below(grid, stats, threshold: float) -> int:
         f"no bandwidth in the grid has placebo cost below {threshold}; "
         f"minimum placebo mean is {float(stats[best]):.6g} at d={grid[best]}"
     )
+
+
+def _pair_costs(pairs, grid) -> np.ndarray:
+    """`ot_cost(pre, post, d)` for every (pre, post) pair and `d` in `grid`.
+
+    One kernel call on the union of the pre supports and that of the post
+    supports, each distribution with zero mass off its own support, which
+    leaves every cost unchanged.  Returns an array of shape (len(pairs), len(grid)).
+    """
+    src, A = _union_matrix([pre for pre, _ in pairs])
+    tgt, B = _union_matrix([post for _, post in pairs])
+    return _cost_columns(src, tgt, A.T, B.T, grid)
 
 
 def before_after(pre: PricePMF, post: PricePMF, d: int) -> float:
@@ -225,18 +233,24 @@ def bandwidth_scan(
 
     The placebo resamples `base` (default: the pre distribution) at the
     observed sample sizes.  With `control` supplied, each row also carries the
-    difference-in-transports value at that bandwidth.
+    difference-in-transports value at that bandwidth; the real and control
+    costs then come from one pass over the grid and its doubles.
     """
     grid = _check_grid(grid)
     base = pre if base is None else base
     matrix = placebo_cost_matrix(base, pre.n, post.n, grid, cfg)
+    if control is None:
+        pairs, ds = [(pre, post)], grid
+    else:
+        pairs, ds = [(pre, post), control], sorted(set(grid) | {2 * d for d in grid})
+    # Per bandwidth, the cost of each pair.
+    costs = dict(zip(ds, _pair_costs(pairs, ds).T.tolist()))
     rows = []
     for col, d in enumerate(grid):
         mean, sd, qs = _summarize(matrix[:, col], cfg)
-        dit = None
-        if control is not None:
-            dit = diff_in_transports(pre, post, control[0], control[1], d)
-        rows.append(ScanRow(d, ot_cost(pre, post, d), mean, sd, qs, dit))
+        # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
+        dit = None if control is None else costs[2 * d][0] - costs[d][1]
+        rows.append(ScanRow(d, costs[d][0], mean, sd, qs, dit))
     return BandwidthScan(tuple(rows), cfg.quantiles)
 
 
@@ -272,12 +286,8 @@ def equal_displacement_curves(
     both pairs are smoothed by the same `d`, unlike the estimator itself.
     """
     grid = _check_grid(grid)
-    out = []
-    for d in grid:
-        ca = ot_cost(a_pre, a_post, d)
-        cb = ot_cost(b_pre, b_post, d)
-        out.append((d, ca, cb, ca - cb))
-    return out
+    ca, cb = _pair_costs([(a_pre, a_post), (b_pre, b_post)], grid).tolist()
+    return [(d, x, y, x - y) for d, x, y in zip(grid, ca, cb)]
 
 
 def displacement_floor(
@@ -367,13 +377,14 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y - theta, 0.0)
 
 
-def _union_matrix(monthly_pmfs):
+def _union_matrix(pmfs):
+    """The union of the supports of `pmfs`, and their masses on it, one row each."""
     support = np.array(
-        sorted(set().union(*(p.support.tolist() for _, p in monthly_pmfs))),
+        sorted(set().union(*(p.support.tolist() for p in pmfs))),
         dtype=np.int64,
     )
-    P = np.zeros((len(monthly_pmfs), support.size))
-    for t, (_, p) in enumerate(monthly_pmfs):
+    P = np.zeros((len(pmfs), support.size))
+    for t, p in enumerate(pmfs):
         idx = np.searchsorted(support, p.support)
         P[t, idx] = p.mass
     return support, P
@@ -393,7 +404,7 @@ def composition_fit(
     (default: uniform).
     """
     phi_f, phi_r = inputs.phi()
-    support, P = _union_matrix(inputs.monthly_pmfs)
+    support, P = _union_matrix([p for _, p in inputs.monthly_pmfs])
     n_total = int(sum(p.n for _, p in inputs.monthly_pmfs))
 
     if float(np.ptp(phi_f)) < 1e-12:
@@ -483,7 +494,8 @@ def composition_correction(est: CompositionEstimate, grid: list[int]) -> dict[in
     period weights and keeps them on the estimate.
     """
     grid = _check_grid(grid)
-    est.correction = {d: ot_cost(est.f_hat, est.r_hat, d) for d in grid}
+    costs = ot_cost_batch([est.f_hat], [est.r_hat], grid)[0].tolist()
+    est.correction = dict(zip(grid, costs))
     support = est.f_hat.support
     n = est.f_hat.n
     for name, (tf, tr) in (("p_pre_hat", est.theta_pre), ("p_post_hat", est.theta_post)):

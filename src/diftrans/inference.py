@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DiftransError, ValidationError
 from .pmf import PricePMF
+from .transport import _blocks, _check_bandwidth, _cost_columns
 
 
 @dataclass(frozen=True)
@@ -71,26 +72,24 @@ class SubsampleResult:
         return int(np.count_nonzero(np.isnan(self.draws)))
 
 
-def _resample(support, counts, b: int, rng: np.random.Generator) -> PricePMF:
-    """PMF of `b` units drawn without replacement from `counts` units on `support`."""
-    drawn = rng.multivariate_hypergeometric(counts, b)
-    return PricePMF(support, drawn / b, b)
-
-
 def subsample_ci(
     pre: PricePMF,
     post: PricePMF,
-    estimator,
+    d: int,
     cfg: SubsampleConfig,
     control: tuple[PricePMF, PricePMF] | None = None,
     transform=None,
 ) -> SubsampleResult:
-    """Percentile interval from b-out-of-n subsample draws of the estimator.
+    """Percentile interval from b-out-of-n subsample draws of an estimator at `d`.
 
-    `estimator` maps (pre, post) PMFs to a float, or (pre, post, control_pre,
-    control_post) when `control` is given; every side is subsampled
-    independently with its own replicate-keyed stream, so results are
-    reproducible for a fixed seed whatever the order of evaluation.
+    The estimator is the before-and-after displacement of (pre, post), or,
+    when `control` is given, the difference in transports (the (pre, post)
+    displacement at `2d` minus the control displacement at `d`).  Every side
+    is subsampled independently with a stream keyed by (seed, draw, side),
+    so results are reproducible for a fixed seed whatever the order of
+    evaluation or the blocking.  Each side's draws share its support, so the
+    full sample and the draws go through the transport kernel together, as
+    blocks of mass columns.
     `transform` optionally maps each raw estimate (for example through the
     market inversion).  Draws where it raises a `DiftransError` (for example a
     share the market model cannot support) are recorded as NaN and excluded
@@ -98,6 +97,7 @@ def subsample_ci(
     an interval around a point that does not exist means nothing.  Any other
     exception propagates.
     """
+    d = _check_bandwidth(d)
     sides = [pre, post] + (list(control) if control is not None else [])
     sizes = [cfg.size_for(p.n) for p in sides]
     counts = [p.counts() for p in sides]
@@ -105,17 +105,32 @@ def subsample_ci(
     def transformed(value):
         return float(value if transform is None else transform(value))
 
-    point = transformed(estimator(*sides))
-    draws = np.empty(cfg.n_draws)
-
-    for k in range(cfg.n_draws):
-        resampled = []
-        for side_index, (pmf, units, b) in enumerate(zip(sides, counts, sizes)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(cfg.seed, k, side_index))
+    treated_d = d if control is None else 2 * d
+    # Column 0 of the first block is the full sample, column k + 1 draw k.
+    values = []
+    k_src = sum(len(p) for p in sides[::2])
+    k_tgt = sum(len(p) for p in sides[1::2])
+    for block in _blocks(cfg.n_draws + 1, k_src, k_tgt, 1):
+        masses = [np.empty((len(p), len(block))) for p in sides]
+        for col, k in enumerate(block):
+            for side, (pmf, units, b, mass) in enumerate(zip(sides, counts, sizes, masses)):
+                if k == 0:
+                    mass[:, col] = pmf.mass
+                    continue
+                rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=(cfg.seed, k - 1, side))
+                )
+                mass[:, col] = rng.multivariate_hypergeometric(units, b) / b
+        value = _cost_columns(pre.support, post.support, masses[0], masses[1], [treated_d])
+        if control is not None:
+            value = value - _cost_columns(
+                control[0].support, control[1].support, masses[2], masses[3], [d]
             )
-            resampled.append(_resample(pmf.support, units, b, rng))
-        value = estimator(*resampled)
+        values.extend(value[:, 0].tolist())
+
+    point = transformed(values[0])
+    draws = np.empty(cfg.n_draws)
+    for k, value in enumerate(values[1:]):
         try:
             draws[k] = transformed(value)
         except DiftransError:

@@ -175,7 +175,8 @@ class PricePMF:
         if np.any(mass < 0):
             raise ValidationError("negative mass entry")
         total = float(np.sum(mass))
-        if abs(total - 1.0) > MASS_TOL:
+        # Written so that a NaN or infinite mass, whose sum is not finite, fails too.
+        if not abs(total - 1.0) <= MASS_TOL:
             raise ValidationError(f"mass sums to {total!r}, not 1")
         if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
             raise ValidationError(f"sample size must be a positive integer, got {self.n!r}")

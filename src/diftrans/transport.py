@@ -31,9 +31,25 @@ reach them either, so counting their leftovers as passed over loses nothing.
 The target straddling `C` keeps `SB[j+1] - C`, and every target above `C` is
 untouched.  Taking the leftmost available mass of the window up to `a_i` is
 therefore exactly moving `C` up by `take`.  `ot_cost` runs the recurrence in
-plain floats; `ot_cost_batch` runs the same operations in the same order with
-`C` an array over replicates and bandwidths, which share the windows whenever
-the replicates share their supports.  Both give bit-identical costs.
+plain floats.  The column kernel `_cost_columns` runs the same operations in
+the same order with `C` an array over mass columns and bandwidths: columns
+`A[:, r]` and `B[:, r]` hold one source and one target distribution on a
+shared pair of supports, so the windows depend on the bandwidth alone.  Both
+give bit-identical costs, and every estimator (the grid curves, the placebo
+matrix, the subsample draws) reads its costs off the kernel; `ot_cost_batch`
+is the kernel over lists of PMFs.  The kernel's scratch grows with its
+column count (the masses, their prefix sums and three bandwidth-by-column
+state arrays), so callers cut their columns into blocks by one rule,
+`_blocks`, which keeps each call within `SCRATCH_CELLS`.  The blocks hold
+consecutive columns and each column is computed alone, so the costs do not
+depend on the block size.
+
+Zero masses change nothing, bit for bit, which lets distributions on
+different supports share one kernel call on the union of their supports.  A
+zero-mass target repeats a prefix sum (adding 0.0 is exact), so every window
+edge reads the same value.  A zero-mass source takes nothing and adds 0.0 to
+the cost; its `max` with `SB[lo_i]` is absorbed by the next source with mass,
+whose `lo` is no smaller, or changes the level only after the last one.
 
 The plan is read off the same recurrence.  Source `i` holds the interval
 `[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
@@ -126,8 +142,8 @@ class TransportPlan:
 #: Costs and plan entries below this are indistinguishable from rounding in the marginals.
 ZERO_COST = 1e-12
 
-#: Replicates per block of `ot_cost_batch`; bounds its scratch memory.
-BATCH_BLOCK = 64
+#: Scratch budget of one kernel call, in float64 cells (8 MiB).
+SCRATCH_CELLS = 1 << 20
 
 
 def _windows(src: np.ndarray, tgt: np.ndarray, d):
@@ -201,43 +217,68 @@ def _shared_support(pmfs, role: str) -> np.ndarray:
     return support
 
 
+def _blocks(count: int, k_src: int, k_tgt: int, n_grid: int) -> list[range]:
+    """Consecutive ranges covering `count` mass columns, for kernel calls on
+    `k_src` sources, `k_tgt` targets and `n_grid` bandwidths.
+
+    Each column costs `k_src + k_tgt` cells of masses and prefix sums and
+    `3 * n_grid` of recurrence state, so a block holds at most
+    `SCRATCH_CELLS // (k_src + k_tgt + 3 * n_grid)` columns, and at least one.
+    """
+    step = max(1, SCRATCH_CELLS // (k_src + k_tgt + 3 * n_grid))
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _cost_columns(src: np.ndarray, tgt: np.ndarray, A: np.ndarray, B: np.ndarray, grid):
+    """`ot_cost` of mass column `A[:, r]` on `src` into `B[:, r]` on `tgt`, for
+    every column r and every bandwidth `grid[g]`, as an (R, G) array.
+
+    One pass over the sources runs the level recurrence for every column and
+    bandwidth at once; its scratch is O(K * G + (K + G) * R).
+    """
+    ds = np.array([_check_bandwidth(d) for d in grid], dtype=np.int64)
+    lo, hi = _windows(src, tgt, ds)
+    sb = _prefix(B)
+    level = np.zeros((ds.size, A.shape[1]))
+    cost = np.zeros_like(level)
+    take = np.empty_like(level)
+    for ai, lo_i, hi_i in zip(A, lo, hi):
+        np.maximum(level, sb[lo_i], out=level)
+        np.subtract(sb[hi_i], level, out=take)
+        np.maximum(take, 0.0, out=take)
+        np.minimum(take, ai, out=take)
+        level += take
+        np.subtract(ai, take, out=take)
+        cost += take
+    out = cost.T
+    out[out < ZERO_COST] = 0.0
+    return np.minimum(out, 1.0, out=out)
+
+
 def ot_cost_batch(pres, posts, grid) -> np.ndarray:
     """`ot_cost(pres[r], posts[r], grid[g])` for every replicate r and bandwidth g.
 
-    Every `pres[r]` shares one support and every `posts[r]` another, so the
-    windows depend on the bandwidth alone and one pass over the sources runs
-    the level recurrence for all replicates and bandwidths at once.  Replicates
-    go through in blocks of `BATCH_BLOCK`, so scratch memory is
-    O(K * len(grid) + BATCH_BLOCK * K) however many replicates there are.
-    Returns an array of shape (len(pres), len(grid)), equal to the scalar costs.
+    Every `pres[r]` shares one support and every `posts[r]` another; the
+    replicates go through the column kernel in blocks.  Returns an array of
+    shape (len(pres), len(grid)), equal to the scalar costs.
     """
     pres = list(pres)
     posts = list(posts)
     if not pres or len(pres) != len(posts):
         raise ValidationError("need equally many source and target distributions, at least one")
-    ds = np.array([_check_bandwidth(d) for d in grid], dtype=np.int64)
-    lo, hi = _windows(
-        _shared_support(pres, "source"), _shared_support(posts, "target"), ds
-    )
-    out = np.empty((len(pres), ds.size))
-    for start in range(0, len(pres), BATCH_BLOCK):
-        stop = min(start + BATCH_BLOCK, len(pres))
-        a = np.stack([p.mass for p in pres[start:stop]], axis=1)
-        sb = _prefix(np.stack([p.mass for p in posts[start:stop]], axis=1))
-        level = np.zeros((ds.size, stop - start))
-        cost = np.zeros_like(level)
-        take = np.empty_like(level)
-        for ai, lo_i, hi_i in zip(a, lo, hi):
-            np.maximum(level, sb[lo_i], out=level)
-            np.subtract(sb[hi_i], level, out=take)
-            np.maximum(take, 0.0, out=take)
-            np.minimum(take, ai, out=take)
-            level += take
-            np.subtract(ai, take, out=take)
-            cost += take
-        out[start:stop] = cost.T
-    out[out < ZERO_COST] = 0.0
-    return np.minimum(out, 1.0, out=out)
+    grid = [_check_bandwidth(d) for d in grid]
+    src = _shared_support(pres, "source")
+    tgt = _shared_support(posts, "target")
+    out = np.empty((len(pres), len(grid)))
+    for block in _blocks(len(pres), src.size, tgt.size, len(grid)):
+        out[block.start : block.stop] = _cost_columns(
+            src,
+            tgt,
+            np.stack([pres[r].mass for r in block], axis=1),
+            np.stack([posts[r].mass for r in block], axis=1),
+            grid,
+        )
+    return out
 
 
 def _pieces(starts, stops, edges):

@@ -124,6 +124,29 @@ def sparse_counts(rng: np.random.Generator, k: int, zero_share: float) -> np.nda
     return counts
 
 
+def replicate_pair(base: PricePMF, n_pre: int, n_post: int, seed: int, rep: int):
+    """Placebo replicate `rep` as two PMFs: multinomial resamples of `base` of
+    sizes `n_pre` and `n_post`, from the stream keyed by (seed, rep)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
+    c_pre = rng.multinomial(n_pre, base.mass)
+    c_post = rng.multinomial(n_post, base.mass)
+    pre = PricePMF(base.support, c_pre / n_pre, n_pre)
+    return pre, PricePMF(base.support, c_post / n_post, n_post)
+
+
+def subsample_draw(sides, cfg, k: int) -> list[PricePMF]:
+    """Subsample draw `k` of every side as PMFs: `cfg.size_for(n)` units drawn
+    without replacement from the side's units, from the stream keyed by
+    (seed, k, side index)."""
+    draws = []
+    for side, pmf in enumerate(sides):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k, side)))
+        b = cfg.size_for(pmf.n)
+        drawn = rng.multivariate_hypergeometric(pmf.counts(), b)
+        draws.append(PricePMF(pmf.support, drawn / b, b))
+    return draws
+
+
 def random_curve(rng: np.random.Generator, market_size: float = 700_000.0):
     """Random strictly decreasing piecewise-linear valuation schedule."""
     from diftrans.equilibrium import WtpCurve

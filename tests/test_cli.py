@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import diftrans
+from diftrans import transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter
@@ -586,6 +587,33 @@ class TestCi:
         err = capsys.readouterr().err
         assert err.startswith("diftrans ci: ")
         assert len(err.splitlines()) == 1
+
+
+def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
+    # Every transport cost of `scan`, `dit` (with the trends floor) and both
+    # `ci` estimators goes through the column kernel, never the scalar recurrence.
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar transport recurrence called")
+
+    monkeypatch.setattr(transport, "_levels", scalar)
+    window = ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
+    scan = ["scan", "--input", str(synth_csv), "--city", "metro", *window]
+    scan += ["--d-grid", "0:4000:1000", "--sims", "10", "--threshold", "0.5"]
+    scan += ["--out-csv", str(tmp_path / "scan.csv")]
+    dit = TestDit().dit_args(synth_csv, tmp_path, extra=[
+        "--diag-pre", "2010-01:2010-06",
+        "--diag-post", "2010-07:2010-12",
+        "--tau", "0.5",
+        "--trends-csv", str(tmp_path / "trends.csv"),
+    ])
+    ci = TestCi().ci_args(synth_csv)
+    ci_dit = TestCi().ci_args(synth_csv, extra=["--control-city", "coastal"])
+    ci_dit[ci_dit.index("before_after")] = "dit"
+    for argv in (scan, dit, ci, ci_dit):
+        code, report = run(tmp_path, *argv)
+        assert code == 0, argv[0]
+    assert report["estimator"] == "dit"
+    assert (tmp_path / "trends.csv").exists()
 
 
 class TestReport:

@@ -149,6 +149,20 @@ class TestCorrection:
         corr = composition_correction(est, [0, 10, 100])
         assert all(v == pytest.approx(1.0, abs=1e-7) for v in corr.values())
 
+    def test_equals_scalar_cost_per_d(self):
+        # An identified fit on a wider support, some prices without units.
+        rng = np.random.default_rng(3)
+        support = np.arange(0, 4000, 250)
+        pmfs = [pmf(support, rng.integers(0, 40, size=support.size)) for _ in range(3)]
+        est = composition_fit(inputs_for([0.8, 0.5, 0.2], pmfs))
+        grid = [0, 100, 250, 600, 1000, 3000, 5000]
+        corr = composition_correction(est, grid)
+        assert list(corr) == grid
+        assert len(set(corr.values())) > 2
+        for d, v in corr.items():
+            assert type(v) is float
+            assert v == ot_cost(est.f_hat, est.r_hat, d)
+
     def test_matches_transport_module(self):
         p1 = pmf([1, 2, 3], [6, 2, 2])
         p2 = pmf([1, 2, 3], [1, 1, 8])

@@ -10,7 +10,6 @@ from diftrans.estimators import (
     BandwidthScan,
     PlaceboConfig,
     ScanRow,
-    _replicate_pair,
     bandwidth_scan,
     before_after,
     d_floor,
@@ -26,7 +25,7 @@ from diftrans.estimators import (
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
-from _oracles import random_pmf
+from _oracles import random_pmf, replicate_pair
 
 
 @pytest.fixture
@@ -90,7 +89,7 @@ class TestPlacebo:
         m2 = placebo_cost_matrix(base, 50, 80, grid, cfg)
         assert np.array_equal(m1, m2)
         for rep in range(cfg.n_sims):
-            pre, post = _replicate_pair(base, 50, 80, cfg.seed, rep)
+            pre, post = replicate_pair(base, 50, 80, cfg.seed, rep)
             assert list(m1[rep]) == [ot_cost(pre, post, d) for d in grid]
 
     def test_per_replicate_monotone_in_d(self):
@@ -281,7 +280,7 @@ class TestScan:
         s2 = bandwidth_scan(a, b, [0, 1], cfg)
         for r1, r2 in zip(s1.rows, s2.rows):
             assert r1 == r2
-        pairs = [_replicate_pair(a, a.n, b.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
+        pairs = [replicate_pair(a, a.n, b.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
         for row in s1.rows:
             cells = np.array([ot_cost(pre, post, row.d) for pre, post in pairs])
             assert row.placebo_mean == pytest.approx(float(np.mean(cells)), abs=1e-15)

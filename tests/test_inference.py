@@ -5,17 +5,15 @@ import io
 import numpy as np
 import pytest
 
+from diftrans import transport
 from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
-from diftrans.estimators import before_after, diff_in_transports
-from diftrans.inference import SubsampleConfig, _resample, dump_draws, subsample_ci
+from diftrans.estimators import diff_in_transports
+from diftrans.inference import SubsampleConfig, dump_draws, subsample_ci
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
+from _oracles import subsample_draw
 from _synth import lottery_post_prices, pmf_of, population_prices, synth_curve
-
-
-def ba(d):
-    return lambda a, b: before_after(a, b, d)
 
 
 class TestConfig:
@@ -49,7 +47,7 @@ class TestSubsampleCI:
     def test_point_mass_interval_is_degenerate(self):
         pre = PricePMF.from_counts([50_000], [30])
         post = PricePMF.from_counts([50_000], [20])
-        res = subsample_ci(pre, post, ba(0), SubsampleConfig(n_draws=40, seed=1))
+        res = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=40, seed=1))
         assert res.point == 0.0
         assert res.lower == res.upper == 0.0
         assert np.all(res.draws == 0.0)
@@ -60,35 +58,69 @@ class TestSubsampleCI:
         pre = PricePMF.from_counts(np.arange(12) * 1000, counts)
         post = PricePMF.from_counts(np.arange(12) * 1000 + 200, counts[::-1])
         cfg = SubsampleConfig(n_draws=1, b=min(pre.n, post.n) - 1, seed=2)
-        res = subsample_ci(pre, post, ba(0), cfg)
+        res = subsample_ci(pre, post, 0, cfg)
         assert res.draws[0] == pytest.approx(res.point, abs=0.05)
 
     def test_reproducible_and_matches_scalar_cost(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
         post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
         cfg = SubsampleConfig(n_draws=50, seed=11)
-        r1 = subsample_ci(pre, post, ba(1), cfg)
-        r2 = subsample_ci(pre, post, ba(1), cfg)
+        r1 = subsample_ci(pre, post, 1, cfg)
+        r2 = subsample_ci(pre, post, 1, cfg)
         assert np.array_equal(r1.draws, r2.draws)
         assert (r1.lower, r1.upper) == (r2.lower, r2.upper)
+        assert r1.point == ot_cost(pre, post, 1)
         for k in range(cfg.n_draws):
-            sub = [
-                _resample(
-                    pmf.support,
-                    pmf.counts(),
-                    cfg.size_for(pmf.n),
-                    np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k, side))),
-                )
-                for side, pmf in enumerate((pre, post))
-            ]
+            sub = subsample_draw((pre, post), cfg, k)
             assert r1.draws[k] == ot_cost(sub[0], sub[1], 1)
+
+    @pytest.mark.parametrize("estimator", ["before_after", "dit"])
+    def test_blocks_match_scalar_oracle(self, monkeypatch, estimator):
+        # Every side on its own support, and a scratch budget so small that
+        # the 41 columns (the full sample and 40 draws) take 14 or 21 blocks.
+        pre = PricePMF.from_counts([1, 4, 9, 30], [10, 20, 5, 30])
+        post = PricePMF.from_counts([2, 4, 12, 25, 40], [25, 5, 20, 15, 7])
+        control = None
+        if estimator == "dit":
+            control = (
+                PricePMF.from_counts([0, 9, 50], [12, 9, 30]),
+                PricePMF.from_counts([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
+            )
+        sides = [pre, post] + list(control or [])
+        d = 3
+        cfg = SubsampleConfig(n_draws=40, seed=9)
+
+        def scalar(a, b, ca=None, cb=None):
+            if control is None:
+                return ot_cost(a, b, d)
+            return diff_in_transports(a, b, ca, cb, d)
+
+        expected = [scalar(*subsample_draw(sides, cfg, k)) for k in range(cfg.n_draws)]
+        cap = max(scalar(*sides), float(np.median(expected)))
+
+        def capped(s):
+            if s > cap:
+                raise InfeasibleShareError("above the cap")
+            return s
+
+        monkeypatch.setattr(transport, "SCRATCH_CELLS", 40)
+        k_src, k_tgt = sum(map(len, sides[::2])), sum(map(len, sides[1::2]))
+        assert len(transport._blocks(cfg.n_draws + 1, k_src, k_tgt, 1)) >= 14
+        res = subsample_ci(pre, post, d, cfg, control=control, transform=capped)
+        assert res.point == scalar(*sides)
+        assert 0 < res.n_failed < cfg.n_draws
+        for k, value in enumerate(expected):
+            if value > cap:
+                assert np.isnan(res.draws[k])
+            else:
+                assert res.draws[k] == value
 
     def test_interval_orientation_and_width(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
         post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
-        wide = subsample_ci(pre, post, ba(0), SubsampleConfig(n_draws=80, seed=3))
+        wide = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=80, seed=3))
         narrow = subsample_ci(
-            pre, post, ba(0), SubsampleConfig(n_draws=80, seed=3, alpha=0.5)
+            pre, post, 0, SubsampleConfig(n_draws=80, seed=3, alpha=0.5)
         )
         assert wide.lower <= wide.upper
         assert narrow.lower >= wide.lower
@@ -98,13 +130,7 @@ class TestSubsampleCI:
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
         post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
         cfg = SubsampleConfig(n_draws=30, seed=7)
-        res = subsample_ci(
-            pre,
-            post,
-            lambda a, b, ca, cb: diff_in_transports(a, b, ca, cb, 1),
-            cfg,
-            control=(pre, post),
-        )
+        res = subsample_ci(pre, post, 1, cfg, control=(pre, post))
         # Shared data for both pairs: every draw resamples the four sides
         # independently, so values scatter around the null at or below zero.
         assert res.point <= 0.0
@@ -114,8 +140,8 @@ class TestSubsampleCI:
         pre = PricePMF.from_counts([1, 2], [50, 50])
         post = PricePMF.from_counts([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
-        raw = subsample_ci(pre, post, ba(0), cfg)
-        doubled = subsample_ci(pre, post, ba(0), cfg, transform=lambda s: 2 * s)
+        raw = subsample_ci(pre, post, 0, cfg)
+        doubled = subsample_ci(pre, post, 0, cfg, transform=lambda s: 2 * s)
         assert doubled.point == pytest.approx(2 * raw.point)
         assert np.allclose(doubled.draws, 2 * raw.draws)
 
@@ -130,7 +156,7 @@ class TestSubsampleCI:
                 raise InfeasibleShareError("above the cap")
             return s
 
-        res = subsample_ci(pre, post, ba(0), cfg, transform=capped)
+        res = subsample_ci(pre, post, 0, cfg, transform=capped)
         failed = np.isnan(res.draws)
         assert res.point == pytest.approx(0.3)
         assert 0 < res.n_failed == int(failed.sum()) < cfg.n_draws
@@ -141,7 +167,7 @@ class TestSubsampleCI:
             raise ValueError("a bug, not an infeasible share")
 
         with pytest.raises(ValueError, match="a bug"):
-            subsample_ci(pre, post, ba(0), cfg, transform=broken)
+            subsample_ci(pre, post, 0, cfg, transform=broken)
 
     def test_failing_point_raises(self):
         pre = PricePMF.from_counts([1, 2], [50, 50])
@@ -153,12 +179,12 @@ class TestSubsampleCI:
             return s
 
         with pytest.raises(InfeasibleShareError, match="above the cap"):
-            subsample_ci(pre, post, ba(0), SubsampleConfig(n_draws=25, seed=13), transform=capped)
+            subsample_ci(pre, post, 0, SubsampleConfig(n_draws=25, seed=13), transform=capped)
 
     def test_dump_draws_csv(self):
         pre = PricePMF.from_counts([1, 2], [5, 5])
         post = PricePMF.from_counts([1, 2], [5, 5])
-        res = subsample_ci(pre, post, ba(0), SubsampleConfig(n_draws=3, seed=1))
+        res = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=3, seed=1))
         buf = io.StringIO()
         dump_draws(res, buf)
         lines = buf.getvalue().splitlines()
@@ -179,7 +205,7 @@ class TestCoverage:
         for rep in range(meta):
             post = pmf_of(lottery_post_prices(prices, q, sigma, seed=rep))
             cfg = SubsampleConfig(n_draws=60, seed=rep)
-            res = subsample_ci(pre, post, ba(d), cfg)
+            res = subsample_ci(pre, post, d, cfg)
             if res.lower <= res.point <= res.upper:
                 covered += 1
         assert covered >= 90

@@ -321,6 +321,15 @@ class TestPricePMF:
         with pytest.raises(ValidationError):
             PricePMF(np.array([1, 2]), np.array([1.2, -0.2]), 2)
 
+    @pytest.mark.parametrize(
+        "mass",
+        [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [np.inf, np.nan], [1.0, -np.inf]],
+    )
+    def test_rejects_non_finite_mass(self, mass):
+        with pytest.raises(ValidationError) as err:
+            PricePMF(np.array([1, 2]), np.array(mass), 1)
+        assert len(str(err.value).splitlines()) == 1
+
     def test_rejects_bad_n(self):
         with pytest.raises(ValidationError):
             PricePMF(np.array([1]), np.array([1.0]), 0)
