@@ -176,8 +176,24 @@ def cmd_dit(args) -> int:
         "control-pre": c_pre,
         "control-post": c_post,
     }[args.placebo_base]
+    # The trends floor's pairs ride in the scan's sweep, so they are built first.
+    trends = None
+    if args.d_min is None and args.diag_pre and args.diag_post:
+        diag_args = argparse.Namespace(
+            pre=args.diag_pre, post=args.diag_post, exclude=args.exclude
+        )
+        trends = (
+            *_city_pair(diag_args, table, args.treated_city),
+            *_city_pair(diag_args, table, args.control_city),
+        )
     scan = estimators.bandwidth_scan(
-        t_pre, t_post, grid, _placebo_config(args), base=base, control=(c_pre, c_post)
+        t_pre,
+        t_post,
+        grid,
+        _placebo_config(args),
+        base=base,
+        control=(c_pre, c_post),
+        trends=trends,
     )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
@@ -193,21 +209,13 @@ def cmd_dit(args) -> int:
     else:
         placebo_d = scan.select(args.threshold)
         displacement_d = 0
-        if args.diag_pre and args.diag_post:
-            diag_args = argparse.Namespace(
-                pre=args.diag_pre, post=args.diag_post, exclude=args.exclude
-            )
-            dt_pre, dt_post = _city_pair(diag_args, table, args.treated_city)
-            dc_pre, dc_post = _city_pair(diag_args, table, args.control_city)
-            curves = estimators.equal_displacement_curves(
-                dt_pre, dt_post, dc_pre, dc_post, grid
-            )
+        if scan.trends is not None:
             if args.trends_csv:
                 with open(args.trends_csv, "w", encoding="utf-8") as fh:
                     fh.write("d,cost_treated,cost_control,difference\n")
-                    for d, ca, cb, diff in curves:
+                    for d, ca, cb, diff in scan.trends:
                         fh.write(f"{d},{ca!r},{cb!r},{diff!r}\n")
-            displacement_d = estimators.displacement_floor(curves, tau=args.tau)
+            displacement_d = estimators.displacement_floor(scan.trends, tau=args.tau)
         d_min = estimators.d_floor(placebo_d, displacement_d)
 
     d_star, s_dit = estimators.select_dstar(scan, d_min)

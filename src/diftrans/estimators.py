@@ -7,6 +7,10 @@ pick the smallest threshold at which pure sampling noise produces a negligible
 apparent displacement.  The difference-in-transports estimator nets out a
 control city's displacement; over-smoothing the treated term with `2d` keeps
 the difference a valid in-sample lower bound for every bandwidth.
+
+Every transport cost of a scan comes from one sweep: its pairs and placebo
+replicates are the mass columns of one kernel pass per block, lifted with zero
+masses onto shared supports, which leaves each cost bit for bit `ot_cost`'s.
 """
 
 from __future__ import annotations
@@ -56,23 +60,9 @@ def placebo_cost_matrix(
     Replicate `rep` is two independent multinomial resamples of `base`, of
     sizes `n_pre` and `n_post`, from a stream keyed by (seed, rep), so results
     do not depend on execution order or batching, and draws are shared across
-    bandwidths.  Every replicate lives on the base support, so the replicates
-    go through the transport kernel as blocks of mass columns.
+    bandwidths.
     """
-    if n_pre < 1 or n_post < 1:
-        raise ValidationError("placebo sample sizes must be at least 1")
-    grid = _check_grid(grid)
-    k = base.support.size
-    out = np.empty((cfg.n_sims, len(grid)))
-    for block in _blocks(cfg.n_sims, k, k, len(grid)):
-        pre = np.empty((k, len(block)))
-        post = np.empty((k, len(block)))
-        for col, rep in enumerate(block):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, rep)))
-            pre[:, col] = rng.multinomial(n_pre, base.mass) / n_pre
-            post[:, col] = rng.multinomial(n_post, base.mass) / n_post
-        out[block.start : block.stop] = _cost_columns(base.support, base.support, pre, post, grid)
-    return out
+    return _sweep([], _check_grid(grid), (base, n_pre, n_post, cfg))[1]
 
 
 def placebo_cost(
@@ -83,14 +73,21 @@ def placebo_cost(
     cfg: PlaceboConfig,
 ) -> tuple[float, float, tuple[float, ...]]:
     """Mean, standard deviation, and quantiles of the placebo cost at `d`."""
-    col = placebo_cost_matrix(base, n_pre, n_post, [d], cfg)[:, 0]
-    return _summarize(col, cfg)
+    matrix = placebo_cost_matrix(base, n_pre, n_post, [d], cfg)
+    mean, sd, qs = _placebo_summary(matrix, cfg.quantiles)
+    return mean[0], sd[0], qs[0]
 
 
-def _summarize(draws: np.ndarray, cfg: PlaceboConfig):
-    mean = float(np.mean(draws))
-    sd = float(np.std(draws, ddof=1)) if draws.size > 1 else 0.0
-    qs = tuple(float(v) for v in np.quantile(draws, cfg.quantiles))
+def _placebo_summary(matrix: np.ndarray, levels) -> tuple[list, list, list]:
+    """Per column of `matrix`: means, sds (0.0 for one row) and quantile tuples.
+
+    Reducing the rows of the contiguous transpose sums each column as a 1-D
+    array does; `axis=0` sums in another order and can differ in the last bit.
+    """
+    cols = np.ascontiguousarray(matrix.T)
+    mean = cols.mean(axis=1).tolist()
+    sd = cols.std(axis=1, ddof=1).tolist() if cols.shape[1] > 1 else [0.0] * len(cols)
+    qs = [tuple(q) for q in np.quantile(cols, levels, axis=1).T.tolist()]
     return mean, sd, qs
 
 
@@ -122,11 +119,9 @@ def select_bandwidth(
     """
     grid = _check_grid(grid)
     matrix = placebo_cost_matrix(base, n_pre, n_post, grid, cfg)
-    if use_quantile is None:
-        stats = np.mean(matrix, axis=0)
-    else:
-        stats = np.quantile(matrix, use_quantile, axis=0)
-    return _first_below(grid, stats, threshold)
+    levels = () if use_quantile is None else (use_quantile,)
+    mean, _, qs = _placebo_summary(matrix, levels)
+    return _first_below(grid, mean if use_quantile is None else [q[0] for q in qs], threshold)
 
 
 def _first_below(grid, stats, threshold: float) -> int:
@@ -141,16 +136,41 @@ def _first_below(grid, stats, threshold: float) -> int:
     )
 
 
-def _pair_costs(pairs, grid) -> np.ndarray:
-    """`ot_cost(pre, post, d)` for every (pre, post) pair and `d` in `grid`.
+def _sweep(pairs, grid, placebo=None):
+    """`ot_cost` of each (pre, post) pair at each `d` in `grid`, and with
+    `placebo` = (base, n_pre, n_post, cfg) the placebo matrix, else None.
 
-    One kernel call on the union of the pre supports and that of the post
-    supports, each distribution with zero mass off its own support, which
-    leaves every cost unchanged.  Returns an array of shape (len(pairs), len(grid)).
+    The pairs lead the columns; replicate `rep` follows, drawn from its (seed,
+    rep) stream straight into its rows.  Each distribution has zero mass off
+    its own support.  One kernel call per block of columns.
     """
-    src, A = _union_matrix([pre for pre, _ in pairs])
-    tgt, B = _union_matrix([post for _, post in pairs])
-    return _cost_columns(src, tgt, A.T, B.T, grid)
+    sides, n_sims = list(pairs), 0
+    if placebo is not None:
+        base, n_pre, n_post, cfg = placebo
+        if n_pre < 1 or n_post < 1:
+            raise ValidationError("placebo sample sizes must be at least 1")
+        sides, n_sims = sides + [(base, base)], cfg.n_sims
+    src = np.unique(np.concatenate([pre.support for pre, _ in sides]))
+    tgt = np.unique(np.concatenate([post.support for _, post in sides]))
+    # The rows of each side's support in the lifted columns.
+    rows_a = [np.searchsorted(src, pre.support) for pre, _ in sides]
+    rows_b = [np.searchsorted(tgt, post.support) for _, post in sides]
+    out = np.empty((len(pairs) + n_sims, len(grid)))
+    for block in _blocks(len(out), src.size, tgt.size, len(grid)):
+        A = np.zeros((src.size, len(block)))
+        B = np.zeros((tgt.size, len(block)))
+        for col, r in enumerate(block):
+            side = min(r, len(pairs))
+            a, b = sides[side][0].mass, sides[side][1].mass
+            if r >= len(pairs):
+                rep = r - len(pairs)
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, rep)))
+                a = rng.multinomial(n_pre, base.mass) / n_pre
+                b = rng.multinomial(n_post, base.mass) / n_post
+            A[rows_a[side], col] = a
+            B[rows_b[side], col] = b
+        out[block.start : block.stop] = _cost_columns(src, tgt, A, B, grid)
+    return out[: len(pairs)], None if placebo is None else out[len(pairs) :]
 
 
 def before_after(pre: PricePMF, post: PricePMF, d: int) -> float:
@@ -187,10 +207,12 @@ class ScanRow:
 
 @dataclass(frozen=True)
 class BandwidthScan:
-    """Real, placebo, and optional difference-in-transports costs per bandwidth."""
+    """Real, placebo, and optional difference-in-transports costs per bandwidth,
+    and the `equal_displacement_curves` rows of a scan run with `trends`."""
 
     rows: tuple[ScanRow, ...]
     quantile_levels: tuple[float, ...]
+    trends: tuple[tuple[int, float, float, float], ...] | None = None
 
     def __post_init__(self):
         ds = [row.d for row in self.rows]
@@ -228,30 +250,36 @@ def bandwidth_scan(
     cfg: PlaceboConfig,
     base: PricePMF | None = None,
     control: tuple[PricePMF, PricePMF] | None = None,
+    trends: tuple[PricePMF, PricePMF, PricePMF, PricePMF] | None = None,
 ) -> BandwidthScan:
     """Scan real and placebo costs over a bandwidth grid.
 
     The placebo resamples `base` (default: the pre distribution) at the
     observed sample sizes.  With `control` supplied, each row also carries the
-    difference-in-transports value at that bandwidth; the real and control
-    costs then come from one pass over the grid and its doubles.
+    difference-in-transports value at that bandwidth.  With `trends` =
+    (a_pre, a_post, b_pre, b_post) the scan also holds their
+    `equal_displacement_curves` rows.  Every cost comes from one sweep over
+    the grid (and its doubles).
     """
     grid = _check_grid(grid)
     base = pre if base is None else base
-    matrix = placebo_cost_matrix(base, pre.n, post.n, grid, cfg)
-    if control is None:
-        pairs, ds = [(pre, post)], grid
-    else:
-        pairs, ds = [(pre, post), control], sorted(set(grid) | {2 * d for d in grid})
+    pairs = [(pre, post)] + ([] if control is None else [control])
+    if trends is not None:
+        pairs += [trends[:2], trends[2:]]
+    ds = grid if control is None else sorted(set(grid) | {2 * d for d in grid})
+    costs, matrix = _sweep(pairs, ds, (base, pre.n, post.n, cfg))
     # Per bandwidth, the cost of each pair.
-    costs = dict(zip(ds, _pair_costs(pairs, ds).T.tolist()))
+    at = dict(zip(ds, costs.T.tolist()))
+    mean, sd, qs = _placebo_summary(matrix[:, np.searchsorted(ds, grid)], cfg.quantiles)
     rows = []
     for col, d in enumerate(grid):
-        mean, sd, qs = _summarize(matrix[:, col], cfg)
         # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
-        dit = None if control is None else costs[2 * d][0] - costs[d][1]
-        rows.append(ScanRow(d, costs[d][0], mean, sd, qs, dit))
-    return BandwidthScan(tuple(rows), cfg.quantiles)
+        dit = None if control is None else at[2 * d][0] - at[d][1]
+        rows.append(ScanRow(d, at[d][0], mean[col], sd[col], qs[col], dit))
+    curves = None
+    if trends is not None:
+        curves = tuple((d, at[d][-2], at[d][-1], at[d][-2] - at[d][-1]) for d in grid)
+    return BandwidthScan(tuple(rows), cfg.quantiles, curves)
 
 
 def select_dstar(scan: BandwidthScan, d_min: int) -> tuple[int, float]:
@@ -286,7 +314,7 @@ def equal_displacement_curves(
     both pairs are smoothed by the same `d`, unlike the estimator itself.
     """
     grid = _check_grid(grid)
-    ca, cb = _pair_costs([(a_pre, a_post), (b_pre, b_post)], grid).tolist()
+    ca, cb = _sweep([(a_pre, a_post), (b_pre, b_post)], grid)[0].tolist()
     return [(d, x, y, x - y) for d, x, y in zip(grid, ca, cb)]
 
 

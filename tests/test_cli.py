@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import transport
+from diftrans import cli, estimators, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
-from diftrans.pmf import PeriodFilter
+from diftrans.pmf import PeriodFilter, build_pmf
 
 from _oracles import admits, csv_rows
 
@@ -378,6 +378,31 @@ class TestDit:
         )
         assert code == 1
 
+    def test_empty_diagnostic_window_is_one_line_error(self, tmp_path, capsys, synth_csv):
+        extra = ["--diag-pre", "2015-01:2015-12", "--diag-post", "2010-07:2010-12"]
+        code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans dit: ")
+        assert len(err.splitlines()) == 1
+        # The diagnostic PMFs are built before the sweep, so no curve is written.
+        assert not (tmp_path / "curve.csv").exists()
+
+    def test_explicit_floor_builds_no_diagnostic_pmf(self, tmp_path, synth_csv, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return build_pmf(*args)
+
+        monkeypatch.setattr(cli, "build_pmf", counted)
+        extra = ["--d-min", "0", "--diag-pre", "2015-01:2015-12", "--diag-post", "2010-07:2010-12"]
+        code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
+        assert code == 0
+        assert report["floors"]["displacement_d"] is None
+        assert len(built) == 4
+
 
 class TestEquilibrium:
     def test_uniform_closed_form(self, tmp_path, uniform_wtp):
@@ -589,13 +614,8 @@ class TestCi:
         assert len(err.splitlines()) == 1
 
 
-def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
-    # Every transport cost of `scan`, `dit` (with the trends floor) and both
-    # `ci` estimators goes through the column kernel, never the scalar recurrence.
-    def scalar(*args, **kwargs):
-        raise AssertionError("scalar transport recurrence called")
-
-    monkeypatch.setattr(transport, "_levels", scalar)
+def scan_and_dit_args(synth_csv, tmp_path):
+    """`scan`, and `dit` with the trends floor, on the synthetic market."""
     window = ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
     scan = ["scan", "--input", str(synth_csv), "--city", "metro", *window]
     scan += ["--d-grid", "0:4000:1000", "--sims", "10", "--threshold", "0.5"]
@@ -606,6 +626,17 @@ def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
         "--tau", "0.5",
         "--trends-csv", str(tmp_path / "trends.csv"),
     ])
+    return scan, dit
+
+
+def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
+    # Every transport cost of `scan`, `dit` (with the trends floor) and both
+    # `ci` estimators goes through the column kernel, never the scalar recurrence.
+    def scalar(*args, **kwargs):
+        raise AssertionError("scalar transport recurrence called")
+
+    monkeypatch.setattr(transport, "_levels", scalar)
+    scan, dit = scan_and_dit_args(synth_csv, tmp_path)
     ci = TestCi().ci_args(synth_csv)
     ci_dit = TestCi().ci_args(synth_csv, extra=["--control-city", "coastal"])
     ci_dit[ci_dit.index("before_after")] = "dit"
@@ -613,6 +644,26 @@ def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
         code, report = run(tmp_path, *argv)
         assert code == 0, argv[0]
     assert report["estimator"] == "dit"
+    assert (tmp_path / "trends.csv").exists()
+
+
+def test_scan_and_dit_make_one_kernel_call(tmp_path, synth_csv, monkeypatch):
+    # With the placebo sims in one block, the real, control and trends pairs
+    # and every replicate share one pass of the column kernel.
+    kernel = transport._cost_columns
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(transport, "_cost_columns", counted)
+    monkeypatch.setattr(estimators, "_cost_columns", counted)
+    for argv in scan_and_dit_args(synth_csv, tmp_path):
+        calls.clear()
+        code, _ = run(tmp_path, *argv)
+        assert code == 0, argv[0]
+        assert len(calls) == 1, argv[0]
     assert (tmp_path / "trends.csv").exists()
 
 

@@ -1,10 +1,11 @@
 """The estimators' batched transport costs against the scalar recurrence.
 
-The grid curves evaluate several pairs in one kernel call on the union of
-their supports, with zero mass off each distribution's own support; the
-placebo matrix and the subsample draws go through the kernel in blocks of
-mass columns.  Each must equal the scalar `ot_cost` bit for bit, whatever
-the supports and whatever the block size.  Supports here differ per
+A scan sweeps its pairs (real, control, trends) and its placebo replicates
+through the kernel as mass columns on the union of their supports, with zero
+mass off each distribution's own support, in blocks; the subsample draws go
+through the kernel in blocks too.  Each cost must equal the scalar `ot_cost`
+bit for bit, and each placebo summary the 1-D reductions of its column,
+whatever the supports and whatever the block size.  Supports here differ per
 distribution and overlap only in part, masses include zeros, and bandwidths
 run past the combined span.
 """
@@ -16,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diftrans import transport
+from diftrans.errors import SelectionError
 from diftrans.estimators import (
     PlaceboConfig,
     bandwidth_scan,
     diff_in_transports,
     equal_displacement_curves,
     placebo_cost_matrix,
+    select_bandwidth,
 )
 from diftrans.inference import SubsampleConfig, subsample_ci
 from diftrans.pmf import PricePMF
@@ -34,7 +37,9 @@ PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database
 #: Scratch budgets small enough for one column per block, a few, or all.
 BUDGETS = [1, 40, transport.SCRATCH_CELLS]
 
-grids = st.lists(st.integers(0, 2500), min_size=1, max_size=6, unique=True).map(sorted)
+#: Bandwidths past the combined span, and below it, where placebo costs are nonzero.
+bandwidths = st.one_of(st.integers(0, 2500), st.integers(0, 120))
+grids = st.lists(bandwidths, min_size=1, max_size=6, unique=True).map(sorted)
 
 
 @st.composite
@@ -60,18 +65,62 @@ def budget(cells):
         transport.SCRATCH_CELLS = saved
 
 
+def column_summary(values, levels):
+    """Mean, sd and quantiles of one placebo column by 1-D reductions."""
+    col = np.array(values)
+    sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
+    return float(np.mean(col)), sd, tuple(float(q) for q in np.quantile(col, levels))
+
+
 @PROPERTIES
-@given(pmfs(), pmfs(), pmfs(), pmfs(), grids)
-def test_scan_rows_equal_scalar(pre, post, c_pre, c_post, grid):
-    cfg = PlaceboConfig(n_sims=2, seed=1)
-    for control in (None, (c_pre, c_post)):
-        scan = bandwidth_scan(pre, post, grid, cfg, control=control)
-        for row, d in zip(scan.rows, grid):
-            assert row.real_cost == ot_cost(pre, post, d)
-            if control is None:
-                assert row.dit_value is None
-            else:
-                assert row.dit_value == diff_in_transports(pre, post, c_pre, c_post, d)
+@given(st.lists(pmfs(), min_size=9, max_size=9), grids, st.integers(1, 16), st.booleans())
+def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
+    pre, post, c_pre, c_post, base, *diag = dists
+    trends = tuple(diag) if with_trends else None
+    cfg = PlaceboConfig(n_sims=n_sims, seed=1)
+    placebo = [
+        [ot_cost(*replicate_pair(base, pre.n, post.n, cfg.seed, rep), d) for rep in range(n_sims)]
+        for d in grid
+    ]
+    for cells in BUDGETS:
+        for control in (None, (c_pre, c_post)):
+            with budget(cells):
+                scan = bandwidth_scan(pre, post, grid, cfg, base, control, trends)
+            for row, d, col in zip(scan.rows, grid, placebo):
+                assert row.real_cost == ot_cost(pre, post, d)
+                if control is None:
+                    assert row.dit_value is None
+                else:
+                    assert row.dit_value == diff_in_transports(pre, post, c_pre, c_post, d)
+                stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
+                assert stats == column_summary(col, cfg.quantiles)
+            if trends is None:
+                assert scan.trends is None
+                continue
+            assert len(scan.trends) == len(grid)
+            for (d, ca, cb, diff), g in zip(scan.trends, grid):
+                assert d == g
+                assert ca == ot_cost(diag[0], diag[1], d)
+                assert cb == ot_cost(diag[2], diag[3], d)
+                assert diff == ca - cb
+
+
+@PROPERTIES
+@given(pmfs(), pmfs(), pmfs(), grids, st.integers(1, 24), st.floats(0, 1))
+def test_select_bandwidth_equals_scan_select(pre, post, base, grid, n_sims, threshold):
+    cfg = PlaceboConfig(n_sims=n_sims, seed=4)
+    scan = bandwidth_scan(pre, post, grid, cfg, base=base)
+
+    def outcome(select, threshold):
+        try:
+            return select(threshold)
+        except SelectionError as exc:
+            return str(exc)
+
+    # Each scanned mean as the threshold puts the rule on a tie.
+    for t in [threshold] + [row.placebo_mean for row in scan.rows]:
+        expected = outcome(scan.select, t)
+        assert outcome(lambda t: select_bandwidth(base, pre.n, post.n, grid, cfg, t), t) == expected
 
 
 @PROPERTIES
