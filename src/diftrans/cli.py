@@ -166,6 +166,12 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dit(args) -> int:
+    if bool(args.diag_pre) != bool(args.diag_post):
+        raise DiftransError("--diag-pre and --diag-post must be given together")
+    if args.trends_csv and args.d_min is not None:
+        raise DiftransError("--trends-csv needs the trends floor, which --d-min skips")
+    if args.trends_csv and not args.diag_pre:
+        raise DiftransError("--trends-csv needs --diag-pre and --diag-post")
     table = ingest_csv(args.input)
     t_pre, t_post = _city_pair(args, table, args.treated_city)
     c_pre, c_post = _city_pair(args, table, args.control_city)
@@ -474,12 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_scan)
 
     sub = subs.add_parser("dit", help="difference-in-transports with bandwidth selection")
-    sub.add_argument("--input", required=True)
+    _add_common_io(sub, needs_city=False)
     sub.add_argument("--treated-city", required=True)
     sub.add_argument("--control-city", required=True)
-    sub.add_argument("--pre", required=True)
-    sub.add_argument("--post", required=True)
-    sub.add_argument("--exclude")
     sub.add_argument("--d-grid", required=True)
     sub.add_argument("--sims", type=int, default=500)
     sub.add_argument("--threshold", type=float, default=0.0005)
@@ -496,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trends-csv", help="write the post-trends table here")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-csv", required=True)
-    sub.add_argument("--out")
     sub.set_defaults(func=cmd_dit)
 
     sub = subs.add_parser("equilibrium", help="invert trade shares into prices and costs")
@@ -512,14 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_equilibrium)
 
     sub = subs.add_parser("did", help="log-price difference-in-differences benchmark")
-    sub.add_argument("--input", required=True)
+    _add_common_io(sub, needs_city=False)
     sub.add_argument("--treated-city", required=True)
     sub.add_argument("--control-cities", required=True, help="comma-separated labels")
-    sub.add_argument("--pre", required=True)
-    sub.add_argument("--post", required=True)
-    sub.add_argument("--exclude")
     sub.add_argument("--weighting", choices=["units", "rows"], default="units")
-    sub.add_argument("--out")
     sub.set_defaults(func=cmd_did)
 
     sub = subs.add_parser("ci", help="subsampling confidence interval for an estimator")

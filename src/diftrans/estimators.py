@@ -8,9 +8,11 @@ apparent displacement.  The difference-in-transports estimator nets out a
 control city's displacement; over-smoothing the treated term with `2d` keeps
 the difference a valid in-sample lower bound for every bandwidth.
 
-Every transport cost of a scan comes from one sweep: its pairs and placebo
-replicates are the mass columns of one kernel pass per block, lifted with zero
-masses onto shared supports, which leaves each cost bit for bit `ot_cost`'s.
+Every transport cost of a scan comes from one `transport._sweep`: its pairs
+and placebo replicates are the mass columns of one kernel pass per block,
+lifted with zero masses onto shared supports, which leaves each cost bit for
+bit `ot_cost`'s.  The equal-displacement curves and the composition
+correction are sweeps over their pairs alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
-from .transport import _blocks, _check_bandwidth, _cost_columns, ot_cost, ot_cost_batch
+from .transport import _check_bandwidth, _sweep, ot_cost
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def placebo_cost_matrix(
     do not depend on execution order or batching, and draws are shared across
     bandwidths.
     """
-    return _sweep([], _check_grid(grid), (base, n_pre, n_post, cfg))[1]
+    return _scan_costs([], _check_grid(grid), base, n_pre, n_post, cfg)[1]
 
 
 def placebo_cost(
@@ -109,19 +111,15 @@ def select_bandwidth(
     grid: list[int],
     cfg: PlaceboConfig,
     threshold: float = 0.0005,
-    use_quantile: float | None = None,
 ) -> int:
     """Smallest grid bandwidth whose placebo mean falls below `threshold`.
 
     The default 0.05% threshold makes sampling noise invisible at one-decimal
-    percentage precision.  `use_quantile` switches the rule from the mean to
-    the given placebo quantile.
+    percentage precision.
     """
     grid = _check_grid(grid)
-    matrix = placebo_cost_matrix(base, n_pre, n_post, grid, cfg)
-    levels = () if use_quantile is None else (use_quantile,)
-    mean, _, qs = _placebo_summary(matrix, levels)
-    return _first_below(grid, mean if use_quantile is None else [q[0] for q in qs], threshold)
+    mean = _placebo_summary(placebo_cost_matrix(base, n_pre, n_post, grid, cfg), ())[0]
+    return _first_below(grid, mean, threshold)
 
 
 def _first_below(grid, stats, threshold: float) -> int:
@@ -136,41 +134,26 @@ def _first_below(grid, stats, threshold: float) -> int:
     )
 
 
-def _sweep(pairs, grid, placebo=None):
-    """`ot_cost` of each (pre, post) pair at each `d` in `grid`, and with
-    `placebo` = (base, n_pre, n_post, cfg) the placebo matrix, else None.
+def _scan_costs(pairs, grid, base, n_pre, n_post, cfg):
+    """`ot_cost` of each (pre, post) pair at each `d` in `grid`, and the
+    placebo matrix of `base` resampled at sizes `n_pre` and `n_post`.
 
-    The pairs lead the columns; replicate `rep` follows, drawn from its (seed,
-    rep) stream straight into its rows.  Each distribution has zero mass off
-    its own support.  One kernel call per block of columns.
+    The pairs lead the sweep's columns; replicate `rep` follows, drawn from
+    its (seed, rep) stream straight into its column.
     """
-    sides, n_sims = list(pairs), 0
-    if placebo is not None:
-        base, n_pre, n_post, cfg = placebo
-        if n_pre < 1 or n_post < 1:
-            raise ValidationError("placebo sample sizes must be at least 1")
-        sides, n_sims = sides + [(base, base)], cfg.n_sims
-    src = np.unique(np.concatenate([pre.support for pre, _ in sides]))
-    tgt = np.unique(np.concatenate([post.support for _, post in sides]))
-    # The rows of each side's support in the lifted columns.
-    rows_a = [np.searchsorted(src, pre.support) for pre, _ in sides]
-    rows_b = [np.searchsorted(tgt, post.support) for _, post in sides]
-    out = np.empty((len(pairs) + n_sims, len(grid)))
-    for block in _blocks(len(out), src.size, tgt.size, len(grid)):
-        A = np.zeros((src.size, len(block)))
-        B = np.zeros((tgt.size, len(block)))
-        for col, r in enumerate(block):
-            side = min(r, len(pairs))
-            a, b = sides[side][0].mass, sides[side][1].mass
-            if r >= len(pairs):
-                rep = r - len(pairs)
-                rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, rep)))
-                a = rng.multinomial(n_pre, base.mass) / n_pre
-                b = rng.multinomial(n_post, base.mass) / n_post
-            A[rows_a[side], col] = a
-            B[rows_b[side], col] = b
-        out[block.start : block.stop] = _cost_columns(src, tgt, A, B, grid)
-    return out[: len(pairs)], None if placebo is None else out[len(pairs) :]
+    if n_pre < 1 or n_post < 1:
+        raise ValidationError("placebo sample sizes must be at least 1")
+    n = len(pairs)
+
+    def column(r):
+        if r < n:
+            return r, pairs[r][0].mass, pairs[r][1].mass
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, r - n)))
+        a = rng.multinomial(n_pre, base.mass) / n_pre
+        return n, a, rng.multinomial(n_post, base.mass) / n_post
+
+    out = _sweep(pairs + [(base, base)], grid, n + cfg.n_sims, column)
+    return out[:n], out[n:]
 
 
 def before_after(pre: PricePMF, post: PricePMF, d: int) -> float:
@@ -267,7 +250,7 @@ def bandwidth_scan(
     if trends is not None:
         pairs += [trends[:2], trends[2:]]
     ds = grid if control is None else sorted(set(grid) | {2 * d for d in grid})
-    costs, matrix = _sweep(pairs, ds, (base, pre.n, post.n, cfg))
+    costs, matrix = _scan_costs(pairs, ds, base, pre.n, post.n, cfg)
     # Per bandwidth, the cost of each pair.
     at = dict(zip(ds, costs.T.tolist()))
     mean, sd, qs = _placebo_summary(matrix[:, np.searchsorted(ds, grid)], cfg.quantiles)
@@ -314,7 +297,7 @@ def equal_displacement_curves(
     both pairs are smoothed by the same `d`, unlike the estimator itself.
     """
     grid = _check_grid(grid)
-    ca, cb = _sweep([(a_pre, a_post), (b_pre, b_post)], grid)[0].tolist()
+    ca, cb = _sweep([(a_pre, a_post), (b_pre, b_post)], grid).tolist()
     return [(d, x, y, x - y) for d, x, y in zip(grid, ca, cb)]
 
 
@@ -522,7 +505,7 @@ def composition_correction(est: CompositionEstimate, grid: list[int]) -> dict[in
     period weights and keeps them on the estimate.
     """
     grid = _check_grid(grid)
-    costs = ot_cost_batch([est.f_hat], [est.r_hat], grid)[0].tolist()
+    costs = _sweep([(est.f_hat, est.r_hat)], grid)[0].tolist()
     est.correction = dict(zip(grid, costs))
     support = est.f_hat.support
     n = est.f_hat.n

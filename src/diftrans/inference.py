@@ -4,7 +4,10 @@ The estimators sit on the boundary of a partially identified set (they are
 lower bounds), where the naive bootstrap is unreliable; b-out-of-n subsampling
 without replacement is the standard remedy.  Units are individual registered
 cars, resampled through the quantity-weighted support via multivariate
-hypergeometric draws so the expansion is never materialized.
+hypergeometric draws so the expansion is never materialized.  The full sample
+and every draw are mass columns of one `transport._sweep`: per draw, one
+column for the treated pair and, for difference in transports, one for the
+control pair, each at both bandwidths of the estimator.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DiftransError, ValidationError
 from .pmf import PricePMF
-from .transport import _blocks, _check_bandwidth, _cost_columns
+from .transport import _check_bandwidth, _sweep
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,8 @@ def subsample_ci(
     displacement at `2d` minus the control displacement at `d`).  Every side
     is subsampled independently with a stream keyed by (seed, draw, side),
     so results are reproducible for a fixed seed whatever the order of
-    evaluation or the blocking.  Each side's draws share its support, so the
-    full sample and the draws go through the transport kernel together, as
-    blocks of mass columns.
+    evaluation or the blocking.  The full sample and the draws go through
+    the transport kernel together, as the columns of one sweep.
     `transform` optionally maps each raw estimate (for example through the
     market inversion).  Draws where it raises a `DiftransError` (for example a
     share the market model cannot support) are recorded as NaN and excluded
@@ -98,35 +100,32 @@ def subsample_ci(
     exception propagates.
     """
     d = _check_bandwidth(d)
-    sides = [pre, post] + (list(control) if control is not None else [])
+    pairs = [(pre, post)] + ([] if control is None else [control])
+    sides = [p for pair in pairs for p in pair]
     sizes = [cfg.size_for(p.n) for p in sides]
     counts = [p.counts() for p in sides]
 
     def transformed(value):
         return float(value if transform is None else transform(value))
 
-    treated_d = d if control is None else 2 * d
-    # Column 0 of the first block is the full sample, column k + 1 draw k.
-    values = []
-    k_src = sum(len(p) for p in sides[::2])
-    k_tgt = sum(len(p) for p in sides[1::2])
-    for block in _blocks(cfg.n_draws + 1, k_src, k_tgt, 1):
-        masses = [np.empty((len(p), len(block))) for p in sides]
-        for col, k in enumerate(block):
-            for side, (pmf, units, b, mass) in enumerate(zip(sides, counts, sizes, masses)):
-                if k == 0:
-                    mass[:, col] = pmf.mass
-                    continue
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=(cfg.seed, k - 1, side))
-                )
-                mass[:, col] = rng.multivariate_hypergeometric(units, b) / b
-        value = _cost_columns(pre.support, post.support, masses[0], masses[1], [treated_d])
-        if control is not None:
-            value = value - _cost_columns(
-                control[0].support, control[1].support, masses[2], masses[3], [d]
-            )
-        values.extend(value[:, 0].tolist())
+    def column(r):
+        # Pair i of the full sample for k = 0, of draw k - 1 after it.
+        k, i = divmod(r, len(pairs))
+        if k == 0:
+            return i, pairs[i][0].mass, pairs[i][1].mass
+        masses = []
+        for side in (2 * i, 2 * i + 1):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k - 1, side)))
+            masses.append(rng.multivariate_hypergeometric(counts[side], sizes[side]) / sizes[side])
+        return i, *masses
+
+    grid = sorted({d, 2 * d}) if control is not None else [d]
+    costs = _sweep(pairs, grid, len(pairs) * (cfg.n_draws + 1), column)
+    if control is None:
+        values = costs[:, 0].tolist()
+    else:
+        # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
+        values = (costs[::2, grid.index(2 * d)] - costs[1::2, grid.index(d)]).tolist()
 
     point = transformed(values[0])
     draws = np.empty(cfg.n_draws)

@@ -35,14 +35,7 @@ plain floats.  The column kernel `_cost_columns` runs the same operations in
 the same order with `C` an array over mass columns and bandwidths: columns
 `A[:, r]` and `B[:, r]` hold one source and one target distribution on a
 shared pair of supports, so the windows depend on the bandwidth alone.  Both
-give bit-identical costs, and every estimator (the grid curves, the placebo
-matrix, the subsample draws) reads its costs off the kernel; `ot_cost_batch`
-is the kernel over lists of PMFs.  The kernel's scratch grows with its
-column count (the masses, their prefix sums and three bandwidth-by-column
-state arrays), so callers cut their columns into blocks by one rule,
-`_blocks`, which keeps each call within `SCRATCH_CELLS`.  The blocks hold
-consecutive columns and each column is computed alone, so the costs do not
-depend on the block size.
+give bit-identical costs.
 
 Zero masses change nothing, bit for bit, which lets distributions on
 different supports share one kernel call on the union of their supports.  A
@@ -50,6 +43,15 @@ zero-mass target repeats a prefix sum (adding 0.0 is exact), so every window
 edge reads the same value.  A zero-mass source takes nothing and adds 0.0 to
 the cost; its `max` with `SB[lo_i]` is absorbed by the next source with mass,
 whose `lo` is no smaller, or changes the level only after the last one.
+
+Every estimator (the grid curves, the placebo matrix, the subsample draws,
+the composition correction) reads its costs off one sweep, `_sweep`, which
+is where distributions are lifted onto the union supports and columns are
+blocked.  The kernel's scratch grows with its column count (the masses,
+their prefix sums and three bandwidth-by-column state arrays), so `_sweep`
+cuts the columns into blocks by one rule, `_blocks`, which keeps each call
+within `SCRATCH_CELLS`.  The blocks hold consecutive columns and each column
+is computed alone, so the costs do not depend on the block size.
 
 The plan is read off the same recurrence.  Source `i` holds the interval
 `[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
@@ -209,14 +211,6 @@ def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
     return min(cost, 1.0)
 
 
-def _shared_support(pmfs, role: str) -> np.ndarray:
-    support = pmfs[0].support
-    for p in pmfs[1:]:
-        if not np.array_equal(p.support, support):
-            raise ValidationError(f"every {role} distribution must share one support")
-    return support
-
-
 def _blocks(count: int, k_src: int, k_tgt: int, n_grid: int) -> list[range]:
     """Consecutive ranges covering `count` mass columns, for kernel calls on
     `k_src` sources, `k_tgt` targets and `n_grid` bandwidths.
@@ -255,29 +249,38 @@ def _cost_columns(src: np.ndarray, tgt: np.ndarray, A: np.ndarray, B: np.ndarray
     return np.minimum(out, 1.0, out=out)
 
 
-def ot_cost_batch(pres, posts, grid) -> np.ndarray:
-    """`ot_cost(pres[r], posts[r], grid[g])` for every replicate r and bandwidth g.
+def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
+    """`ot_cost` of mass column r at each `d` in `grid`, for r < `count`
+    (default `len(pairs)`), as a (count, G) array.
 
-    Every `pres[r]` shares one support and every `posts[r]` another; the
-    replicates go through the column kernel in blocks.  Returns an array of
-    shape (len(pres), len(grid)), equal to the scalar costs.
+    `pairs` holds (source, target) PMFs.  `column(r)` returns
+    (i, a, b): source masses `a` on the support of `pairs[i][0]` and target
+    masses `b` on that of `pairs[i][1]`; by default column r is pair r itself.
+    Every column is lifted onto the union of the source supports and the
+    union of the target supports, zero mass off its own, and the columns go
+    through the kernel in blocks, one call per block.
     """
-    pres = list(pres)
-    posts = list(posts)
-    if not pres or len(pres) != len(posts):
-        raise ValidationError("need equally many source and target distributions, at least one")
-    grid = [_check_bandwidth(d) for d in grid]
-    src = _shared_support(pres, "source")
-    tgt = _shared_support(posts, "target")
-    out = np.empty((len(pres), len(grid)))
-    for block in _blocks(len(pres), src.size, tgt.size, len(grid)):
-        out[block.start : block.stop] = _cost_columns(
-            src,
-            tgt,
-            np.stack([pres[r].mass for r in block], axis=1),
-            np.stack([posts[r].mass for r in block], axis=1),
-            grid,
-        )
+    pairs = list(pairs)
+    if not pairs:
+        raise ValidationError("need at least one pair of distributions")
+    if count is None:
+        count = len(pairs)
+    if column is None:
+        column = lambda r: (r, pairs[r][0].mass, pairs[r][1].mass)
+    src = np.unique(np.concatenate([a.support for a, _ in pairs]))
+    tgt = np.unique(np.concatenate([b.support for _, b in pairs]))
+    # The rows of each pair's supports in the lifted columns.
+    rows_a = [np.searchsorted(src, a.support) for a, _ in pairs]
+    rows_b = [np.searchsorted(tgt, b.support) for _, b in pairs]
+    out = np.empty((count, len(grid)))
+    for block in _blocks(count, src.size, tgt.size, len(grid)):
+        A = np.zeros((src.size, len(block)))
+        B = np.zeros((tgt.size, len(block)))
+        for col, r in enumerate(block):
+            i, a, b = column(r)
+            A[rows_a[i], col] = a
+            B[rows_b[i], col] = b
+        out[block.start : block.stop] = _cost_columns(src, tgt, A, B, grid)
     return out
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import cli, estimators, transport
+from diftrans import cli, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
@@ -302,6 +302,9 @@ class TestScan:
         assert "selection_error" in report
 
 
+DIAG_WINDOWS = ["--diag-pre", "2010-01:2010-06", "--diag-post", "2010-07:2010-12"]
+
+
 class TestDit:
     def dit_args(self, csv_path, tmp_path, extra=()):
         return [
@@ -387,6 +390,31 @@ class TestDit:
         assert err.startswith("diftrans dit: ")
         assert len(err.splitlines()) == 1
         # The diagnostic PMFs are built before the sweep, so no curve is written.
+        assert not (tmp_path / "curve.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--d-min", "0", *DIAG_WINDOWS, "--trends-csv", "trends.csv"],
+            ["--trends-csv", "trends.csv"],
+            [*DIAG_WINDOWS[:2], "--trends-csv", "trends.csv"],
+            DIAG_WINDOWS[:2],
+            DIAG_WINDOWS[2:],
+        ],
+        ids=["trends-d-min", "trends-no-window", "trends-one-window", "pre-only", "post-only"],
+    )
+    def test_ignored_diagnostic_flags_are_one_line_errors(
+        self, tmp_path, capsys, synth_csv, extra
+    ):
+        # Each of these runs would otherwise skip the trends floor or its table in silence.
+        extra = [str(tmp_path / x) if x == "trends.csv" else x for x in extra]
+        code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans dit: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "trends.csv").exists()
         assert not (tmp_path / "curve.csv").exists()
 
     def test_explicit_floor_builds_no_diagnostic_pmf(self, tmp_path, synth_csv, monkeypatch):
@@ -648,8 +676,9 @@ def test_estimators_run_no_scalar_transport(tmp_path, synth_csv, monkeypatch):
 
 
 def test_scan_and_dit_make_one_kernel_call(tmp_path, synth_csv, monkeypatch):
-    # With the placebo sims in one block, the real, control and trends pairs
-    # and every replicate share one pass of the column kernel.
+    # With the columns in one block, the real, control and trends pairs and
+    # every replicate share one pass of the column kernel, as do the full
+    # sample and every subsample draw of either `ci` estimator.
     kernel = transport._cost_columns
     calls = []
 
@@ -658,8 +687,10 @@ def test_scan_and_dit_make_one_kernel_call(tmp_path, synth_csv, monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(transport, "_cost_columns", counted)
-    monkeypatch.setattr(estimators, "_cost_columns", counted)
-    for argv in scan_and_dit_args(synth_csv, tmp_path):
+    ci = TestCi().ci_args(synth_csv)
+    ci_dit = TestCi().ci_args(synth_csv, extra=["--control-city", "coastal"])
+    ci_dit[ci_dit.index("before_after")] = "dit"
+    for argv in (*scan_and_dit_args(synth_csv, tmp_path), ci, ci_dit):
         calls.clear()
         code, _ = run(tmp_path, *argv)
         assert code == 0, argv[0]

@@ -2,8 +2,8 @@
 
 A scan sweeps its pairs (real, control, trends) and its placebo replicates
 through the kernel as mass columns on the union of their supports, with zero
-mass off each distribution's own support, in blocks; the subsample draws go
-through the kernel in blocks too.  Each cost must equal the scalar `ot_cost`
+mass off each distribution's own support, in blocks; the subsample draws,
+one column per pair and draw, go through the same sweep.  Each cost must equal the scalar `ot_cost`
 bit for bit, and each placebo summary the 1-D reductions of its column,
 whatever the supports and whatever the block size.  Supports here differ per
 distribution and overlap only in part, masses include zeros, and bandwidths

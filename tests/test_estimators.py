@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diftrans.errors import SelectionError, ValidationError
 from diftrans.estimators import (
@@ -26,6 +28,7 @@ from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
 from _oracles import random_pmf, replicate_pair
+from _synth import grow, lottery_post_prices, pmf_of, population_prices, synth_curve
 
 
 @pytest.fixture
@@ -130,11 +133,6 @@ class TestSelectBandwidth:
         with pytest.raises(SelectionError, match="minimum placebo mean"):
             select_bandwidth(base, 10, 10, [0, 1], cfg, threshold=1e-9)
 
-    def test_quantile_rule_option(self):
-        base = PricePMF.from_counts([100], [5])
-        cfg = PlaceboConfig(n_sims=20, seed=0)
-        assert select_bandwidth(base, 10, 10, [2], cfg, use_quantile=0.975) == 2
-
 
 class TestDifferenceInTransports:
     def test_shared_pair_is_nonpositive(self):
@@ -160,6 +158,32 @@ class TestDifferenceInTransports:
             cb = random_pmf(rng, max_points=12)
             d = int(rng.integers(0, 600))
             assert diff_in_transports(a, b, a, cb, d) <= ot_cost(b, cb, d) + 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(200, 800),
+        st.floats(0.1, 0.5),
+        st.floats(0.0, 1.0),
+        st.floats(-0.05, 0.1),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_lower_bound_on_planted_markets(self, n_buyers, quota, sigma, growth, seed):
+        # A planted market: everyone buys before; after, q lottery winners W
+        # (grown) buy, k = round(sigma q) of them swapped for the keenest
+        # losers, while the control market only grows.  By the triangle
+        # inequality c_{d1+d2}(a, c) <= c_{d1}(a, b) + c_{d2}(b, c) of the
+        # indicator cost, DiT at d is at most the swapped share k/q plus the
+        # displacement at d of the control post from pmf(W).
+        prices = population_prices(n_buyers, synth_curve(n_buyers))
+        q = int(quota * n_buyers)
+        pre = pmf_of(prices)
+        t_post = pmf_of(lottery_post_prices(prices, q, sigma, seed, growth))
+        c_post = pmf_of(grow(prices, growth))
+        winners = pmf_of(lottery_post_prices(prices, q, 0.0, seed, growth))
+        swapped = int(round(sigma * q)) / q
+        for d in range(0, 60_001, 1000):
+            bound = swapped + ot_cost(c_post, winners, d)
+            assert diff_in_transports(pre, t_post, pre, c_post, d) <= bound
 
     def test_reported_verbatim_when_negative(self):
         near = PricePMF.from_counts([0, 1], [1, 1])

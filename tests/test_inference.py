@@ -77,7 +77,8 @@ class TestSubsampleCI:
     @pytest.mark.parametrize("estimator", ["before_after", "dit"])
     def test_blocks_match_scalar_oracle(self, monkeypatch, estimator):
         # Every side on its own support, and a scratch budget so small that
-        # the 41 columns (the full sample and 40 draws) take 14 or 21 blocks.
+        # the full sample and 40 draws take 14 kernel calls, or 82 (two
+        # pairs a draw) for the dit estimator.
         pre = PricePMF.from_counts([1, 4, 9, 30], [10, 20, 5, 30])
         post = PricePMF.from_counts([2, 4, 12, 25, 40], [25, 5, 20, 15, 7])
         control = None
@@ -103,10 +104,17 @@ class TestSubsampleCI:
                 raise InfeasibleShareError("above the cap")
             return s
 
+        kernel = transport._cost_columns
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
         monkeypatch.setattr(transport, "SCRATCH_CELLS", 40)
-        k_src, k_tgt = sum(map(len, sides[::2])), sum(map(len, sides[1::2]))
-        assert len(transport._blocks(cfg.n_draws + 1, k_src, k_tgt, 1)) >= 14
+        monkeypatch.setattr(transport, "_cost_columns", counted)
         res = subsample_ci(pre, post, d, cfg, control=control, transform=capped)
+        assert len(calls) >= 14
         assert res.point == scalar(*sides)
         assert 0 < res.n_failed < cfg.n_draws
         for k, value in enumerate(expected):

@@ -3,8 +3,8 @@
 Supports are small sorted price sets, masses come from integer counts with
 zeros allowed, target supports are drawn independently, equal to the source
 or shifted past it (disjoint), and bandwidths run past the combined span.
-The scalar and batched recurrences run the same float operations, so they
-must agree to rounding; the LP, the plan's entries and the dual scan sum
+The scalar recurrence and the column sweep run the same float operations, so
+they must agree to rounding; the LP, the plan's entries and the dual scan sum
 differently, so they get the looser tolerance.  At paper scale (supports of
 up to ~2,000 prices) the dual scan is the oracle.
 """
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
-from diftrans.transport import ZERO_COST, ot_cost, ot_cost_batch, solve_ot, strassen_certificate
+from diftrans.transport import ZERO_COST, _sweep, ot_cost, solve_ot, strassen_certificate
 
 from _oracles import lp_transport_cost, set_value, sparse_counts
 
@@ -65,16 +65,31 @@ def instances(draw):
 @PROPERTIES
 @given(st.data())
 def test_batch_equals_scalar(data):
-    src, tgt = data.draw(support_pairs())
-    reps = data.draw(st.integers(1, 5))
-    pres = [data.draw(pmfs_on(src)) for _ in range(reps)]
-    posts = [data.draw(pmfs_on(tgt)) for _ in range(reps)]
+    # Each pair on its own supports; then columns that each pick a pair and
+    # draw new masses on its supports.
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        src, tgt = data.draw(support_pairs())
+        pairs.append((data.draw(pmfs_on(src)), data.draw(pmfs_on(tgt))))
     grid = data.draw(st.lists(bandwidths, min_size=1, max_size=6))
-    batch = ot_cost_batch(pres, posts, grid)
-    assert batch.shape == (reps, len(grid))
-    for r, (a, b) in enumerate(zip(pres, posts)):
-        for g, d in enumerate(grid):
-            assert abs(batch[r, g] - ot_cost(a, b, d)) <= BATCH_TOL
+    columns = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        a, b = (data.draw(pmfs_on(p.support.tolist())) for p in pairs[i])
+        columns.append((i, a, b))
+
+    def column(r):
+        i, a, b = columns[r]
+        return i, a.mass, b.mass
+
+    batch = _sweep(pairs, grid)
+    picked = _sweep(pairs, grid, len(columns), column)
+    assert batch.shape == (len(pairs), len(grid))
+    assert picked.shape == (len(columns), len(grid))
+    expected = pairs + [(a, b) for _, a, b in columns]
+    for costs, (a, b) in zip(np.concatenate([batch, picked]), expected):
+        for cost, d in zip(costs, grid):
+            assert abs(cost - ot_cost(a, b, d)) <= BATCH_TOL
 
 
 def assert_optimal_plan(a, b, d):
@@ -140,7 +155,7 @@ def test_dual_scan_at_paper_scale(instance):
     a, b, d = instance
     chosen, value = strassen_certificate(a, b, d)
     assert abs(ot_cost(a, b, d) - value) <= ORACLE_TOL
-    assert abs(ot_cost_batch([a], [b], [d])[0, 0] - value) <= ORACLE_TOL
+    assert abs(_sweep([(a, b)], [d])[0, 0] - value) <= ORACLE_TOL
     assert abs(set_value(a, b, d, chosen) - value) <= ORACLE_TOL
 
 
@@ -172,33 +187,13 @@ def test_free_beyond_span(instance):
     a, b, _ = instance
     span = max(a.support[-1], b.support[-1]) - min(a.support[0], b.support[0])
     assert ot_cost(a, b, int(span)) == 0.0
-    assert ot_cost_batch([a], [b], [int(span), int(span) + 1]).tolist() == [[0.0, 0.0]]
-
-
-@PROPERTIES
-@given(support_pairs(), supports, st.booleans())
-def test_mismatched_supports_rejected(pair, other, on_source):
-    src, tgt = pair
-    side = src if on_source else tgt
-    if other == side:
-        other = [x + 1 for x in side]
-    pres = [PricePMF.from_counts(src, np.ones(len(src), dtype=int))] * 2
-    posts = [PricePMF.from_counts(tgt, np.ones(len(tgt), dtype=int))] * 2
-    odd = PricePMF.from_counts(other, np.ones(len(other), dtype=int))
-    if on_source:
-        pres[1] = odd
-    else:
-        posts[1] = odd
-    with pytest.raises(ValidationError):
-        ot_cost_batch(pres, posts, [0])
+    assert _sweep([(a, b)], [int(span), int(span) + 1]).tolist() == [[0.0, 0.0]]
 
 
 def test_batch_rejects_bad_shapes_and_bandwidths():
     p = PricePMF.from_counts([1, 2], [1, 1])
     with pytest.raises(ValidationError):
-        ot_cost_batch([p, p], [p], [0])
-    with pytest.raises(ValidationError):
-        ot_cost_batch([], [], [0])
+        _sweep([], [0])
     for bad in (-1, 0.5, True):
         with pytest.raises(ValidationError):
-            ot_cost_batch([p], [p], [0, bad])
+            _sweep([(p, p)], [0, bad])
