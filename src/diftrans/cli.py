@@ -166,6 +166,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_dit(args) -> int:
+    if args.d_min is not None and (args.diag_pre or args.diag_post):
+        raise DiftransError("--diag-pre and --diag-post set the trends floor, which --d-min skips")
     if bool(args.diag_pre) != bool(args.diag_post):
         raise DiftransError("--diag-pre and --diag-post must be given together")
     if args.trends_csv and args.d_min is not None:
@@ -184,7 +186,7 @@ def cmd_dit(args) -> int:
     }[args.placebo_base]
     # The trends floor's pairs ride in the scan's sweep, so they are built first.
     trends = None
-    if args.d_min is None and args.diag_pre and args.diag_post:
+    if args.diag_pre:
         diag_args = argparse.Namespace(
             pre=args.diag_pre, post=args.diag_post, exclude=args.exclude
         )

@@ -46,12 +46,24 @@ whose `lo` is no smaller, or changes the level only after the last one.
 
 Every estimator (the grid curves, the placebo matrix, the subsample draws,
 the composition correction) reads its costs off one sweep, `_sweep`, which
-is where distributions are lifted onto the union supports and columns are
-blocked.  The kernel's scratch grows with its column count (the masses,
-their prefix sums and three bandwidth-by-column state arrays), so `_sweep`
-cuts the columns into blocks by one rule, `_blocks`, which keeps each call
-within `SCRATCH_CELLS`.  The blocks hold consecutive columns and each column
-is computed alone, so the costs do not depend on the block size.
+is where distributions are lifted onto the union supports, the windows are
+found once, and columns are blocked.  The kernel's scratch grows with its
+column count (the masses, their prefix sums and the bandwidth-by-column
+state), so `_sweep` cuts the columns into blocks by one rule, `_blocks`,
+which keeps each call within `SCRATCH_CELLS`.  The blocks hold consecutive
+columns and each column is computed alone, so the costs do not depend on the
+block size.
+
+Within a call the kernel pays numpy's per-call overhead per chunk of
+sources, not per source.  A chunk holds as many sources as fit
+`SCRATCH_CELLS / 32` cells of (bandwidth, column) state, and at least one.
+Two gathers fetch the chunk's `SB[lo_i]` and `SB[hi_i]` into reused
+buffers; each source then runs the first three lines of the recurrence as
+five in-place ufuncs on its contiguous slice, turning its `SB[hi_i]` into
+`take_i`.  One subtraction turns the chunk's takes into the unmatched parts
+`a_i - take_i`, which are added to the cost one source after another, so
+every sum rounds exactly as in `ot_cost` and the costs do not depend on the
+chunk depth either.
 
 The plan is read off the same recurrence.  Source `i` holds the interval
 `[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
@@ -223,27 +235,38 @@ def _blocks(count: int, k_src: int, k_tgt: int, n_grid: int) -> list[range]:
     return [range(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _cost_columns(src: np.ndarray, tgt: np.ndarray, A: np.ndarray, B: np.ndarray, grid):
-    """`ot_cost` of mass column `A[:, r]` on `src` into `B[:, r]` on `tgt`, for
-    every column r and every bandwidth `grid[g]`, as an (R, G) array.
+def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """`ot_cost` of mass column `A[:, r]` into `B[:, r]` for every column r
+    and every bandwidth g, as an (R, G) array, given the (K_src, G) window
+    bounds `lo` and `hi` from `_windows`.
 
     One pass over the sources runs the level recurrence for every column and
-    bandwidth at once; its scratch is O(K * G + (K + G) * R).
+    bandwidth at once.  The sources go in chunks of `depth`: the window sums
+    of a chunk are gathered by one call each, and its unmatched parts found
+    by one subtraction (see the module docstring).
     """
-    ds = np.array([_check_bandwidth(d) for d in grid], dtype=np.int64)
-    lo, hi = _windows(src, tgt, ds)
     sb = _prefix(B)
-    level = np.zeros((ds.size, A.shape[1]))
+    level = np.zeros((lo.shape[1], A.shape[1]))
     cost = np.zeros_like(level)
-    take = np.empty_like(level)
-    for ai, lo_i, hi_i in zip(A, lo, hi):
-        np.maximum(level, sb[lo_i], out=level)
-        np.subtract(sb[hi_i], level, out=take)
-        np.maximum(take, 0.0, out=take)
-        np.minimum(take, ai, out=take)
-        level += take
-        np.subtract(ai, take, out=take)
-        cost += take
+    depth = max(1, (SCRATCH_CELLS >> 5) // level.size)
+    passed_buf = np.empty((depth,) + level.shape)
+    take_buf = np.empty_like(passed_buf)
+    for start in range(0, A.shape[0], depth):
+        a = A[start : start + depth]
+        passed, take = passed_buf[: len(a)], take_buf[: len(a)]
+        # The bounds are in range; "clip" lets `np.take` fill `out` unbuffered.
+        np.take(sb, lo[start : start + depth], axis=0, out=passed, mode="clip")
+        np.take(sb, hi[start : start + depth], axis=0, out=take, mode="clip")
+        for passed_i, take_i, a_i in zip(passed, take, a):
+            np.maximum(level, passed_i, out=level)
+            np.subtract(take_i, level, out=take_i)
+            np.maximum(take_i, 0.0, out=take_i)
+            np.minimum(take_i, a_i, out=take_i)
+            level += take_i
+        # The unmatched parts a_i - take_i, added to the cost in source order.
+        np.subtract(a[:, None, :], take, out=take)
+        for take_i in take:
+            cost += take_i
     out = cost.T
     out[out < ZERO_COST] = 0.0
     return np.minimum(out, 1.0, out=out)
@@ -272,6 +295,7 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     # The rows of each pair's supports in the lifted columns.
     rows_a = [np.searchsorted(src, a.support) for a, _ in pairs]
     rows_b = [np.searchsorted(tgt, b.support) for _, b in pairs]
+    lo, hi = _windows(src, tgt, np.array([_check_bandwidth(d) for d in grid], dtype=np.int64))
     out = np.empty((count, len(grid)))
     for block in _blocks(count, src.size, tgt.size, len(grid)):
         A = np.zeros((src.size, len(block)))
@@ -280,7 +304,7 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
             i, a, b = column(r)
             A[rows_a[i], col] = a
             B[rows_b[i], col] = b
-        out[block.start : block.stop] = _cost_columns(src, tgt, A, B, grid)
+        out[block.start : block.stop] = _cost_columns(lo, hi, A, B)
     return out
 
 

@@ -11,6 +11,7 @@ from scipy.optimize import linprog
 
 from diftrans.errors import EmptyDistributionError
 from diftrans.pmf import PricePMF
+from diftrans.transport import ZERO_COST
 
 
 def lp_transport_cost(a: PricePMF, b: PricePMF, d: int) -> float:
@@ -55,6 +56,28 @@ def set_value(a: PricePMF, b: PricePMF, d: int, chosen) -> float:
         np.abs(x[np.minimum(k, x.size - 1)] - b.support),
     )
     return math.fsum(a.mass[idx].tolist()) - math.fsum(b.mass[nearest <= d].tolist())
+
+
+def per_source_cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """The column kernel's level recurrence one source at a time: seven numpy
+    calls per source on (G, R) arrays, gathering each source's window sums
+    alone.  Same contract as `transport._cost_columns`."""
+    sb = np.zeros((B.shape[0] + 1, B.shape[1]))
+    np.cumsum(B, axis=0, out=sb[1:])
+    level = np.zeros((lo.shape[1], A.shape[1]))
+    cost = np.zeros_like(level)
+    take = np.empty_like(level)
+    for ai, lo_i, hi_i in zip(A, lo, hi):
+        np.maximum(level, sb[lo_i], out=level)
+        np.subtract(sb[hi_i], level, out=take)
+        np.maximum(take, 0.0, out=take)
+        np.minimum(take, ai, out=take)
+        level += take
+        np.subtract(ai, take, out=take)
+        cost += take
+    out = cost.T
+    out[out < ZERO_COST] = 0.0
+    return np.minimum(out, 1.0, out=out)
 
 
 def brute_2x2_cost(a: PricePMF, b: PricePMF, d: int) -> float:

@@ -396,12 +396,24 @@ class TestDit:
         "extra",
         [
             ["--d-min", "0", *DIAG_WINDOWS, "--trends-csv", "trends.csv"],
+            ["--d-min", "0", "--trends-csv", "trends.csv"],
+            ["--d-min", "0", *DIAG_WINDOWS],
+            ["--d-min", "0", *DIAG_WINDOWS[2:]],
             ["--trends-csv", "trends.csv"],
             [*DIAG_WINDOWS[:2], "--trends-csv", "trends.csv"],
             DIAG_WINDOWS[:2],
             DIAG_WINDOWS[2:],
         ],
-        ids=["trends-d-min", "trends-no-window", "trends-one-window", "pre-only", "post-only"],
+        ids=[
+            "trends-d-min",
+            "trends-d-min-no-window",
+            "windows-d-min",
+            "post-d-min",
+            "trends-no-window",
+            "trends-one-window",
+            "pre-only",
+            "post-only",
+        ],
     )
     def test_ignored_diagnostic_flags_are_one_line_errors(
         self, tmp_path, capsys, synth_csv, extra
@@ -417,19 +429,25 @@ class TestDit:
         assert not (tmp_path / "trends.csv").exists()
         assert not (tmp_path / "curve.csv").exists()
 
-    def test_explicit_floor_builds_no_diagnostic_pmf(self, tmp_path, synth_csv, monkeypatch):
-        built = []
+    def test_explicit_floor_rejects_windows_before_ingest(self, tmp_path, synth_csv, monkeypatch):
+        # --d-min skips the trends floor, so its diagnostic windows are an
+        # error raised before the input is read; without them the explicit
+        # floor reads the input once and builds only the scan's four PMFs.
+        calls = []
+        for fn in (cli.ingest_csv, build_pmf):
 
-        def counted(*args):
-            built.append(args)
-            return build_pmf(*args)
+            def counted(*args, fn=fn):
+                calls.append(fn.__name__)
+                return fn(*args)
 
-        monkeypatch.setattr(cli, "build_pmf", counted)
-        extra = ["--d-min", "0", "--diag-pre", "2015-01:2015-12", "--diag-post", "2010-07:2010-12"]
+            monkeypatch.setattr(cli, fn.__name__, counted)
+        extra = ["--d-min", "0", *DIAG_WINDOWS]
         code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
+        assert (code, report, calls) == (1, None, [])
+        code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra[:2]))
         assert code == 0
-        assert report["floors"]["displacement_d"] is None
-        assert len(built) == 4
+        assert report["floors"] == {"placebo_d": None, "displacement_d": None, "d_min": 0}
+        assert calls == ["ingest_csv"] + ["build_pmf"] * 4
 
 
 class TestEquilibrium:

@@ -4,6 +4,8 @@ Schedules come from `_oracles.random_curve` with a market size that need not
 equal the config's N, with and without speculators.  Gross gains are checked
 against adaptive quadrature of the model's demand-supply gap, split at every
 kink, so both sides integrate exactly linear pieces and differ by rounding.
+Price and wedge are linear in the share between kinks, so their central
+differences match the analytic comparative statics up to rounding.
 """
 
 import numpy as np
@@ -12,7 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from diftrans.equilibrium import MarketConfig, clear_share, invert_from_volume
+from diftrans.equilibrium import (
+    MarketConfig,
+    clear_share,
+    comparative_statics,
+    invert_from_volume,
+)
 
 from _oracles import random_curve
 
@@ -21,6 +28,8 @@ GAINS_TOL = 1e-9
 SHARE_TOL = 1e-9
 #: Envelope residual, relative to the largest possible slope q * v_max.
 ENVELOPE_TOL = 1e-9
+#: Central-difference residual of d(p, t)/ds, relative to the slope or to v_max.
+STATICS_TOL = 1e-6
 #: Step of the central difference in the trade share; gross gains are
 #: quadratic in s between kinks, so the difference is exact up to rounding.
 STEP = 1e-5
@@ -108,3 +117,25 @@ def test_envelope_identity(market):
     sol = invert_from_volume(cfg, curve, s)
     slope = (hi - lo) / (2 * STEP)
     assert abs(slope - 2 * cfg.q * sol.t) <= ENVELOPE_TOL * cfg.q * curve.v_max
+
+
+def share_kinks(cfg, curve):
+    """Trade shares where the marginal seller or buyer valuation bends: the
+    seller sits at schedule share s, the buyer at 1 - s q / pool."""
+    pool = cfg.N - cfg.q * (1.0 - cfg.z)
+    shares = curve.volumes / curve.market_size
+    return [cfg.z, *(1.0 - shares), *(shares * pool / cfg.q)]
+
+
+@PROPERTIES
+@given(markets())
+def test_comparative_statics_match_central_differences(market):
+    cfg, curve, s = market
+    assume(cfg.z + 2 * STEP <= s <= cfg.s_notc - 2 * STEP)
+    assume(all(abs(s - k) > 2 * STEP for k in share_kinks(cfg, curve)))
+    hi = invert_from_volume(cfg, curve, s + STEP)
+    lo = invert_from_volume(cfg, curve, s - STEP)
+    dp_ds, dt_ds = comparative_statics(cfg, curve, s)
+    tol = dict(rel=STATICS_TOL, abs=STATICS_TOL * curve.v_max)
+    assert (hi.p - lo.p) / (2 * STEP) == pytest.approx(dp_ds, **tol)
+    assert (hi.t - lo.t) / (2 * STEP) == pytest.approx(dt_ds, **tol)

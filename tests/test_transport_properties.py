@@ -14,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diftrans import transport
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
 from diftrans.transport import ZERO_COST, _sweep, ot_cost, solve_ot, strassen_certificate
 
-from _oracles import lp_transport_cost, set_value, sparse_counts
+from _oracles import lp_transport_cost, per_source_cost_columns, set_value, sparse_counts
 
 BATCH_TOL = 1e-14
 ORACLE_TOL = 1e-12
@@ -90,6 +91,42 @@ def test_batch_equals_scalar(data):
     for costs, (a, b) in zip(np.concatenate([batch, picked]), expected):
         for cost, d in zip(costs, grid):
             assert abs(cost - ot_cost(a, b, d)) <= BATCH_TOL
+
+
+@st.composite
+def lifted_columns(draw):
+    """Windows and mass columns as `_sweep` hands them to the kernel: sorted
+    supports of up to a few hundred prices, zero-mass rows (prices no column
+    uses), zero-mass columns, and columns of counts over their totals."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k_src, k_tgt = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    src = np.sort(rng.choice(5_000, size=k_src, replace=False))
+    tgt = np.sort(rng.choice(5_000, size=k_tgt, replace=False)) + draw(st.sampled_from([0, 2_500]))
+    grid = np.array(draw(st.lists(st.integers(0, 8_000), min_size=1, max_size=6)))
+    lo, hi = transport._windows(src, tgt, grid)
+    n_cols = draw(st.integers(1, 8))
+    masses = []
+    for k in (k_src, k_tgt):
+        counts = rng.integers(0, 50, size=(k, n_cols)) * (rng.random((k, 1)) >= 0.3)
+        counts[:, rng.random(n_cols) < 0.2] = 0
+        masses.append(counts / np.maximum(counts.sum(axis=0), 1))
+    return lo, hi, *masses
+
+
+@PROPERTIES
+@given(lifted_columns(), st.data())
+def test_chunked_kernel_equals_per_source_loop(columns, data):
+    # The chunk depth is (SCRATCH_CELLS >> 5) // (G * R): one source per
+    # chunk, a depth that leaves a short last chunk, and the default.
+    lo, hi, A, B = columns
+    expected = per_source_cost_columns(lo, hi, A, B)
+    cells = lo.shape[1] * A.shape[1]
+    k = lo.shape[0]
+    ragged = data.draw(st.sampled_from([c for c in range(2, k) if k % c] or [2]))
+    for scratch in (1, (ragged * cells) << 5, transport.SCRATCH_CELLS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transport, "SCRATCH_CELLS", scratch)
+            assert np.array_equal(transport._cost_columns(lo, hi, A, B), expected)
 
 
 def assert_optimal_plan(a, b, d):
