@@ -22,15 +22,10 @@ from .estimators import (
     CompositionInputs,
     PlaceboConfig,
     bandwidth_scan,
-    before_after,
     composition_correction,
     composition_fit,
-    d_floor,
     diff_in_transports,
     displacement_floor,
-    equal_displacement_curves,
-    placebo_cost,
-    select_bandwidth,
     select_dstar,
 )
 from .inference import SubsampleConfig, SubsampleResult, subsample_ci
@@ -54,24 +49,19 @@ __all__ = [
     "TransportPlan",
     "WtpCurve",
     "bandwidth_scan",
-    "before_after",
     "bounds_table",
     "build_pmf",
     "comparative_statics",
     "composition_correction",
     "composition_fit",
-    "d_floor",
     "demand",
     "did_ols",
     "diff_in_transports",
     "displacement_floor",
-    "equal_displacement_curves",
     "gains_from_trade",
     "ingest_csv",
     "invert_from_volume",
     "ot_cost",
-    "placebo_cost",
-    "select_bandwidth",
     "select_dstar",
     "solve_no_tc",
     "solve_ot",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -18,7 +19,7 @@ from .errors import DiftransError, SelectionError
 from .estimators import PlaceboConfig
 from .inference import SubsampleConfig
 from .pmf import PeriodFilter, build_pmf, ingest_csv
-from .transport import ot_cost, solve_ot
+from .transport import SCRATCH_CELLS, ot_cost, solve_ot
 
 
 def _sha256(path: str) -> str:
@@ -79,6 +80,11 @@ def _period_filter(window: str, exclude: str | None) -> PeriodFilter:
     return PeriodFilter(include=(_parse_window(window),), exclude=excludes)
 
 
+#: Most bandwidths in one grid: the recurrence state of one mass column, three
+#: cells per bandwidth, then fits the transport kernel's scratch budget.
+MAX_GRID = SCRATCH_CELLS // 3
+
+
 def _parse_grid(text: str) -> list[int]:
     try:
         lo, hi, step = (int(p) for p in text.split(":"))
@@ -86,7 +92,20 @@ def _parse_grid(text: str) -> list[int]:
         raise DiftransError(f"grid {text!r} is not of the form lo:hi:step") from None
     if step <= 0 or hi < lo:
         raise DiftransError(f"grid {text!r} is empty")
+    size = (hi - lo) // step + 1
+    if size > MAX_GRID:
+        raise DiftransError(f"grid {text!r} has {size} bandwidths, more than {MAX_GRID}")
     return list(range(lo, hi + 1, step))
+
+
+def _check_numbers(args) -> None:
+    """Reject a negative seed and a non-finite threshold or tau before any work."""
+    if getattr(args, "seed", 0) < 0:
+        raise DiftransError(f"--seed must be nonnegative, got {args.seed}")
+    for name in ("threshold", "tau"):
+        value = getattr(args, name, 0.0)
+        if not math.isfinite(value):
+            raise DiftransError(f"--{name} must be finite, got {value}")
 
 
 def _city_pair(args, table, city: str):
@@ -224,7 +243,7 @@ def cmd_dit(args) -> int:
                     for d, ca, cb, diff in scan.trends:
                         fh.write(f"{d},{ca!r},{cb!r},{diff!r}\n")
             displacement_d = estimators.displacement_floor(scan.trends, tau=args.tau)
-        d_min = estimators.d_floor(placebo_d, displacement_d)
+        d_min = max(placebo_d, displacement_d)
 
     d_star, s_dit = estimators.select_dstar(scan, d_min)
     report.update(
@@ -555,6 +574,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except (DiftransError, OSError) as exc:
         print(f"diftrans {args.command}: {exc}", file=sys.stderr)

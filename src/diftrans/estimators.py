@@ -2,17 +2,21 @@
 
 The before-and-after estimator reads the displacement between a pre- and a
 post-rationing sales distribution as a lower bound on the share of rationed
-licenses that changed hands.  Bandwidth selection uses placebo resampling:
-pick the smallest threshold at which pure sampling noise produces a negligible
-apparent displacement.  The difference-in-transports estimator nets out a
-control city's displacement; over-smoothing the treated term with `2d` keeps
+licenses that changed hands.  The difference-in-transports estimator nets out
+a control city's displacement; over-smoothing the treated term with `2d` keeps
 the difference a valid in-sample lower bound for every bandwidth.
+
+`bandwidth_scan` computes both over a bandwidth grid, with the placebo
+summaries and the equal-displacement (trends) curves, and the bandwidth is
+read off the scan: `BandwidthScan.select` is the noise floor, the smallest `d`
+at which pure sampling noise produces a negligible apparent displacement;
+`displacement_floor` is the trends floor; `select_dstar` picks the most
+informative bandwidth at or above both.
 
 Every transport cost of a scan comes from one `transport._sweep`: its pairs
 and placebo replicates are the mass columns of one kernel pass per block,
 lifted with zero masses onto shared supports, which leaves each cost bit for
-bit `ot_cost`'s.  The equal-displacement curves and the composition
-correction are sweeps over their pairs alone.
+bit `ot_cost`'s.  The composition correction is a sweep over its pair alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
 from .transport import _check_bandwidth, _sweep, ot_cost
 
+#: Quantile levels of each placebo column, labelled in the scan CSV header.
+PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
+SCAN_CSV_HEADER = "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit"
+
 
 @dataclass(frozen=True)
 class PlaceboConfig:
@@ -33,64 +41,10 @@ class PlaceboConfig:
 
     n_sims: int = 500
     seed: int = 0
-    quantiles: tuple[float, ...] = (0.025, 0.25, 0.5, 0.75, 0.975)
 
     def __post_init__(self):
         if self.n_sims < 1:
             raise ValidationError("n_sims must be at least 1")
-        if any(not 0.0 < q < 1.0 for q in self.quantiles):
-            raise ValidationError("quantiles must lie strictly inside (0, 1)")
-
-
-def quantile_label(level: float) -> str:
-    """Column label for a quantile level: 0.025 -> q025, 0.5 -> q50."""
-    digits = f"{round(level * 1000):03d}"
-    if digits.endswith("0"):
-        digits = digits[:-1]
-    return f"q{digits}"
-
-
-def placebo_cost_matrix(
-    base: PricePMF,
-    n_pre: int,
-    n_post: int,
-    grid: list[int],
-    cfg: PlaceboConfig,
-) -> np.ndarray:
-    """Placebo transport costs, one row per replicate, one column per `d`.
-
-    Replicate `rep` is two independent multinomial resamples of `base`, of
-    sizes `n_pre` and `n_post`, from a stream keyed by (seed, rep), so results
-    do not depend on execution order or batching, and draws are shared across
-    bandwidths.
-    """
-    return _scan_costs([], _check_grid(grid), base, n_pre, n_post, cfg)[1]
-
-
-def placebo_cost(
-    base: PricePMF,
-    n_pre: int,
-    n_post: int,
-    d: int,
-    cfg: PlaceboConfig,
-) -> tuple[float, float, tuple[float, ...]]:
-    """Mean, standard deviation, and quantiles of the placebo cost at `d`."""
-    matrix = placebo_cost_matrix(base, n_pre, n_post, [d], cfg)
-    mean, sd, qs = _placebo_summary(matrix, cfg.quantiles)
-    return mean[0], sd[0], qs[0]
-
-
-def _placebo_summary(matrix: np.ndarray, levels) -> tuple[list, list, list]:
-    """Per column of `matrix`: means, sds (0.0 for one row) and quantile tuples.
-
-    Reducing the rows of the contiguous transpose sums each column as a 1-D
-    array does; `axis=0` sums in another order and can differ in the last bit.
-    """
-    cols = np.ascontiguousarray(matrix.T)
-    mean = cols.mean(axis=1).tolist()
-    sd = cols.std(axis=1, ddof=1).tolist() if cols.shape[1] > 1 else [0.0] * len(cols)
-    qs = [tuple(q) for q in np.quantile(cols, levels, axis=1).T.tolist()]
-    return mean, sd, qs
 
 
 def _check_grid(grid) -> list[int]:
@@ -102,63 +56,6 @@ def _check_grid(grid) -> list[int]:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("bandwidth grid must be strictly ascending")
     return grid
-
-
-def select_bandwidth(
-    base: PricePMF,
-    n_pre: int,
-    n_post: int,
-    grid: list[int],
-    cfg: PlaceboConfig,
-    threshold: float = 0.0005,
-) -> int:
-    """Smallest grid bandwidth whose placebo mean falls below `threshold`.
-
-    The default 0.05% threshold makes sampling noise invisible at one-decimal
-    percentage precision.
-    """
-    grid = _check_grid(grid)
-    mean = _placebo_summary(placebo_cost_matrix(base, n_pre, n_post, grid, cfg), ())[0]
-    return _first_below(grid, mean, threshold)
-
-
-def _first_below(grid, stats, threshold: float) -> int:
-    """The selection rule: the first grid `d` whose placebo statistic is below `threshold`."""
-    for d, value in zip(grid, stats):
-        if value < threshold:
-            return d
-    best = int(np.argmin(stats))
-    raise SelectionError(
-        f"no bandwidth in the grid has placebo cost below {threshold}; "
-        f"minimum placebo mean is {float(stats[best]):.6g} at d={grid[best]}"
-    )
-
-
-def _scan_costs(pairs, grid, base, n_pre, n_post, cfg):
-    """`ot_cost` of each (pre, post) pair at each `d` in `grid`, and the
-    placebo matrix of `base` resampled at sizes `n_pre` and `n_post`.
-
-    The pairs lead the sweep's columns; replicate `rep` follows, drawn from
-    its (seed, rep) stream straight into its column.
-    """
-    if n_pre < 1 or n_post < 1:
-        raise ValidationError("placebo sample sizes must be at least 1")
-    n = len(pairs)
-
-    def column(r):
-        if r < n:
-            return r, pairs[r][0].mass, pairs[r][1].mass
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, r - n)))
-        a = rng.multinomial(n_pre, base.mass) / n_pre
-        return n, a, rng.multinomial(n_post, base.mass) / n_post
-
-    out = _sweep(pairs + [(base, base)], grid, n + cfg.n_sims, column)
-    return out[:n], out[n:]
-
-
-def before_after(pre: PricePMF, post: PricePMF, d: int) -> float:
-    """Displacement between the pre and post distributions at bandwidth `d`."""
-    return ot_cost(pre, post, d)
 
 
 def diff_in_transports(
@@ -191,10 +88,10 @@ class ScanRow:
 @dataclass(frozen=True)
 class BandwidthScan:
     """Real, placebo, and optional difference-in-transports costs per bandwidth,
-    and the `equal_displacement_curves` rows of a scan run with `trends`."""
+    and, for a scan run with `trends`, the trends curves: rows
+    (d, first pair's cost, second pair's cost, difference)."""
 
     rows: tuple[ScanRow, ...]
-    quantile_levels: tuple[float, ...]
     trends: tuple[tuple[int, float, float, float], ...] | None = None
 
     def __post_init__(self):
@@ -206,17 +103,23 @@ class BandwidthScan:
             raise ValidationError("real cost must be nonincreasing in d")
 
     def select(self, threshold: float) -> int:
-        """`select_bandwidth`'s rule applied to the scanned placebo means."""
-        return _first_below(
-            [row.d for row in self.rows], [row.placebo_mean for row in self.rows], threshold
+        """The noise floor: the smallest scanned `d` whose placebo mean is
+        strictly below `threshold`.
+
+        The CLI's default 0.05% threshold makes sampling noise invisible at
+        one-decimal percentage precision.
+        """
+        for row in self.rows:
+            if row.placebo_mean < threshold:
+                return row.d
+        best = min(self.rows, key=lambda row: row.placebo_mean)
+        raise SelectionError(
+            f"no bandwidth in the grid has placebo cost below {threshold}; "
+            f"minimum placebo mean is {best.placebo_mean:.6g} at d={best.d}"
         )
 
-    def csv_header(self) -> str:
-        labels = ",".join(quantile_label(q) for q in self.quantile_levels)
-        return f"d,real_cost,placebo_mean,placebo_sd,{labels},dit"
-
     def to_csv(self, fh) -> None:
-        fh.write(self.csv_header() + "\n")
+        fh.write(SCAN_CSV_HEADER + "\n")
         for row in self.rows:
             qs = ",".join(repr(v) for v in row.placebo_quantiles)
             dit = "" if row.dit_value is None else repr(row.dit_value)
@@ -237,32 +140,54 @@ def bandwidth_scan(
 ) -> BandwidthScan:
     """Scan real and placebo costs over a bandwidth grid.
 
-    The placebo resamples `base` (default: the pre distribution) at the
-    observed sample sizes.  With `control` supplied, each row also carries the
+    Placebo replicate `rep` is two independent multinomial resamples of
+    `base` (default: the pre distribution) at the observed sample sizes,
+    from a stream keyed by (seed, rep), so results do not depend on
+    execution order or batching, and draws are shared across bandwidths.
+    With `control` supplied, each row also carries the
     difference-in-transports value at that bandwidth.  With `trends` =
-    (a_pre, a_post, b_pre, b_post) the scan also holds their
-    `equal_displacement_curves` rows.  Every cost comes from one sweep over
-    the grid (and its doubles).
+    (a_pre, a_post, b_pre, b_post) the scan also holds the trends curves:
+    the displacement of both pairs at the same `d`, unlike the estimator
+    itself, and their difference.  Every cost comes from one sweep over the
+    grid (and its doubles).
     """
     grid = _check_grid(grid)
     base = pre if base is None else base
     pairs = [(pre, post)] + ([] if control is None else [control])
     if trends is not None:
         pairs += [trends[:2], trends[2:]]
+    n = len(pairs)
     ds = grid if control is None else sorted(set(grid) | {2 * d for d in grid})
-    costs, matrix = _scan_costs(pairs, ds, base, pre.n, post.n, cfg)
+
+    def column(r):
+        # The pairs lead the sweep's columns; replicate r - n follows, drawn
+        # from its (seed, rep) stream straight into its column.
+        if r < n:
+            return r, pairs[r][0].mass, pairs[r][1].mass
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, r - n)))
+        a = rng.multinomial(pre.n, base.mass) / pre.n
+        return n, a, rng.multinomial(post.n, base.mass) / post.n
+
+    out = _sweep(pairs + [(base, base)], ds, n + cfg.n_sims, column)
     # Per bandwidth, the cost of each pair.
-    at = dict(zip(ds, costs.T.tolist()))
-    mean, sd, qs = _placebo_summary(matrix[:, np.searchsorted(ds, grid)], cfg.quantiles)
+    at = dict(zip(ds, out[:n].T.tolist()))
+    index = {d: col for col, d in enumerate(ds)}
+    # One row of replicates per grid bandwidth.  Reducing the rows of this
+    # contiguous copy sums each as a 1-D array does; `axis=0` on the sweep's
+    # layout sums in another order and can differ in the last bit.
+    placebo = np.ascontiguousarray(out[n:, [index[d] for d in grid]].T)
+    mean = placebo.mean(axis=1).tolist()
+    sd = placebo.std(axis=1, ddof=1).tolist() if cfg.n_sims > 1 else [0.0] * len(grid)
+    qs = np.quantile(placebo, PLACEBO_QUANTILES, axis=1).T.tolist()
     rows = []
     for col, d in enumerate(grid):
         # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
         dit = None if control is None else at[2 * d][0] - at[d][1]
-        rows.append(ScanRow(d, at[d][0], mean[col], sd[col], qs[col], dit))
+        rows.append(ScanRow(d, at[d][0], mean[col], sd[col], tuple(qs[col]), dit))
     curves = None
     if trends is not None:
         curves = tuple((d, at[d][-2], at[d][-1], at[d][-2] - at[d][-1]) for d in grid)
-    return BandwidthScan(tuple(rows), cfg.quantiles, curves)
+    return BandwidthScan(tuple(rows), curves)
 
 
 def select_dstar(scan: BandwidthScan, d_min: int) -> tuple[int, float]:
@@ -277,28 +202,6 @@ def select_dstar(scan: BandwidthScan, d_min: int) -> tuple[int, float]:
         raise SelectionError(f"no scan row at or above d_min={d_min}")
     best = max(admissible, key=lambda row: (row.dit_value, -row.d))
     return best.d, best.dit_value
-
-
-def d_floor(placebo_rule_d: int, displacement_rule_d: int) -> int:
-    """Minimum admissible bandwidth: noise floor joined with the trends floor."""
-    return max(int(placebo_rule_d), int(displacement_rule_d))
-
-
-def equal_displacement_curves(
-    a_pre: PricePMF,
-    a_post: PricePMF,
-    b_pre: PricePMF,
-    b_post: PricePMF,
-    grid: list[int],
-) -> list[tuple[int, float, float, float]]:
-    """Same-bandwidth displacement of two city pairs and their difference.
-
-    This is the post-trends diagnostic for the equal-displacement assumption:
-    both pairs are smoothed by the same `d`, unlike the estimator itself.
-    """
-    grid = _check_grid(grid)
-    ca, cb = _sweep([(a_pre, a_post), (b_pre, b_post)], grid).tolist()
-    return [(d, x, y, x - y) for d, x, y in zip(grid, ca, cb)]
 
 
 def displacement_floor(

@@ -163,8 +163,19 @@ SCRATCH_CELLS = 1 << 20
 def _windows(src: np.ndarray, tgt: np.ndarray, d):
     """Target index bounds [lo, hi) within `d` of each source price.
 
-    `d` is one bandwidth, or an array of them that adds a trailing axis.
+    `d` is one checked bandwidth, or a list of them that adds a trailing
+    axis.  No window reaches past the span of the two supports, so each
+    bandwidth is clipped to that span before the int64 arithmetic: the
+    windows stay the same, and `price + d` cannot wrap however large `d` is.
     """
+    top = max(int(src[-1]), int(tgt[-1]))
+    span = top - min(int(src[0]), int(tgt[0]))
+    if isinstance(d, int):
+        d = min(d, span)
+    else:
+        d = np.array([min(x, span) for x in d], dtype=np.int64)
+    if top + int(np.max(d)) > np.iinfo(np.int64).max:
+        raise ValidationError(f"bandwidth {int(np.max(d))} past price {top} overflows int64")
     lo = np.searchsorted(tgt, np.subtract.outer(src, d), side="left")
     hi = np.searchsorted(tgt, np.add.outer(src, d), side="right")
     return lo, hi
@@ -295,7 +306,7 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     # The rows of each pair's supports in the lifted columns.
     rows_a = [np.searchsorted(src, a.support) for a, _ in pairs]
     rows_b = [np.searchsorted(tgt, b.support) for _, b in pairs]
-    lo, hi = _windows(src, tgt, np.array([_check_bandwidth(d) for d in grid], dtype=np.int64))
+    lo, hi = _windows(src, tgt, [_check_bandwidth(d) for d in grid])
     out = np.empty((count, len(grid)))
     for block in _blocks(count, src.size, tgt.size, len(grid)):
         A = np.zeros((src.size, len(block)))

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from diftrans.errors import EmptyDistributionError
+from diftrans.estimators import PLACEBO_QUANTILES
 from diftrans.pmf import PricePMF
 from diftrans.transport import ZERO_COST
 
@@ -155,6 +156,13 @@ def replicate_pair(base: PricePMF, n_pre: int, n_post: int, seed: int, rep: int)
     c_post = rng.multinomial(n_post, base.mass)
     pre = PricePMF(base.support, c_pre / n_pre, n_pre)
     return pre, PricePMF(base.support, c_post / n_post, n_post)
+
+
+def placebo_summary(values) -> tuple:
+    """Mean, sd and quantiles of one placebo column by 1-D reductions."""
+    col = np.array(values)
+    sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
+    return float(np.mean(col)), sd, tuple(float(q) for q in np.quantile(col, PLACEBO_QUANTILES))
 
 
 def subsample_draw(sides, cfg, k: int) -> list[PricePMF]:

@@ -26,16 +26,16 @@ def synth_curve(market_size: int) -> WtpCurve:
     return WtpCurve(volumes, values)
 
 
-def population_prices(n_buyers: int, curve: WtpCurve) -> np.ndarray:
+def population_prices(n_buyers: int, curve: WtpCurve, lattice: int = LATTICE) -> np.ndarray:
     """Purchase prices by descending valuation; index 0 is the keenest buyer."""
     shares = (np.arange(n_buyers) + 0.5) / n_buyers
     valuations = np.interp(curve.market_size * shares, curve.volumes, curve.values)
     prices = 20_000.0 + 0.6 * valuations
-    return (np.rint(prices / LATTICE) * LATTICE).astype(np.int64)
+    return (np.rint(prices / lattice) * lattice).astype(np.int64)
 
 
-def grow(prices: np.ndarray, growth: float) -> np.ndarray:
-    return (np.rint(prices * (1.0 + growth) / LATTICE) * LATTICE).astype(np.int64)
+def grow(prices: np.ndarray, growth: float, lattice: int = LATTICE) -> np.ndarray:
+    return (np.rint(prices * (1.0 + growth) / lattice) * lattice).astype(np.int64)
 
 
 def pmf_of(prices: np.ndarray) -> PricePMF:
@@ -49,6 +49,7 @@ def lottery_post_prices(
     sigma: float,
     seed: int,
     growth: float = 0.0,
+    lattice: int = LATTICE,
 ) -> np.ndarray:
     """Post-period prices: q lottery winners, sigma*q of them replaced by the top.
 
@@ -66,7 +67,7 @@ def lottery_post_prices(
     top_nonwinners = np.flatnonzero(~in_winners)[:k]
     post = prices[np.concatenate([keep, top_nonwinners])]
     if growth:
-        post = grow(post, growth)
+        post = grow(post, growth, lattice)
     return post
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import cli, transport
+from diftrans import cli, estimators, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
@@ -375,6 +375,19 @@ class TestDit:
         assert trends.exists()
         assert report["floors"]["displacement_d"] == 0
 
+    @pytest.mark.parametrize("trends_d", [0, 7000])
+    def test_floor_is_larger_of_placebo_and_trends(
+        self, tmp_path, synth_csv, monkeypatch, trends_d
+    ):
+        monkeypatch.setattr(estimators, "displacement_floor", lambda curves, tau: trends_d)
+        code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=DIAG_WINDOWS))
+        assert code == 0
+        floors = report["floors"]
+        assert floors["placebo_d"] < 7000
+        assert floors["displacement_d"] == trends_d
+        assert floors["d_min"] == max(floors["placebo_d"], trends_d)
+        assert report["d_star"] >= floors["d_min"]
+
     def test_empty_admissible_set_fails(self, tmp_path, synth_csv):
         code, _ = run(
             tmp_path, *self.dit_args(synth_csv, tmp_path, extra=["--d-min", "99000"])
@@ -714,6 +727,79 @@ def test_scan_and_dit_make_one_kernel_call(tmp_path, synth_csv, monkeypatch):
         assert code == 0, argv[0]
         assert len(calls) == 1, argv[0]
     assert (tmp_path / "trends.csv").exists()
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("scan", "--seed", "-1"),
+        ("dit", "--seed", "-1"),
+        ("ci", "--seed", "-1"),
+        ("scan", "--threshold", "nan"),
+        ("dit", "--threshold", "inf"),
+        ("dit", "--tau", "nan"),
+    ],
+)
+def test_bad_numbers_rejected_before_ingest(
+    tmp_path, capsys, synth_csv, monkeypatch, command, flag, value
+):
+    # A negative seed, or a non-finite threshold or tau, is a one-line error
+    # that names it, raised before the input is read.
+    scan, dit = scan_and_dit_args(synth_csv, tmp_path)
+    argv = {"scan": scan, "dit": dit, "ci": TestCi().ci_args(synth_csv)}[command]
+
+    def ingest(*args):
+        raise AssertionError("input read before the arguments were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *argv, flag, value)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"diftrans {command}: {flag} must be ")
+    assert err.endswith(f", got {value}\n")
+    assert len(err.splitlines()) == 1
+
+
+def test_huge_seed_is_valid(tmp_path, synth_csv):
+    code, report = run(tmp_path, *TestCi().ci_args(synth_csv), "--seed", HUGE)
+    assert code == 0
+    assert report["manifest"]["seed"] == int(HUGE)
+
+
+@pytest.mark.parametrize("estimator", ["before_after", "dit"])
+def test_ci_bandwidth_past_int64(tmp_path, synth_csv, estimator):
+    # Every move is within a bandwidth past int64, on either side of DiT.
+    argv = TestCi().ci_args(synth_csv, extra=["--control-city", "coastal"])
+    argv[argv.index("--d") + 1] = HUGE
+    argv[argv.index("before_after")] = estimator
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert report["d"] == int(HUGE)
+    assert report["point"] == report["lower"] == report["upper"] == 0.0
+
+
+def test_scan_bandwidth_past_int64(tmp_path, synth_csv):
+    scan, _ = scan_and_dit_args(synth_csv, tmp_path)
+    scan[scan.index("--d-grid") + 1] = f"0:{HUGE}:{HUGE}"
+    assert run(tmp_path, *scan)[0] == 0
+    rows = (tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", HUGE]
+    assert rows[2].startswith(f"{HUGE},0.0,0.0,0.0,")
+
+
+def test_grid_length_is_capped(tmp_path, capsys, synth_csv, monkeypatch):
+    # A grid longer than the cap is a one-line error.
+    monkeypatch.setattr(cli, "MAX_GRID", 4)
+    scan, _ = scan_and_dit_args(synth_csv, tmp_path)
+    code, report = run(tmp_path, *scan)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err == "diftrans scan: grid '0:4000:1000' has 5 bandwidths, more than 4\n"
+    scan[scan.index("--d-grid") + 1] = "0:3000:1000"
+    assert run(tmp_path, *scan)[0] == 0
 
 
 class TestReport:

@@ -17,20 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diftrans import transport
-from diftrans.errors import SelectionError
-from diftrans.estimators import (
-    PlaceboConfig,
-    bandwidth_scan,
-    diff_in_transports,
-    equal_displacement_curves,
-    placebo_cost_matrix,
-    select_bandwidth,
-)
+from diftrans.estimators import PlaceboConfig, bandwidth_scan, diff_in_transports
 from diftrans.inference import SubsampleConfig, subsample_ci
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
-from _oracles import replicate_pair, subsample_draw
+from _oracles import placebo_summary, replicate_pair, subsample_draw
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -65,13 +57,6 @@ def budget(cells):
         transport.SCRATCH_CELLS = saved
 
 
-def column_summary(values, levels):
-    """Mean, sd and quantiles of one placebo column by 1-D reductions."""
-    col = np.array(values)
-    sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-    return float(np.mean(col)), sd, tuple(float(q) for q in np.quantile(col, levels))
-
-
 @PROPERTIES
 @given(st.lists(pmfs(), min_size=9, max_size=9), grids, st.integers(1, 16), st.booleans())
 def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
@@ -93,7 +78,7 @@ def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
                 else:
                     assert row.dit_value == diff_in_transports(pre, post, c_pre, c_post, d)
                 stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
-                assert stats == column_summary(col, cfg.quantiles)
+                assert stats == placebo_summary(col)
             if trends is None:
                 assert scan.trends is None
                 continue
@@ -106,47 +91,20 @@ def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
 
 
 @PROPERTIES
-@given(pmfs(), pmfs(), pmfs(), grids, st.integers(1, 24), st.floats(0, 1))
-def test_select_bandwidth_equals_scan_select(pre, post, base, grid, n_sims, threshold):
-    cfg = PlaceboConfig(n_sims=n_sims, seed=4)
-    scan = bandwidth_scan(pre, post, grid, cfg, base=base)
-
-    def outcome(select, threshold):
-        try:
-            return select(threshold)
-        except SelectionError as exc:
-            return str(exc)
-
-    # Each scanned mean as the threshold puts the rule on a tie.
-    for t in [threshold] + [row.placebo_mean for row in scan.rows]:
-        expected = outcome(scan.select, t)
-        assert outcome(lambda t: select_bandwidth(base, pre.n, post.n, grid, cfg, t), t) == expected
-
-
-@PROPERTIES
-@given(pmfs(), pmfs(), pmfs(), pmfs(), grids)
-def test_trends_rows_equal_scalar(a_pre, a_post, b_pre, b_post, grid):
-    rows = equal_displacement_curves(a_pre, a_post, b_pre, b_post, grid)
-    for (d, ca, cb, diff), g in zip(rows, grid):
-        assert d == g
-        assert ca == ot_cost(a_pre, a_post, d)
-        assert cb == ot_cost(b_pre, b_post, d)
-        assert diff == ca - cb
-
-
-@PROPERTIES
 @given(pmfs(), st.integers(1, 40), st.integers(1, 40), grids, st.integers(1, 9))
 def test_placebo_matrix_whatever_the_blocks(base, n_pre, n_post, grid, n_sims):
+    # Placebo columns alone, resampling `base` at sizes of their own.
     cfg = PlaceboConfig(n_sims=n_sims, seed=7)
-    matrices = []
+    pre, post = (PricePMF(base.support, base.mass, n) for n in (n_pre, n_post))
+    scans = []
     for cells in BUDGETS:
         with budget(cells):
-            matrices.append(placebo_cost_matrix(base, n_pre, n_post, grid, cfg))
-    for matrix in matrices[1:]:
-        assert np.array_equal(matrix, matrices[0])
-    for rep in range(n_sims):
-        pre, post = replicate_pair(base, n_pre, n_post, cfg.seed, rep)
-        assert matrices[0][rep].tolist() == [ot_cost(pre, post, d) for d in grid]
+            scans.append(bandwidth_scan(pre, post, grid, cfg, base=base))
+    assert all(scan == scans[0] for scan in scans[1:])
+    pairs = [replicate_pair(base, n_pre, n_post, cfg.seed, rep) for rep in range(n_sims)]
+    for row in scans[0].rows:
+        stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
+        assert stats == placebo_summary([ot_cost(a, b, row.d) for a, b in pairs])
 
 
 @PROPERTIES

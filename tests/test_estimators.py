@@ -1,5 +1,7 @@
-"""Placebo resampling, bandwidth selection, and difference-in-transports."""
+"""Placebo resampling, bandwidth selection, and difference-in-transports,
+all read off `bandwidth_scan`."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -9,25 +11,20 @@ from hypothesis import strategies as st
 
 from diftrans.errors import SelectionError, ValidationError
 from diftrans.estimators import (
+    PLACEBO_QUANTILES,
+    SCAN_CSV_HEADER,
     BandwidthScan,
     PlaceboConfig,
     ScanRow,
     bandwidth_scan,
-    before_after,
-    d_floor,
     diff_in_transports,
     displacement_floor,
-    equal_displacement_curves,
-    placebo_cost,
-    placebo_cost_matrix,
-    quantile_label,
-    select_bandwidth,
     select_dstar,
 )
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
-from _oracles import random_pmf, replicate_pair
+from _oracles import placebo_summary, random_pmf, replicate_pair
 from _synth import grow, lottery_post_prices, pmf_of, population_prices, synth_curve
 
 
@@ -38,35 +35,40 @@ def two_point():
     return a, b
 
 
+def placebo_scan(base, n_pre, n_post, grid, cfg):
+    """A scan whose placebo columns resample `base` at sizes `n_pre` and `n_post`."""
+    pre, post = (PricePMF(base.support, base.mass, n) for n in (n_pre, n_post))
+    return bandwidth_scan(pre, post, grid, cfg, base=base)
+
+
+def trends_curves(a_pre, a_post, b_pre, b_post, grid):
+    """The trends rows of a scan: both pairs at the same `d`, and their difference."""
+    trends = (a_pre, a_post, b_pre, b_post)
+    return bandwidth_scan(a_pre, a_post, grid, PlaceboConfig(n_sims=1), trends=trends).trends
+
+
 class TestBeforeAfter:
+    # The before-and-after estimate is the scan's real cost.
     def test_worked_example(self, two_point):
         a, b = two_point
-        assert before_after(a, b, 0) == 0.5
+        assert bandwidth_scan(a, b, [0], PlaceboConfig(n_sims=1)).rows[0].real_cost == 0.5
 
     def test_equal_distributions(self, two_point):
         a, _ = two_point
-        assert before_after(a, a, 0) == 0.0
-
-    def test_delegates_to_transport(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = random_pmf(rng)
-            b = random_pmf(rng)
-            d = int(rng.integers(0, 500))
-            assert before_after(a, b, d) == ot_cost(a, b, d)
+        assert bandwidth_scan(a, a, [0], PlaceboConfig(n_sims=1)).rows[0].real_cost == 0.0
 
 
 class TestPlacebo:
     def test_point_mass_has_no_noise(self):
         base = PricePMF.from_counts([50_000], [10])
-        mean, sd, qs = placebo_cost(base, 40, 60, 0, PlaceboConfig(n_sims=50, seed=1))
-        assert mean == 0.0 and sd == 0.0
-        assert all(q == 0.0 for q in qs)
+        row = placebo_scan(base, 40, 60, [0], PlaceboConfig(n_sims=50, seed=1)).rows[0]
+        assert row.placebo_mean == 0.0 and row.placebo_sd == 0.0
+        assert all(q == 0.0 for q in row.placebo_quantiles)
 
     def test_free_beyond_span(self):
         base = PricePMF.from_counts([10, 500], [5, 5])
-        mean, _, _ = placebo_cost(base, 30, 30, 490, PlaceboConfig(n_sims=50, seed=1))
-        assert mean == 0.0
+        row = placebo_scan(base, 30, 30, [490], PlaceboConfig(n_sims=50, seed=1)).rows[0]
+        assert row.placebo_mean == 0.0
 
     def test_binomial_oracle_two_point(self):
         # Uniform mass on two far-apart prices: the placebo cost at d=0 is
@@ -75,7 +77,8 @@ class TestPlacebo:
         n = 100
         base = PricePMF.from_counts([0, 10**6], [1, 1])
         cfg = PlaceboConfig(n_sims=2000, seed=9)
-        mean, sd, _ = placebo_cost(base, n, n, 0, cfg)
+        row = placebo_scan(base, n, n, [0], cfg).rows[0]
+        mean, sd = row.placebo_mean, row.placebo_sd
         rng = np.random.default_rng(123)
         b1 = rng.binomial(n, 0.5, size=200_000)
         b2 = rng.binomial(n, 0.5, size=200_000)
@@ -88,50 +91,62 @@ class TestPlacebo:
         base = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
         cfg = PlaceboConfig(n_sims=70, seed=77)
         grid = [0, 2, 10]
-        m1 = placebo_cost_matrix(base, 50, 80, grid, cfg)
-        m2 = placebo_cost_matrix(base, 50, 80, grid, cfg)
-        assert np.array_equal(m1, m2)
-        for rep in range(cfg.n_sims):
-            pre, post = replicate_pair(base, 50, 80, cfg.seed, rep)
-            assert list(m1[rep]) == [ot_cost(pre, post, d) for d in grid]
+        s1 = placebo_scan(base, 50, 80, grid, cfg)
+        s2 = placebo_scan(base, 50, 80, grid, cfg)
+        assert s1 == s2
+        pairs = [replicate_pair(base, 50, 80, cfg.seed, rep) for rep in range(cfg.n_sims)]
+        for row in s1.rows:
+            stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
+            assert stats == placebo_summary([ot_cost(pre, post, row.d) for pre, post in pairs])
 
     def test_per_replicate_monotone_in_d(self):
+        # Each replicate's cost is nonincreasing in d, so its mean and every
+        # quantile across replicates are too.
         base = PricePMF.from_counts([1, 3, 8, 20, 50], [5, 1, 2, 2, 4])
         grid = [0, 2, 5, 12, 30, 49]
-        matrix = placebo_cost_matrix(base, 60, 60, grid, PlaceboConfig(n_sims=60, seed=5))
-        assert np.all(np.diff(matrix, axis=1) <= 1e-12)
+        rows = placebo_scan(base, 60, 60, grid, PlaceboConfig(n_sims=60, seed=5)).rows
+        stats = np.array([(row.placebo_mean, *row.placebo_quantiles) for row in rows])
+        assert np.all(np.diff(stats, axis=0) <= 1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             PlaceboConfig(n_sims=0)
-        with pytest.raises(ValidationError):
-            PlaceboConfig(quantiles=(0.0, 0.5))
+        assert [f.name for f in dataclasses.fields(PlaceboConfig)] == ["n_sims", "seed"]
 
 
 class TestSelectBandwidth:
+    # `BandwidthScan.select`: the first scanned d whose placebo mean is below the threshold.
     def test_point_mass_selects_grid_minimum(self):
         base = PricePMF.from_counts([100], [5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
-        assert select_bandwidth(base, 10, 10, [3, 7, 11], cfg) == 3
+        assert placebo_scan(base, 10, 10, [3, 7, 11], cfg).select(0.0005) == 3
 
     def test_single_span_plus_one_grid(self):
         base = PricePMF.from_counts([0, 200], [5, 5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
-        assert select_bandwidth(base, 30, 30, [201], cfg) == 201
+        assert placebo_scan(base, 30, 30, [201], cfg).select(0.0005) == 201
 
     def test_tighter_threshold_weakly_raises_d(self):
         base = PricePMF.from_counts([0, 100_000], [12, 8])
         cfg = PlaceboConfig(n_sims=300, seed=3)
-        grid = list(range(0, 120_001, 10_000))
-        loose = select_bandwidth(base, 40, 40, grid, cfg, threshold=0.005)
-        tight = select_bandwidth(base, 40, 40, grid, cfg, threshold=0.0005)
-        assert tight >= loose
+        scan = placebo_scan(base, 40, 40, list(range(0, 120_001, 10_000)), cfg)
+        assert scan.select(0.0005) >= scan.select(0.005)
 
     def test_failure_lists_minimum(self):
         base = PricePMF.from_counts([0, 100_000], [1, 1])
-        cfg = PlaceboConfig(n_sims=50, seed=0)
+        scan = placebo_scan(base, 10, 10, [0, 1], PlaceboConfig(n_sims=50, seed=0))
         with pytest.raises(SelectionError, match="minimum placebo mean"):
-            select_bandwidth(base, 10, 10, [0, 1], cfg, threshold=1e-9)
+            scan.select(1e-9)
+
+    def test_threshold_is_strict(self):
+        # A mean equal to the threshold is not below it; the failure names the
+        # first of tied minima.
+        means = {1: 0.3, 2: 0.2, 3: 0.2}
+        scan = scan_from_rows([(d, 0.5, m, 0.0, (0.0,), None) for d, m in means.items()])
+        assert scan.select(0.3) == 2
+        assert scan.select(0.30001) == 1
+        with pytest.raises(SelectionError, match="minimum placebo mean is 0.2 at d=2"):
+            scan.select(0.2)
 
 
 class TestDifferenceInTransports:
@@ -165,25 +180,34 @@ class TestDifferenceInTransports:
         st.floats(0.1, 0.5),
         st.floats(0.0, 1.0),
         st.floats(-0.05, 0.1),
+        st.floats(-0.05, 0.05),
+        st.integers(1, 5000),
         st.integers(0, 2**32 - 1),
     )
-    def test_lower_bound_on_planted_markets(self, n_buyers, quota, sigma, growth, seed):
-        # A planted market: everyone buys before; after, q lottery winners W
-        # (grown) buy, k = round(sigma q) of them swapped for the keenest
-        # losers, while the control market only grows.  By the triangle
-        # inequality c_{d1+d2}(a, c) <= c_{d1}(a, b) + c_{d2}(b, c) of the
-        # indicator cost, DiT at d is at most the swapped share k/q plus the
-        # displacement at d of the control post from pmf(W).
-        prices = population_prices(n_buyers, synth_curve(n_buyers))
+    def test_lower_bound_on_planted_markets(
+        self, n_buyers, quota, sigma, growth, drift, lattice, seed
+    ):
+        # A planted market on a `lattice`-RMB price grid: everyone buys
+        # before; after, q lottery winners W (grown) buy, k = round(sigma q)
+        # of them swapped for the keenest losers, while the control market
+        # grows with a drift of its own.  By the triangle inequality
+        # c_{d1+d2}(a, c) <= c_{d1}(a, b) + c_{d2}(b, c) of the indicator
+        # cost, DiT at d is at most the swapped share k/q plus the
+        # displacement at d of the control post from pmf(W), whatever the
+        # control.
+        prices = population_prices(n_buyers, synth_curve(n_buyers), lattice)
         q = int(quota * n_buyers)
         pre = pmf_of(prices)
-        t_post = pmf_of(lottery_post_prices(prices, q, sigma, seed, growth))
-        c_post = pmf_of(grow(prices, growth))
-        winners = pmf_of(lottery_post_prices(prices, q, 0.0, seed, growth))
+        t_post = pmf_of(lottery_post_prices(prices, q, sigma, seed, growth, lattice))
+        c_post = pmf_of(grow(prices, growth + drift, lattice))
+        winners = pmf_of(lottery_post_prices(prices, q, 0.0, seed, growth, lattice))
         swapped = int(round(sigma * q)) / q
-        for d in range(0, 60_001, 1000):
-            bound = swapped + ot_cost(c_post, winners, d)
-            assert diff_in_transports(pre, t_post, pre, c_post, d) <= bound
+        grid = list(range(0, 60_001, 1000))
+        cfg = PlaceboConfig(n_sims=1)
+        dit = bandwidth_scan(pre, t_post, grid, cfg, control=(pre, c_post)).rows
+        far = bandwidth_scan(c_post, winners, grid, cfg).rows
+        for row, bound in zip(dit, far):
+            assert row.dit_value <= swapped + bound.real_cost
 
     def test_reported_verbatim_when_negative(self):
         near = PricePMF.from_counts([0, 1], [1, 1])
@@ -193,7 +217,7 @@ class TestDifferenceInTransports:
 
 
 def scan_from_rows(rows):
-    return BandwidthScan(tuple(ScanRow(*r) for r in rows), (0.5,))
+    return BandwidthScan(tuple(ScanRow(*r) for r in rows))
 
 
 class TestSelectDstar:
@@ -237,11 +261,6 @@ class TestSelectDstar:
 
 
 class TestFloors:
-    def test_d_floor_examples(self):
-        assert d_floor(7000, 2000) == 7000
-        assert d_floor(0, 0) == 0
-        assert d_floor(3000, 9000) == 9000
-
     def test_displacement_floor(self):
         curves = [(0, 0.5, 0.2, 0.3), (10, 0.2, 0.19, 0.01), (20, 0.1, 0.099, 0.001)]
         assert displacement_floor(curves, tau=0.02) == 10
@@ -254,7 +273,7 @@ class TestEqualDisplacement:
         rng = np.random.default_rng(10)
         a = random_pmf(rng)
         b = random_pmf(rng)
-        rows = equal_displacement_curves(a, b, a, b, [0, 5, 50])
+        rows = trends_curves(a, b, a, b, [0, 5, 50])
         assert all(diff == 0.0 for _, _, _, diff in rows)
 
     def test_degenerate_second_pair(self):
@@ -262,7 +281,7 @@ class TestEqualDisplacement:
         a = random_pmf(rng)
         b = random_pmf(rng)
         c = PricePMF.from_counts([3], [1])
-        rows = equal_displacement_curves(a, b, c, c, [0, 5, 50])
+        rows = trends_curves(a, b, c, c, [0, 5, 50])
         for d, cost_a, cost_b, diff in rows:
             assert cost_b == 0.0
             assert diff == cost_a == ot_cost(a, b, d)
@@ -270,7 +289,7 @@ class TestEqualDisplacement:
     def test_columns_nonincreasing(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            rows = equal_displacement_curves(
+            rows = trends_curves(
                 random_pmf(rng, max_points=10),
                 random_pmf(rng, max_points=10),
                 random_pmf(rng, max_points=10),
@@ -315,9 +334,7 @@ class TestScan:
             bandwidth_scan(a, b, [5, 1], PlaceboConfig(n_sims=2, seed=0))
 
     def test_quantile_labels(self):
-        assert quantile_label(0.025) == "q025"
-        assert quantile_label(0.25) == "q25"
-        assert quantile_label(0.5) == "q50"
-        assert quantile_label(0.75) == "q75"
-        assert quantile_label(0.975) == "q975"
-        assert quantile_label(0.1) == "q10"
+        # The header's labels name the quantile levels of each row: q025 is 0.025.
+        labels = SCAN_CSV_HEADER.split(",")[4:-1]
+        assert labels == ["q025", "q25", "q50", "q75", "q975"]
+        assert tuple(float("0." + label[1:]) for label in labels) == PLACEBO_QUANTILES

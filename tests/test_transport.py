@@ -7,7 +7,7 @@ import pytest
 
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
-from diftrans.transport import ot_cost, solve_ot, strassen_certificate
+from diftrans.transport import _sweep, ot_cost, solve_ot, strassen_certificate
 
 from _oracles import (
     brute_2x2_cost,
@@ -105,6 +105,23 @@ class TestCost:
             ot_cost(a, a, 0.5)
         with pytest.raises(ValidationError):
             ot_cost(a, a, True)
+
+    @pytest.mark.parametrize("d", [2**63 - 5, 2**63, 10**30])
+    def test_bandwidth_past_int64_is_free(self, d):
+        # `price + d` would wrap in int64; every move is within such a `d`.
+        a = PricePMF.from_counts([10, 20], [1, 1])
+        b = PricePMF.from_counts([1000, 5000], [1, 1])
+        assert ot_cost(a, b, d) == 0.0
+        assert solve_ot(a, b, d).cost == 0.0
+        assert strassen_certificate(a, b, d) == (set(), 0.0)
+        assert _sweep([(a, b)], [0, d]).tolist() == [[1.0, 0.0]]
+
+    def test_unrepresentable_window_is_validation_error(self):
+        top = 2**62 + 2**61
+        a = PricePMF.from_counts([1, top], [1, 1])
+        assert ot_cost(a, a, 0) == 0.0
+        with pytest.raises(ValidationError, match="overflows int64"):
+            ot_cost(a, a, top)
 
 
 class TestPlan:
