@@ -12,6 +12,7 @@ from .equilibrium import (
     demand,
     gains_from_trade,
     invert_from_volume,
+    invert_shares,
     solve_no_tc,
     supply,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "gains_from_trade",
     "ingest_csv",
     "invert_from_volume",
+    "invert_shares",
     "ot_cost",
     "select_dstar",
     "solve_no_tc",

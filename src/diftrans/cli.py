@@ -99,13 +99,16 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _check_numbers(args) -> None:
-    """Reject a negative seed and a non-finite threshold or tau before any work."""
-    if getattr(args, "seed", 0) < 0:
-        raise DiftransError(f"--seed must be nonnegative, got {args.seed}")
-    for name in ("threshold", "tau"):
-        value = getattr(args, name, 0.0)
-        if not math.isfinite(value):
-            raise DiftransError(f"--{name} must be finite, got {value}")
+    """Reject a negative seed or floor and a non-finite threshold, tau or
+    price floor before any work; an unset flag is not checked."""
+    for name in ("seed", "d_min"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise DiftransError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
+    for name in ("threshold", "tau", "price_floor"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise DiftransError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
 def _city_pair(args, table, city: str):
@@ -271,10 +274,10 @@ def cmd_equilibrium(args) -> int:
     except ValueError:
         raise DiftransError(f"trade shares {args.s!r} are not comma-separated numbers") from None
     rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
+    dp, dt = equilibrium.comparative_statics(cfg, curve, [sol.s for sol in rows])
     rendered = []
-    for sol in rows:
+    for sol, dp_ds, dt_ds in zip(rows, dp.tolist(), dt.tolist()):
         entry = equilibrium.solution_as_dict(sol)
-        dp_ds, dt_ds = equilibrium.comparative_statics(cfg, curve, sol.s)
         entry["comparative_statics"] = {"dp_ds": dp_ds, "dt_ds": dt_ds}
         rendered.append(entry)
     p_notc = None
@@ -338,9 +341,13 @@ def cmd_ci(args) -> int:
             N=args.market_size, q=args.quota, z=args.speculator_share
         )
         field = {"p": "p", "t": "t", "net-gains": "net_gains"}[args.map]
-        transform = lambda s: getattr(
-            equilibrium.invert_from_volume(mcfg, curve, s), field
-        )
+
+        def transform(shares):
+            # A point the model cannot invert is an error that names the bound
+            # it breaks; a draw it cannot invert maps to NaN.
+            equilibrium.invert_from_volume(mcfg, curve, float(shares[0]))
+            return getattr(equilibrium.invert_shares(mcfg, curve, shares), field)
+
         inputs.append(args.wtp)
 
     cfg = SubsampleConfig(

@@ -7,16 +7,29 @@ transaction price plus their half of the transaction cost; sellers when it
 falls below the price minus their half.  Given an observed trade share s of
 the quota, the marginal buyer and seller valuations are read off the schedule,
 which pins down the price, the per-side cost wedge, and the gains from trade.
+
+Every inversion runs through one array core, `invert_shares`, which inverts
+a whole vector of shares with no Python loop over them: the marginal
+valuations are one `np.interp` each, and each share's gains integral is a
+trapezoid over one row of a fixed-width matrix of knots, sorted per row.  A
+share the model cannot invert gets a NaN row there.  `invert_from_volume`
+(one share, which raises instead), `bounds_table` and the mapped intervals of
+`ci --map` all read from it.  Prices, wedges and marginal valuations are the
+same floats as a scalar read of the schedule; the gains sum the same terms
+plus exact zeros from repeated knots, so they can differ from a sum over the
+distinct knots in the last bits.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
+from .transport import SCRATCH_CELLS
 
 
 @dataclass(frozen=True)
@@ -124,13 +137,16 @@ class WtpCurve:
         """Slope of the valuation CDF at `v` (piecewise constant, right-continuous)."""
         if not 0.0 <= v <= self.v_max:
             raise ValidationError(f"valuation {v} outside [0, {self.v_max}]")
+        return float(self._density(np.array([v]))[0])
+
+    def _density(self, v: np.ndarray) -> np.ndarray:
+        """`density` at every valuation of `v`, all within [0, v_max]."""
         vals_asc = self.values[::-1]
         vols_desc = self.volumes[::-1]
-        k = int(np.searchsorted(vals_asc, v, side="right"))
-        k = min(max(k, 1), vals_asc.size - 1)
+        k = np.clip(np.searchsorted(vals_asc, v, side="right"), 1, vals_asc.size - 1)
         dv = vals_asc[k] - vals_asc[k - 1]
         dn = vols_desc[k] - vols_desc[k - 1]
-        return float(-dn / dv) / self.market_size
+        return -dn / dv / self.market_size
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,11 @@ class MarketConfig:
 
 @dataclass
 class MarketSolution:
-    """One inverted scenario: share, price, cost wedge, and gains accounting."""
+    """One inverted scenario: share, price, cost wedge, and gains accounting.
+
+    From `invert_shares` every field but `meets_price_floor` is an array
+    over the shares instead.
+    """
 
     s: float
     p: float
@@ -212,14 +232,15 @@ def solve_no_tc(cfg: MarketConfig, curve: WtpCurve) -> tuple[float, float]:
     return curve.inverse_cdf(cfg.s_notc), cfg.s_notc
 
 
-def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSolution:
-    """Recover price and cost wedge from a trade share of the quota.
+def _supported(cfg: MarketConfig, s: np.ndarray) -> np.ndarray:
+    """Which shares the model can invert: 0 < s <= s_notc and z <= s (NaN is not)."""
+    return (s > 0.0) & (s <= cfg.s_notc) & (s >= cfg.z)
 
-    Clearing the market at volume s*q pins the marginal seller valuation at
-    the s-quantile of the schedule (zero when the whole share is speculator
-    supply) and the marginal buyer valuation at the matching demand quantile;
-    price and cost are their midpoint and half-gap.
-    """
+
+def _check_share(cfg: MarketConfig, s: float) -> None:
+    """Raise the error naming the bound that a share the model cannot invert breaks."""
+    if math.isnan(s):
+        raise ValidationError(f"trade share must be a number, got {s}")
     if s <= 0.0:
         raise ValidationError(f"trade share must be positive, got {s}")
     if s > cfg.s_notc:
@@ -229,20 +250,120 @@ def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSo
     if cfg.z > s:
         raise ConfigError(f"speculator share exceeds trade share: z={cfg.z} > s={s}")
 
-    if cfg.z > 0.0 and cfg.z == s:
-        v_seller = 0.0
-    else:
-        v_seller = curve.inverse_cdf(s)
+
+def _check_shares(cfg: MarketConfig, s: np.ndarray) -> None:
+    """Raise for the first share of `s` that the model cannot invert."""
+    ok = _supported(cfg, s)
+    if not ok.all():
+        _check_share(cfg, float(s[np.argmin(ok)]))
+
+
+def _margins(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray):
+    """Marginal seller and buyer valuations of supported shares `s`.
+
+    `inverse_cdf` at the seller's schedule share s (zero when the whole share
+    is speculator supply) and at the buyer's 1 - s q / pool, elementwise.
+    """
+    M = curve.market_size
     pool = cfg.N - cfg.q * (1.0 - cfg.z)
-    v_buyer = curve.inverse_cdf(1.0 - s * cfg.q / pool)
-    sol = MarketSolution(
-        s=s,
-        p=0.5 * (v_seller + v_buyer),
-        t=0.5 * (v_buyer - v_seller),
-        v_seller=v_seller,
-        v_buyer=v_buyer,
-    )
-    return gains_from_trade(cfg, curve, sol)
+    v_seller = np.interp(M * (1.0 - s), curve.volumes, curve.values)
+    if cfg.z > 0.0:
+        v_seller[s == cfg.z] = 0.0
+    v_buyer = np.interp(M * (1.0 - (1.0 - s * cfg.q / pool)), curve.volumes, curve.values)
+    return v_seller, v_buyer
+
+
+def invert_shares(cfg: MarketConfig, curve: WtpCurve, s) -> MarketSolution:
+    """Invert a 1-D array of trade shares at once: the array core of the model.
+
+    Returns a `MarketSolution` whose fields are arrays over the shares, with
+    the prices, wedges and gains that `invert_from_volume` gives each share.
+    A share the model cannot invert (see `invert_from_volume`), NaN
+    included, gets a NaN row instead of an error.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    ok = _supported(cfg, s)
+    # Every field after the share starts as NaN.
+    sol = MarketSolution(s, *(np.full(s.shape, np.nan) for _ in range(8)))
+    s = s[ok]
+    v_seller, v_buyer = _margins(cfg, curve, s)
+    t = 0.5 * (v_buyer - v_seller)
+    columns = {"p": 0.5 * (v_seller + v_buyer), "t": t, "v_seller": v_seller, "v_buyer": v_buyer}
+    columns.update(_gains(cfg, curve, s, t))
+    for name, values in columns.items():
+        getattr(sol, name)[ok] = values
+    return sol
+
+
+def _rows(sol: MarketSolution) -> list[MarketSolution]:
+    """One solution of Python floats per share of an array solution."""
+    columns = {name: values.tolist() for name, values in vars(sol).items() if values is not None}
+    return [MarketSolution(**dict(zip(columns, row))) for row in zip(*columns.values())]
+
+
+def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSolution:
+    """Recover price and cost wedge from a trade share of the quota.
+
+    Clearing the market at volume s*q pins the marginal seller valuation at
+    the s-quantile of the schedule (zero when the whole share is speculator
+    supply) and the marginal buyer valuation at the matching demand quantile;
+    price and cost are their midpoint and half-gap.  A share outside
+    (0, s_notc], below the speculator share or NaN raises an error naming
+    the bound it breaks.
+    """
+    _check_share(cfg, s)
+    return _rows(invert_shares(cfg, curve, [s]))[0]
+
+
+def _gross_gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray) -> np.ndarray:
+    """Gross gains of each share s > 0 (see `gains_from_trade`).
+
+    Each share's knots fill one row of a (shares, 2K + 3) matrix, sorted per
+    row; a repeated knot adds an exact zero to the trapezoid.  Where no
+    winner sells (s <= z, so sq <= zq) the span is set to 1: the seller
+    knots then lie at or above zq and clip to sq, and the seller's schedule
+    share clips to 0, where the valuation is 0.  The rows go in blocks of at
+    most `SCRATCH_CELLS` knots.
+    """
+    M = curve.market_size
+    pool = cfg.N - cfg.q * (1.0 - cfg.z)
+    zq = cfg.z * cfg.q
+    frac = curve.volumes / M
+    width = 3 + 2 * frac.size
+    out = np.empty(s.size)
+    step = max(1, SCRATCH_CELLS // width)
+    for start in range(0, s.size, step):
+        rows = s[start : start + step]
+        sq = (rows * cfg.q)[:, None]
+        # Winners' volume per unit of schedule share above the flat segment.
+        span = np.where(rows > cfg.z, (rows - cfg.z) * cfg.q / rows, 1.0)[:, None]
+        u = np.empty((rows.size, width))
+        u[:, 0] = 0.0
+        u[:, 1] = zq
+        u[:, 2:3] = sq
+        u[:, 3 : 3 + frac.size] = frac * pool
+        u[:, 3 + frac.size :] = zq + (1.0 - frac) * span
+        np.clip(u, 0.0, sq, out=u)
+        u.sort(axis=1)
+        v_buyer = np.interp(u / pool * M, curve.volumes, curve.values)
+        shares = np.clip((u - zq) / span, 0.0, 1.0)
+        v_seller = np.interp(M * (1.0 - shares), curve.volumes, curve.values)
+        out[start : start + step] = np.trapezoid(v_buyer - v_seller, u, axis=1)
+    return out
+
+
+def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> dict:
+    """The gains fields of arrays of shares and wedges (see `gains_from_trade`)."""
+    gross = np.zeros_like(s)
+    traded = s * cfg.q > 0.0
+    gross[traded] = _gross_gains(cfg, curve, s[traded])
+    tc_total = 2.0 * t * s * cfg.q
+    return {
+        "gross_gains": gross,
+        "tc_total": tc_total,
+        "net_gains": gross - tc_total,
+        "tc_share": np.divide(tc_total, gross, out=np.zeros_like(gross), where=gross > 0.0),
+    }
 
 
 def gains_from_trade(
@@ -259,32 +380,9 @@ def gains_from_trade(
     trapezoid over those images, 0, zq and sq is the exact integral.  The cost
     burden is the full two-sided wedge on every trade.
     """
-    sq = sol.s * cfg.q
-    if sq <= 0.0:
-        gross = 0.0
-    else:
-        M = curve.market_size
-        pool = cfg.N - cfg.q * (1.0 - cfg.z)
-        zq = cfg.z * cfg.q
-        frac = curve.volumes / M
-        knots = [np.array([0.0, zq, sq]), frac * pool]
-        if sol.s > cfg.z:
-            # Winners' volume per unit of schedule share above the flat segment.
-            span = (sol.s - cfg.z) * cfg.q / sol.s
-            knots.append(zq + (1.0 - frac) * span)
-        u = np.unique(np.clip(np.concatenate(knots), 0.0, sq))
-        v_buyer = np.interp(u / pool * M, curve.volumes, curve.values)
-        if sol.s > cfg.z:
-            shares = np.clip((u - zq) / span, 0.0, 1.0)
-            v_seller = np.interp(M * (1.0 - shares), curve.volumes, curve.values)
-        else:
-            v_seller = np.zeros_like(u)
-        gross = float(np.trapezoid(v_buyer - v_seller, u))
-
-    sol.gross_gains = gross
-    sol.tc_total = 2.0 * sol.t * sol.s * cfg.q
-    sol.net_gains = gross - sol.tc_total
-    sol.tc_share = sol.tc_total / gross if gross > 0.0 else 0.0
+    gains = _gains(cfg, curve, np.array([sol.s], dtype=np.float64), np.array([sol.t]))
+    for name, values in gains.items():
+        setattr(sol, name, values.item())
     return sol
 
 
@@ -294,38 +392,46 @@ def bounds_table(
     s_values,
     price_floor: float | None = None,
 ) -> list[MarketSolution]:
-    """Invert a range of trade shares; flag rows meeting a price floor if given."""
-    out = []
-    for s in s_values:
-        sol = invert_from_volume(cfg, curve, float(s))
-        if price_floor is not None:
-            sol.meets_price_floor = sol.p >= price_floor
-        out.append(sol)
-    return out
+    """Invert a range of trade shares; flag rows meeting a price floor if given.
+
+    All shares are inverted by one `invert_shares` call; the first share the
+    model cannot invert raises its `invert_from_volume` error.
+    """
+    s = np.fromiter(s_values, dtype=np.float64)
+    _check_shares(cfg, s)
+    sol = invert_shares(cfg, curve, s)
+    if price_floor is not None:
+        sol.meets_price_floor = sol.p >= price_floor
+    return _rows(sol)
 
 
-def comparative_statics(
-    cfg: MarketConfig, curve: WtpCurve, s: float
-) -> tuple[float, float]:
+def comparative_statics(cfg: MarketConfig, curve: WtpCurve, s):
     """Analytic derivatives of price and cost wedge in the trade share.
 
     The marginal valuations move along the schedule at rates set by the CDF
     density at each margin; the cost wedge always falls as the share rises.
+    `s` is one share, giving two floats, or a 1-D array of shares, giving two
+    arrays; any share the model cannot invert raises its error.
     """
-    sol = invert_from_volume(cfg, curve, s)
+    shares = np.asarray(s, dtype=np.float64)
+    flat = shares.reshape(-1)
+    _check_shares(cfg, flat)
+    v_seller, v_buyer = _margins(cfg, curve, flat)
     pool = cfg.N - cfg.q * (1.0 - cfg.z)
-    f_buyer = curve.density(sol.v_buyer)
-    if f_buyer <= 0.0:
+    f_buyer = curve._density(v_buyer)
+    if np.any(f_buyer <= 0.0):
         raise ValidationError("zero density at the marginal buyer valuation")
     dv_buyer = -(cfg.q / pool) / f_buyer
-    if cfg.z > 0.0 and cfg.z == s:
-        dv_seller = 0.0
-    else:
-        f_seller = curve.density(sol.v_seller)
-        if f_seller <= 0.0:
-            raise ValidationError("zero density at the marginal seller valuation")
-        dv_seller = 1.0 / f_seller
-    return 0.5 * (dv_seller + dv_buyer), 0.5 * (dv_buyer - dv_seller)
+    # Where the whole share is speculator supply the seller margin stays at 0.
+    limit = (flat == cfg.z) & (cfg.z > 0.0)
+    f_seller = curve._density(v_seller)
+    if np.any(f_seller[~limit] <= 0.0):
+        raise ValidationError("zero density at the marginal seller valuation")
+    dv_seller = np.where(limit, 0.0, 1.0 / f_seller)
+    dp, dt = 0.5 * (dv_seller + dv_buyer), 0.5 * (dv_buyer - dv_seller)
+    if shares.ndim == 0:
+        return float(dp[0]), float(dt[0])
+    return dp, dt
 
 
 def clear_share(cfg: MarketConfig, curve: WtpCurve, p: float, t: float) -> float:

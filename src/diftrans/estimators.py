@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import IdentificationError, SelectionError, ValidationError
 from .pmf import PricePMF
+from .streams import keyed_streams
 from .transport import _check_bandwidth, _sweep, ot_cost
 
 #: Quantile levels of each placebo column, labelled in the scan CSV header.
@@ -144,6 +145,8 @@ def bandwidth_scan(
     `base` (default: the pre distribution) at the observed sample sizes,
     from a stream keyed by (seed, rep), so results do not depend on
     execution order or batching, and draws are shared across bandwidths.
+    The streams are seeded in one pass over all replicates (see `streams`)
+    and match `default_rng(SeedSequence(entropy=(seed, rep)))` bit for bit.
     With `control` supplied, each row also carries the
     difference-in-transports value at that bandwidth.  With `trends` =
     (a_pre, a_post, b_pre, b_post) the scan also holds the trends curves:
@@ -159,12 +162,14 @@ def bandwidth_scan(
     n = len(pairs)
     ds = grid if control is None else sorted(set(grid) | {2 * d for d in grid})
 
+    stream = keyed_streams(lambda rep: (cfg.seed, rep), cfg.n_sims)
+
     def column(r):
         # The pairs lead the sweep's columns; replicate r - n follows, drawn
         # from its (seed, rep) stream straight into its column.
         if r < n:
             return r, pairs[r][0].mass, pairs[r][1].mass
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, r - n)))
+        rng = stream(r - n)
         a = rng.multinomial(pre.n, base.mass) / pre.n
         return n, a, rng.multinomial(post.n, base.mass) / post.n
 

@@ -8,6 +8,20 @@ hypergeometric draws so the expansion is never materialized.  The full sample
 and every draw are mass columns of one `transport._sweep`: per draw, one
 column for the treated pair and, for difference in transports, one for the
 control pair, each at both bandwidths of the estimator.
+
+Each side of each draw has its own random stream, keyed by (seed, draw,
+side).  Building a `SeedSequence` and a `PCG64` per stream cost about as much
+as a small draw itself, so `streams.keyed_streams` computes every stream's
+state in one pass before the sweep; each stream stays bit for bit the one
+NumPy builds from its key.
+
+An interval can be mapped, for example through the market inversion, by a
+`transform` that takes the whole array of estimates at once, the full-sample
+point first, and returns the mapped array.  NaN in it marks a draw that could
+not be mapped; the draw is kept as NaN and left out of the quantiles.  A
+point that cannot be mapped should make the transform raise its own error,
+which propagates; a NaN point raises `ConfigError`.  Any other exception the
+transform raises propagates too.
 """
 
 from __future__ import annotations
@@ -17,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DiftransError, ValidationError
+from .errors import ConfigError, ValidationError
 from .pmf import PricePMF
+from .streams import keyed_streams
 from .transport import _check_bandwidth, _sweep
 
 
@@ -27,8 +42,8 @@ class SubsampleConfig:
     """Draw count, subsample size rule, coverage level, and seed.
 
     The subsample size is the explicit `b` when given, else
-    floor(block_fraction * n), else the default floor(n^0.7), evaluated per
-    data side.
+    floor(block_fraction * n), which must be at least 1, else the default
+    floor(n^0.7), evaluated per data side.
     """
 
     n_draws: int = 200
@@ -55,7 +70,12 @@ class SubsampleConfig:
                 raise ConfigError(f"subsample size b={self.b} must be below n={n}")
             return self.b
         if self.block_fraction is not None:
-            return max(1, int(self.block_fraction * n))
+            b = int(self.block_fraction * n)
+            if b < 1:
+                raise ConfigError(
+                    f"block fraction {self.block_fraction} of n={n} leaves no unit to subsample"
+                )
+            return b
         b = int(n**0.7)
         if b >= n:
             raise ConfigError(f"cannot subsample below a sample of size {n}")
@@ -91,22 +111,28 @@ def subsample_ci(
     is subsampled independently with a stream keyed by (seed, draw, side),
     so results are reproducible for a fixed seed whatever the order of
     evaluation or the blocking.  The full sample and the draws go through
-    the transport kernel together, as the columns of one sweep.
-    `transform` optionally maps each raw estimate (for example through the
-    market inversion).  Draws where it raises a `DiftransError` (for example a
-    share the market model cannot support) are recorded as NaN and excluded
-    from the quantiles; on the full-sample point the error propagates, since
-    an interval around a point that does not exist means nothing.  Any other
-    exception propagates.
+    the transport kernel together, as the columns of one sweep.  Each
+    stream is bit for bit `default_rng(SeedSequence(entropy=(seed, draw,
+    side)))`, seeded with all the others in one pass.
+
+    `transform` optionally maps the estimates, for example through the
+    market inversion (`equilibrium.invert_shares`).  It is called once, on
+    the array of the full-sample point followed by the draws, and returns
+    an array of the same shape.  A NaN in it marks a draw the transform
+    cannot map (for example a share the market model cannot support); such
+    draws are kept as NaN and left out of the quantiles.  The point comes
+    first so that the transform can check it: a point it cannot map should
+    raise its own error, which propagates, since an interval around a point
+    that does not exist means nothing.  A NaN point raises `ConfigError`,
+    and any exception the transform raises propagates.
     """
     d = _check_bandwidth(d)
     pairs = [(pre, post)] + ([] if control is None else [control])
     sides = [p for pair in pairs for p in pair]
     sizes = [cfg.size_for(p.n) for p in sides]
     counts = [p.counts() for p in sides]
-
-    def transformed(value):
-        return float(value if transform is None else transform(value))
+    # Stream i is side i % len(sides) of draw i // len(sides).
+    stream = keyed_streams(lambda i: (cfg.seed, *divmod(i, len(sides))), cfg.n_draws * len(sides))
 
     def column(r):
         # Pair i of the full sample for k = 0, of draw k - 1 after it.
@@ -115,25 +141,29 @@ def subsample_ci(
             return i, pairs[i][0].mass, pairs[i][1].mass
         masses = []
         for side in (2 * i, 2 * i + 1):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k - 1, side)))
+            rng = stream((k - 1) * len(sides) + side)
             masses.append(rng.multivariate_hypergeometric(counts[side], sizes[side]) / sizes[side])
         return i, *masses
 
     grid = sorted({d, 2 * d}) if control is not None else [d]
     costs = _sweep(pairs, grid, len(pairs) * (cfg.n_draws + 1), column)
     if control is None:
-        values = costs[:, 0].tolist()
+        values = costs[:, 0]
     else:
         # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
-        values = (costs[::2, grid.index(2 * d)] - costs[1::2, grid.index(d)]).tolist()
+        values = costs[::2, grid.index(2 * d)] - costs[1::2, grid.index(d)]
 
-    point = transformed(values[0])
-    draws = np.empty(cfg.n_draws)
-    for k, value in enumerate(values[1:]):
-        try:
-            draws[k] = transformed(value)
-        except DiftransError:
-            draws[k] = float("nan")
+    if transform is not None:
+        mapped = np.asarray(transform(values), dtype=np.float64)
+        if mapped.shape != values.shape:
+            raise ValidationError(
+                f"transform returned shape {mapped.shape} for {values.size} estimates"
+            )
+        if np.isnan(mapped[0]):
+            raise ConfigError("the transform has no value at the full-sample point")
+        values = mapped
+    point = float(values[0])
+    draws = values[1:].copy()
 
     finite = draws[~np.isnan(draws)]
     if finite.size == 0:

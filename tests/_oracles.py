@@ -191,6 +191,33 @@ def random_curve(rng: np.random.Generator, market_size: float = 700_000.0):
     return WtpCurve(volumes, values)
 
 
+def scalar_inversion(cfg, curve, s: float):
+    """The market inversion of one share by scalar reads of the schedule:
+    (v_seller, v_buyer, p, t, gross, tc_total, net, tc_share), or None where
+    0 < s <= s_notc and z <= s fail.  Gross gains are the trapezoid over the
+    sorted distinct knots of the demand-supply gap."""
+    if not (0.0 < s <= cfg.s_notc and cfg.z <= s):
+        return None
+    pool = cfg.N - cfg.q * (1.0 - cfg.z)
+    v_seller = 0.0 if cfg.z > 0.0 and cfg.z == s else curve.inverse_cdf(s)
+    v_buyer = curve.inverse_cdf(1.0 - s * cfg.q / pool)
+    p, t = 0.5 * (v_seller + v_buyer), 0.5 * (v_buyer - v_seller)
+    M, zq, sq = curve.market_size, cfg.z * cfg.q, s * cfg.q
+    frac = curve.volumes / M
+    knots = [np.array([0.0, zq, sq]), frac * pool]
+    span = (s - cfg.z) * cfg.q / s
+    if s > cfg.z:
+        knots.append(zq + (1.0 - frac) * span)
+    u = np.unique(np.clip(np.concatenate(knots), 0.0, sq))
+    buyers = np.interp(u / pool * M, curve.volumes, curve.values)
+    sellers = np.zeros_like(u)
+    if s > cfg.z:
+        sellers = np.interp(M * (1.0 - np.clip((u - zq) / span, 0.0, 1.0)), curve.volumes, curve.values)
+    gross = float(np.trapezoid(buyers - sellers, u))
+    tc_total = 2.0 * t * s * cfg.q
+    return v_seller, v_buyer, p, t, gross, tc_total, gross - tc_total, tc_total / gross if gross > 0.0 else 0.0
+
+
 def table_rows(table) -> list[tuple]:
     """A sales table as (city, year, month, price, quantity) tuples of Python values."""
     columns = (table.year, table.month, table.price, table.quantity)

@@ -32,6 +32,7 @@ PUBLIC = [
     "gains_from_trade",
     "ingest_csv",
     "invert_from_volume",
+    "invert_shares",
     "ot_cost",
     "select_dstar",
     "solve_no_tc",

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import cli, estimators, transport
+from diftrans import cli, equilibrium, estimators, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
@@ -499,6 +499,26 @@ class TestEquilibrium:
         assert code == 1
         assert "s_notc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("share", ["nan", "inf", "0.1,nan"])
+    def test_non_finite_share_is_one_line_error(self, tmp_path, uniform_wtp, capsys, share):
+        code, report = run(tmp_path, "equilibrium", "--wtp", str(uniform_wtp), "--s", share)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans equilibrium: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_price_floor_is_one_line_error(self, tmp_path, uniform_wtp, capsys, value):
+        argv = ["equilibrium", "--wtp", str(uniform_wtp), "--s", "0.11", "--price-floor", value]
+        code, report = run(tmp_path, *argv)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err == f"diftrans equilibrium: --price-floor must be finite, got {value}\n"
+        # Unset, the flag is not checked and no row carries the flag.
+        code, report = run(tmp_path, *argv[:-2])
+        assert code == 0
+        assert "meets_price_floor" not in report["rows"][0]
+
 
 class TestDid:
     @pytest.mark.parametrize("weighting", ["units", "rows"])
@@ -650,6 +670,35 @@ class TestCi:
         values = [row.split(",")[1] for row in draws.read_text().splitlines()[1:]]
         assert 0 < report["n_failed"] == values.count("") < report["n_draws"]
 
+    def test_mapped_draws_invert_in_one_array_call(self, tmp_path, synth_csv, uniform_wtp, monkeypatch):
+        # The point is checked by one scalar inversion; every estimate, the
+        # point first, is mapped by one call of the array core.
+        calls = {"invert_from_volume": [], "invert_shares": []}
+        for name in calls:
+            fn = getattr(equilibrium, name)
+
+            def counted(cfg, curve, s, fn=fn, name=name):
+                calls[name].append(s)
+                return fn(cfg, curve, s)
+
+            monkeypatch.setattr(equilibrium, name, counted)
+        extra = ["--map", "net-gains", "--wtp", str(uniform_wtp), "--market-size", "50000"]
+        code, report = run(tmp_path, *self.ci_args(synth_csv, extra=[*extra, "--quota", "20000"]))
+        assert code == 0
+        # The scalar inversion runs the core on its one share.
+        (point,) = calls["invert_from_volume"]
+        assert [np.shape(s) for s in calls["invert_shares"]] == [(1,), (41,)]
+        assert point == calls["invert_shares"][1][0]
+        market = equilibrium.MarketConfig(N=50_000, q=20_000)
+        curve = equilibrium.WtpCurve.uniform(700_000, 280_000)
+        assert report["point"] == equilibrium.invert_from_volume(market, curve, point).net_gains
+
+    def test_block_fraction_below_one_unit_is_one_line_error(self, tmp_path, capsys, synth_csv):
+        code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--block-fraction", "1e-9"]))
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans ci: block fraction 1e-09 of n=")
+        assert len(err.splitlines()) == 1
 
     def test_failing_point_is_one_line_error(self, tmp_path, capsys, synth_csv, uniform_wtp):
         # The full-sample share (~0.24) exceeds s_notc = 0.2, so the point
@@ -741,13 +790,14 @@ HUGE = "99999999999999999999"
         ("scan", "--threshold", "nan"),
         ("dit", "--threshold", "inf"),
         ("dit", "--tau", "nan"),
+        ("dit", "--d-min", "-5"),
     ],
 )
 def test_bad_numbers_rejected_before_ingest(
     tmp_path, capsys, synth_csv, monkeypatch, command, flag, value
 ):
-    # A negative seed, or a non-finite threshold or tau, is a one-line error
-    # that names it, raised before the input is read.
+    # A negative seed or floor, or a non-finite threshold or tau, is a
+    # one-line error that names it, raised before the input is read.
     scan, dit = scan_and_dit_args(synth_csv, tmp_path)
     argv = {"scan": scan, "dit": dit, "ci": TestCi().ci_args(synth_csv)}[command]
 

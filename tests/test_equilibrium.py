@@ -16,6 +16,7 @@ from diftrans.equilibrium import (
     demand,
     gains_from_trade,
     invert_from_volume,
+    invert_shares,
     solution_as_dict,
     solve_no_tc,
     supply,
@@ -166,6 +167,20 @@ class TestInversion:
         with pytest.raises(InfeasibleShareError, match="s_notc"):
             invert_from_volume(cfg, curve, 0.7)
 
+    def test_nan_share_is_validation_error(self, uniform):
+        cfg, curve = uniform
+        with pytest.raises(ValidationError, match="nan"):
+            invert_from_volume(cfg, curve, float("nan"))
+
+    def test_array_core_marks_unsupported_shares(self, uniform):
+        _, curve = uniform
+        cfg = MarketConfig(N=N, q=Q, z=0.05)
+        shares = [0.11, float("nan"), 0.0, -0.1, 0.02, 0.7, float("inf"), 0.05]
+        sol = invert_shares(cfg, curve, shares)
+        assert np.isnan(sol.p).tolist() == [False, True, True, True, True, True, True, False]
+        assert sol.p[0] == invert_from_volume(cfg, curve, 0.11).p
+        assert sol.v_seller[-1] == 0.0
+
     def test_clearing_roundtrip(self, uniform):
         cfg, curve = uniform
         for s in (0.01, 0.11, 0.3, 0.55):
@@ -311,6 +326,14 @@ class TestBoundsTable:
         sellers = [r.p - r.t for r in rows]
         assert all(b < a for a, b in zip(ts, ts[1:]))
         assert all(b > a for a, b in zip(sellers, sellers[1:]))
+
+    def test_first_unsupported_share_raises(self, uniform):
+        cfg, curve = uniform
+        with pytest.raises(ValidationError, match="nan"):
+            bounds_table(cfg, curve, [0.11, float("nan"), 0.9])
+        with pytest.raises(InfeasibleShareError, match="0.9"):
+            bounds_table(cfg, curve, [0.11, 0.9, float("nan")])
+        assert bounds_table(cfg, curve, []) == []
 
     def test_price_floor_flag(self, uniform):
         cfg, curve = uniform

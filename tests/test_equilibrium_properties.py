@@ -5,7 +5,9 @@ equal the config's N, with and without speculators.  Gross gains are checked
 against adaptive quadrature of the model's demand-supply gap, split at every
 kink, so both sides integrate exactly linear pieces and differ by rounding.
 Price and wedge are linear in the share between kinks, so their central
-differences match the analytic comparative statics up to rounding.
+differences match the analytic comparative statics up to rounding.  The
+array core inverts a whole vector of shares as the scalar oracle inverts
+each one.
 """
 
 import numpy as np
@@ -16,12 +18,14 @@ from scipy.integrate import quad
 
 from diftrans.equilibrium import (
     MarketConfig,
+    bounds_table,
     clear_share,
     comparative_statics,
     invert_from_volume,
+    invert_shares,
 )
 
-from _oracles import random_curve
+from _oracles import random_curve, scalar_inversion
 
 N, Q = 700_000, 260_000
 GAINS_TOL = 1e-9
@@ -30,6 +34,9 @@ SHARE_TOL = 1e-9
 ENVELOPE_TOL = 1e-9
 #: Central-difference residual of d(p, t)/ds, relative to the slope or to v_max.
 STATICS_TOL = 1e-6
+#: Gains of the array core against the scalar oracle, relative to the gross
+#: gains: the trapezoid sums the same terms plus exact zeros, grouped otherwise.
+CORE_GAINS_TOL = 1e-12
 #: Step of the central difference in the trade share; gross gains are
 #: quadratic in s between kinks, so the difference is exact up to rounding.
 STEP = 1e-5
@@ -139,3 +146,38 @@ def test_comparative_statics_match_central_differences(market):
     tol = dict(rel=STATICS_TOL, abs=STATICS_TOL * curve.v_max)
     assert (hi.p - lo.p) / (2 * STEP) == pytest.approx(dp_ds, **tol)
     assert (hi.t - lo.t) / (2 * STEP) == pytest.approx(dt_ds, **tol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    markets(),
+    st.lists(
+        st.one_of(st.floats(-0.1, 0.8), st.sampled_from([0.0, float("nan"), float("inf")])),
+        max_size=8,
+    ),
+)
+def test_array_core_matches_scalar_inversion(market, extra):
+    # The market's own share, the speculator share, s_notc, and shares on
+    # either side of every bound, NaN and inf included.
+    cfg, curve, s = market
+    shares = [s, cfg.z, cfg.s_notc, *extra]
+    sol = invert_shares(cfg, curve, shares)
+    feasible = []
+    for i, share in enumerate(shares):
+        row = [sol.v_seller[i], sol.v_buyer[i], sol.p[i], sol.t[i]]
+        gains = [sol.gross_gains[i], sol.tc_total[i], sol.net_gains[i], sol.tc_share[i]]
+        want = scalar_inversion(cfg, curve, share)
+        if want is None:
+            assert np.isnan(row + gains).all()
+            continue
+        feasible.append(share)
+        assert row == list(want[:4])
+        tol = CORE_GAINS_TOL * want[4]
+        assert all(abs(g - w) <= tol for g, w in zip(gains[:3], want[4:7]))
+        assert gains[3] == pytest.approx(want[7], rel=CORE_GAINS_TOL, abs=CORE_GAINS_TOL)
+    # The table and the statics of all feasible shares at once, share by share.
+    rows = bounds_table(cfg, curve, feasible)
+    dp, dt = comparative_statics(cfg, curve, feasible)
+    for i, share in enumerate(feasible):
+        assert rows[i] == invert_from_volume(cfg, curve, share)
+        assert (dp[i], dt[i]) == comparative_statics(cfg, curve, share)

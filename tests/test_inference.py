@@ -34,6 +34,11 @@ class TestConfig:
         assert SubsampleConfig(block_fraction=0.25).size_for(100) == 25
         assert SubsampleConfig().size_for(1000) == int(1000**0.7)
 
+    def test_block_fraction_below_one_unit(self):
+        assert SubsampleConfig(block_fraction=0.01).size_for(100) == 1
+        with pytest.raises(ConfigError, match=r"block fraction 0\.01 of n=99 "):
+            SubsampleConfig(block_fraction=0.01).size_for(99)
+
     def test_explicit_b_too_large(self):
         with pytest.raises(ConfigError):
             SubsampleConfig(b=10).size_for(10)
@@ -99,10 +104,8 @@ class TestSubsampleCI:
         expected = [scalar(*subsample_draw(sides, cfg, k)) for k in range(cfg.n_draws)]
         cap = max(scalar(*sides), float(np.median(expected)))
 
-        def capped(s):
-            if s > cap:
-                raise InfeasibleShareError("above the cap")
-            return s
+        def capped(values):
+            return np.where(values > cap, np.nan, values)
 
         kernel = transport._cost_columns
         calls = []
@@ -149,9 +152,18 @@ class TestSubsampleCI:
         post = PricePMF.from_counts([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
         raw = subsample_ci(pre, post, 0, cfg)
-        doubled = subsample_ci(pre, post, 0, cfg, transform=lambda s: 2 * s)
-        assert doubled.point == pytest.approx(2 * raw.point)
-        assert np.allclose(doubled.draws, 2 * raw.draws)
+        calls = []
+
+        def doubled(values):
+            calls.append(values.copy())
+            return 2 * values
+
+        mapped = subsample_ci(pre, post, 0, cfg, transform=doubled)
+        # One call on the whole estimate vector, the point first.
+        assert len(calls) == 1
+        assert calls[0].tolist() == [raw.point, *raw.draws.tolist()]
+        assert mapped.point == 2 * raw.point
+        assert np.array_equal(mapped.draws, 2 * raw.draws)
 
     def test_transform_failures_become_nan(self):
         pre = PricePMF.from_counts([1, 2], [50, 50])
@@ -159,10 +171,8 @@ class TestSubsampleCI:
         cfg = SubsampleConfig(n_draws=25, seed=13)
 
         # The point is 0.3 and the draws run from 0.12 to 0.44.
-        def capped(s):
-            if s > 0.34:
-                raise InfeasibleShareError("above the cap")
-            return s
+        def capped(values):
+            return np.where(values > 0.34, np.nan, values)
 
         res = subsample_ci(pre, post, 0, cfg, transform=capped)
         failed = np.isnan(res.draws)
@@ -171,7 +181,7 @@ class TestSubsampleCI:
         assert np.all(res.draws[~failed] <= 0.34)
         assert res.lower <= res.upper
 
-        def broken(s):
+        def broken(values):
             raise ValueError("a bug, not an infeasible share")
 
         with pytest.raises(ValueError, match="a bug"):
@@ -181,13 +191,26 @@ class TestSubsampleCI:
         pre = PricePMF.from_counts([1, 2], [50, 50])
         post = PricePMF.from_counts([1, 2], [20, 80])
 
-        def capped(s):
-            if s > 0.25:
+        cfg = SubsampleConfig(n_draws=25, seed=13)
+
+        # The point is 0.3: a transform that raises for it raises out of the interval.
+        def capped(values):
+            if values[0] > 0.25:
                 raise InfeasibleShareError("above the cap")
-            return s
+            return values
 
         with pytest.raises(InfeasibleShareError, match="above the cap"):
-            subsample_ci(pre, post, 0, SubsampleConfig(n_draws=25, seed=13), transform=capped)
+            subsample_ci(pre, post, 0, cfg, transform=capped)
+        # A transform that marks the point NaN instead gets no interval either.
+        with pytest.raises(ConfigError, match="full-sample point"):
+            subsample_ci(pre, post, 0, cfg, transform=lambda v: np.where(v > 0.25, np.nan, v))
+
+    def test_transform_must_keep_the_shape(self):
+        pre = PricePMF.from_counts([1, 2], [50, 50])
+        post = PricePMF.from_counts([1, 2], [20, 80])
+        cfg = SubsampleConfig(n_draws=25, seed=13)
+        with pytest.raises(ValidationError, match="26 estimates"):
+            subsample_ci(pre, post, 0, cfg, transform=lambda v: v[1:])
 
     def test_dump_draws_csv(self):
         pre = PricePMF.from_counts([1, 2], [5, 5])
