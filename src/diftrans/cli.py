@@ -196,6 +196,12 @@ def cmd_dit(args) -> int:
         raise DiftransError("--trends-csv needs the trends floor, which --d-min skips")
     if args.trends_csv and not args.diag_pre:
         raise DiftransError("--trends-csv needs --diag-pre and --diag-post")
+    if args.tau is not None and args.d_min is not None:
+        raise DiftransError("--tau sets the trends floor, which --d-min skips")
+    if args.tau is not None and not args.diag_pre:
+        raise DiftransError("--tau needs --diag-pre and --diag-post")
+    if args.tau is None:
+        args.tau = estimators.DISPLACEMENT_TAU
     table = ingest_csv(args.input)
     t_pre, t_post = _city_pair(args, table, args.treated_city)
     c_pre, c_post = _city_pair(args, table, args.control_city)
@@ -265,14 +271,16 @@ def cmd_dit(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
-    cfg = equilibrium.MarketConfig(
-        N=args.market_size, q=args.quota, z=args.speculator_share
-    )
     try:
         s_values = [float(part) for part in args.s.split(",") if part.strip()]
     except ValueError:
         raise DiftransError(f"trade shares {args.s!r} are not comma-separated numbers") from None
+    if not s_values:
+        raise DiftransError(f"trade shares {args.s!r} name no share")
+    curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
+    cfg = equilibrium.MarketConfig(
+        N=args.market_size, q=args.quota, z=args.speculator_share
+    )
     rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
     dp, dt = equilibrium.comparative_statics(cfg, curve, [sol.s for sol in rows])
     rendered = []
@@ -514,7 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d-grid", required=True)
     sub.add_argument("--sims", type=int, default=500)
     sub.add_argument("--threshold", type=float, default=0.0005)
-    sub.add_argument("--tau", type=float, default=0.005, help="equal-displacement tolerance")
+    sub.add_argument(
+        "--tau",
+        type=float,
+        help=f"equal-displacement tolerance (default {estimators.DISPLACEMENT_TAU})",
+    )
     sub.add_argument("--d-min", type=int, help="explicit admissibility floor, skips the rules")
     sub.add_argument(
         "--placebo-base",

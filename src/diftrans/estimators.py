@@ -34,6 +34,8 @@ from .transport import _check_bandwidth, _sweep, ot_cost
 #: Quantile levels of each placebo column, labelled in the scan CSV header.
 PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 SCAN_CSV_HEADER = "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit"
+#: Default tolerance of the equal-displacement (trends) floor.
+DISPLACEMENT_TAU = 0.005
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def select_dstar(scan: BandwidthScan, d_min: int) -> tuple[int, float]:
 
 def displacement_floor(
     curves: list[tuple[int, float, float, float]],
-    tau: float = 0.005,
+    tau: float = DISPLACEMENT_TAU,
 ) -> int:
     """Smallest grid bandwidth from which |difference| stays below `tau`."""
     floor = None

@@ -5,7 +5,6 @@ from __future__ import annotations
 import array
 import csv
 import io
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +105,9 @@ class SalesTable:
 
     def in_cities(self, *labels: str) -> np.ndarray:
         """Boolean mask of the rows whose city is one of `labels`."""
-        codes = [i for i, label in enumerate(self.cities) if label in labels]
-        return np.isin(self.city, codes)
+        hit = np.zeros(len(self.cities), dtype=bool)
+        hit[[i for i, label in enumerate(self.cities) if label in labels]] = True
+        return hit[self.city]
 
 
 @dataclass(frozen=True)
@@ -242,18 +242,16 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     Blank rows are skipped.  Row numbers in error messages are 1-based file
     lines (header is row 1).
 
-    The file is read once as text.  Text without a double quote is first
-    parsed by one `np.loadtxt` call, run with warnings as errors whatever the
-    caller's filters.  It skips empty lines as the `csv` row loop does, reads
-    a cell only where the loop reads the same integer, and raises or warns on
-    anything else: a body without rows, a blank line holding spaces or
-    commas, a short or long row, or a cell such as `5.0`, `1_000` or one past
-    int64 (NumPy releases that still parse such a cell as a float and
-    truncate it do so with a DeprecationWarning).  When it raises or warns,
-    or the table's field rules reject its columns, the row loop reads the
-    same text again.  Only the loop reports errors, so the path taken changes
-    the speed, never the table or the message.  A file rejected late in the
-    body (say, one `.0` cell in its last row) pays for both passes.
+    The file is read once as bytes and decoded once.  A file without a double
+    quote is first parsed by `_parse_plain`, a numpy pass over its bytes that
+    reads only what it can read exactly as the `csv` row loop does: rows of
+    exactly the header's width between empty or non-empty line ends (LF,
+    CRLF or a lone CR), integer cells matching `[ \t]*-?[0-9]{1,18}[ \t]*`,
+    and no NUL byte.  Anything else, or columns the table's field rules
+    reject, sends the decoded text to the row loop.  Only the loop reports
+    errors, so the path taken changes the speed, never the table or the
+    message.  A file rejected late in the body (say, one `.0` cell in its
+    last row) pays for both passes.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -262,12 +260,13 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
             raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
         columns.update(schema)
 
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
-    table = None if '"' in text else _parse_plain(text, columns)
+    table = None if b'"' in data else _parse_plain(data, text, columns)
     if table is None:
         table = _read_table(csv.reader(io.StringIO(text, newline="")), columns, path)
     return table
@@ -282,43 +281,132 @@ def _locate(header: list[str], columns: dict) -> dict[str, int]:
     return {key: header.index(col) for key, col in columns.items()}
 
 
-def _parse_plain(text: str, columns: dict) -> SalesTable | None:
-    """Table of quote-free CSV text, or None when the row loop must read it."""
-    lines = io.StringIO(text, newline="")
-    header = next(csv.reader(lines), [])
+#: Byte values the quote-free parser looks for.
+_LF, _CR, _COMMA, _MINUS, _ZERO, _SPACE, _TAB = b"\n\r,-0 \t"
+#: Masks keeping the first k bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
+    """Table of quote-free CSV bytes, or None when the row loop must read `text`."""
+    breaks = [i for i in (text.find("\n"), text.find("\r")) if i >= 0]
+    header = next(csv.reader([text[: min(breaks, default=len(text))]]), [])
     try:
         index = _locate(header, columns)
     except SchemaError:
         return None
     numeric = [index[key] for key in _COLUMNS[1:]]
-    # A column parsed as integers cannot also give the city labels.
-    if index["city"] in numeric:
+    # A column parsed as integers cannot also give the city labels, and a NUL
+    # in a label would read as the padding of the fixed-width label bytes.
+    if index["city"] in numeric or b"\0" in data:
         return None
-    kinds = [np.int64 if i in numeric else object for i in range(len(header))]
-    dtype = np.dtype([(f"f{i}", kind) for i, kind in enumerate(kinds)])
-    # Any warning is a fallback too: some NumPy releases parse a cell such as
-    # `2.5` as a float and truncate it with only a DeprecationWarning, and a
-    # body without rows warns "input contained no data".
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(
-                lines, dtype=dtype, delimiter=",", comments=None, quotechar=None, ndmin=1
-            )
-    except (ValueError, Warning):
-        return None
+    width = len(header)
 
-    # Code each distinct cell once; stripped labels keep first-appearance order.
-    cells = data[f"f{index['city']}"]
-    codes: dict[str, int] = {}
-    code_of = {cell: codes.setdefault(cell.strip(), len(codes)) for cell in dict.fromkeys(cells)}
-    city = np.fromiter(map(code_of.__getitem__, cells), np.int64, count=cells.size)
-    # Contiguous copies, so the table does not keep the parsed cells alive.
-    numbers = [np.ascontiguousarray(data[f"f{i}"]) for i in numeric]
+    # One final line end, so every row ends in one; then drop each line end
+    # that follows another (an empty line, or the LF of a CRLF) as `csv` does.
+    buf = np.frombuffer(data.rstrip(b"\r\n") + b"\n", np.uint8)
+    eol = (buf == _LF) | (buf == _CR)
+    repeat = eol[1:] & eol[:-1]
+    if repeat.any():
+        keep = np.concatenate(([True], ~repeat))
+        buf, eol = buf[keep], eol[keep]
+
+    # The header holds width - 1 commas, and so must every row after it; then
+    # row r of `bounds` holds the delimiters ending the fields of file line r.
+    bounds = np.flatnonzero(eol | (buf == _COMMA))
+    rows = int(np.count_nonzero(eol)) - 1
+    if bounds.size != (rows + 1) * width:
+        return None
+    bounds = bounds.reshape(rows + 1, width)
+    if not eol[bounds[:, -1]].all():
+        return None
+    if not rows:
+        return SalesTable.from_rows([])
+
+    def field(i):
+        """(first, last) byte of field `i` of every row, as new arrays."""
+        before = bounds[1:, i - 1] if i else bounds[:-1, -1]
+        return before + 1, bounds[1:, i] - 1
+
+    numbers = []
+    for i in numeric:
+        column = _integers(buf, *field(i))
+        if column is None:
+            return None
+        numbers.append(column)
+    cities, city = _code_labels(buf, *field(index["city"]))
     try:
-        return SalesTable(tuple(codes), city, *numbers)
+        return SalesTable(cities, city, *numbers)
     except ValidationError:
         return None
+
+
+def _integers(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray | None:
+    """Values of the fields from byte `first` to byte `last`, or None unless
+    every field matches `[ \t]*-?[0-9]{1,18}[ \t]*` (and so has the value
+    `int()` gives it).  The bound arrays are trimmed in place.
+
+    A field's own delimiters stop both trimming walks, so an all-blank field
+    is left with a length below one.
+    """
+    lead, tail = buf[first], buf[last]
+    while (pad := (lead == _SPACE) | (lead == _TAB)).any():
+        first += pad
+        lead = buf[first]
+    while (pad := (tail == _SPACE) | (tail == _TAB)).any():
+        last -= pad
+        tail = buf[last]
+    negative = lead == _MINUS
+    first += negative
+    length = last - first + 1
+    shortest, longest = int(length.min()), int(length.max())
+    if shortest < 1 or longest > 18:
+        return None
+    # Horner's rule over the fields aligned at their right ends: a shorter
+    # field reads zeros where it has no digit yet.
+    value = np.zeros(length.size, dtype=np.int64)
+    at = last - (longest - 1)
+    for left in range(longest - 1, -1, -1):
+        digit = buf[at] - np.uint8(_ZERO)
+        if left >= shortest:
+            digit[length <= left] = 0
+        if digit.max() > 9:
+            return None
+        value *= 10
+        value += digit
+        at += 1
+    return np.negative(value, out=value, where=negative)
+
+
+def _code_labels(buf: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """(labels, codes) of the fields from byte `first` to byte `last`,
+    stripped as the row loop strips them and coded in order of first appearance.
+
+    Each field is read as NUL-padded little-endian 8-byte words, so rows of
+    one raw label compare equal; runs of equal rows are made unique and each
+    distinct raw label is decoded once.
+    """
+    length = last - first + 1
+    n_words = max(-(-int(length.max()) // 8), 1)
+    padded = np.concatenate((buf, np.zeros(8 * n_words, dtype=np.uint8)))
+    # The word starting at each byte offset (a view; offsets need no alignment).
+    word_at = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    words = np.empty((length.size, n_words), dtype="<u8")
+    new_run = np.zeros(length.size, dtype=bool)
+    new_run[0] = True
+    for j, word in enumerate(words.T):
+        low_bytes = _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
+        np.bitwise_and(word_at[first + 8 * j], low_bytes, out=word)
+        new_run[1:] |= word[1:] != word[:-1]
+    runs = np.flatnonzero(new_run)
+    raw, seen, inverse = np.unique(
+        words[runs].view(f"S{8 * n_words}").ravel(), return_index=True, return_inverse=True
+    )
+    codes: dict[str, int] = {}
+    code_of = np.empty(raw.size, dtype=np.int64)
+    for u in np.argsort(seen):
+        code_of[u] = codes.setdefault(raw[u].decode("utf-8").strip(), len(codes))
+    return tuple(codes), np.repeat(code_of[inverse], np.diff(runs, append=length.size))
 
 
 def _read_table(reader, columns: dict, path) -> SalesTable:

@@ -416,6 +416,8 @@ class TestDit:
             [*DIAG_WINDOWS[:2], "--trends-csv", "trends.csv"],
             DIAG_WINDOWS[:2],
             DIAG_WINDOWS[2:],
+            ["--tau", "0.01"],
+            ["--d-min", "0", "--tau", "0.01"],
         ],
         ids=[
             "trends-d-min",
@@ -426,12 +428,15 @@ class TestDit:
             "trends-one-window",
             "pre-only",
             "post-only",
+            "tau-no-window",
+            "tau-d-min",
         ],
     )
     def test_ignored_diagnostic_flags_are_one_line_errors(
         self, tmp_path, capsys, synth_csv, extra
     ):
-        # Each of these runs would otherwise skip the trends floor or its table in silence.
+        # Each of these runs would otherwise skip the trends floor, its table
+        # or its tolerance in silence.
         extra = [str(tmp_path / x) if x == "trends.csv" else x for x in extra]
         code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
         assert code == 1
@@ -461,6 +466,8 @@ class TestDit:
         assert code == 0
         assert report["floors"] == {"placebo_d": None, "displacement_d": None, "d_min": 0}
         assert calls == ["ingest_csv"] + ["build_pmf"] * 4
+        # An absent --tau is recorded at its default.
+        assert report["manifest"]["config"]["tau"] == 0.005
 
 
 class TestEquilibrium:
@@ -506,6 +513,15 @@ class TestEquilibrium:
         err = capsys.readouterr().err
         assert err.startswith("diftrans equilibrium: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("share", [",", " , "])
+    def test_empty_share_list_is_one_line_error(self, tmp_path, capsys, share):
+        # Raised before the curve is read: the curve path does not exist.
+        argv = ["equilibrium", "--wtp", str(tmp_path / "missing.csv"), "--s", share]
+        code, report = run(tmp_path, *argv)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err == f"diftrans equilibrium: trade shares {share!r} name no share\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_price_floor_is_one_line_error(self, tmp_path, uniform_wtp, capsys, value):

@@ -1,8 +1,6 @@
 """Ingestion and price-distribution construction."""
 
 import csv
-import io
-import re
 import warnings
 
 import numpy as np
@@ -27,7 +25,7 @@ def write(tmp_path, text, name="sales.csv"):
 
 
 def forbid_row_loop(monkeypatch):
-    """Make the `csv` row loop fail, so only the `np.loadtxt` path can ingest."""
+    """Make the `csv` row loop fail, so only the byte-level path can ingest."""
 
     def row_loop(*args):
         raise AssertionError("the row loop read the file")
@@ -45,24 +43,6 @@ FLOAT_PARSED_ROWS = [
     ("metro,2010,12.9,5,4", "non-integer month '12.9', row 2"),
     (f"metro,2010,1,{INT64_PAST},4", "integer outside the int64 range, row 2"),
 ]
-
-
-def truncating_loadtxt(fname, *args, **kwargs):
-    """`np.loadtxt` as NumPy releases with the float fallback behave.
-
-    A decimal or out-of-range integer cell is parsed as a float and cast to
-    int64 (truncated, saturated past int64) with only a DeprecationWarning.
-    """
-
-    def cast(match):
-        return str(min(int(float(match.group())), INT64_PAST - 1))
-
-    text = re.sub(r"-?\d+\.\d+|\d{19,}", cast, fname.read())
-    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-    return REAL_LOADTXT(io.StringIO(text), *args, **kwargs)
-
-
-REAL_LOADTXT = np.loadtxt
 
 
 class TestIngest:
@@ -171,17 +151,13 @@ class TestIngest:
 
     @pytest.mark.parametrize("action", ["default", "ignore"])
     @pytest.mark.parametrize("row, message", FLOAT_PARSED_ROWS, ids=[r for r, _ in FLOAT_PARSED_ROWS])
-    def test_float_parsed_cell_reads_like_row_loop(self, tmp_path, monkeypatch, action, row, message):
-        # Also with a `loadtxt` that, as some NumPy releases do, reads the cell
-        # as a float, truncates it and only warns.
+    def test_float_parsed_cell_reads_like_row_loop(self, tmp_path, action, row, message):
         path = write(tmp_path, f"city,year,month,price,quantity\n{row}\n")
-        for loadtxt in (np.loadtxt, truncating_loadtxt):
-            monkeypatch.setattr(np, "loadtxt", loadtxt)
-            with warnings.catch_warnings():
-                warnings.simplefilter(action)
-                with pytest.raises(ParseError) as info:
-                    ingest_csv(path)
-            assert str(info.value) == message
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ParseError) as info:
+                ingest_csv(path)
+        assert str(info.value) == message
 
     def test_city_and_year_share_a_column(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")

@@ -7,11 +7,14 @@ include ranges, exclusions inside and outside them, and no filter at all.
 from the rows with blank lines, padded and quoted cells and integral floats
 must ingest to the same columns as a plain `csv` loop reads.  Plain files
 with rows (unquoted integer cells, empty lines, any line ending) must take
-the `np.loadtxt` path and read the same; odd cells and lines at that path's
-boundary must give the oracle's table or the row loop's exact message.
+the byte-level path and read the same; odd cells and lines at that path's
+boundary, and any one-character edit of a plain file, must give the row
+loop's table or its exact error.
 """
 
 import contextlib
+import csv
+import io
 from unittest import mock
 
 import pytest
@@ -128,7 +131,7 @@ def test_ingest_matches_csv_loop(csv_path, case):
 def test_plain_file_skips_row_loop(csv_path, case):
     rows, text, _ = case
     csv_path.write_text(text, encoding="utf-8", newline="")
-    # A body without rows makes `loadtxt` warn, so the row loop reads it.
+    # A body without rows may take either path.
     row_loop = mock.patch.object(pmf, "_read_table", side_effect=AssertionError("row loop ran"))
     with row_loop if rows else contextlib.nullcontext():
         table = ingest_csv(csv_path)
@@ -162,15 +165,31 @@ BOUNDARY_LINES = {
         (ParseError, "integer outside the int64 range, row 4"),
     ),
     "bad month": ("metro,2010,0,5,4", (ValidationError, "month out of range, row 4")),
+    "plus sign": ("metro,2010,1,+5,4", None),
+    "lone minus": ("metro,2010,1,-,4", (ParseError, "non-numeric price '-', row 4")),
+    "spaced minus": ("metro,2010,1,- 5,4", (ParseError, "non-numeric price '- 5', row 4")),
+    "18 digits": (f"metro,2010,1,{10**18 - 1},4", None),
+    "19 digits": (f"metro,2010,1,{10**18},4", None),
+    "non-ASCII city": ("\u5317\u4eac,2010,1,5,4", None),
+    "NUL in city": ("metro\x00,2010,1,5,4", None),
+    "padded city": (" metro\t,2010,1,6,4", None),
+    # Their commas add up to two full rows, but not row by row.
+    "short then long": ("metro,2010,1,5\n7,2010,1,5,4,9", (ParseError, "short row, row 4")),
 }
+# Each line above ends in a line end; the file's last row may lack one.
+BOUNDARY_LINES = {name: (line + "\n", error) for name, (line, error) in BOUNDARY_LINES.items()}
+BOUNDARY_LINES["no line end"] = ("coastal,2011,2,6,3", None)
 
 
 @pytest.mark.parametrize("line, error", BOUNDARY_LINES.values(), ids=BOUNDARY_LINES.keys())
 def test_boundary_line_reads_like_row_loop(tmp_path, line, error):
     path = tmp_path / "sales.csv"
-    path.write_text(f"{HEADER}\nmetro,2010,1,5,4\n\n{line}\n", encoding="utf-8")
+    path.write_text(f"{HEADER}\nmetro,2010,1,5,4\n\n{line}", encoding="utf-8")
     if error is None:
-        assert table_rows(ingest_csv(path)) == csv_rows(path)
+        table, rows = ingest_csv(path), csv_rows(path)
+        assert table_rows(table) == rows
+        # Labels equal once stripped share one code.
+        assert table.cities == tuple(dict.fromkeys(row[0] for row in rows))
     else:
         kind, message = error
         with pytest.raises(kind) as info:
@@ -203,3 +222,31 @@ def test_bad_value_names_file_row(csv_path, case, data):
     csv_path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValidationError, match=f"^{rule}, row {rownums[target]}$"):
         ingest_csv(csv_path)
+
+
+#: Characters at the byte-level path's boundary: signs, separators, the
+#: padding it trims and a blank (`\v`) that only `int()` strips, line ends,
+#: NUL and non-ASCII letters and digits.
+EDIT_CHARACTERS = "0123456789-+._ \t\v,\r\n\x00\u00e9\u5317\u0663"
+
+
+def outcome(read):
+    """(labels, rows) of the table `read` returns, or its error's type and message."""
+    try:
+        table = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return table.cities, table_rows(table)
+
+
+@CSV_PROPERTIES
+@given(case=csv_files(plain=True), data=st.data())
+def test_one_character_edit_reads_like_row_loop(csv_path, case, data):
+    _, text, _ = case
+    at = data.draw(st.integers(0, len(text)))
+    replace = at < len(text) and data.draw(st.booleans())
+    text = text[:at] + data.draw(st.sampled_from(EDIT_CHARACTERS)) + text[at + replace :]
+    csv_path.write_text(text, encoding="utf-8", newline="")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    want = outcome(lambda: pmf._read_table(reader, dict(pmf.DEFAULT_SCHEMA), csv_path))
+    assert outcome(lambda: ingest_csv(csv_path)) == want
