@@ -10,7 +10,6 @@ from .equilibrium import (
     bounds_table,
     comparative_statics,
     demand,
-    gains_from_trade,
     invert_from_volume,
     invert_shares,
     solve_no_tc,
@@ -59,7 +58,6 @@ __all__ = [
     "did_ols",
     "diff_in_transports",
     "displacement_floor",
-    "gains_from_trade",
     "ingest_csv",
     "invert_from_volume",
     "invert_shares",

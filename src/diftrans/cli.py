@@ -8,6 +8,7 @@ so reruns of the same manifest are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -109,6 +110,14 @@ def _check_numbers(args) -> None:
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise DiftransError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
+    """The valuation schedule read from --wtp and the market of the market flags."""
+    curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
+    return curve, equilibrium.MarketConfig(
+        N=args.market_size, q=args.quota, z=args.speculator_share
+    )
 
 
 def _city_pair(args, table, city: str):
@@ -277,10 +286,7 @@ def cmd_equilibrium(args) -> int:
         raise DiftransError(f"trade shares {args.s!r} are not comma-separated numbers") from None
     if not s_values:
         raise DiftransError(f"trade shares {args.s!r} name no share")
-    curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
-    cfg = equilibrium.MarketConfig(
-        N=args.market_size, q=args.quota, z=args.speculator_share
-    )
+    curve, cfg = _market(args)
     rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
     dp, dt = equilibrium.comparative_statics(cfg, curve, [sol.s for sol in rows])
     rendered = []
@@ -298,20 +304,22 @@ def cmd_equilibrium(args) -> int:
         "manifest": _manifest("equilibrium", args, [args.wtp]),
     }
     if args.out_csv:
+        names = [f.name for f in dataclasses.fields(equilibrium.MarketSolution)]
         with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(
-                "s,p,t,v_seller,v_buyer,gross_gains,tc_total,net_gains,"
-                "tc_share,meets_price_floor\n"
-            )
+            fh.write(",".join(names) + "\n")
             for sol in rows:
-                floor = "" if sol.meets_price_floor is None else str(sol.meets_price_floor).lower()
-                fh.write(
-                    f"{sol.s!r},{sol.p!r},{sol.t!r},{sol.v_seller!r},{sol.v_buyer!r},"
-                    f"{sol.gross_gains!r},{sol.tc_total!r},{sol.net_gains!r},"
-                    f"{sol.tc_share!r},{floor}\n"
-                )
+                fh.write(",".join(_csv_cell(getattr(sol, name)) for name in names) + "\n")
     _write_json(report, args.out)
     return 0
+
+
+def _csv_cell(value) -> str:
+    """A float by its repr, a flag as true or false, an unset flag empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value)
 
 
 def cmd_did(args) -> int:
@@ -339,23 +347,11 @@ def cmd_ci(args) -> int:
             raise DiftransError("--control-city is required for the dit estimator")
         control = _city_pair(args, table, args.control_city)
 
-    transform = None
     inputs = [args.input]
     if args.map != "share":
         if not args.wtp:
             raise DiftransError(f"--wtp is required to map the share to {args.map}")
-        curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
-        mcfg = equilibrium.MarketConfig(
-            N=args.market_size, q=args.quota, z=args.speculator_share
-        )
-        field = {"p": "p", "t": "t", "net-gains": "net_gains"}[args.map]
-
-        def transform(shares):
-            # A point the model cannot invert is an error that names the bound
-            # it breaks; a draw it cannot invert maps to NaN.
-            equilibrium.invert_from_volume(mcfg, curve, float(shares[0]))
-            return getattr(equilibrium.invert_shares(mcfg, curve, shares), field)
-
+        curve, mcfg = _market(args)
         inputs.append(args.wtp)
 
     cfg = SubsampleConfig(
@@ -365,9 +361,16 @@ def cmd_ci(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
     )
-    result = inference.subsample_ci(
-        pre, post, args.d, cfg, control=control, transform=transform
-    )
+    result = inference.subsample_ci(pre, post, args.d, cfg, control=control)
+    if args.map != "share":
+        # A point the model cannot invert is an error that names the bound it
+        # breaks; a draw it cannot invert maps to NaN.
+        field = args.map.replace("-", "_")
+        point = equilibrium.invert_from_volume(mcfg, curve, result.point)
+        draws = equilibrium.invert_shares(mcfg, curve, result.draws)
+        result = inference.SubsampleResult.from_draws(
+            getattr(point, field), getattr(draws, field), cfg.alpha
+        )
     if args.dump_draws:
         with open(args.dump_draws, "w", encoding="utf-8") as fh:
             inference.dump_draws(result, fh)
@@ -401,70 +404,110 @@ def cmd_report(args) -> int:
             sections[name] = {"missing": True}
             gaps.append(name)
             continue
-        if not os.path.exists(path):
-            raise DiftransError(f"report input for {name!r} not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            sections[name] = json.load(fh)
+        sections[name] = _read_section(name, path)
         inputs.append(path)
+    markdown = _render_markdown(sections, gaps, args) if args.markdown else None
     bundle = {
         "sections": sections,
         "gaps": gaps,
         "manifest": _manifest("report", args, inputs),
     }
     _write_json(bundle, args.out)
-    if args.markdown:
+    if markdown is not None:
         with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(_render_markdown(sections, gaps))
+            fh.write(markdown)
     return 0
 
 
-def _render_markdown(sections: dict, gaps: list) -> str:
+def _read_section(name: str, path: str) -> dict:
+    """The JSON object in a section's file; any other content is an error
+    naming the section and the path."""
+    where = f"report input for {name!r}"
+    if not os.path.exists(path):
+        raise DiftransError(f"{where} not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            section = json.load(fh)
+    except UnicodeDecodeError:
+        raise DiftransError(f"{where} is not UTF-8 text: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise DiftransError(f"{where} is not JSON ({exc.msg}, line {exc.lineno}): {path}") from None
+    if not isinstance(section, dict):
+        raise DiftransError(f"{where} is not a JSON object: {path}")
+    return section
+
+
+def _markdown_scan(scan: dict) -> list[str]:
+    return [
+        "## Before-and-after",
+        "",
+        f"- selected bandwidth: {scan.get('selected_d', 'selection failed')}",
+        f"- estimate: {scan.get('estimate_at_selected_d', 'n/a')}",
+        "",
+    ]
+
+
+def _markdown_dit(dit: dict) -> list[str]:
+    return [
+        "## Difference-in-transports",
+        "",
+        f"- most informative bandwidth: {dit['d_star']}",
+        f"- estimate: {dit['s_dit']}",
+        "",
+    ]
+
+
+def _markdown_equilibrium(eq: dict) -> list[str]:
+    lines = ["## Market inversion", "", "| s | p (RMB 1,000) | t (RMB 1,000) | net gains (RMB bn) | cost share |", "|---|---|---|---|---|"]
+    for row in eq["rows"]:
+        disp = row["display"]
+        lines.append(
+            f"| {row['s']:.2f} | {disp['p_thousand']:.1f} | {disp['t_thousand']:.1f} "
+            f"| {disp['net_gains_billion']:.2f} | {row['tc_share']:.2f} |"
+        )
+    return lines + [""]
+
+
+def _markdown_did(did: dict) -> list[str]:
+    return [
+        "## Log-price difference-in-differences",
+        "",
+        f"- interaction coefficient: {did['alpha3']:.4f} (se {did['se'][3]:.4f})",
+        "",
+    ]
+
+
+def _markdown_ci(ci: dict) -> list[str]:
+    return [
+        "## Subsampling interval",
+        "",
+        f"- point {ci['point']:.4f}, {100 * (1 - ci['alpha']):.0f}% CI "
+        f"[{ci['lower']:.4f}, {ci['upper']:.4f}]",
+        "",
+    ]
+
+
+_MARKDOWN = {
+    "scan": _markdown_scan,
+    "dit": _markdown_dit,
+    "equilibrium": _markdown_equilibrium,
+    "did": _markdown_did,
+    "ci": _markdown_ci,
+}
+
+
+def _render_markdown(sections: dict, gaps: list, args) -> str:
     lines = ["# Trade volume and transaction cost report", ""]
-    scan = sections["scan"]
-    if "missing" not in scan:
-        lines += [
-            "## Before-and-after",
-            "",
-            f"- selected bandwidth: {scan.get('selected_d', 'selection failed')}",
-            f"- estimate: {scan.get('estimate_at_selected_d', 'n/a')}",
-            "",
-        ]
-    dit = sections["dit"]
-    if "missing" not in dit:
-        lines += [
-            "## Difference-in-transports",
-            "",
-            f"- most informative bandwidth: {dit['d_star']}",
-            f"- estimate: {dit['s_dit']}",
-            "",
-        ]
-    eq = sections["equilibrium"]
-    if "missing" not in eq:
-        lines += ["## Market inversion", "", "| s | p (RMB 1,000) | t (RMB 1,000) | net gains (RMB bn) | cost share |", "|---|---|---|---|---|"]
-        for row in eq["rows"]:
-            disp = row["display"]
-            lines.append(
-                f"| {row['s']:.2f} | {disp['p_thousand']:.1f} | {disp['t_thousand']:.1f} "
-                f"| {disp['net_gains_billion']:.2f} | {row['tc_share']:.2f} |"
-            )
-        lines.append("")
-    did = sections["did"]
-    if "missing" not in did:
-        lines += [
-            "## Log-price difference-in-differences",
-            "",
-            f"- interaction coefficient: {did['alpha3']:.4f} (se {did['se'][3]:.4f})",
-            "",
-        ]
-    ci = sections["ci"]
-    if "missing" not in ci:
-        lines += [
-            "## Subsampling interval",
-            "",
-            f"- point {ci['point']:.4f}, {100 * (1 - ci['alpha']):.0f}% CI "
-            f"[{ci['lower']:.4f}, {ci['upper']:.4f}]",
-            "",
-        ]
+    for name in REPORT_SECTIONS:
+        if "missing" in sections[name]:
+            continue
+        where, path = f"report input for {name!r}", getattr(args, name)
+        try:
+            lines += _MARKDOWN[name](sections[name])
+        except KeyError as exc:
+            raise DiftransError(f"{where} has no key {exc} for Markdown: {path}") from None
+        except (IndexError, TypeError, ValueError) as exc:
+            raise DiftransError(f"{where} has a value Markdown cannot show ({exc}): {path}") from None
     if gaps:
         lines += ["## Missing sections", ""] + [f"- {name}" for name in gaps] + [""]
     return "\n".join(lines)
@@ -482,6 +525,15 @@ def _add_common_io(sub, needs_city=True):
     sub.add_argument("--post", required=True, help="post window, YYYY-MM:YYYY-MM")
     sub.add_argument("--exclude", help="comma-separated YYYY-MM months to drop")
     sub.add_argument("--out", help="report JSON path (default: stdout)")
+
+
+def _add_market_flags(sub):
+    """The market model's flags, read by `_market`, with its own defaults."""
+    market = equilibrium.MarketConfig()
+    sub.add_argument("--market-size", type=int, default=market.N)
+    sub.add_argument("--quota", type=int, default=market.q)
+    sub.add_argument("--speculator-share", type=float, default=market.z)
+    sub.add_argument("--strictify", action="store_true", help="perturb tied valuations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,12 +595,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("equilibrium", help="invert trade shares into prices and costs")
     sub.add_argument("--wtp", required=True, help="willingness-to-pay CSV (header n,v)")
-    sub.add_argument("--market-size", type=int, default=700_000)
-    sub.add_argument("--quota", type=int, default=260_000)
-    sub.add_argument("--speculator-share", type=float, default=0.0)
+    _add_market_flags(sub)
     sub.add_argument("--s", required=True, help="comma-separated trade shares")
     sub.add_argument("--price-floor", type=float)
-    sub.add_argument("--strictify", action="store_true", help="perturb tied valuations")
     sub.add_argument("--out-csv")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_equilibrium)
@@ -571,10 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--map", choices=["share", "p", "t", "net-gains"], default="share")
     sub.add_argument("--wtp", help="willingness-to-pay CSV for mapped intervals")
-    sub.add_argument("--market-size", type=int, default=700_000)
-    sub.add_argument("--quota", type=int, default=260_000)
-    sub.add_argument("--speculator-share", type=float, default=0.0)
-    sub.add_argument("--strictify", action="store_true")
+    _add_market_flags(sub)
     sub.add_argument("--dump-draws", help="write the raw draw vector to this CSV")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_ci)

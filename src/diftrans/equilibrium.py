@@ -11,13 +11,17 @@ which pins down the price, the per-side cost wedge, and the gains from trade.
 Every inversion runs through one array core, `invert_shares`, which inverts
 a whole vector of shares with no Python loop over them: the marginal
 valuations are one `np.interp` each, and each share's gains integral is a
-trapezoid over one row of a fixed-width matrix of knots, sorted per row.  A
-share the model cannot invert gets a NaN row there.  `invert_from_volume`
-(one share, which raises instead), `bounds_table` and the mapped intervals of
-`ci --map` all read from it.  Prices, wedges and marginal valuations are the
-same floats as a scalar read of the schedule; the gains sum the same terms
-plus exact zeros from repeated knots, so they can differ from a sum over the
-distinct knots in the last bits.
+trapezoid over one row of a fixed-width matrix of knots, sorted per row, so
+every solution it returns carries its gains.  A share the model cannot
+invert gets a NaN row there.  `invert_from_volume` (one share, which raises
+instead) and `bounds_table` read from it.  So does `ci --map`, which maps a
+share interval after inference: the full-sample point through
+`invert_from_volume`, so a point the model cannot invert is an error naming
+the bound it breaks, and all the draws through one `invert_shares` call,
+whose NaN draws the interval leaves out.  Prices, wedges and marginal
+valuations are the same floats as a scalar read of the schedule; the gains
+sum the same terms plus exact zeros from repeated knots, so they can differ
+from a sum over the distinct knots in the last bits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
+from .pmf import _csv_rows
 from .transport import SCRATCH_CELLS
 
 
@@ -94,7 +99,7 @@ class WtpCurve:
         knots = []
         try:
             with open(path, "r", encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
+                reader = _csv_rows(csv.reader(fh), path)
                 header = [h.strip().lower() for h in next(reader, [])]
                 if header[:2] != ["n", "v"]:
                     raise ValidationError(f"{path}: expected header 'n,v', got {header}")
@@ -316,7 +321,15 @@ def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSo
 
 
 def _gross_gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray) -> np.ndarray:
-    """Gross gains of each share s > 0 (see `gains_from_trade`).
+    """Gross gains of each share s > 0: the surplus area up to the traded volume.
+
+    Gross gains integrate the gap between inverse demand and inverse supply up
+    to the traded volume sq.  At traded volume u the marginal buyer sits at
+    schedule share u / pool and the marginal seller at share (u - zq) s /
+    ((s - z) q) of the winners (valuation zero along the speculators' flat
+    segment u <= zq), both read in shares of the curve's own market size M.
+    Both are linear in u between the images of the curve knots, so the
+    trapezoid over those images, 0, zq and sq is the exact integral.
 
     Each share's knots fill one row of a (shares, 2K + 3) matrix, sorted per
     row; a repeated knot adds an exact zero to the trapezoid.  Where no
@@ -353,10 +366,10 @@ def _gross_gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray) -> np.ndarra
 
 
 def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> dict:
-    """The gains fields of arrays of shares and wedges (see `gains_from_trade`)."""
-    gross = np.zeros_like(s)
-    traded = s * cfg.q > 0.0
-    gross[traded] = _gross_gains(cfg, curve, s[traded])
+    """The gains fields of supported shares and their wedges: the surplus
+    area, the cost burden (the full two-sided wedge on every trade) and
+    their net."""
+    gross = _gross_gains(cfg, curve, s)
     tc_total = 2.0 * t * s * cfg.q
     return {
         "gross_gains": gross,
@@ -364,26 +377,6 @@ def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> 
         "net_gains": gross - tc_total,
         "tc_share": np.divide(tc_total, gross, out=np.zeros_like(gross), where=gross > 0.0),
     }
-
-
-def gains_from_trade(
-    cfg: MarketConfig, curve: WtpCurve, sol: MarketSolution
-) -> MarketSolution:
-    """Fill the gains fields: surplus area, total cost burden, and their net.
-
-    Gross gains integrate the gap between inverse demand and inverse supply up
-    to the traded volume sq.  At traded volume u the marginal buyer sits at
-    schedule share u / pool and the marginal seller at share (u - zq) s /
-    ((s - z) q) of the winners (valuation zero along the speculators' flat
-    segment u <= zq), both read in shares of the curve's own market size M.
-    Both are linear in u between the images of the curve knots, so the
-    trapezoid over those images, 0, zq and sq is the exact integral.  The cost
-    burden is the full two-sided wedge on every trade.
-    """
-    gains = _gains(cfg, curve, np.array([sol.s], dtype=np.float64), np.array([sol.t]))
-    for name, values in gains.items():
-        setattr(sol, name, values.item())
-    return sol
 
 
 def bounds_table(

@@ -15,13 +15,12 @@ as a small draw itself, so `streams.keyed_streams` computes every stream's
 state in one pass before the sweep; each stream stays bit for bit the one
 NumPy builds from its key.
 
-An interval can be mapped, for example through the market inversion, by a
-`transform` that takes the whole array of estimates at once, the full-sample
-point first, and returns the mapped array.  NaN in it marks a draw that could
-not be mapped; the draw is kept as NaN and left out of the quantiles.  A
-point that cannot be mapped should make the transform raise its own error,
-which propagates; a NaN point raises `ConfigError`.  Any other exception the
-transform raises propagates too.
+`subsample_ci` returns an interval of the estimated share.  Every interval
+is formed in one place, `SubsampleResult.from_draws`, from the percentiles of
+the draws that are not NaN.  A caller that wants an interval of a function of
+the share (the price, cost wedge or net gains of the market inversion, as
+`ci --map` does) maps the point and the draws itself and forms the interval
+there; a draw it cannot map is NaN and left out.
 """
 
 from __future__ import annotations
@@ -89,9 +88,24 @@ class SubsampleResult:
     upper: float
     draws: np.ndarray
 
+    @classmethod
+    def from_draws(cls, point: float, draws, alpha: float) -> "SubsampleResult":
+        """Percentile interval at level `1 - alpha` of the draws that are not NaN.
+
+        NaN marks a draw without a value, such as a share the market model
+        cannot invert; it is kept in `draws` and left out of the quantiles.
+        """
+        draws = np.asarray(draws, dtype=np.float64)
+        finite = draws[~np.isnan(draws)]
+        if finite.size == 0:
+            raise ConfigError("every subsample draw is NaN, so there is no interval")
+        lower = float(np.quantile(finite, alpha / 2))
+        upper = float(np.quantile(finite, 1.0 - alpha / 2))
+        return cls(float(point), lower, upper, draws)
+
     @property
     def n_failed(self) -> int:
-        """Draws whose transform failed, stored as NaN."""
+        """Draws without a value, stored as NaN."""
         return int(np.count_nonzero(np.isnan(self.draws)))
 
 
@@ -101,7 +115,6 @@ def subsample_ci(
     d: int,
     cfg: SubsampleConfig,
     control: tuple[PricePMF, PricePMF] | None = None,
-    transform=None,
 ) -> SubsampleResult:
     """Percentile interval from b-out-of-n subsample draws of an estimator at `d`.
 
@@ -114,17 +127,6 @@ def subsample_ci(
     the transport kernel together, as the columns of one sweep.  Each
     stream is bit for bit `default_rng(SeedSequence(entropy=(seed, draw,
     side)))`, seeded with all the others in one pass.
-
-    `transform` optionally maps the estimates, for example through the
-    market inversion (`equilibrium.invert_shares`).  It is called once, on
-    the array of the full-sample point followed by the draws, and returns
-    an array of the same shape.  A NaN in it marks a draw the transform
-    cannot map (for example a share the market model cannot support); such
-    draws are kept as NaN and left out of the quantiles.  The point comes
-    first so that the transform can check it: a point it cannot map should
-    raise its own error, which propagates, since an interval around a point
-    that does not exist means nothing.  A NaN point raises `ConfigError`,
-    and any exception the transform raises propagates.
     """
     d = _check_bandwidth(d)
     pairs = [(pre, post)] + ([] if control is None else [control])
@@ -152,25 +154,7 @@ def subsample_ci(
     else:
         # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
         values = costs[::2, grid.index(2 * d)] - costs[1::2, grid.index(d)]
-
-    if transform is not None:
-        mapped = np.asarray(transform(values), dtype=np.float64)
-        if mapped.shape != values.shape:
-            raise ValidationError(
-                f"transform returned shape {mapped.shape} for {values.size} estimates"
-            )
-        if np.isnan(mapped[0]):
-            raise ConfigError("the transform has no value at the full-sample point")
-        values = mapped
-    point = float(values[0])
-    draws = values[1:].copy()
-
-    finite = draws[~np.isnan(draws)]
-    if finite.size == 0:
-        raise ConfigError("every subsample draw failed the transform")
-    lower = float(np.quantile(finite, cfg.alpha / 2))
-    upper = float(np.quantile(finite, 1.0 - cfg.alpha / 2))
-    return SubsampleResult(point, lower, upper, draws)
+    return SubsampleResult.from_draws(values[0], values[1:].copy(), cfg.alpha)
 
 
 def dump_draws(result: SubsampleResult, fh) -> None:

@@ -247,11 +247,15 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     reads only what it can read exactly as the `csv` row loop does: rows of
     exactly the header's width between empty or non-empty line ends (LF,
     CRLF or a lone CR), integer cells matching `[ \t]*-?[0-9]{1,18}[ \t]*`,
-    and no NUL byte.  Anything else, or columns the table's field rules
-    reject, sends the decoded text to the row loop.  Only the loop reports
-    errors, so the path taken changes the speed, never the table or the
-    message.  A file rejected late in the body (say, one `.0` cell in its
-    last row) pays for both passes.
+    city labels short enough that their fixed-width words take no more
+    bytes than the file, and no NUL byte.  Anything else, or columns the
+    table's field rules reject, sends the decoded text to the row loop,
+    which reads fields of any length.  Only the loop reports errors, so the
+    path taken changes the speed, never the table or the message.  A file
+    the byte pass rejects pays, before the row loop, for its line and comma
+    scan of the whole file plus every numeric column up to the one that
+    rejects it, wherever in that column the rejected cell sits (say, one
+    `.0` price).
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -266,10 +270,23 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
-    table = None if b'"' in data else _parse_plain(data, text, columns)
-    if table is None:
-        table = _read_table(csv.reader(io.StringIO(text, newline="")), columns, path)
+    # No field is longer than the text, so `csv` reads every field the byte pass does.
+    limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
+    try:
+        table = None if b'"' in data else _parse_plain(data, text, columns)
+        if table is None:
+            table = _read_table(csv.reader(io.StringIO(text, newline="")), columns, path)
+    finally:
+        csv.field_size_limit(limit)
     return table
+
+
+def _csv_rows(reader, path):
+    """The rows of a `csv` reader; a `csv.Error` becomes a one-line `ParseError`."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}, row {reader.line_num}") from None
 
 
 def _locate(header: list[str], columns: dict) -> dict[str, int]:
@@ -334,9 +351,11 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
         if column is None:
             return None
         numbers.append(column)
-    cities, city = _code_labels(buf, *field(index["city"]))
+    labels = _code_labels(buf, *field(index["city"]))
+    if labels is None:
+        return None
     try:
-        return SalesTable(cities, city, *numbers)
+        return SalesTable(*labels, *numbers)
     except ValidationError:
         return None
 
@@ -384,10 +403,16 @@ def _code_labels(buf: np.ndarray, first: np.ndarray, last: np.ndarray):
 
     Each field is read as NUL-padded little-endian 8-byte words, so rows of
     one raw label compare equal; runs of equal rows are made unique and each
-    distinct raw label is decoded once.
+    distinct raw label is decoded once.  Every row takes as many words as the
+    longest label, so when that matrix would hold more bytes than `buf` (one
+    long label among short ones) the result is None instead.  Labels of one
+    length always fit: each row also holds four numbers, four commas and a
+    line end.
     """
     length = last - first + 1
     n_words = max(-(-int(length.max()) // 8), 1)
+    if 8 * n_words * length.size > buf.size:
+        return None
     padded = np.concatenate((buf, np.zeros(8 * n_words, dtype=np.uint8)))
     # The word starting at each byte offset (a view; offsets need no alignment).
     word_at = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
@@ -410,8 +435,9 @@ def _code_labels(buf: np.ndarray, first: np.ndarray, last: np.ndarray):
 
 
 def _read_table(reader, columns: dict, path) -> SalesTable:
+    rows = _csv_rows(reader, path)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
     index = _locate(header, columns)
@@ -423,7 +449,7 @@ def _read_table(reader, columns: dict, path) -> SalesTable:
     codes: dict[str, int] = {}
     city, year, month, price, quantity = (array.array("q") for _ in _COLUMNS)
     skipped = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in enumerate(rows, start=2):
         if not "".join(row).strip():
             skipped.append(rownum)
             continue

@@ -1,7 +1,7 @@
 """The public surface of the package, pinned name by name."""
 
 import diftrans
-from diftrans import estimators
+from diftrans import equilibrium, estimators
 
 PUBLIC = [
     "BandwidthScan",
@@ -29,7 +29,6 @@ PUBLIC = [
     "did_ols",
     "diff_in_transports",
     "displacement_floor",
-    "gains_from_trade",
     "ingest_csv",
     "invert_from_volume",
     "invert_shares",
@@ -42,11 +41,12 @@ PUBLIC = [
     "supply",
 ]
 
-#: Names the scan made redundant; none may come back through a stale re-export.
+#: Names made redundant; none may come back through a stale re-export.
 REMOVED = [
     "before_after",
     "d_floor",
     "equal_displacement_curves",
+    "gains_from_trade",
     "placebo_cost",
     "placebo_cost_matrix",
     "quantile_label",
@@ -65,5 +65,5 @@ def test_every_name_resolves():
 
 def test_removed_names_are_gone():
     for name in REMOVED:
-        assert not hasattr(diftrans, name), name
-        assert not hasattr(estimators, name), name
+        for module in (diftrans, equilibrium, estimators):
+            assert not hasattr(module, name), (module.__name__, name)

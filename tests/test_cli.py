@@ -83,6 +83,7 @@ class TestIngest:
 MALFORMED = {
     "wtp_short_row": ("wtp", b"n,v\n0,280000\n700000\n"),
     "wtp_non_numeric": ("wtp", b"n,v\n0,280000\n700000,zero\n"),
+    "wtp_field_past_csv_limit": ("wtp", b"n,v\n0," + b"9" * 200_000 + b"\n700000,0\n"),
     "sales_not_utf8": ("sales", b"city,year,month,price,quantity\nm\xe9tro,2010,1,5,1\n"),
     "input_is_directory": ("sales", None),
 }
@@ -687,8 +688,8 @@ class TestCi:
         assert 0 < report["n_failed"] == values.count("") < report["n_draws"]
 
     def test_mapped_draws_invert_in_one_array_call(self, tmp_path, synth_csv, uniform_wtp, monkeypatch):
-        # The point is checked by one scalar inversion; every estimate, the
-        # point first, is mapped by one call of the array core.
+        # After the sweep the point is mapped by one scalar inversion and
+        # the draws by one call of the array core.
         calls = {"invert_from_volume": [], "invert_shares": []}
         for name in calls:
             fn = getattr(equilibrium, name)
@@ -703,11 +704,47 @@ class TestCi:
         assert code == 0
         # The scalar inversion runs the core on its one share.
         (point,) = calls["invert_from_volume"]
-        assert [np.shape(s) for s in calls["invert_shares"]] == [(1,), (41,)]
-        assert point == calls["invert_shares"][1][0]
+        assert [np.shape(s) for s in calls["invert_shares"]] == [(1,), (40,)]
+        assert calls["invert_shares"][0] == [point]
         market = equilibrium.MarketConfig(N=50_000, q=20_000)
         curve = equilibrium.WtpCurve.uniform(700_000, 280_000)
         assert report["point"] == equilibrium.invert_from_volume(market, curve, point).net_gains
+
+    @pytest.mark.parametrize("estimator", ["before_after", "dit"])
+    def test_mapping_commutes_with_the_interval(self, tmp_path, synth_csv, uniform_wtp, estimator):
+        # Mapping after inference: each mapped draw is the inversion of the
+        # share draw, NaN where it fails (s_notc = 0.28 lies inside the
+        # before-and-after draws), and the interval drops the NaN draws.
+        market = ["--wtp", str(uniform_wtp), "--market-size", "50000", "--quota", "36000"]
+
+        def ci(map_):
+            dump = tmp_path / f"draws-{map_}.csv"
+            extra = ["--map", map_, *market, "--dump-draws", str(dump)]
+            argv = self.ci_args(synth_csv, extra=extra)
+            if estimator == "dit":
+                argv[argv.index("before_after")] = "dit"
+                argv += ["--control-city", "coastal"]
+            code, report = run(tmp_path, *argv)
+            assert code == 0
+            values = [row.split(",")[1] for row in dump.read_text().splitlines()[1:]]
+            return report, np.array([float(v) if v else np.nan for v in values])
+
+        shares_report, shares = ci("share")
+        cfg = equilibrium.MarketConfig(N=50_000, q=36_000)
+        curve = equilibrium.WtpCurve.from_csv(uniform_wtp)
+        point = equilibrium.invert_from_volume(cfg, curve, shares_report["point"])
+        mapped = equilibrium.invert_shares(cfg, curve, shares)
+        for map_, field in [("p", "p"), ("t", "t"), ("net-gains", "net_gains")]:
+            report, draws = ci(map_)
+            want = getattr(mapped, field)
+            assert np.array_equal(draws, want, equal_nan=True)
+            assert report["point"] == getattr(point, field)
+            kept = want[~np.isnan(want)]
+            assert report["n_failed"] == want.size - kept.size
+            assert report["lower"] == np.quantile(kept, 0.025)
+            assert report["upper"] == np.quantile(kept, 0.975)
+        if estimator == "before_after":
+            assert 0 < report["n_failed"] < report["n_draws"]
 
     def test_block_fraction_below_one_unit_is_one_line_error(self, tmp_path, capsys, synth_csv):
         code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--block-fraction", "1e-9"]))
@@ -919,3 +956,28 @@ class TestReport:
     def test_missing_input_file_fails(self, tmp_path):
         code, _ = run(tmp_path, "report", "--scan", str(tmp_path / "ghost.json"))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "section,content,message",
+        [
+            ("ci", b'{"point": \xff}', "is not UTF-8 text"),
+            ("scan", b'{"selected_d": 1', "is not JSON (Expecting ',' delimiter, line 1)"),
+            ("did", b"[1, 2]", "is not a JSON object"),
+            ("dit", b'{"d_star": 1000}', "has no key 's_dit' for Markdown"),
+            ("equilibrium", b'{"rows": [{"s": 0.1}]}', "has no key 'display' for Markdown"),
+            ("ci", b'{"point": "x", "alpha": 0.05, "lower": 0, "upper": 1}', "has a value Markdown"),
+        ],
+        ids=["not_utf8", "not_json", "not_object", "no_key", "no_row_key", "bad_value"],
+    )
+    def test_bad_section_is_one_line_error(self, tmp_path, capsys, section, content, message):
+        path = tmp_path / f"{section}.json"
+        path.write_bytes(content)
+        md = tmp_path / "bundle.md"
+        argv = ["report", f"--{section}", str(path), "--markdown", str(md)]
+        code, report = run(tmp_path, *argv)
+        assert (code, report) == (1, None)
+        assert not md.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"diftrans report: report input for {section!r} {message}")
+        assert err.endswith(f": {path}\n")
+        assert len(err.splitlines()) == 1

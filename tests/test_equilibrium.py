@@ -8,13 +8,11 @@ from scipy.integrate import quad
 
 from diftrans.equilibrium import (
     MarketConfig,
-    MarketSolution,
     WtpCurve,
     bounds_table,
     clear_share,
     comparative_statics,
     demand,
-    gains_from_trade,
     invert_from_volume,
     invert_shares,
     solution_as_dict,
@@ -231,9 +229,10 @@ class TestInversion:
 
 class TestGains:
     def test_vanishing_share(self, uniform):
+        # The gains vanish with the share: the surplus of the first trades is v_max each.
         cfg, curve = uniform
-        sol = MarketSolution(s=0.0, p=0.0, t=0.0, v_seller=0.0, v_buyer=0.0)
-        assert gains_from_trade(cfg, curve, sol).gross_gains == 0.0
+        sol = invert_from_volume(cfg, curve, 1e-12)
+        assert sol.gross_gains == pytest.approx(VMAX * 1e-12 * Q, rel=1e-9)
 
     def test_uniform_closed_form(self, uniform):
         cfg, curve = uniform

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from diftrans import transport
-from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
+from diftrans.errors import ConfigError, ValidationError
 from diftrans.estimators import diff_in_transports
-from diftrans.inference import SubsampleConfig, dump_draws, subsample_ci
+from diftrans.inference import SubsampleConfig, SubsampleResult, dump_draws, subsample_ci
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
@@ -102,11 +102,6 @@ class TestSubsampleCI:
             return diff_in_transports(a, b, ca, cb, d)
 
         expected = [scalar(*subsample_draw(sides, cfg, k)) for k in range(cfg.n_draws)]
-        cap = max(scalar(*sides), float(np.median(expected)))
-
-        def capped(values):
-            return np.where(values > cap, np.nan, values)
-
         kernel = transport._cost_columns
         calls = []
 
@@ -116,15 +111,11 @@ class TestSubsampleCI:
 
         monkeypatch.setattr(transport, "SCRATCH_CELLS", 40)
         monkeypatch.setattr(transport, "_cost_columns", counted)
-        res = subsample_ci(pre, post, d, cfg, control=control, transform=capped)
+        res = subsample_ci(pre, post, d, cfg, control=control)
         assert len(calls) >= 14
         assert res.point == scalar(*sides)
-        assert 0 < res.n_failed < cfg.n_draws
-        for k, value in enumerate(expected):
-            if value > cap:
-                assert np.isnan(res.draws[k])
-            else:
-                assert res.draws[k] == value
+        assert res.draws.tolist() == expected
+        assert res.n_failed == 0
 
     def test_interval_orientation_and_width(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
@@ -147,71 +138,6 @@ class TestSubsampleCI:
         assert res.point <= 0.0
         assert res.lower <= res.upper
 
-    def test_transform_maps_draws(self):
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
-        cfg = SubsampleConfig(n_draws=25, seed=13)
-        raw = subsample_ci(pre, post, 0, cfg)
-        calls = []
-
-        def doubled(values):
-            calls.append(values.copy())
-            return 2 * values
-
-        mapped = subsample_ci(pre, post, 0, cfg, transform=doubled)
-        # One call on the whole estimate vector, the point first.
-        assert len(calls) == 1
-        assert calls[0].tolist() == [raw.point, *raw.draws.tolist()]
-        assert mapped.point == 2 * raw.point
-        assert np.array_equal(mapped.draws, 2 * raw.draws)
-
-    def test_transform_failures_become_nan(self):
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
-        cfg = SubsampleConfig(n_draws=25, seed=13)
-
-        # The point is 0.3 and the draws run from 0.12 to 0.44.
-        def capped(values):
-            return np.where(values > 0.34, np.nan, values)
-
-        res = subsample_ci(pre, post, 0, cfg, transform=capped)
-        failed = np.isnan(res.draws)
-        assert res.point == pytest.approx(0.3)
-        assert 0 < res.n_failed == int(failed.sum()) < cfg.n_draws
-        assert np.all(res.draws[~failed] <= 0.34)
-        assert res.lower <= res.upper
-
-        def broken(values):
-            raise ValueError("a bug, not an infeasible share")
-
-        with pytest.raises(ValueError, match="a bug"):
-            subsample_ci(pre, post, 0, cfg, transform=broken)
-
-    def test_failing_point_raises(self):
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
-
-        cfg = SubsampleConfig(n_draws=25, seed=13)
-
-        # The point is 0.3: a transform that raises for it raises out of the interval.
-        def capped(values):
-            if values[0] > 0.25:
-                raise InfeasibleShareError("above the cap")
-            return values
-
-        with pytest.raises(InfeasibleShareError, match="above the cap"):
-            subsample_ci(pre, post, 0, cfg, transform=capped)
-        # A transform that marks the point NaN instead gets no interval either.
-        with pytest.raises(ConfigError, match="full-sample point"):
-            subsample_ci(pre, post, 0, cfg, transform=lambda v: np.where(v > 0.25, np.nan, v))
-
-    def test_transform_must_keep_the_shape(self):
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
-        cfg = SubsampleConfig(n_draws=25, seed=13)
-        with pytest.raises(ValidationError, match="26 estimates"):
-            subsample_ci(pre, post, 0, cfg, transform=lambda v: v[1:])
-
     def test_dump_draws_csv(self):
         pre = PricePMF.from_counts([1, 2], [5, 5])
         post = PricePMF.from_counts([1, 2], [5, 5])
@@ -221,6 +147,42 @@ class TestSubsampleCI:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "draw_index,value"
         assert len(lines) == 4
+
+
+class TestFromDraws:
+    def test_mapped_draws(self):
+        # A map applied to the point and the draws after inference gives the
+        # interval of the mapped draws.
+        pre = PricePMF.from_counts([1, 2], [50, 50])
+        post = PricePMF.from_counts([1, 2], [20, 80])
+        cfg = SubsampleConfig(n_draws=25, seed=13)
+        raw = subsample_ci(pre, post, 0, cfg)
+        mapped = SubsampleResult.from_draws(2 * raw.point, 2 * raw.draws, cfg.alpha)
+        assert mapped.point == 2 * raw.point
+        assert np.array_equal(mapped.draws, 2 * raw.draws)
+        assert mapped.lower == np.quantile(2 * raw.draws, cfg.alpha / 2)
+        assert mapped.upper == np.quantile(2 * raw.draws, 1 - cfg.alpha / 2)
+        assert mapped.n_failed == 0
+
+    def test_nan_draws_left_out(self):
+        pre = PricePMF.from_counts([1, 2], [50, 50])
+        post = PricePMF.from_counts([1, 2], [20, 80])
+        cfg = SubsampleConfig(n_draws=25, seed=13)
+        raw = subsample_ci(pre, post, 0, cfg)
+        # The point is 0.3 and the draws run from 0.12 to 0.44.
+        capped = np.where(raw.draws > 0.34, np.nan, raw.draws)
+        res = SubsampleResult.from_draws(raw.point, capped, cfg.alpha)
+        failed = np.isnan(res.draws)
+        assert res.point == pytest.approx(0.3)
+        assert 0 < res.n_failed == int(failed.sum()) < cfg.n_draws
+        kept = raw.draws[raw.draws <= 0.34]
+        assert res.lower == np.quantile(kept, cfg.alpha / 2)
+        assert res.upper == np.quantile(kept, 1 - cfg.alpha / 2)
+        assert res.upper <= 0.34
+
+    def test_every_draw_nan_raises(self):
+        with pytest.raises(ConfigError, match="every subsample draw is NaN"):
+            SubsampleResult.from_draws(0.3, np.full(5, np.nan), 0.05)
 
 
 class TestCoverage:

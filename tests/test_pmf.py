@@ -1,6 +1,7 @@
 """Ingestion and price-distribution construction."""
 
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,6 +159,33 @@ class TestIngest:
             with pytest.raises(ParseError) as info:
                 ingest_csv(path)
         assert str(info.value) == message
+
+    def test_long_label_reads_like_its_quoted_twin(self, tmp_path):
+        # A label past `csv`'s default field limit: the row loop, which reads
+        # the quoted file, reads it as the byte pass reads the plain one.
+        label = "x" * 200_000
+        head = "city,year,month,price,quantity\n" + "metro,2010,1,5,4\n" * 3
+        plain = write(tmp_path, f"{head}{label},2011,2,7,1\n", "plain.csv")
+        quoted = write(tmp_path, f'{head}"{label}",2011,2,7,1\n', "quoted.csv")
+        limit = csv.field_size_limit()
+        table = ingest_csv(plain)
+        assert table.cities == ("metro", label)
+        assert table_rows(ingest_csv(quoted)) == table_rows(table)
+        assert csv.field_size_limit() == limit
+
+    def test_long_label_bounds_peak_memory(self, tmp_path):
+        # One long label would widen the byte pass's fixed-width label words
+        # in every row, so such a file goes to the row loop instead.
+        text = "city,year,month,price,quantity\n" + "metro,2010,1,5,4\n" * 5000
+        path = write(tmp_path, f"{text}{'x' * 20_000},2011,2,7,1\n")
+        tracemalloc.start()
+        try:
+            table = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 5001
+        assert peak < 25 * path.stat().st_size
 
     def test_city_and_year_share_a_column(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")
