@@ -99,9 +99,23 @@ def _parse_grid(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
+#: Most placebo replicates (`--sims`) or subsample draws (`--draws`) in one
+#: run.  The Monte Carlo error of a tail quantile of n draws is
+#: sqrt(p (1 - p) / n) in probability, 0.05 percentage points at p = 0.025
+#: and n = 10^5, far below what any interval or placebo mean can resolve.
+#: More draws would only take longer (each costs ~0.1-0.3 ms at paper scale)
+#: and grow the sweep's one-cost-per-draw-and-bandwidth output past memory.
+MAX_DRAWS = 100_000
+
+
 def _check_numbers(args) -> None:
-    """Reject a negative seed or floor and a non-finite threshold, tau or
-    price floor before any work; an unset flag is not checked."""
+    """Reject a negative seed or floor, a draw count outside [1, MAX_DRAWS],
+    and a non-finite threshold, tau or price floor before any work; an unset
+    flag is not checked."""
+    for name in ("sims", "draws"):
+        value = getattr(args, name, None)
+        if value is not None and not 1 <= value <= MAX_DRAWS:
+            raise DiftransError(f"--{name} must be from 1 to {MAX_DRAWS}, got {value}")
     for name in ("seed", "d_min"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
@@ -112,8 +126,22 @@ def _check_numbers(args) -> None:
             raise DiftransError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
+#: The market flags and the `MarketConfig` fields they set.
+MARKET_FLAGS = {"market_size": "N", "quota": "q", "speculator_share": "z"}
+
+
+def _market_defaults(args) -> None:
+    """Fill each unset market flag with the model's default, as the manifest
+    records it."""
+    market = equilibrium.MarketConfig()
+    for name, field in MARKET_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(market, field))
+
+
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
     """The valuation schedule read from --wtp and the market of the market flags."""
+    _market_defaults(args)
     curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
     return curve, equilibrium.MarketConfig(
         N=args.market_size, q=args.quota, z=args.speculator_share
@@ -339,6 +367,13 @@ def cmd_did(args) -> int:
 
 
 def cmd_ci(args) -> int:
+    if args.map == "share":
+        for name in ("wtp", *MARKET_FLAGS, "strictify"):
+            value = getattr(args, name)
+            if value is not None and value is not False:
+                flag = "--" + name.replace("_", "-")
+                raise DiftransError(f"{flag} is read only to map the share, which --map share does not")
+        _market_defaults(args)
     table = ingest_csv(args.input)
     pre, post = _city_pair(args, table, args.city)
     control = None
@@ -528,11 +563,15 @@ def _add_common_io(sub, needs_city=True):
 
 
 def _add_market_flags(sub):
-    """The market model's flags, read by `_market`, with its own defaults."""
+    """The market model's flags, read by `_market`.  They default to None, so
+    that `ci --map share` can tell a given flag; `_market_defaults` fills in
+    the model's own defaults."""
     market = equilibrium.MarketConfig()
-    sub.add_argument("--market-size", type=int, default=market.N)
-    sub.add_argument("--quota", type=int, default=market.q)
-    sub.add_argument("--speculator-share", type=float, default=market.z)
+    sub.add_argument("--market-size", type=int, help=f"buyers N (default {market.N})")
+    sub.add_argument("--quota", type=int, help=f"licenses q (default {market.q})")
+    sub.add_argument(
+        "--speculator-share", type=float, help=f"speculator share z (default {market.z})"
+    )
     sub.add_argument("--strictify", action="store_true", help="perturb tied valuations")
 
 

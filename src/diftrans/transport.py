@@ -31,11 +31,14 @@ reach them either, so counting their leftovers as passed over loses nothing.
 The target straddling `C` keeps `SB[j+1] - C`, and every target above `C` is
 untouched.  Taking the leftmost available mass of the window up to `a_i` is
 therefore exactly moving `C` up by `take`.  `ot_cost` runs the recurrence in
-plain floats.  The column kernel `_cost_columns` runs the same operations in
-the same order with `C` an array over mass columns and bandwidths: columns
-`A[:, r]` and `B[:, r]` hold one source and one target distribution on a
-shared pair of supports, so the windows depend on the bandwidth alone.  Both
-give bit-identical costs.
+plain floats.  The column kernel `_cost_columns` runs it in the same order
+with `C` an array over mass columns and bandwidths: columns `A[:, r]` and
+`B[:, r]` hold one source and one target distribution on a shared pair of
+supports, so the windows depend on the bandwidth alone.  The kernel writes
+the clamp at zero as `max(SB[hi_i], C) - C`, which rounds to the same bits
+as `max(SB[hi_i] - C, 0)`: where `SB[hi_i] >= C` both are the one rounded
+difference (+0.0 when equal), and elsewhere both are +0.0.  So the two give
+bit-identical costs.
 
 Zero masses change nothing, bit for bit, which lets distributions on
 different supports share one kernel call on the union of their supports.  A
@@ -58,12 +61,27 @@ Within a call the kernel pays numpy's per-call overhead per chunk of
 sources, not per source.  A chunk holds as many sources as fit
 `SCRATCH_CELLS / 32` cells of (bandwidth, column) state, and at least one.
 Two gathers fetch the chunk's `SB[lo_i]` and `SB[hi_i]` into reused
-buffers; each source then runs the first three lines of the recurrence as
-five in-place ufuncs on its contiguous slice, turning its `SB[hi_i]` into
-`take_i`.  One subtraction turns the chunk's takes into the unmatched parts
-`a_i - take_i`, which are added to the cost one source after another, so
-every sum rounds exactly as in `ot_cost` and the costs do not depend on the
-chunk depth either.
+buffers, and one copy repeats each source's masses `a_i` over the
+bandwidths.  Each source then runs the first three lines of the recurrence
+as five in-place ufuncs on its contiguous slice, turning its `SB[hi_i]`
+into `take_i`.  One subtraction turns the chunk's takes into the unmatched
+parts `a_i - take_i`, which are added to the cost one source after another,
+so every sum rounds exactly as in `ot_cost` and the costs do not depend on
+the chunk depth either.
+
+Every operand of those five ufuncs is a whole contiguous (bandwidth,
+column) array of the same shape.  At the CLI's sizes each call costs about
+a microsecond, so per-call overhead sets the pace, and for such operands
+numpy takes its fast path and runs the (G, R) cells as one flat loop.  An
+(R,) mass row broadcast over the bandwidths, or a Python float converted to
+an array on every call, sends the call through numpy's slower general setup
+instead, even at G = 1.  Measured with numpy 2.4 on one Xeon core at
+(G, R) = (76, 14), `np.minimum` against the mass row took ~2.9 µs and
+against the repeated masses ~1.2 µs; `np.maximum` against `0.0` took
+~1.8 µs and against an array ~1.1 µs.  The clamp at zero reads the level,
+already in cache, rather than an array of zeros, which at (76, 505) cells
+of state per source kept the kernel faster than the broadcast form where a
+zero array made it slower.
 
 The plan is read off the same recurrence.  Source `i` holds the interval
 `[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
@@ -253,8 +271,12 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
 
     One pass over the sources runs the level recurrence for every column and
     bandwidth at once.  The sources go in chunks of `depth`: the window sums
-    of a chunk are gathered by one call each, and its unmatched parts found
-    by one subtraction (see the module docstring).
+    of a chunk are gathered by one call each, its masses repeated over the
+    bandwidths by one copy, and its unmatched parts found by one
+    subtraction.  Every ufunc in the per-source step then reads whole
+    contiguous (G, R) operands, and the clamp at zero is taken against the
+    level, which keeps numpy off its slower broadcast and scalar paths (see
+    the module docstring).
     """
     sb = _prefix(B)
     level = np.zeros((lo.shape[1], A.shape[1]))
@@ -262,20 +284,26 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
     depth = max(1, (SCRATCH_CELLS >> 5) // level.size)
     passed_buf = np.empty((depth,) + level.shape)
     take_buf = np.empty_like(passed_buf)
+    a_buf = np.empty_like(passed_buf)
     for start in range(0, A.shape[0], depth):
-        a = A[start : start + depth]
+        chunk = slice(start, start + depth)
+        a = a_buf[: len(A[chunk])]
         passed, take = passed_buf[: len(a)], take_buf[: len(a)]
         # The bounds are in range; "clip" lets `np.take` fill `out` unbuffered.
-        np.take(sb, lo[start : start + depth], axis=0, out=passed, mode="clip")
-        np.take(sb, hi[start : start + depth], axis=0, out=take, mode="clip")
+        np.take(sb, lo[chunk], axis=0, out=passed, mode="clip")
+        np.take(sb, hi[chunk], axis=0, out=take, mode="clip")
+        # Each source's masses repeated over the bandwidths, so that no ufunc
+        # below broadcasts a row.
+        np.copyto(a, A[chunk, None, :])
         for passed_i, take_i, a_i in zip(passed, take, a):
             np.maximum(level, passed_i, out=level)
+            # max(SB[hi] - C, 0), bit for bit (see the module docstring).
+            np.maximum(take_i, level, out=take_i)
             np.subtract(take_i, level, out=take_i)
-            np.maximum(take_i, 0.0, out=take_i)
             np.minimum(take_i, a_i, out=take_i)
             level += take_i
         # The unmatched parts a_i - take_i, added to the cost in source order.
-        np.subtract(a[:, None, :], take, out=take)
+        np.subtract(a, take, out=take)
         for take_i in take:
             cost += take_i
     out = cost.T

@@ -719,7 +719,7 @@ class TestCi:
 
         def ci(map_):
             dump = tmp_path / f"draws-{map_}.csv"
-            extra = ["--map", map_, *market, "--dump-draws", str(dump)]
+            extra = ["--map", map_, *(market if map_ != "share" else []), "--dump-draws", str(dump)]
             argv = self.ci_args(synth_csv, extra=extra)
             if estimator == "dit":
                 argv[argv.index("before_after")] = "dit"
@@ -844,13 +844,21 @@ HUGE = "99999999999999999999"
         ("dit", "--threshold", "inf"),
         ("dit", "--tau", "nan"),
         ("dit", "--d-min", "-5"),
+        ("scan", "--sims", HUGE),
+        ("dit", "--sims", HUGE),
+        ("dit", "--sims", "0"),
+        ("ci", "--draws", HUGE),
+        ("ci", "--draws", "1000000000"),
+        ("ci", "--draws", str(cli.MAX_DRAWS + 1)),
+        ("ci", "--draws", "-3"),
     ],
 )
 def test_bad_numbers_rejected_before_ingest(
     tmp_path, capsys, synth_csv, monkeypatch, command, flag, value
 ):
-    # A negative seed or floor, or a non-finite threshold or tau, is a
-    # one-line error that names it, raised before the input is read.
+    # A negative seed or floor, a non-finite threshold or tau, or a draw
+    # count outside [1, MAX_DRAWS] is a one-line error that names it, raised
+    # before the input is read.
     scan, dit = scan_and_dit_args(synth_csv, tmp_path)
     argv = {"scan": scan, "dit": dit, "ci": TestCi().ci_args(synth_csv)}[command]
 
@@ -864,6 +872,48 @@ def test_bad_numbers_rejected_before_ingest(
     assert err.startswith(f"diftrans {command}: {flag} must be ")
     assert err.endswith(f", got {value}\n")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag,extra",
+    [
+        ("--wtp", ["--wtp", "/nonexistent.csv"]),
+        ("--market-size", ["--market-size", "50000"]),
+        ("--quota", ["--quota", "0"]),
+        ("--speculator-share", ["--speculator-share", "0.5"]),
+        ("--strictify", ["--strictify"]),
+    ],
+)
+def test_ci_share_rejects_market_flags(tmp_path, capsys, synth_csv, monkeypatch, flag, extra):
+    # An unmapped interval reads no market model, so its flags are a
+    # one-line error before the input is read.
+    def ingest(*args):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *TestCi().ci_args(synth_csv, extra=["--map", "share", *extra]))
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err.startswith(f"diftrans ci: {flag} is read only to map the share")
+    assert len(err.splitlines()) == 1
+
+
+def test_market_defaults_in_manifests(tmp_path, synth_csv, uniform_wtp):
+    # Unset market flags reach every manifest as the model's defaults.
+    market = equilibrium.MarketConfig()
+    want = {"market_size": market.N, "quota": market.q, "speculator_share": market.z}
+    want["strictify"] = False
+    mapped = ["--map", "p", "--wtp", str(uniform_wtp)]
+    argvs = [
+        TestCi().ci_args(synth_csv),
+        TestCi().ci_args(synth_csv, extra=mapped),
+        ["equilibrium", "--wtp", str(uniform_wtp), "--s", "0.1"],
+    ]
+    for argv in argvs:
+        code, report = run(tmp_path, *argv)
+        assert code == 0, argv
+        config = report["manifest"]["config"]
+        assert {name: config[name] for name in want} == want
 
 
 def test_huge_seed_is_valid(tmp_path, synth_csv):

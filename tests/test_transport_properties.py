@@ -129,6 +129,40 @@ def test_chunked_kernel_equals_per_source_loop(columns, data):
             assert np.array_equal(transport._cost_columns(lo, hi, A, B), expected)
 
 
+#: (bandwidths, columns) of the kernel calls the CLI makes on the bench's
+#: markets: `dit --sims 10` on the 51-point grid and its doubles, `ci` with
+#: 200 draws at one bandwidth, and `ci --estimator dit` at `d` and `2d`.
+CLI_GRIDS = {
+    (76, 14): sorted(set(range(0, 50_001, 1000)) | set(range(0, 100_001, 2000))),
+    (1, 201): [5000],
+    (2, 402): [5000, 10_000],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CLI_GRIDS))
+def test_chunked_kernel_at_cli_shapes(shape):
+    # The hypothesis property above reaches only small supports and few
+    # cells; here the supports are the fine market's, K ~ 1,700, with
+    # zero-mass rows and a zero-mass column.
+    grid = CLI_GRIDS[shape]
+    assert (len(grid), shape[1]) == shape
+    rng = np.random.default_rng(sum(shape))
+    src, tgt = FINE_LATTICE, np.arange(20_000, 193_001, 100)
+    lo, hi = transport._windows(src, tgt, grid)
+    A, B = (
+        rng.integers(0, 50, size=(k, shape[1])) * (rng.random((k, 1)) >= 0.3) / 1.0
+        for k in (src.size, tgt.size)
+    )
+    A[:, -1] = 0.0
+    A /= np.maximum(A.sum(axis=0), 1.0)
+    B /= B.sum(axis=0)
+    before = A.copy(), B.copy()
+    got = transport._cost_columns(lo, hi, A, B)
+    assert np.array_equal(got, per_source_cost_columns(lo, hi, A, B))
+    assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
+    assert 0.0 < got.max() < 1.0
+
+
 def assert_optimal_plan(a, b, d):
     """`solve_ot(a, b, d)` is feasible, has no rounding slivers, and attains `ot_cost`.
 
