@@ -18,12 +18,8 @@ from .equilibrium import (
 from .errors import DiftransError
 from .estimators import (
     BandwidthScan,
-    CompositionEstimate,
-    CompositionInputs,
     PlaceboConfig,
     bandwidth_scan,
-    composition_correction,
-    composition_fit,
     diff_in_transports,
     displacement_floor,
     select_dstar,
@@ -34,8 +30,6 @@ from .transport import TransportPlan, ot_cost, solve_ot, strassen_certificate
 
 __all__ = [
     "BandwidthScan",
-    "CompositionEstimate",
-    "CompositionInputs",
     "DidResult",
     "DiftransError",
     "MarketConfig",
@@ -52,8 +46,6 @@ __all__ = [
     "bounds_table",
     "build_pmf",
     "comparative_statics",
-    "composition_correction",
-    "composition_fit",
     "demand",
     "did_ols",
     "diff_in_transports",

@@ -237,8 +237,12 @@ def cmd_dit(args) -> int:
         raise DiftransError("--tau sets the trends floor, which --d-min skips")
     if args.tau is not None and not args.diag_pre:
         raise DiftransError("--tau needs --diag-pre and --diag-post")
+    if args.threshold is not None and args.d_min is not None:
+        raise DiftransError("--threshold sets the noise floor, which --d-min skips")
     if args.tau is None:
         args.tau = estimators.DISPLACEMENT_TAU
+    if args.threshold is None:
+        args.threshold = estimators.PLACEBO_THRESHOLD
     table = ingest_csv(args.input)
     t_pre, t_post = _city_pair(args, table, args.treated_city)
     c_pre, c_post = _city_pair(args, table, args.control_city)
@@ -374,6 +378,8 @@ def cmd_ci(args) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise DiftransError(f"{flag} is read only to map the share, which --map share does not")
         _market_defaults(args)
+    if args.estimator != "dit" and args.control_city is not None:
+        raise DiftransError("--control-city is read only by the dit estimator")
     table = ingest_csv(args.input)
     pre, post = _city_pair(args, table, args.city)
     control = None
@@ -601,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(sub)
     sub.add_argument("--d-grid", required=True, help="grid as lo:hi:step")
     sub.add_argument("--sims", type=int, default=500, help="placebo replicates")
-    sub.add_argument("--threshold", type=float, default=0.0005)
+    sub.add_argument("--threshold", type=float, default=estimators.PLACEBO_THRESHOLD)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-csv", required=True, help="scan table CSV path")
     sub.set_defaults(func=cmd_scan)
@@ -612,7 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--control-city", required=True)
     sub.add_argument("--d-grid", required=True)
     sub.add_argument("--sims", type=int, default=500)
-    sub.add_argument("--threshold", type=float, default=0.0005)
+    sub.add_argument(
+        "--threshold",
+        type=float,
+        help=f"placebo-mean threshold of the noise floor (default {estimators.PLACEBO_THRESHOLD})",
+    )
     sub.add_argument(
         "--tau",
         type=float,

@@ -25,10 +25,6 @@ class SelectionError(DiftransError):
     """No bandwidth in the candidate grid satisfies the selection rule."""
 
 
-class IdentificationError(DiftransError):
-    """The data carry no variation that identifies the requested quantities."""
-
-
 class ConfigError(DiftransError):
     """A configuration value is inconsistent with the data or other settings."""
 

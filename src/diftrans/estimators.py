@@ -16,17 +16,16 @@ informative bandwidth at or above both.
 Every transport cost of a scan comes from one `transport._sweep`: its pairs
 and placebo replicates are the mass columns of one kernel pass per block,
 lifted with zero masses onto shared supports, which leaves each cost bit for
-bit `ot_cost`'s.  The composition correction is a sweep over its pair alone.
+bit `ot_cost`'s.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, SelectionError, ValidationError
+from .errors import SelectionError, ValidationError
 from .pmf import PricePMF
 from .streams import keyed_streams
 from .transport import _check_bandwidth, _sweep, ot_cost
@@ -34,6 +33,8 @@ from .transport import _check_bandwidth, _sweep, ot_cost
 #: Quantile levels of each placebo column, labelled in the scan CSV header.
 PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 SCAN_CSV_HEADER = "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit"
+#: Default placebo-mean threshold of the noise floor.
+PLACEBO_THRESHOLD = 0.0005
 #: Default tolerance of the equal-displacement (trends) floor.
 DISPLACEMENT_TAU = 0.005
 
@@ -230,196 +231,3 @@ def displacement_floor(
         )
     return floor
 
-
-# ---------------------------------------------------------------------------
-# Correction for composition shifts between first-time and returning buyers.
-
-@dataclass(frozen=True)
-class CompositionInputs:
-    """Monthly distributions with license counts that pin buyer-mix weights.
-
-    For month t the share of first-time buyers is phi_f = rho * L_t / units_t,
-    where L_t is the number of licenses issued and rho the share of them spent
-    on new cars; the remainder are returning buyers.
-    """
-
-    monthly_pmfs: tuple[tuple[object, PricePMF], ...]
-    licenses: tuple[tuple[object, int], ...]
-    rho: float = 0.5
-    theta_pre: tuple[float, float] = (1.0, 0.0)
-    theta_post: tuple[float, float] = (1.0, 0.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValidationError(f"rho must be in (0, 1], got {self.rho}")
-        for name, theta in (("theta_pre", self.theta_pre), ("theta_post", self.theta_post)):
-            if abs(theta[0] + theta[1] - 1.0) > 1e-9:
-                raise ValidationError(f"{name} weights must sum to 1, got {theta}")
-        lic = dict(self.licenses)
-        for period, p in self.monthly_pmfs:
-            if period not in lic:
-                raise ValidationError(f"no license count for period {period!r}")
-            phi = self.rho * lic[period] / p.n
-            if not 0.0 <= phi <= 1.0:
-                raise ValidationError(
-                    f"first-time share {phi:.4f} outside [0, 1] for period {period!r}"
-                )
-
-    def phi(self) -> tuple[np.ndarray, np.ndarray]:
-        lic = dict(self.licenses)
-        phi_f = np.array(
-            [self.rho * lic[period] / p.n for period, p in self.monthly_pmfs]
-        )
-        return phi_f, 1.0 - phi_f
-
-
-@dataclass
-class CompositionEstimate:
-    """Best-guess first-time and returning distributions with fit diagnostics."""
-
-    f_hat: PricePMF
-    r_hat: PricePMF
-    residual_ss: float
-    correction: dict[int, float] = field(default_factory=dict)
-    r_identified: bool = True
-    kkt_norm: float = float("nan")
-    theta_pre: tuple[float, float] = (1.0, 0.0)
-    theta_post: tuple[float, float] = (1.0, 0.0)
-    p_pre_hat: PricePMF | None = None
-    p_post_hat: PricePMF | None = None
-
-
-def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort algorithm)."""
-    u = np.sort(y)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u - css / np.arange(1, y.size + 1) > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(y - theta, 0.0)
-
-
-def _union_matrix(pmfs):
-    """The union of the supports of `pmfs`, and their masses on it, one row each."""
-    support = np.array(
-        sorted(set().union(*(p.support.tolist() for p in pmfs))),
-        dtype=np.int64,
-    )
-    P = np.zeros((len(pmfs), support.size))
-    for t, p in enumerate(pmfs):
-        idx = np.searchsorted(support, p.support)
-        P[t, idx] = p.mass
-    return support, P
-
-
-def composition_fit(
-    inputs: CompositionInputs,
-    max_iter: int = 100_000,
-    f0: np.ndarray | None = None,
-    r0: np.ndarray | None = None,
-) -> CompositionEstimate:
-    """Least squares for the two buyer-type distributions on the simplex.
-
-    Minimizes sum_t || phi_f[t] f + phi_r[t] r - p_t ||^2 over two probability
-    simplices by projected gradient with backtracking; identification needs
-    the mix weights to vary across periods.  `f0`/`r0` warm-start the solver
-    (default: uniform).
-    """
-    phi_f, phi_r = inputs.phi()
-    support, P = _union_matrix([p for _, p in inputs.monthly_pmfs])
-    n_total = int(sum(p.n for _, p in inputs.monthly_pmfs))
-
-    if float(np.ptp(phi_f)) < 1e-12:
-        if abs(float(phi_f[0]) - 1.0) < 1e-12:
-            # Returning buyers drop out of the objective entirely; the
-            # first-time distribution is the plain average and r is undefined.
-            f = P.mean(axis=0)
-            resid = float(np.sum((f[None, :] - P) ** 2))
-            pmf = PricePMF(support, f / f.sum(), n_total)
-            return CompositionEstimate(
-                pmf,
-                pmf,
-                resid,
-                r_identified=False,
-                kkt_norm=0.0,
-                theta_pre=inputs.theta_pre,
-                theta_post=inputs.theta_post,
-            )
-        raise IdentificationError(
-            "first-time shares are identical across periods; "
-            "the two distributions are not separately identified"
-        )
-
-    def objective(f, r):
-        fit = phi_f[:, None] * f[None, :] + phi_r[:, None] * r[None, :]
-        return float(np.sum((fit - P) ** 2))
-
-    def gradients(f, r):
-        resid = phi_f[:, None] * f[None, :] + phi_r[:, None] * r[None, :] - P
-        gf = 2.0 * (phi_f[:, None] * resid).sum(axis=0)
-        gr = 2.0 * (phi_r[:, None] * resid).sum(axis=0)
-        return gf, gr
-
-    # Lipschitz bound for the joint gradient; 1/L is a safe reference step.
-    lip = 2.0 * (float(np.sum(phi_f**2 + phi_r**2)) + 2.0 * float(np.sum(phi_f * phi_r)))
-    step = 1.0 / lip
-    f = np.full(support.size, 1.0 / support.size) if f0 is None else project_simplex(np.asarray(f0, dtype=float))
-    r = f.copy() if r0 is None else project_simplex(np.asarray(r0, dtype=float))
-    value = objective(f, r)
-    kkt = float("inf")
-    for _ in range(max_iter):
-        gf, gr = gradients(f, r)
-        kkt = (
-            math.sqrt(
-                float(np.sum((f - project_simplex(f - step * gf)) ** 2))
-                + float(np.sum((r - project_simplex(r - step * gr)) ** 2))
-            )
-            / step
-        )
-        if kkt < 1e-8:
-            break
-        eta = step
-        while True:
-            f_new = project_simplex(f - eta * gf)
-            r_new = project_simplex(r - eta * gr)
-            value_new = objective(f_new, r_new)
-            # Sufficient decrease for projected gradient with backtracking.
-            quad = (
-                float(gf @ (f_new - f) + gr @ (r_new - r))
-                + (float(np.sum((f_new - f) ** 2) + np.sum((r_new - r) ** 2))) / (2 * eta)
-            )
-            if value_new <= value + quad + 1e-15 or eta < 1e-18:
-                break
-            eta *= 0.5
-        f, r, value = f_new, r_new, value_new
-    else:
-        raise RuntimeError(
-            f"composition fit did not reach stationarity; gradient map norm {kkt:.3g}"
-        )
-
-    f_pmf = PricePMF(support, f / f.sum(), n_total)
-    r_pmf = PricePMF(support, r / r.sum(), n_total)
-    return CompositionEstimate(
-        f_pmf,
-        r_pmf,
-        value,
-        kkt_norm=kkt,
-        theta_pre=inputs.theta_pre,
-        theta_post=inputs.theta_post,
-    )
-
-
-def composition_correction(est: CompositionEstimate, grid: list[int]) -> dict[int, float]:
-    """Transport cost between the fitted type distributions per bandwidth.
-
-    Also reconstructs the implied pre and post mixtures from the stored
-    period weights and keeps them on the estimate.
-    """
-    grid = _check_grid(grid)
-    costs = _sweep([(est.f_hat, est.r_hat)], grid)[0].tolist()
-    est.correction = dict(zip(grid, costs))
-    support = est.f_hat.support
-    n = est.f_hat.n
-    for name, (tf, tr) in (("p_pre_hat", est.theta_pre), ("p_post_hat", est.theta_post)):
-        mix = tf * est.f_hat.mass + tr * est.r_hat.mass
-        setattr(est, name, PricePMF(support, mix / mix.sum(), n))
-    return est.correction

@@ -47,15 +47,17 @@ edge reads the same value.  A zero-mass source takes nothing and adds 0.0 to
 the cost; its `max` with `SB[lo_i]` is absorbed by the next source with mass,
 whose `lo` is no smaller, or changes the level only after the last one.
 
-Every estimator (the grid curves, the placebo matrix, the subsample draws,
-the composition correction) reads its costs off one sweep, `_sweep`, which
-is where distributions are lifted onto the union supports, the windows are
-found once, and columns are blocked.  The kernel's scratch grows with its
-column count (the masses, their prefix sums and the bandwidth-by-column
-state), so `_sweep` cuts the columns into blocks by one rule, `_blocks`,
-which keeps each call within `SCRATCH_CELLS`.  The blocks hold consecutive
-columns and each column is computed alone, so the costs do not depend on the
-block size.
+Every estimator (the grid curves, the placebo matrix, the subsample draws)
+reads its costs off one sweep, `_sweep`, which is where distributions are
+lifted onto the union supports, the windows are found once, and columns are
+blocked.  The kernel's scratch grows with its column count (the masses,
+their prefix sums and the bandwidth-by-column state), so `_sweep` cuts the
+columns into blocks by one rule, `_blocks`, which keeps each call within
+`SCRATCH_CELLS`.  The blocks hold consecutive columns and each column is
+computed alone, so the costs do not depend on the block size.  The windows
+are (source, bandwidth) arrays shared by every block, so no block size
+bounds them; `_sweep` refuses a sweep whose windows would pass
+`WINDOW_CELLS` before it builds them.
 
 Within a call the kernel pays numpy's per-call overhead per chunk of
 sources, not per source.  A chunk holds as many sources as fit
@@ -176,6 +178,12 @@ ZERO_COST = 1e-12
 
 #: Scratch budget of one kernel call, in float64 cells (8 MiB).
 SCRATCH_CELLS = 1 << 20
+
+#: Most (source, bandwidth) cells in one sweep's windows: 128 MiB for each of
+#: `_windows`' int64 arrays (`lo`, `hi` and the temporary that each is found
+#: from).  A scan of the paper-scale market (~1,700 sources) over 501
+#: bandwidths fills ~5% of it.
+WINDOW_CELLS = 16 * SCRATCH_CELLS
 
 
 def _windows(src: np.ndarray, tgt: np.ndarray, d):
@@ -320,7 +328,8 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     masses `b` on that of `pairs[i][1]`; by default column r is pair r itself.
     Every column is lifted onto the union of the source supports and the
     union of the target supports, zero mass off its own, and the columns go
-    through the kernel in blocks, one call per block.
+    through the kernel in blocks, one call per block.  Windows past
+    `WINDOW_CELLS` cells are a `ValidationError`, raised before they exist.
     """
     pairs = list(pairs)
     if not pairs:
@@ -334,6 +343,11 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     # The rows of each pair's supports in the lifted columns.
     rows_a = [np.searchsorted(src, a.support) for a, _ in pairs]
     rows_b = [np.searchsorted(tgt, b.support) for _, b in pairs]
+    if src.size * len(grid) > WINDOW_CELLS:
+        raise ValidationError(
+            f"transport windows of {src.size} source prices by {len(grid)} bandwidths "
+            f"exceed {WINDOW_CELLS} cells; use a coarser grid"
+        )
     lo, hi = _windows(src, tgt, [_check_bandwidth(d) for d in grid])
     out = np.empty((count, len(grid)))
     for block in _blocks(count, src.size, tgt.size, len(grid)):

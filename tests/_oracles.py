@@ -115,19 +115,6 @@ def half_l1(a: PricePMF, b: PricePMF) -> float:
     return 0.5 * float(np.abs(ma - mb).sum())
 
 
-def project_simplex_reference(y: np.ndarray) -> np.ndarray:
-    """Bisection on the shift parameter; independent of the sort algorithm."""
-    lo = float(np.min(y)) - 1.0
-    hi = float(np.max(y))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(y - mid, 0.0).sum() > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(y - 0.5 * (lo + hi), 0.0)
-
-
 def random_pmf(
     rng: np.random.Generator,
     max_points: int = 6,

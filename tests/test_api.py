@@ -5,8 +5,6 @@ from diftrans import equilibrium, estimators
 
 PUBLIC = [
     "BandwidthScan",
-    "CompositionEstimate",
-    "CompositionInputs",
     "DidResult",
     "DiftransError",
     "MarketConfig",
@@ -23,8 +21,6 @@ PUBLIC = [
     "bounds_table",
     "build_pmf",
     "comparative_statics",
-    "composition_correction",
-    "composition_fit",
     "demand",
     "did_ols",
     "diff_in_transports",

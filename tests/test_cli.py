@@ -308,6 +308,8 @@ DIAG_WINDOWS = ["--diag-pre", "2010-01:2010-06", "--diag-post", "2010-07:2010-12
 
 class TestDit:
     def dit_args(self, csv_path, tmp_path, extra=()):
+        # --d-min skips the noise floor, so its threshold is not given with it.
+        threshold = [] if "--d-min" in extra else ["--threshold", "0.005"]
         return [
             "dit",
             "--input", str(csv_path),
@@ -318,7 +320,7 @@ class TestDit:
             "--d-grid", "0:8000:1000",
             "--sims", "40",
             "--seed", "3",
-            "--threshold", "0.005",
+            *threshold,
             "--out-csv", str(tmp_path / "curve.csv"),
             *extra,
         ]
@@ -419,6 +421,7 @@ class TestDit:
             DIAG_WINDOWS[2:],
             ["--tau", "0.01"],
             ["--d-min", "0", "--tau", "0.01"],
+            ["--d-min", "0", "--threshold", "0.005"],
         ],
         ids=[
             "trends-d-min",
@@ -431,13 +434,14 @@ class TestDit:
             "post-only",
             "tau-no-window",
             "tau-d-min",
+            "threshold-d-min",
         ],
     )
     def test_ignored_diagnostic_flags_are_one_line_errors(
         self, tmp_path, capsys, synth_csv, extra
     ):
-        # Each of these runs would otherwise skip the trends floor, its table
-        # or its tolerance in silence.
+        # Each of these runs would otherwise skip the trends floor, its table,
+        # its tolerance or the noise floor's threshold in silence.
         extra = [str(tmp_path / x) if x == "trends.csv" else x for x in extra]
         code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=extra))
         assert code == 1
@@ -898,6 +902,29 @@ def test_ci_share_rejects_market_flags(tmp_path, capsys, synth_csv, monkeypatch,
     assert len(err.splitlines()) == 1
 
 
+def test_ci_before_after_rejects_control_city(tmp_path, capsys, synth_csv, monkeypatch):
+    # Only the dit estimator builds a control city, so naming one for the
+    # before-and-after estimator is a one-line error before the input is read.
+    def ingest(*args):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *TestCi().ci_args(synth_csv, extra=["--control-city", "nowhere"]))
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err == "diftrans ci: --control-city is read only by the dit estimator\n"
+
+
+def test_dit_d_min_manifest_records_default_threshold(tmp_path, synth_csv):
+    # --d-min reads no threshold, and its manifest records the default one,
+    # as it did when the flag had a parser default.
+    argv = TestDit().dit_args(synth_csv, tmp_path, extra=["--d-min", "0"])
+    assert "--threshold" not in argv
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert report["manifest"]["config"]["threshold"] == estimators.PLACEBO_THRESHOLD == 0.0005
+
+
 def test_market_defaults_in_manifests(tmp_path, synth_csv, uniform_wtp):
     # Unset market flags reach every manifest as the model's defaults.
     market = equilibrium.MarketConfig()
@@ -925,9 +952,11 @@ def test_huge_seed_is_valid(tmp_path, synth_csv):
 @pytest.mark.parametrize("estimator", ["before_after", "dit"])
 def test_ci_bandwidth_past_int64(tmp_path, synth_csv, estimator):
     # Every move is within a bandwidth past int64, on either side of DiT.
-    argv = TestCi().ci_args(synth_csv, extra=["--control-city", "coastal"])
+    argv = TestCi().ci_args(synth_csv)
     argv[argv.index("--d") + 1] = HUGE
-    argv[argv.index("before_after")] = estimator
+    if estimator == "dit":
+        argv[argv.index("before_after")] = estimator
+        argv += ["--control-city", "coastal"]
     code, report = run(tmp_path, *argv)
     assert code == 0
     assert report["d"] == int(HUGE)
@@ -953,6 +982,26 @@ def test_grid_length_is_capped(tmp_path, capsys, synth_csv, monkeypatch):
     assert err == "diftrans scan: grid '0:4000:1000' has 5 bandwidths, more than 4\n"
     scan[scan.index("--d-grid") + 1] = "0:3000:1000"
     assert run(tmp_path, *scan)[0] == 0
+
+
+def test_transport_windows_are_capped(tmp_path, capsys, synth_csv, monkeypatch):
+    # A grid within MAX_GRID whose windows over the market's 169 source
+    # prices would pass transport.WINDOW_CELLS (~470 MB per int64 array) is
+    # a one-line error before any window array is built.
+    def windows(*args):
+        raise AssertionError("window arrays built past the cap")
+
+    monkeypatch.setattr(transport, "_windows", windows)
+    scan, _ = scan_and_dit_args(synth_csv, tmp_path)
+    scan[scan.index("--d-grid") + 1] = f"0:{cli.MAX_GRID - 1}:1"
+    code, report = run(tmp_path, *scan)
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err == (
+        f"diftrans scan: transport windows of 169 source prices by {cli.MAX_GRID} "
+        f"bandwidths exceed {transport.WINDOW_CELLS} cells; use a coarser grid\n"
+    )
+    assert not (tmp_path / "scan.csv").exists()
 
 
 class TestReport:

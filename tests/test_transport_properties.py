@@ -268,3 +268,26 @@ def test_batch_rejects_bad_shapes_and_bandwidths():
     for bad in (-1, 0.5, True):
         with pytest.raises(ValidationError):
             _sweep([(p, p)], [0, bad])
+
+
+def test_sweep_caps_window_cells(monkeypatch):
+    # The (source, bandwidth) windows are refused past WINDOW_CELLS before
+    # `_windows` builds them, and admitted up to it.
+    p = PricePMF.from_counts([1, 2, 3], [1, 1, 1])
+    monkeypatch.setattr(transport, "WINDOW_CELLS", 6)
+    assert _sweep([(p, p)], [0, 1]).shape == (1, 2)
+    built = []
+    monkeypatch.setattr(transport, "_windows", lambda *args: built.append(args))
+    with pytest.raises(ValidationError, match="3 source prices by 3 bandwidths exceed 6 cells"):
+        _sweep([(p, p)], [0, 1, 2])
+    assert built == []
+
+
+def test_window_cap_admits_paper_scale_scans():
+    # `dit --d-grid 0:50000:100` on the paper-scale market (~1,700 source
+    # prices), whose sweep adds the doubled bandwidths, stays inside the cap;
+    # the synthetic test market's 169 prices at the CLI's longest grid
+    # (`SCRATCH_CELLS // 3` bandwidths) do not.
+    grid = range(0, 50_001, 100)
+    doubled = set(grid) | {2 * d for d in grid}
+    assert 1_736 * len(doubled) <= transport.WINDOW_CELLS < 169 * (transport.SCRATCH_CELLS // 3)
