@@ -3,6 +3,10 @@
 Every report embeds a manifest (command, resolved configuration, input file
 digests, seed, tool version) and all randomness flows from a single --seed,
 so reruns of the same manifest are byte-identical.
+
+A flag that a run does not read is an error before the input is read, and
+so is a flag that the run needs and was not given.  `FLAG_RULES` lists when
+each conditional flag is read; `main` checks it before any command runs.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__, baseline, equilibrium, estimators, inference
 from .errors import DiftransError, SelectionError
@@ -103,8 +108,8 @@ def _parse_grid(text: str) -> list[int]:
 #: run.  The Monte Carlo error of a tail quantile of n draws is
 #: sqrt(p (1 - p) / n) in probability, 0.05 percentage points at p = 0.025
 #: and n = 10^5, far below what any interval or placebo mean can resolve.
-#: More draws would only take longer (each costs ~0.1-0.3 ms at paper scale)
-#: and grow the sweep's one-cost-per-draw-and-bandwidth output past memory.
+#: More draws would only take longer (each costs ~0.1-0.3 ms at paper scale);
+#: the sweep's output, one cost per draw and bandwidth, has its own cap.
 MAX_DRAWS = 100_000
 
 
@@ -126,32 +131,76 @@ def _check_numbers(args) -> None:
             raise DiftransError(f"--{name.replace('_', '-')} must be finite, got {value}")
 
 
-#: The market flags and the `MarketConfig` fields they set.
-MARKET_FLAGS = {"market_size": "N", "quota": "q", "speculator_share": "z"}
+def _given(args, name: str) -> bool:
+    """A flag is given when its value is neither None nor False."""
+    value = getattr(args, name)
+    return value is not None and value is not False
 
 
-def _market_defaults(args) -> None:
-    """Fill each unset market flag with the model's default, as the manifest
-    records it."""
-    market = equilibrium.MarketConfig()
-    for name, field in MARKET_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, getattr(market, field))
+class FlagRule(NamedTuple):
+    reads: Callable  # whether a run reads the flag, from its arguments
+    words: str  # when it does: "--<flag> is read only <words>"
+    required: bool = False  # "--<flag> is required <words>" when read and not given
+
+
+_MAPPED = FlagRule(lambda a: a.map != "share", "to map the share, with --map p, t or net-gains")
+_TRENDS = FlagRule(
+    lambda a: a.d_min is None and _given(a, "diag_pre") and _given(a, "diag_post"),
+    "to set the trends floor, with --diag-pre and --diag-post and without --d-min",
+)
+
+#: When each command reads each of its conditional flags.  `main` checks
+#: them before any command runs: a flag given to a run that does not read it
+#: is an error, and so is a required flag missing from a run that reads it.
+FLAG_RULES = {
+    "dit": {
+        "threshold": FlagRule(lambda a: a.d_min is None, "to set the noise floor, without --d-min"),
+        **dict.fromkeys(["diag_pre", "diag_post", "tau", "trends_csv"], _TRENDS),
+    },
+    "ci": {
+        "wtp": _MAPPED._replace(required=True),
+        **dict.fromkeys(["market_size", "quota", "speculator_share", "strictify"], _MAPPED),
+        "control_city": FlagRule(lambda a: a.estimator == "dit", "by the dit estimator", True),
+    },
+}
+
+#: The defaults of the flags that default to None, so that `FLAG_RULES` can
+#: tell whether they were given; `main` fills them in after the check.
+FLAG_DEFAULTS = {
+    "threshold": estimators.PLACEBO_THRESHOLD,
+    "tau": estimators.DISPLACEMENT_TAU,
+    "market_size": equilibrium.MarketConfig.N,
+    "quota": equilibrium.MarketConfig.q,
+    "speculator_share": equilibrium.MarketConfig.z,
+}
+
+
+def _check_flags(args) -> None:
+    """Apply `FLAG_RULES` to the run's arguments, then `FLAG_DEFAULTS`."""
+    for name, rule in FLAG_RULES.get(args.command, {}).items():
+        flag = "--" + name.replace("_", "-")
+        if _given(args, name) and not rule.reads(args):
+            raise DiftransError(f"{flag} is read only {rule.words}")
+        if rule.required and rule.reads(args) and not _given(args, name):
+            raise DiftransError(f"{flag} is required {rule.words}")
+    for name, value in FLAG_DEFAULTS.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
 
 
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
     """The valuation schedule read from --wtp and the market of the market flags."""
-    _market_defaults(args)
     curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
     return curve, equilibrium.MarketConfig(
         N=args.market_size, q=args.quota, z=args.speculator_share
     )
 
 
-def _city_pair(args, table, city: str):
-    pre = build_pmf(table, city, _period_filter(args.pre, args.exclude))
-    post = build_pmf(table, city, _period_filter(args.post, args.exclude))
-    return pre, post
+def _city_pmfs(table, cities, pre: str, post: str, exclude: str | None) -> tuple:
+    """Each city's PMFs in the `pre` and then the `post` window, less `exclude`."""
+    return tuple(
+        build_pmf(table, city, _period_filter(w, exclude)) for city in cities for w in (pre, post)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +224,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_transport(args) -> int:
     table = ingest_csv(args.input)
-    pre, post = _city_pair(args, table, args.city)
+    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     cost = ot_cost(pre, post, args.d)
     if args.plan:
         plan = solve_ot(pre, post, args.d)
@@ -192,15 +241,12 @@ def cmd_transport(args) -> int:
     return 0
 
 
-def _placebo_config(args) -> PlaceboConfig:
-    return PlaceboConfig(n_sims=args.sims, seed=args.seed)
-
-
 def cmd_scan(args) -> int:
     table = ingest_csv(args.input)
-    pre, post = _city_pair(args, table, args.city)
+    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     grid = _parse_grid(args.d_grid)
-    scan = estimators.bandwidth_scan(pre, post, grid, _placebo_config(args))
+    placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
+    scan = estimators.bandwidth_scan(pre, post, grid, placebo)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
     report = {
@@ -224,61 +270,27 @@ def cmd_scan(args) -> int:
     return 0
 
 
+#: The distributions `dit --placebo-base` names, in the order `cmd_dit` builds them.
+PLACEBO_BASES = ("treated-pre", "treated-post", "control-pre", "control-post")
+
+
 def cmd_dit(args) -> int:
-    if args.d_min is not None and (args.diag_pre or args.diag_post):
-        raise DiftransError("--diag-pre and --diag-post set the trends floor, which --d-min skips")
-    if bool(args.diag_pre) != bool(args.diag_post):
-        raise DiftransError("--diag-pre and --diag-post must be given together")
-    if args.trends_csv and args.d_min is not None:
-        raise DiftransError("--trends-csv needs the trends floor, which --d-min skips")
-    if args.trends_csv and not args.diag_pre:
-        raise DiftransError("--trends-csv needs --diag-pre and --diag-post")
-    if args.tau is not None and args.d_min is not None:
-        raise DiftransError("--tau sets the trends floor, which --d-min skips")
-    if args.tau is not None and not args.diag_pre:
-        raise DiftransError("--tau needs --diag-pre and --diag-post")
-    if args.threshold is not None and args.d_min is not None:
-        raise DiftransError("--threshold sets the noise floor, which --d-min skips")
-    if args.tau is None:
-        args.tau = estimators.DISPLACEMENT_TAU
-    if args.threshold is None:
-        args.threshold = estimators.PLACEBO_THRESHOLD
     table = ingest_csv(args.input)
-    t_pre, t_post = _city_pair(args, table, args.treated_city)
-    c_pre, c_post = _city_pair(args, table, args.control_city)
+    cities = (args.treated_city, args.control_city)
+    pmfs = _city_pmfs(table, cities, args.pre, args.post, args.exclude)
+    t_pre, t_post, c_pre, c_post = pmfs
     grid = _parse_grid(args.d_grid)
-    base = {
-        "treated-pre": t_pre,
-        "treated-post": t_post,
-        "control-pre": c_pre,
-        "control-post": c_post,
-    }[args.placebo_base]
+    base = dict(zip(PLACEBO_BASES, pmfs))[args.placebo_base]
     # The trends floor's pairs ride in the scan's sweep, so they are built first.
     trends = None
-    if args.diag_pre:
-        diag_args = argparse.Namespace(
-            pre=args.diag_pre, post=args.diag_post, exclude=args.exclude
-        )
-        trends = (
-            *_city_pair(diag_args, table, args.treated_city),
-            *_city_pair(diag_args, table, args.control_city),
-        )
+    if args.diag_pre is not None:
+        trends = _city_pmfs(table, cities, args.diag_pre, args.diag_post, args.exclude)
+    placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
     scan = estimators.bandwidth_scan(
-        t_pre,
-        t_post,
-        grid,
-        _placebo_config(args),
-        base=base,
-        control=(c_pre, c_post),
-        trends=trends,
+        t_pre, t_post, grid, placebo, base=base, control=(c_pre, c_post), trends=trends
     )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
-
-    report = {
-        "curve_csv": args.out_csv,
-        "manifest": _manifest("dit", args, [args.input]),
-    }
 
     if args.d_min is not None:
         placebo_d = displacement_d = None
@@ -287,7 +299,7 @@ def cmd_dit(args) -> int:
         placebo_d = scan.select(args.threshold)
         displacement_d = 0
         if scan.trends is not None:
-            if args.trends_csv:
+            if args.trends_csv is not None:
                 with open(args.trends_csv, "w", encoding="utf-8") as fh:
                     fh.write("d,cost_treated,cost_control,difference\n")
                     for d, ca, cb, diff in scan.trends:
@@ -296,17 +308,13 @@ def cmd_dit(args) -> int:
         d_min = max(placebo_d, displacement_d)
 
     d_star, s_dit = estimators.select_dstar(scan, d_min)
-    report.update(
-        {
-            "d_star": d_star,
-            "s_dit": s_dit,
-            "floors": {
-                "placebo_d": placebo_d,
-                "displacement_d": displacement_d,
-                "d_min": d_min,
-            },
-        }
-    )
+    report = {
+        "curve_csv": args.out_csv,
+        "d_star": d_star,
+        "s_dit": s_dit,
+        "floors": {"placebo_d": placebo_d, "displacement_d": displacement_d, "d_min": d_min},
+        "manifest": _manifest("dit", args, [args.input]),
+    }
     _write_json(report, args.out)
     return 0
 
@@ -371,37 +379,21 @@ def cmd_did(args) -> int:
 
 
 def cmd_ci(args) -> int:
-    if args.map == "share":
-        for name in ("wtp", *MARKET_FLAGS, "strictify"):
-            value = getattr(args, name)
-            if value is not None and value is not False:
-                flag = "--" + name.replace("_", "-")
-                raise DiftransError(f"{flag} is read only to map the share, which --map share does not")
-        _market_defaults(args)
-    if args.estimator != "dit" and args.control_city is not None:
-        raise DiftransError("--control-city is read only by the dit estimator")
+    cfg = SubsampleConfig(
+        n_draws=args.draws, b=args.b, block_fraction=args.block_fraction, alpha=args.alpha,
+        seed=args.seed,
+    )
     table = ingest_csv(args.input)
-    pre, post = _city_pair(args, table, args.city)
+    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     control = None
     if args.estimator == "dit":
-        if not args.control_city:
-            raise DiftransError("--control-city is required for the dit estimator")
-        control = _city_pair(args, table, args.control_city)
+        control = _city_pmfs(table, [args.control_city], args.pre, args.post, args.exclude)
 
     inputs = [args.input]
     if args.map != "share":
-        if not args.wtp:
-            raise DiftransError(f"--wtp is required to map the share to {args.map}")
         curve, mcfg = _market(args)
         inputs.append(args.wtp)
 
-    cfg = SubsampleConfig(
-        n_draws=args.draws,
-        b=args.b,
-        block_fraction=args.block_fraction,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
     result = inference.subsample_ci(pre, post, args.d, cfg, control=control)
     if args.map != "share":
         # A point the model cannot invert is an error that names the bound it
@@ -568,17 +560,24 @@ def _add_common_io(sub, needs_city=True):
     sub.add_argument("--out", help="report JSON path (default: stdout)")
 
 
-def _add_market_flags(sub):
-    """The market model's flags, read by `_market`.  They default to None, so
-    that `ci --map share` can tell a given flag; `_market_defaults` fills in
-    the model's own defaults."""
-    market = equilibrium.MarketConfig()
-    sub.add_argument("--market-size", type=int, help=f"buyers N (default {market.N})")
-    sub.add_argument("--quota", type=int, help=f"licenses q (default {market.q})")
-    sub.add_argument(
-        "--speculator-share", type=float, help=f"speculator share z (default {market.z})"
-    )
-    sub.add_argument("--strictify", action="store_true", help="perturb tied valuations")
+def _add(sub, command: str, flag: str, text: str, **kwargs) -> None:
+    """Add `flag` to `command`'s parser, its help `text` followed by its
+    default from `FLAG_DEFAULTS` and when the command reads it from `FLAG_RULES`."""
+    name = flag[2:].replace("-", "_")
+    if name in FLAG_DEFAULTS:
+        text += f" (default {FLAG_DEFAULTS[name]})"
+    rule = FLAG_RULES.get(command, {}).get(name)
+    if rule is not None:
+        text += f"; read{', and required,' if rule.required else ''} only {rule.words}"
+    sub.add_argument(flag, help=text, **kwargs)
+
+
+def _add_market_flags(sub, command: str):
+    """The market model's flags, read by `_market`."""
+    _add(sub, command, "--market-size", "buyers N", type=int)
+    _add(sub, command, "--quota", "licenses q", type=int)
+    _add(sub, command, "--speculator-share", "speculator share z", type=float)
+    _add(sub, command, "--strictify", "perturb tied valuations", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -618,33 +617,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--control-city", required=True)
     sub.add_argument("--d-grid", required=True)
     sub.add_argument("--sims", type=int, default=500)
-    sub.add_argument(
-        "--threshold",
-        type=float,
-        help=f"placebo-mean threshold of the noise floor (default {estimators.PLACEBO_THRESHOLD})",
-    )
-    sub.add_argument(
-        "--tau",
-        type=float,
-        help=f"equal-displacement tolerance (default {estimators.DISPLACEMENT_TAU})",
-    )
+    _add(sub, "dit", "--threshold", "placebo-mean threshold of the noise floor", type=float)
+    _add(sub, "dit", "--tau", "equal-displacement tolerance", type=float)
     sub.add_argument("--d-min", type=int, help="explicit admissibility floor, skips the rules")
     sub.add_argument(
         "--placebo-base",
-        choices=["treated-pre", "treated-post", "control-pre", "control-post"],
+        choices=PLACEBO_BASES,
         default="treated-post",
         help="distribution resampled for the placebo columns and the noise floor",
     )
-    sub.add_argument("--diag-pre", help="diagnostic window for the trends floor")
-    sub.add_argument("--diag-post", help="second diagnostic window")
-    sub.add_argument("--trends-csv", help="write the post-trends table here")
+    _add(sub, "dit", "--diag-pre", "diagnostic window of the trends floor")
+    _add(sub, "dit", "--diag-post", "second diagnostic window")
+    _add(sub, "dit", "--trends-csv", "write the post-trends table here")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-csv", required=True)
     sub.set_defaults(func=cmd_dit)
 
     sub = subs.add_parser("equilibrium", help="invert trade shares into prices and costs")
     sub.add_argument("--wtp", required=True, help="willingness-to-pay CSV (header n,v)")
-    _add_market_flags(sub)
+    _add_market_flags(sub, "equilibrium")
     sub.add_argument("--s", required=True, help="comma-separated trade shares")
     sub.add_argument("--price-floor", type=float)
     sub.add_argument("--out-csv")
@@ -661,15 +652,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ci", help="subsampling confidence interval for an estimator")
     _add_common_io(sub)
     sub.add_argument("--estimator", choices=["before_after", "dit"], default="before_after")
-    sub.add_argument("--control-city", help="control label for the dit estimator")
+    _add(sub, "ci", "--control-city", "control city label")
     sub.add_argument("--d", type=int, required=True)
     sub.add_argument("--draws", type=int, default=200)
     sub.add_argument("--b", type=int, help="explicit subsample size")
     sub.add_argument("--block-fraction", type=float)
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--map", choices=["share", "p", "t", "net-gains"], default="share")
-    sub.add_argument("--wtp", help="willingness-to-pay CSV for mapped intervals")
-    _add_market_flags(sub)
+    _add(sub, "ci", "--wtp", "willingness-to-pay CSV")
+    _add_market_flags(sub, "ci")
     sub.add_argument("--dump-draws", help="write the raw draw vector to this CSV")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(func=cmd_ci)
@@ -689,6 +680,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_numbers(args)
+        _check_flags(args)
         return args.func(args)
     except (DiftransError, OSError) as exc:
         print(f"diftrans {args.command}: {exc}", file=sys.stderr)

@@ -56,8 +56,8 @@ columns into blocks by one rule, `_blocks`, which keeps each call within
 `SCRATCH_CELLS`.  The blocks hold consecutive columns and each column is
 computed alone, so the costs do not depend on the block size.  The windows
 are (source, bandwidth) arrays shared by every block, so no block size
-bounds them; `_sweep` refuses a sweep whose windows would pass
-`WINDOW_CELLS` before it builds them.
+bounds them, nor the (column, bandwidth) costs; `_sweep` refuses a sweep
+whose windows or costs would pass `WINDOW_CELLS` before it builds them.
 
 Within a call the kernel pays numpy's per-call overhead per chunk of
 sources, not per source.  A chunk holds as many sources as fit
@@ -182,7 +182,8 @@ SCRATCH_CELLS = 1 << 20
 #: Most (source, bandwidth) cells in one sweep's windows: 128 MiB for each of
 #: `_windows`' int64 arrays (`lo`, `hi` and the temporary that each is found
 #: from).  A scan of the paper-scale market (~1,700 sources) over 501
-#: bandwidths fills ~5% of it.
+#: bandwidths fills ~5% of it.  It bounds the sweep's (column, bandwidth)
+#: float64 costs too.
 WINDOW_CELLS = 16 * SCRATCH_CELLS
 
 
@@ -328,7 +329,7 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     masses `b` on that of `pairs[i][1]`; by default column r is pair r itself.
     Every column is lifted onto the union of the source supports and the
     union of the target supports, zero mass off its own, and the columns go
-    through the kernel in blocks, one call per block.  Windows past
+    through the kernel in blocks, one call per block.  Windows or costs past
     `WINDOW_CELLS` cells are a `ValidationError`, raised before they exist.
     """
     pairs = list(pairs)
@@ -343,11 +344,13 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
     # The rows of each pair's supports in the lifted columns.
     rows_a = [np.searchsorted(src, a.support) for a, _ in pairs]
     rows_b = [np.searchsorted(tgt, b.support) for _, b in pairs]
-    if src.size * len(grid) > WINDOW_CELLS:
-        raise ValidationError(
-            f"transport windows of {src.size} source prices by {len(grid)} bandwidths "
-            f"exceed {WINDOW_CELLS} cells; use a coarser grid"
-        )
+    # The windows are (source, bandwidth) arrays, the costs (column, bandwidth).
+    for rows, what in [(src.size, "windows of %d source prices"), (count, "costs of %d columns")]:
+        if rows * len(grid) > WINDOW_CELLS:
+            raise ValidationError(
+                f"transport {what % rows} by {len(grid)} bandwidths exceed {WINDOW_CELLS} cells; "
+                "use a coarser grid"
+            )
     lo, hi = _windows(src, tgt, [_check_bandwidth(d) for d in grid])
     out = np.empty((count, len(grid)))
     for block in _blocks(count, src.size, tgt.size, len(grid)):

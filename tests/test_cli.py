@@ -422,6 +422,9 @@ class TestDit:
             ["--tau", "0.01"],
             ["--d-min", "0", "--tau", "0.01"],
             ["--d-min", "0", "--threshold", "0.005"],
+            ["--diag-pre", ""],
+            ["--d-min", "0", "--diag-pre", "", "--diag-post", ""],
+            ["--trends-csv", ""],
         ],
         ids=[
             "trends-d-min",
@@ -435,6 +438,9 @@ class TestDit:
             "tau-no-window",
             "tau-d-min",
             "threshold-d-min",
+            "empty-pre-only",
+            "empty-windows-d-min",
+            "empty-trends",
         ],
     )
     def test_ignored_diagnostic_flags_are_one_line_errors(
@@ -915,6 +921,31 @@ def test_ci_before_after_rejects_control_city(tmp_path, capsys, synth_csv, monke
     assert err == "diftrans ci: --control-city is read only by the dit estimator\n"
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--estimator", "dit"], "--control-city is required by the dit estimator"),
+        (["--map", "p"], "--wtp is required to map the share, with --map p, t or net-gains"),
+        (["--map", "net-gains"], "--wtp is required to map the share, with --map p, t or net-gains"),
+        (["--b", "10", "--block-fraction", "0.5"], "give either b or block_fraction, not both"),
+        (["--b", "0"], "subsample size must be at least 1, got 0"),
+        (["--block-fraction", "1.5"], "block_fraction must lie strictly inside (0, 1)"),
+        (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+    ],
+    ids=["dit-no-control", "p-no-wtp", "net-gains-no-wtp", "b-and-fraction", "b-zero", "fraction", "alpha"],
+)
+def test_ci_checks_run_before_ingest(tmp_path, capsys, synth_csv, monkeypatch, extra, message):
+    # A missing flag that the run needs and a subsample rule that no input
+    # can satisfy are one-line errors before the input is read.
+    def ingest(*args):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *TestCi().ci_args(synth_csv, extra=extra))
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans ci: {message}\n"
+
+
 def test_dit_d_min_manifest_records_default_threshold(tmp_path, synth_csv):
     # --d-min reads no threshold, and its manifest records the default one,
     # as it did when the flag had a parser default.
@@ -999,6 +1030,26 @@ def test_transport_windows_are_capped(tmp_path, capsys, synth_csv, monkeypatch):
     err = capsys.readouterr().err
     assert err == (
         f"diftrans scan: transport windows of 169 source prices by {cli.MAX_GRID} "
+        f"bandwidths exceed {transport.WINDOW_CELLS} cells; use a coarser grid\n"
+    )
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_sweep_costs_are_capped(tmp_path, capsys, worked_csv):
+    # Two prices keep the windows small, but one cost per placebo replicate
+    # and bandwidth would pass transport.WINDOW_CELLS (~280 GB here): a
+    # one-line error before the costs are allocated.
+    grid = f"0:{cli.MAX_GRID - 1}:1"
+    window = ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
+    code, report = run(
+        tmp_path,
+        "scan", "--input", str(worked_csv), "--city", "metro", *window,
+        "--d-grid", grid, "--sims", str(cli.MAX_DRAWS), "--out-csv", str(tmp_path / "scan.csv"),
+    )
+    assert (code, report) == (1, None)
+    err = capsys.readouterr().err
+    assert err == (
+        f"diftrans scan: transport costs of {cli.MAX_DRAWS + 1} columns by {cli.MAX_GRID} "
         f"bandwidths exceed {transport.WINDOW_CELLS} cells; use a coarser grid\n"
     )
     assert not (tmp_path / "scan.csv").exists()

@@ -8,6 +8,10 @@ with exactly one stderr line that starts `diftrans <command>:`; or 2 from
 argparse.  A traceback fails the property.  Flags that set a size (`--sims`,
 `--draws`, `--d-grid`) draw only tiny values or values the CLI rejects, so
 no example runs long.
+
+Each row of the CLI's flag table is also broken on purpose, once: the run
+must end in the one-line error that names the row's flag, before the input
+is read.
 """
 
 import contextlib
@@ -83,6 +87,7 @@ FLAGS = {
         "--placebo-base": st.sampled_from(["treated-pre", "control-post", "x"]),
         "--diag-pre": periods,
         "--diag-post": periods,
+        "--trends-csv": st.sampled_from(["", "{out}/trends.csv", "/nonexistent/trends.csv"]),
         "--seed": numbers,
     },
     "ci": {
@@ -133,7 +138,7 @@ def argvs(draw, command, csv, wtp, out):
     size = {"scan": "--sims", "dit": "--sims", "ci": "--draws"}.get(command)
     picked = draw(st.lists(st.sampled_from(sorted(set(flags) - {size})), max_size=3, unique=True))
     for flag in ([size] if size else []) + picked:
-        argv += [flag, draw(flags[flag])]
+        argv += [flag, draw(flags[flag]).replace("{out}", out)]
     if command in ("equilibrium", "ci"):
         if draw(st.booleans()):
             argv.append("--strictify")
@@ -148,6 +153,51 @@ def inputs(module_synth_csv):
     wtp = module_synth_csv.parent / "wtp.csv"
     wtp.write_text("n,v\n0,280000\n700000,0\n", encoding="utf-8")
     return str(module_synth_csv), str(wtp)
+
+
+#: For each row of `cli.FLAG_RULES`, flags added to the base argument vector
+#: that break it: the row's flag given to a run that does not read it, or,
+#: for a required flag, missing from a run that reads it.
+BREAKS = {
+    ("dit", "threshold", "read"): ["--d-min", "0"],
+    ("dit", "diag_pre", "read"): ["--diag-pre", WINDOWS[2]],
+    ("dit", "diag_post", "read"): ["--diag-post", WINDOWS[3]],
+    ("dit", "tau", "read"): ["--tau", "0.01"],
+    ("dit", "trends_csv", "read"): ["--trends-csv", "{out}/trends.csv"],
+    ("ci", "wtp", "read"): ["--wtp", "{wtp}"],
+    ("ci", "wtp", "required"): ["--map", "p"],
+    ("ci", "market_size", "read"): ["--market-size", "50000"],
+    ("ci", "quota", "read"): ["--quota", "20000"],
+    ("ci", "speculator_share", "read"): ["--speculator-share", "0.5"],
+    ("ci", "strictify", "read"): ["--strictify"],
+    ("ci", "control_city", "read"): ["--control-city", "coastal"],
+    ("ci", "control_city", "required"): ["--estimator", "dit"],
+}
+ROWS = [
+    (command, name, kind)
+    for command, rules in cli.FLAG_RULES.items()
+    for name, rule in rules.items()
+    for kind in ["read"] + (["required"] if rule.required else [])
+]
+
+
+def test_every_table_row_is_broken_below():
+    assert sorted(BREAKS) == sorted(ROWS)
+
+
+@pytest.mark.parametrize("row", ROWS, ids="-".join)
+def test_each_flag_rule_is_one_line_error_before_ingest(row, inputs, tmp_path, capsys, monkeypatch):
+    def ingest(*args):
+        raise AssertionError("input read before the flags were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    command, name, _ = row
+    csv, wtp = inputs
+    extra = [x.replace("{out}", str(tmp_path)).replace("{wtp}", wtp) for x in BREAKS[row]]
+    argv = base_argv(command, csv, wtp, str(tmp_path)) + extra
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"diftrans {command}: --{name.replace('_', '-')} ")
 
 
 @pytest.mark.parametrize("command", sorted(FLAGS))

@@ -283,6 +283,19 @@ def test_sweep_caps_window_cells(monkeypatch):
     assert built == []
 
 
+def test_sweep_caps_cost_cells(monkeypatch):
+    # The (column, bandwidth) costs are refused past WINDOW_CELLS before
+    # they are allocated, and admitted up to it.
+    p = PricePMF.from_counts([1, 2], [1, 1])
+    column = lambda r: (0, p.mass, p.mass)
+    with pytest.raises(ValidationError, match="costs of 10000000000000 columns by 2 bandwidths"):
+        _sweep([(p, p)], [0, 1], 10**13, column)
+    monkeypatch.setattr(transport, "WINDOW_CELLS", 6)
+    assert _sweep([(p, p)], [0, 1], 3, column).shape == (3, 2)
+    with pytest.raises(ValidationError, match="costs of 4 columns by 2 bandwidths exceed 6 cells"):
+        _sweep([(p, p)], [0, 1], 4, column)
+
+
 def test_window_cap_admits_paper_scale_scans():
     # `dit --d-grid 0:50000:100` on the paper-scale market (~1,700 source
     # prices), whose sweep adds the doubled bandwidths, stays inside the cap;
