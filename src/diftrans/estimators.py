@@ -165,16 +165,16 @@ def bandwidth_scan(
     n = len(pairs)
     ds = grid if control is None else sorted(set(grid) | {2 * d for d in grid})
 
-    stream = keyed_streams(lambda rep: (cfg.seed, rep), cfg.n_sims)
+    stream = keyed_streams(cfg.seed, (cfg.n_sims,))
 
     def column(r):
         # The pairs lead the sweep's columns; replicate r - n follows, drawn
-        # from its (seed, rep) stream straight into its column.
+        # from its (seed, rep) stream straight into its column as counts.
         if r < n:
-            return r, pairs[r][0].mass, pairs[r][1].mass
+            return r, pairs[r][0].mass, pairs[r][1].mass, 1.0, 1.0
         rng = stream(r - n)
-        a = rng.multinomial(pre.n, base.mass) / pre.n
-        return n, a, rng.multinomial(post.n, base.mass) / post.n
+        a = rng.multinomial(pre.n, base.mass)
+        return n, a, rng.multinomial(post.n, base.mass), pre.n, post.n
 
     out = _sweep(pairs + [(base, base)], ds, n + cfg.n_sims, column)
     # Per bandwidth, the cost of each pair.

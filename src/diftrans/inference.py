@@ -5,15 +5,18 @@ lower bounds), where the naive bootstrap is unreliable; b-out-of-n subsampling
 without replacement is the standard remedy.  Units are individual registered
 cars, resampled through the quantity-weighted support via multivariate
 hypergeometric draws so the expansion is never materialized.  The full sample
-and every draw are mass columns of one `transport._sweep`: per draw, one
-column for the treated pair and, for difference in transports, one for the
-control pair, each at both bandwidths of the estimator.
+and every draw are columns of one `transport._sweep`: per draw, one column
+for the treated pair and, for difference in transports, one for the control
+pair, each at both bandwidths of the estimator.  A draw's column holds its
+integer counts and its subsample sizes; the sweep divides each block by the
+sizes once, which gives the masses `counts / b` bit for bit.
 
 Each side of each draw has its own random stream, keyed by (seed, draw,
-side).  Building a `SeedSequence` and a `PCG64` per stream cost about as much
-as a small draw itself, so `streams.keyed_streams` computes every stream's
-state in one pass before the sweep; each stream stays bit for bit the one
-NumPy builds from its key.
+side): stream `draw * sides + side` of `streams.keyed_streams(seed, (draws,
+sides))`.  Building a `SeedSequence` and a `PCG64` per stream cost about as
+much as a small draw itself, so the streams' states are computed in array
+passes over up to `streams.PASS_KEYS` keys; each stream stays bit for bit the
+one NumPy builds from its key.
 
 `subsample_ci` returns an interval of the estimated share.  Every interval
 is formed in one place, `SubsampleResult.from_draws`, from the percentiles of
@@ -126,26 +129,26 @@ def subsample_ci(
     evaluation or the blocking.  The full sample and the draws go through
     the transport kernel together, as the columns of one sweep.  Each
     stream is bit for bit `default_rng(SeedSequence(entropy=(seed, draw,
-    side)))`, seeded with all the others in one pass.
+    side)))`, seeded with the others in array passes.
     """
     d = _check_bandwidth(d)
     pairs = [(pre, post)] + ([] if control is None else [control])
     sides = [p for pair in pairs for p in pair]
     sizes = [cfg.size_for(p.n) for p in sides]
     counts = [p.counts() for p in sides]
-    # Stream i is side i % len(sides) of draw i // len(sides).
-    stream = keyed_streams(lambda i: (cfg.seed, *divmod(i, len(sides))), cfg.n_draws * len(sides))
+    stream = keyed_streams(cfg.seed, (cfg.n_draws, len(sides)))
 
     def column(r):
         # Pair i of the full sample for k = 0, of draw k - 1 after it.
         k, i = divmod(r, len(pairs))
         if k == 0:
-            return i, pairs[i][0].mass, pairs[i][1].mass
-        masses = []
-        for side in (2 * i, 2 * i + 1):
-            rng = stream((k - 1) * len(sides) + side)
-            masses.append(rng.multivariate_hypergeometric(counts[side], sizes[side]) / sizes[side])
-        return i, *masses
+            return i, pairs[i][0].mass, pairs[i][1].mass, 1.0, 1.0
+        # Each side's counts, from stream (k - 1, side), over its subsample size.
+        a, b = (
+            stream((k - 1) * len(sides) + side).multivariate_hypergeometric(counts[side], sizes[side])
+            for side in (2 * i, 2 * i + 1)
+        )
+        return i, a, b, sizes[2 * i], sizes[2 * i + 1]
 
     grid = sorted({d, 2 * d}) if control is not None else [d]
     costs = _sweep(pairs, grid, len(pairs) * (cfg.n_draws + 1), column)

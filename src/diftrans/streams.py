@@ -7,17 +7,24 @@ side)` for a subsample draw.  The stream of a key is NumPy's
 the order or the batching of the draws.
 
 Building a `SeedSequence` and a `PCG64` per key costs ~25 µs, about half of
-what a small hypergeometric draw costs.  `pcg64_states` computes the same
-states for all keys at once: it runs `SeedSequence`'s entropy mixing and
-`generate_state` as uint32 array arithmetic over the keys, then PCG64's
-two-step seeding in Python ints.  `keyed_streams` computes them for up to
-`PASS_KEYS` keys at a time and sets them, one key at a time, on one reused
-`Generator`.  Both algorithms are part of NumPy's stream-compatibility
-promise (NEP 19), and the test suite checks the states against NumPy's own
-construction, so every stream stays bit-identical.
+what a small hypergeometric draw costs.  The states of many keys are computed
+at once instead: `SeedSequence`'s entropy mixing and `generate_state` run as
+uint32 array arithmetic over the keys' entropy words, then PCG64's two-step
+seeding runs in Python ints.  `keyed_streams(seed, shape)` keys index `i` by
+`(seed, *np.unravel_index(i, shape))`, so it builds the entropy words of up
+to `PASS_KEYS` keys as arrays (the seed's words broadcast, then one column
+per index part, two for a part of 2**32 or more) without a Python loop over
+the keys, and sets each state, when asked for, on one reused `Generator`.
+`pcg64_states` takes keys of any form as tuples, for the tests, and runs the
+same mixing per group of keys of one width.  Both algorithms are part of
+NumPy's stream-compatibility promise (NEP 19), and the test suite checks the
+states against NumPy's own construction, so every stream stays
+bit-identical.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,38 +105,70 @@ def _seed_words(pool: np.ndarray) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _states(entropy: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) of `PCG64(SeedSequence(entropy=row))` for every row of a
+    (keys, words) uint32 entropy array."""
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _seed_words(_pools(entropy)).tolist():
+        # pcg_setseq_128_srandom_r: step from 0, add the seed, step again.
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
 def pcg64_states(keys) -> list[tuple[int, int]]:
     """(state, inc) of `PCG64(SeedSequence(entropy=key))` for every key.
 
     `keys` are tuples of nonnegative integers of any size.  The mixing runs
     once per group of keys with the same number of entropy words.
     """
-    keys = list(keys)
     rows = [_words(key) for key in keys]
-    seeds = [None] * len(keys)
+    states = [None] * len(rows)
     for width in sorted({len(row) for row in rows}):
         index = [i for i, row in enumerate(rows) if len(row) == width]
         entropy = np.array([rows[i] for i in index], dtype=np.uint32).reshape(len(index), width)
-        for i, (s_hi, s_lo, i_hi, i_lo) in zip(index, _seed_words(_pools(entropy)).tolist()):
-            seeds[i] = ((s_hi << 64) | s_lo, (i_hi << 64) | i_lo)
-    states = []
-    for initstate, initseq in seeds:
-        # pcg_setseq_128_srandom_r: step from 0, add the seed, step again.
-        inc = ((initseq << 1) | 1) & _MASK128
-        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
+        for i, state in zip(index, _states(entropy)):
+            states[i] = state
     return states
 
 
-def keyed_streams(key, count: int):
-    """A function `stream(i)`, for 0 <= i < `count`, returning a `Generator`
-    on the stream of the key `key(i)`.
+def _index_states(seed: np.ndarray, shape: tuple, start: int, stop: int) -> list[tuple[int, int]]:
+    """`pcg64_states` of the keys `(seed, *np.unravel_index(i, shape))` for
+    `start <= i < stop`, given the seed's entropy words.
+
+    The entropy rows are built as arrays: the seed's words broadcast over the
+    keys, then each index part as one uint32 column, or as two (low word
+    first) where it is 2**32 or more.  Keys whose parts take the same words
+    share one entropy array.
+    """
+    parts = np.unravel_index(np.arange(start, stop), shape)
+    low = [(part & _MASK32).astype(np.uint32) for part in parts]
+    high = [(part >> 32).astype(np.uint32) for part in parts]
+    # Bit j of a key's layout is set when its part j takes two words.
+    layout = sum((word != 0).astype(np.int64) << j for j, word in enumerate(high))
+    states = [None] * (stop - start)
+    for code in np.unique(layout).tolist():
+        rows = np.flatnonzero(layout == code)
+        columns = [np.broadcast_to(seed, (rows.size, seed.size))]
+        for j in range(len(parts)):
+            columns += [low[j][rows, None]] + ([high[j][rows, None]] if code >> j & 1 else [])
+        for i, state in zip(rows.tolist(), _states(np.hstack(columns))):
+            states[i] = state
+    return states
+
+
+def keyed_streams(seed: int, shape):
+    """A function `stream(i)`, for 0 <= i < prod(`shape`), returning a
+    `Generator` on the stream of the key `(seed, *np.unravel_index(i, shape))`.
 
     Every call returns the same `Generator`, reset to the start of the key's
     stream, so a draw must be taken before the next call.  The states are
     computed in one pass per `PASS_KEYS` consecutive indices, when one of
-    them is asked for, so their memory stays bounded whatever `count`.
+    them is asked for, so their memory stays bounded whatever the count.
     """
+    count = math.prod(shape)
+    words = np.array(_words((seed,)), dtype=np.uint32)
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     start, states = None, []
@@ -138,7 +177,7 @@ def keyed_streams(key, count: int):
         nonlocal start, states
         if start != i - i % PASS_KEYS:
             start = i - i % PASS_KEYS
-            states = pcg64_states(key(j) for j in range(start, min(start + PASS_KEYS, count)))
+            states = _index_states(words, shape, start, min(start + PASS_KEYS, count))
         state, inc = states[i - start]
         bitgen.state = {
             "bit_generator": "PCG64",

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior on small fixtures."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -944,6 +946,117 @@ def test_ci_checks_run_before_ingest(tmp_path, capsys, synth_csv, monkeypatch, e
     code, report = run(tmp_path, *TestCi().ci_args(synth_csv, extra=extra))
     assert (code, report) == (1, None)
     assert capsys.readouterr().err == f"diftrans ci: {message}\n"
+
+
+def writer_argv(command, tmp_path, synth_csv, wtp):
+    """A valid argument vector of `command`, which writes its report to stdout."""
+    window = ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
+    scan, dit = scan_and_dit_args(synth_csv, tmp_path)
+    return {
+        "ingest": ["ingest", "--input", str(synth_csv)],
+        "transport": ["transport", "--input", str(synth_csv), "--city", "metro", *window, "--d", "0"],
+        "scan": scan,
+        "dit": dit,
+        "ci": TestCi().ci_args(synth_csv),
+        "equilibrium": ["equilibrium", "--wtp", str(wtp), "--s", "0.1"],
+        "did": ["did", "--input", str(synth_csv), "--treated-city", "metro", "--control-cities", "coastal", *window],
+        "report": ["report"],
+    }[command]
+
+
+#: Every output flag of every command.
+OUTPUT_FLAGS = [(command, "--out") for command in cli._COMMANDS] + [
+    ("transport", "--plan"),
+    ("scan", "--out-csv"),
+    ("dit", "--out-csv"),
+    ("dit", "--trends-csv"),
+    ("ci", "--dump-draws"),
+    ("equilibrium", "--out-csv"),
+    ("report", "--markdown"),
+]
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS, ids="".join)
+@pytest.mark.parametrize("kind", ["empty", "directory", "missing-directory"])
+def test_bad_output_path_is_one_line_error_before_input(
+    tmp_path, capsys, module_synth_csv, uniform_wtp, monkeypatch, command, flag, kind
+):
+    # An empty path (which `ci --dump-draws`, `transport --plan`,
+    # `equilibrium --out-csv` and `report --markdown` skipped in silence), a
+    # directory, or a file in a directory that does not exist is a one-line
+    # error that names the flag, before any input is read or output written.
+    def read(*args, **kwargs):
+        raise AssertionError("input read before the output paths were checked")
+
+    for owner, name in [(cli, "ingest_csv"), (cli, "_read_section"), (equilibrium.WtpCurve, "from_csv")]:
+        monkeypatch.setattr(owner, name, read)
+    path = {"empty": "", "directory": str(tmp_path), "missing-directory": str(tmp_path / "no" / "f")}[kind]
+    before = sorted(tmp_path.iterdir())
+    # The last value of a repeated flag is the one parsed.
+    assert main([*writer_argv(command, tmp_path, module_synth_csv, uniform_wtp), flag, path]) == 1
+    words = "must name a file" if kind != "missing-directory" else "must be in an existing directory"
+    assert capsys.readouterr() == ("", f"diftrans {command}: {flag} {words}, got {path!r}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def parsed(parse, argv):
+    """Exit code, stdout, stderr and parsed arguments of `parse(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    code, args = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+ONE_COMMAND = [[command, "--help"] for command in cli._COMMANDS] + [
+    ["--help"],
+    [],
+    ["bogus"],
+    ["--version"],
+    ["-h", "ci"],
+    ["--version", "ci"],
+    ["--input", "x", "ingest"],
+    ["ingest", "--input", "x", "extra"],
+    ["ingest", "--input", "x", "--out", "y"],
+    ["ci", "--input", "x"],
+    ["ci", "ci"],
+    ["ci", "--input", "x", "--city", "c", "--pre", "p", "--post", "q", "--d", "1", "--version"],
+    ["ci", "--input", "x", "--city", "c", "--pre", "p", "--post", "q", "--d", "x"],
+    ["dit", "--input", "x", "--pre", "p", "--post", "q", "--treated-city", "t", "--control-city", "c",
+     "--d-grid", "0:1:1", "--out-csv", "o", "--placebo-base", "x"],
+    ["equilibrium", "--wtp", "w", "--s", "0.1", "--strictify", "--quota", "3"],
+    ["report", "--ci", "x", "--markdown", "m"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_COMMAND, ids=" ".join)
+def test_command_parser_parses_as_the_full_parser(argv):
+    # `main` builds the arguments of the command that starts the vector alone;
+    # every help text, usage error and parsed vector is the full parser's.
+    full = parsed(cli.build_parser().parse_args, argv)
+    one = parsed(cli.build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None).parse_args, argv)
+    assert one == full
+    if full[0] is not None:
+        assert parsed(main, argv)[:3] == full[:3]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ci", "--help"], ["ci"], ["bogus"]], ids=" ".join)
+def test_console_script_path_reads_sys_argv(monkeypatch, argv):
+    # `main()` with no vector is the console script's call: it reads
+    # `sys.argv[1:]`, and only the invoked command's arguments are built.
+    built = []
+    commands = {
+        name: (text, func, lambda sub, add=add, name=name: (built.append(name), add(sub)))
+        for name, (text, func, add) in cli._COMMANDS.items()
+    }
+    full = parsed(cli.build_parser().parse_args, argv)
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    monkeypatch.setattr(sys, "argv", ["diftrans", *argv])
+    assert parsed(lambda _: main(), None)[:3] == full[:3]
+    assert built == ([argv[0]] if argv[0] in commands else list(commands))
 
 
 def test_dit_d_min_manifest_records_default_threshold(tmp_path, synth_csv):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diftrans import transport
 from diftrans.errors import SelectionError, ValidationError
 from diftrans.estimators import (
     PLACEBO_QUANTILES,
@@ -98,6 +99,26 @@ class TestPlacebo:
         for row in s1.rows:
             stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
             assert stats == placebo_summary([ot_cost(pre, post, row.d) for pre, post in pairs])
+
+    def test_replicate_columns_are_counts_over_sizes(self, monkeypatch):
+        # Each replicate's multinomial counts are written into its column and
+        # the block is divided by the sample sizes once: bit for bit the
+        # oracle's `counts / n`, lifted onto the union with the pair's support.
+        pre = PricePMF.from_counts([2, 5, 7], [10, 20, 5])
+        post = PricePMF.from_counts([5, 9, 40, 41], [3, 8, 13, 4])
+        base = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
+        cfg = PlaceboConfig(n_sims=9, seed=31)
+        kernel, calls = transport._cost_columns, []
+        monkeypatch.setattr(transport, "_cost_columns", lambda *args: calls.append(args) or kernel(*args))
+        bandwidth_scan(pre, post, [0, 3], cfg, base=base)
+        [(_, _, A, B)] = calls
+        src = np.union1d(pre.support, base.support)
+        tgt = np.union1d(post.support, base.support)
+        for rep in range(cfg.n_sims):
+            for got, pmf, union in zip((A, B), replicate_pair(base, pre.n, post.n, cfg.seed, rep), (src, tgt)):
+                want = np.zeros(union.size)
+                want[np.searchsorted(union, pmf.support)] = pmf.mass
+                assert got[:, 1 + rep].tobytes() == want.tobytes()
 
     def test_per_replicate_monotone_in_d(self):
         # Each replicate's cost is nonincreasing in d, so its mean and every

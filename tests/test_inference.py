@@ -117,6 +117,37 @@ class TestSubsampleCI:
         assert res.draws.tolist() == expected
         assert res.n_failed == 0
 
+    def test_draw_columns_are_counts_over_sizes(self, monkeypatch):
+        # The sweep writes each draw's counts into its column and divides the
+        # block by the sizes once: every column holds, bit for bit, the
+        # masses `counts / b` of the oracle's draw on its own rows, and zero
+        # on the other side's.
+        sides = [
+            PricePMF.from_counts([1, 4, 9, 30], [10, 20, 5, 30]),
+            PricePMF.from_counts([2, 4, 12, 25, 40], [25, 5, 20, 15, 7]),
+            PricePMF.from_counts([0, 9, 50], [12, 9, 30]),
+            PricePMF.from_counts([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
+        ]
+        cfg = SubsampleConfig(n_draws=7, seed=12)
+        kernel, calls = transport._cost_columns, []
+        monkeypatch.setattr(transport, "_cost_columns", lambda *args: calls.append(args) or kernel(*args))
+        subsample_ci(sides[0], sides[1], 3, cfg, control=(sides[2], sides[3]))
+        [(_, _, A, B)] = calls
+        src = np.union1d(sides[0].support, sides[2].support)
+        tgt = np.union1d(sides[1].support, sides[3].support)
+
+        def lifted(pmf, union):
+            column = np.zeros(union.size)
+            column[np.searchsorted(union, pmf.support)] = pmf.mass
+            return column.tobytes()
+
+        for k in range(cfg.n_draws):
+            draw = subsample_draw(sides, cfg, k)
+            for i in (0, 1):
+                col = 2 * (k + 1) + i
+                assert A[:, col].tobytes() == lifted(draw[2 * i], src)
+                assert B[:, col].tobytes() == lifted(draw[2 * i + 1], tgt)
+
     def test_interval_orientation_and_width(self):
         pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
         post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])

@@ -81,7 +81,7 @@ def test_batch_equals_scalar(data):
 
     def column(r):
         i, a, b = columns[r]
-        return i, a.mass, b.mass
+        return i, a.mass, b.mass, 1.0, 1.0
 
     batch = _sweep(pairs, grid)
     picked = _sweep(pairs, grid, len(columns), column)
@@ -287,7 +287,7 @@ def test_sweep_caps_cost_cells(monkeypatch):
     # The (column, bandwidth) costs are refused past WINDOW_CELLS before
     # they are allocated, and admitted up to it.
     p = PricePMF.from_counts([1, 2], [1, 1])
-    column = lambda r: (0, p.mass, p.mass)
+    column = lambda r: (0, p.mass, p.mass, 1.0, 1.0)
     with pytest.raises(ValidationError, match="costs of 10000000000000 columns by 2 bandwidths"):
         _sweep([(p, p)], [0, 1], 10**13, column)
     monkeypatch.setattr(transport, "WINDOW_CELLS", 6)
