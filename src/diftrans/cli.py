@@ -391,8 +391,8 @@ def cmd_did(args) -> int:
     table = ingest_csv(args.input)
     controls = [c.strip() for c in args.control_cities.split(",") if c.strip()]
     treated = table.in_cities(args.treated_city)
-    pre = _period_filter(args.pre, args.exclude).mask(table.year, table.month)
-    post = _period_filter(args.post, args.exclude).mask(table.year, table.month) & ~pre
+    pre = _period_filter(args.pre, args.exclude).mask(table.period)
+    post = _period_filter(args.post, args.exclude).mask(table.period) & ~pre
     keep = (treated | table.in_cities(*controls)) & (pre | post)
     result = baseline.did_ols(
         treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting

@@ -95,10 +95,13 @@ class WtpCurve:
 
     @classmethod
     def from_csv(cls, path, strictify: bool = False) -> "WtpCurve":
-        """Load knots from a CSV with header `n,v` and ascending n."""
+        """Load knots from a CSV with header `n,v` and ascending n.
+
+        A leading UTF-8 byte-order mark is no part of the header.
+        """
         knots = []
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 reader = _csv_rows(csv.reader(fh), path)
                 header = [h.strip().lower() for h in next(reader, [])]
                 if header[:2] != ["n", "v"]:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import array
+import codecs
 import csv
+import functools
 import io
 from dataclasses import dataclass, field
 
@@ -51,7 +53,9 @@ class SalesTable:
     city `cities[city[i]]` during (`year[i]`, `month[i]`).  Zero quantities
     are kept.  The constructor holds the only rule per field: month in 1-12,
     price and quantity non-negative, and the year small enough that the
-    period key `year * 12 + month` cannot wrap.
+    period key `year * 12 + month` cannot wrap.  That key is computed once,
+    when first read, as the `period` column every `PeriodFilter.mask` of the
+    table takes.
     """
 
     cities: tuple[str, ...]
@@ -91,6 +95,13 @@ class SalesTable:
     def __len__(self) -> int:
         return int(self.city.size)
 
+    @functools.cached_property
+    def period(self) -> np.ndarray:
+        """Read-only period key `year * 12 + month` of every row."""
+        period = self.year * 12 + self.month
+        period.flags.writeable = False
+        return period
+
     @classmethod
     def from_rows(cls, rows) -> "SalesTable":
         """Table of (city, year, month, price, quantity) tuples, in row order.
@@ -115,7 +126,9 @@ class PeriodFilter:
     """Inclusive (year, month) ranges to keep, minus explicit exclusions.
 
     An empty `include` admits every period.  Exclusions may fall outside the
-    include ranges; they are then inert.
+    include ranges; they are then inert.  `mask` reads periods as keys
+    `year * 12 + month`, so a table's rows are masked from its `period`
+    column, computed once however many filters read it.
     """
 
     include: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = ()
@@ -131,13 +144,15 @@ class PeriodFilter:
             if not 1 <= m <= 12:
                 raise ValidationError(f"month out of range in exclusion: {m}")
 
-    def mask(self, year, month) -> np.ndarray:
-        """Boolean mask of the (year, month) pairs the filter admits.
+    def mask(self, period) -> np.ndarray:
+        """Boolean mask of the periods the filter admits.
 
-        Periods are compared by the key `year * 12 + month`, which orders them
-        as (year, month) tuples do because every month lies in 1-12.
+        `period` holds each period as its key `year * 12 + month`, such as a
+        table's `SalesTable.period` column.  The key orders periods as
+        (year, month) tuples do because every month lies in 1-12, so each
+        include range is two comparisons with the keys of its ends.
         """
-        key = np.asarray(year, dtype=np.int64) * 12 + np.asarray(month, dtype=np.int64)
+        key = np.asarray(period, dtype=np.int64)
         if self.include:
             keep = np.zeros(key.shape, dtype=bool)
             for (ly, lm), (hy, hm) in self.include:
@@ -240,7 +255,8 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     `schema` maps the canonical names city/year/month/price/quantity to the
     file's column headers; omitted keys fall back to the canonical name.
     Blank rows are skipped.  Row numbers in error messages are 1-based file
-    lines (header is row 1).
+    lines (header is row 1).  A leading UTF-8 byte-order mark, as spreadsheet
+    programs write, is no part of the first header name.
 
     The file is read once as bytes and decoded once.  A file without a double
     quote is first parsed by `_parse_plain`, a numpy pass over its bytes that
@@ -255,7 +271,9 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     the byte pass rejects pays, before the row loop, for its line and comma
     scan of the whole file plus every numeric column up to the one that
     rejects it, wherever in that column the rejected cell sits (say, one
-    `.0` price).
+    `.0` price).  The byte pass trims blanks around integer cells only in a
+    file that holds a space or tab byte, and reads signs only in one that
+    holds a `-`, since neither step can change a cell of any other file.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -265,7 +283,7 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
         columns.update(schema)
 
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -345,9 +363,12 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
         before = bounds[1:, i - 1] if i else bounds[:-1, -1]
         return before + 1, bounds[1:, i] - 1
 
+    # Each is one scan of the bytes; a file without them skips whole passes.
+    blanks = b" " in data or b"\t" in data
+    signs = b"-" in data
     numbers = []
     for i in numeric:
-        column = _integers(buf, *field(i))
+        column = _integers(buf, *field(i), blanks=blanks, signs=signs)
         if column is None:
             return None
         numbers.append(column)
@@ -360,23 +381,26 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
         return None
 
 
-def _integers(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray | None:
+def _integers(
+    buf: np.ndarray, first: np.ndarray, last: np.ndarray, *, blanks: bool, signs: bool
+) -> np.ndarray | None:
     """Values of the fields from byte `first` to byte `last`, or None unless
     every field matches `[ \t]*-?[0-9]{1,18}[ \t]*` (and so has the value
     `int()` gives it).  The bound arrays are trimmed in place.
 
-    A field's own delimiters stop both trimming walks, so an all-blank field
+    The blank walks run only when `blanks` says that `buf` may hold a space
+    or tab, and the sign pass only when `signs` says it may hold a `-`.  A
+    field's own delimiters stop both trimming walks, so an all-blank field
     is left with a length below one.
     """
-    lead, tail = buf[first], buf[last]
-    while (pad := (lead == _SPACE) | (lead == _TAB)).any():
-        first += pad
-        lead = buf[first]
-    while (pad := (tail == _SPACE) | (tail == _TAB)).any():
-        last -= pad
-        tail = buf[last]
-    negative = lead == _MINUS
-    first += negative
+    if blanks:
+        while (pad := _is_blank(buf[first])).any():
+            first += pad
+        while (pad := _is_blank(buf[last])).any():
+            last -= pad
+    if signs:
+        negative = buf[first] == _MINUS
+        first += negative
     length = last - first + 1
     shortest, longest = int(length.min()), int(length.max())
     if shortest < 1 or longest > 18:
@@ -394,7 +418,11 @@ def _integers(buf: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarra
         value *= 10
         value += digit
         at += 1
-    return np.negative(value, out=value, where=negative)
+    return np.negative(value, out=value, where=negative) if signs else value
+
+
+def _is_blank(byte: np.ndarray) -> np.ndarray:
+    return (byte == _SPACE) | (byte == _TAB)
 
 
 def _code_labels(buf: np.ndarray, first: np.ndarray, last: np.ndarray):
@@ -495,13 +523,20 @@ def build_pmf(
     (prices whose units sum to zero included) and each mass is
     quantity-at-price divided by total quantity, so normalization is exact.
     No binning or rounding is applied.
+
+    Rows are kept by comparing city codes and by masking the table's period
+    key.  One sort of the kept prices then puts each price's rows in one
+    run, and one `np.add.reduceat` sums the quantities of every run.
     """
-    keep = table.in_cities(city)
+    keep = table.city == (table.cities.index(city) if city in table.cities else -1)
     if period_filter is not None:
-        keep &= period_filter.mask(table.year, table.month)
-    support, group = np.unique(table.price[keep], return_inverse=True)
-    counts = np.zeros(support.size, dtype=np.int64)
-    np.add.at(counts, group, table.quantity[keep])
+        keep &= period_filter.mask(table.period)
+    price, quantity = table.price[keep], table.quantity[keep]
+    order = np.argsort(price)
+    price, quantity = price[order], quantity[order]
+    # Prices are non-negative, so a run starts at index 0 of any non-empty price.
+    starts = np.flatnonzero(np.diff(price, prepend=-1))
+    support, counts = price[starts], np.add.reduceat(quantity, starts)
     grand_total = int(counts.sum())
     if grand_total == 0:
         raise EmptyDistributionError(

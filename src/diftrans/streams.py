@@ -15,10 +15,9 @@ seeding runs in Python ints.  `keyed_streams(seed, shape)` keys index `i` by
 to `PASS_KEYS` keys as arrays (the seed's words broadcast, then one column
 per index part, two for a part of 2**32 or more) without a Python loop over
 the keys, and sets each state, when asked for, on one reused `Generator`.
-`pcg64_states` takes keys of any form as tuples, for the tests, and runs the
-same mixing per group of keys of one width.  Both algorithms are part of
-NumPy's stream-compatibility promise (NEP 19), and the test suite checks the
-states against NumPy's own construction, so every stream stays
+Both algorithms are part of NumPy's stream-compatibility promise (NEP 19),
+and the test suite checks the states against NumPy's own construction for
+seeds and index parts of every entropy width, so every stream stays
 bit-identical.
 """
 
@@ -46,18 +45,14 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 
 
-def _words(key) -> list[int]:
-    """The uint32 entropy words of a key: each integer little-endian, at least one word."""
-    words = []
-    for n in key:
-        n = int(n)
-        if n < 0:
-            raise ValueError(f"stream key parts must be nonnegative, got {n}")
+def _words(n: int) -> list[int]:
+    """The uint32 entropy words of a nonnegative integer: little-endian, at least one."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"stream key parts must be nonnegative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
         words.append(n & _MASK32)
-        n >>= 32
-        while n:
-            words.append(n & _MASK32)
-            n >>= 32
     return words
 
 
@@ -117,25 +112,10 @@ def _states(entropy: np.ndarray) -> list[tuple[int, int]]:
     return states
 
 
-def pcg64_states(keys) -> list[tuple[int, int]]:
-    """(state, inc) of `PCG64(SeedSequence(entropy=key))` for every key.
-
-    `keys` are tuples of nonnegative integers of any size.  The mixing runs
-    once per group of keys with the same number of entropy words.
-    """
-    rows = [_words(key) for key in keys]
-    states = [None] * len(rows)
-    for width in sorted({len(row) for row in rows}):
-        index = [i for i, row in enumerate(rows) if len(row) == width]
-        entropy = np.array([rows[i] for i in index], dtype=np.uint32).reshape(len(index), width)
-        for i, state in zip(index, _states(entropy)):
-            states[i] = state
-    return states
-
-
 def _index_states(seed: np.ndarray, shape: tuple, start: int, stop: int) -> list[tuple[int, int]]:
-    """`pcg64_states` of the keys `(seed, *np.unravel_index(i, shape))` for
-    `start <= i < stop`, given the seed's entropy words.
+    """(state, inc) of `PCG64(SeedSequence(entropy=key))` for the keys
+    `key = (seed, *np.unravel_index(i, shape))` with `start <= i < stop`,
+    given the seed's entropy words.
 
     The entropy rows are built as arrays: the seed's words broadcast over the
     keys, then each index part as one uint32 column, or as two (low word
@@ -168,7 +148,7 @@ def keyed_streams(seed: int, shape):
     them is asked for, so their memory stays bounded whatever the count.
     """
     count = math.prod(shape)
-    words = np.array(_words((seed,)), dtype=np.uint32)
+    words = np.array(_words(seed), dtype=np.uint32)
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     start, states = None, []

@@ -87,6 +87,18 @@ class TestCurve:
             WtpCurve.from_csv(bad)
 
 
+    def test_csv_byte_order_mark(self, tmp_path):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+        text = "n,v\n0,280000\n350000,90000\n700000,0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbfn,v")
+        want, got = WtpCurve.from_csv(plain), WtpCurve.from_csv(marked)
+        assert np.array_equal(got.volumes, want.volumes)
+        assert np.array_equal(got.values, want.values)
+
+
 class TestDemandSupply:
     def test_demand_zero_at_choke(self, uniform):
         cfg, curve = uniform

@@ -187,6 +187,23 @@ class TestIngest:
         assert len(table) == 5001
         assert peak < 25 * path.stat().st_size
 
+    @pytest.mark.parametrize("header", ["city", '"city"'], ids=["byte pass", "row loop"])
+    def test_byte_order_mark_reads_like_its_twin(self, tmp_path, monkeypatch, header):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark; a
+        # quote sends the file to the row loop.  Row numbers do not move.
+        text = f"{header},year,month,price,quantity\nmetro,2010,1,100000,5\n\ncoastal,2011,12,120000,0\n"
+        plain = write(tmp_path, text, "plain.csv")
+        marked = write(tmp_path, "\ufeff" + text, "marked.csv")
+        broken = write(tmp_path, "\ufeff" + text.replace(",12,", ",13,"), "broken.csv")
+        with pytest.raises(ValidationError, match="^month out of range, row 4$"):
+            ingest_csv(broken)
+        want = table_rows(ingest_csv(plain))
+        if header == "city":
+            forbid_row_loop(monkeypatch)
+        table = ingest_csv(marked)
+        assert table_rows(table) == want
+        assert table.cities == ("metro", "coastal")
+
     def test_city_and_year_share_a_column(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")
         table = ingest_csv(path, schema={"city": "year"})
@@ -308,6 +325,14 @@ class TestSalesTable:
         table = SalesTable.from_rows([("metro", 2010, 1, 5, 1)])
         with pytest.raises(ValueError):
             table.price[0] = 6
+
+    def test_period_key(self):
+        rows = [("metro", 2010, 12, 5, 1), ("metro", 2011, 1, 5, 1), ("metro", -3, 7, 5, 1)]
+        table = SalesTable.from_rows(rows)
+        assert table.period.tolist() == [2010 * 12 + 12, 2011 * 12 + 1, -3 * 12 + 7]
+        assert table.period is table.period
+        with pytest.raises(ValueError):
+            table.period[0] = 0
 
 
 class TestPricePMF:

@@ -9,7 +9,10 @@ must ingest to the same columns as a plain `csv` loop reads.  Plain files
 with rows (unquoted integer cells, empty lines, any line ending) must take
 the byte-level path and read the same; odd cells and lines at that path's
 boundary, and any one-character edit of a plain file, must give the row
-loop's table or its exact error.
+loop's table or its exact error.  A plain file either holds no space or tab
+at all or may pad its cells and hold a label with an inner space, and either
+holds no `-` at all or may hold negative years and `-0` cells, so the byte
+pass runs with and without its blank walks and its sign pass.
 """
 
 import contextlib
@@ -34,17 +37,27 @@ CSV_PROPERTIES = settings(PROPERTIES, max_examples=60)
 CITIES = ("metro", "coastal", "inland")
 HEADER = "city,year,month,price,quantity"
 
-periods = st.tuples(st.integers(2009, 2012), st.integers(1, 12))
-rows_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(CITIES),
-        st.integers(2009, 2012),
-        st.integers(1, 12),
-        st.integers(0, 30).map(lambda k: 1000 * k),
-        st.integers(0, 4),
-    ),
-    max_size=40,
-)
+YEARS = st.integers(2009, 2012)
+periods = st.tuples(YEARS, st.integers(1, 12))
+
+
+def sales_rows(cities=CITIES, years=YEARS):
+    return st.lists(
+        st.tuples(
+            st.sampled_from(cities),
+            years,
+            st.integers(1, 12),
+            st.integers(0, 30).map(lambda k: 1000 * k),
+            st.integers(0, 4),
+        ),
+        max_size=40,
+    )
+
+
+rows_strategy = sales_rows()
+#: Plain-file rows that put a space byte in the file, or a `-` byte.
+SPACED_CITIES = CITIES + ("new town",)
+SIGNED_YEARS = st.integers(-2012, 2012)
 
 
 @st.composite
@@ -84,10 +97,14 @@ def test_build_pmf_matches_dict_loop(rows, city, filt):
 
 
 @st.composite
-def formatted_cell(draw, value, plain=False):
+def formatted_cell(draw, value, plain=False, padded=True, signs=False):
     text = str(value)
     if isinstance(value, int) and not plain:
         text = draw(st.sampled_from([text, f"{value}.0"]))
+    if signs and value == 0:
+        text = draw(st.sampled_from([text, "-0"]))
+    if not padded:
+        return text
     text = draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " "]))
     if plain:
         return draw(st.sampled_from(["", "\t"])) + text
@@ -102,9 +119,15 @@ def csv_files(draw, plain=False):
     """(rows, file text, file line of each row) with blank lines interleaved.
 
     A plain file has unquoted integer cells, only empty blank lines and a
-    drawn line ending; otherwise every line ends in LF.
+    drawn line ending; otherwise every line ends in LF.  Whether a plain
+    file may hold blanks, and whether it may hold signs, is drawn per file.
     """
-    rows = draw(rows_strategy)
+    padded, signs = True, False
+    if plain:
+        padded, signs = draw(st.booleans()), draw(st.booleans())
+        rows = draw(sales_rows(SPACED_CITIES if padded else CITIES, SIGNED_YEARS if signs else YEARS))
+    else:
+        rows = draw(rows_strategy)
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"])) if plain else "\n"
     blanks = ("",) if plain else BLANK_LINES
     lines, rownums = [HEADER + newline], []
@@ -112,7 +135,7 @@ def csv_files(draw, plain=False):
         for _ in range(draw(st.integers(0, 2))):
             lines.append(draw(st.sampled_from(blanks)) + newline)
         rownums.append(len(lines) + 1)
-        lines.append(",".join(draw(formatted_cell(v, plain)) for v in row) + newline)
+        lines.append(",".join(draw(formatted_cell(v, plain, padded, signs)) for v in row) + newline)
     return rows, "".join(lines), rownums
 
 
