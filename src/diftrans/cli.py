@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from . import __version__, baseline, equilibrium, estimators, inference
 from .errors import DiftransError, SelectionError
 from .estimators import PlaceboConfig
 from .inference import SubsampleConfig
-from .pmf import PeriodFilter, build_pmf, ingest_csv
+from .pmf import PeriodFilter, SalesTable, build_pmf, ingest_csv
 from .transport import SCRATCH_CELLS, ot_cost, solve_ot
 
 
@@ -43,16 +44,29 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _ingest(args) -> SalesTable:
+    """The table of `--input`, whose bytes are read once.  Their digest is
+    recorded for the manifest, so it names the bytes parsed even if the file
+    changes during the run."""
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    args._digests = {args.input: hashlib.sha256(data).hexdigest()}
+    source = io.BytesIO(data)
+    source.name = args.input
+    return ingest_csv(source)
+
+
 def _manifest(command: str, args: argparse.Namespace, input_paths: list[str]) -> dict:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k != "func" and not k.startswith("_")
     }
+    digests = getattr(args, "_digests", {})
     return {
         "command": command,
         "config": config,
-        "inputs": {path: _sha256(path) for path in input_paths},
+        "inputs": {path: digests.get(path) or _sha256(path) for path in input_paths},
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
@@ -233,7 +247,7 @@ def _city_pmfs(table, cities, pre: str, post: str, exclude: str | None) -> tuple
 
 
 def cmd_ingest(args) -> int:
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     periods = list(zip(table.year.tolist(), table.month.tolist()))
     report = {
         "rows": len(table),
@@ -248,7 +262,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     cost = ot_cost(pre, post, args.d)
     if args.plan is not None:
@@ -267,7 +281,7 @@ def cmd_transport(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     grid = _parse_grid(args.d_grid)
     placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
@@ -300,7 +314,7 @@ PLACEBO_BASES = ("treated-pre", "treated-post", "control-pre", "control-post")
 
 
 def cmd_dit(args) -> int:
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     cities = (args.treated_city, args.control_city)
     pmfs = _city_pmfs(table, cities, args.pre, args.post, args.exclude)
     t_pre, t_post, c_pre, c_post = pmfs
@@ -388,7 +402,7 @@ def _csv_cell(value) -> str:
 
 
 def cmd_did(args) -> int:
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     controls = [c.strip() for c in args.control_cities.split(",") if c.strip()]
     treated = table.in_cities(args.treated_city)
     pre = _period_filter(args.pre, args.exclude).mask(table.period)
@@ -408,7 +422,7 @@ def cmd_ci(args) -> int:
         n_draws=args.draws, b=args.b, block_fraction=args.block_fraction, alpha=args.alpha,
         seed=args.seed,
     )
-    table = ingest_csv(args.input)
+    table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     control = None
     if args.estimator == "dit":

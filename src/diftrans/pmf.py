@@ -256,7 +256,11 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     file's column headers; omitted keys fall back to the canonical name.
     Blank rows are skipped.  Row numbers in error messages are 1-based file
     lines (header is row 1).  A leading UTF-8 byte-order mark, as spreadsheet
-    programs write, is no part of the first header name.
+    programs write, is no part of the first header name.  `path` names the
+    file, or is a binary file object, read from where it stands to its end;
+    messages then name the object's `name`.  A caller that must know which
+    bytes were parsed (say, to record their digest) reads them first and
+    passes them as an `io.BytesIO`.
 
     The file is read once as bytes and decoded once.  A file without a double
     quote is first parsed by `_parse_plain`, a numpy pass over its bytes that
@@ -282,8 +286,17 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
             raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
         columns.update(schema)
 
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    if hasattr(path, "read"):
+        data, path = path.read(), getattr(path, "name", path)
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return _parse_csv(data, path, columns)
+
+
+def _parse_csv(data: bytes, path, columns: dict) -> SalesTable:
+    """The table in a sales file's bytes; messages name `path`."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import cli, equilibrium, estimators, transport
+from diftrans import cli, equilibrium, estimators, pmf, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
@@ -962,6 +963,24 @@ def writer_argv(command, tmp_path, synth_csv, wtp):
         "did": ["did", "--input", str(synth_csv), "--treated-city", "metro", "--control-cities", "coastal", *window],
         "report": ["report"],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "transport", "scan", "dit", "did", "ci"])
+def test_manifest_digests_the_bytes_parsed(tmp_path, synth_csv, uniform_wtp, monkeypatch, command):
+    # The input is read once, so a file rewritten after that read (here, as
+    # the byte pass starts) keeps the digest of the bytes the run parsed.
+    original = synth_csv.read_bytes()
+    parse = pmf._parse_plain
+
+    def rewrite(*args):
+        synth_csv.write_bytes(original + b"\n")
+        return parse(*args)
+
+    monkeypatch.setattr(pmf, "_parse_plain", rewrite)
+    code, report = run(tmp_path, *writer_argv(command, tmp_path, synth_csv, uniform_wtp))
+    assert code == 0
+    assert synth_csv.read_bytes() != original
+    assert report["manifest"]["inputs"] == {str(synth_csv): hashlib.sha256(original).hexdigest()}
 
 
 #: Every output flag of every command.

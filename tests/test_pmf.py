@@ -1,6 +1,7 @@
 """Ingestion and price-distribution construction."""
 
 import csv
+import io
 import tracemalloc
 import warnings
 
@@ -203,6 +204,22 @@ class TestIngest:
         table = ingest_csv(marked)
         assert table_rows(table) == want
         assert table.cities == ("metro", "coastal")
+
+    @pytest.mark.parametrize("header", ["city", '"city"'], ids=["byte pass", "row loop"])
+    def test_file_object_reads_like_its_path(self, tmp_path, header):
+        # A binary file object is read from where it stands, and messages
+        # name its `name`.
+        text = f"{header},year,month,price,quantity\nmetro,2010,1,100000,5\ncoastal,2011,12,120000,0\n"
+        path = write(tmp_path, text)
+        source = io.BytesIO(b"skipped" + path.read_bytes())
+        source.seek(len(b"skipped"))
+        assert table_rows(ingest_csv(source)) == table_rows(ingest_csv(path))
+        with open(path, "rb") as fh:
+            assert table_rows(ingest_csv(fh)) == table_rows(ingest_csv(path))
+        broken = io.BytesIO(b"city\n\xff\n")
+        broken.name = "named.csv"
+        with pytest.raises(ParseError, match="^named.csv: not UTF-8 text$"):
+            ingest_csv(broken)
 
     def test_city_and_year_share_a_column(self, tmp_path):
         path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")

@@ -9,6 +9,8 @@ differently, so they get the looser tolerance.  At paper scale (supports of
 up to ~2,000 prices) the dual scan is the oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,57 @@ def test_chunked_kernel_at_cli_shapes(shape):
     assert np.array_equal(got, per_source_cost_columns(lo, hi, A, B))
     assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
     assert 0.0 < got.max() < 1.0
+
+
+def test_chunk_depth_is_capped_at_the_source_count():
+    # At (G, R) = (2, 3) one chunk could hold 5,461 sources, whose three
+    # buffers would take ~786 KB; a call on 50 sources allocates buffers of
+    # 50 rows, under 8 KB, and a list of their per-source views.
+    rng = np.random.default_rng(0)
+    src = np.arange(0, 5_000, 100)
+    lo, hi = transport._windows(src, src, [0, 300])
+    A, B = rng.random((2, src.size, 3))
+    A /= A.sum(axis=0)
+    B /= B.sum(axis=0)
+    assert (transport.SCRATCH_CELLS >> 5) // 6 > src.size
+    tracemalloc.start()
+    try:
+        got = transport._cost_columns(lo, hi, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, per_source_cost_columns(lo, hi, A, B))
+    assert peak < 100_000
+
+
+@st.composite
+def support_sets(draw):
+    """One to six sorted, unique int64 supports, each a copy of the first,
+    an independent draw that may overlap it, a draw shifted past every other
+    (disjoint), or one price."""
+    first = draw(supports)
+    sets = []
+    for k in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["identical", "overlapping", "disjoint", "one"]))
+        if kind == "identical":
+            support = first
+        elif kind == "overlapping":
+            support = draw(supports)
+        elif kind == "disjoint":
+            support = [x + 1_000 * (k + 1) for x in draw(supports)]
+        else:
+            support = [draw(st.integers(0, 300))]
+        sets.append(np.array(support, dtype=np.int64))
+    return sets
+
+
+@PROPERTIES
+@given(support_sets())
+def test_union_equals_unique_of_concatenation(sets):
+    got = transport._union(sets)
+    want = np.unique(np.concatenate(sets))
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def assert_optimal_plan(a, b, d):
