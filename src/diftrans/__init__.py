@@ -9,11 +9,9 @@ from .equilibrium import (
     WtpCurve,
     bounds_table,
     comparative_statics,
-    demand,
     invert_from_volume,
     invert_shares,
     solve_no_tc,
-    supply,
 )
 from .errors import DiftransError
 from .estimators import (
@@ -26,7 +24,7 @@ from .estimators import (
 )
 from .inference import SubsampleConfig, SubsampleResult, subsample_ci
 from .pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
-from .transport import TransportPlan, ot_cost, solve_ot, strassen_certificate
+from .transport import TransportPlan, ot_cost, solve_ot
 
 __all__ = [
     "BandwidthScan",
@@ -46,7 +44,6 @@ __all__ = [
     "bounds_table",
     "build_pmf",
     "comparative_statics",
-    "demand",
     "did_ols",
     "diff_in_transports",
     "displacement_floor",
@@ -57,7 +54,5 @@ __all__ = [
     "select_dstar",
     "solve_no_tc",
     "solve_ot",
-    "strassen_certificate",
     "subsample_ci",
-    "supply",
 ]

@@ -2,13 +2,19 @@
 
 Every report embeds a manifest (command, resolved configuration, input file
 digests, seed, tool version) and all randomness flows from a single --seed,
-so reruns of the same manifest are byte-identical.
+so reruns of the same manifest are byte-identical.  Each input file (the
+sales CSV, the willingness-to-pay CSV, a report section) is read once, by
+`_read`, which digests those bytes and hands them to their parser.  So the
+manifest names the bytes the run parsed, even if a file changes during the
+run.
 
 A flag that a run does not read is an error before the input is read, and
 so is a flag that the run needs and was not given.  `FLAG_RULES` lists when
 each conditional flag is read; `main` checks it before any command runs.
-So is an output path that is empty, names a directory or lies in a
-directory that does not exist, so a run fails before its work, not after.
+So is an output path that is empty, names a directory, lies in a
+directory that does not exist, or names the same file as another output or
+an input, so a run fails before its work, not after, and never writes over
+its own input or output.
 
 `main` builds the arguments of the invoked command alone: building every
 command's took ~3 ms a call, against under 1 ms to build and parse `ci`'s
@@ -36,37 +42,32 @@ from .pmf import PeriodFilter, SalesTable, build_pmf, ingest_csv
 from .transport import SCRATCH_CELLS, ot_cost, solve_ot
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
+def _read(args, path: str) -> io.BytesIO:
+    """The bytes of the input file `path`, read once, as a binary file object
+    named `path` for its parser.  Their sha256 goes into `args._digests`,
+    which the manifest lists as the run's inputs."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        data = fh.read()
+    args._digests[path] = hashlib.sha256(data).hexdigest()
+    source = io.BytesIO(data)
+    source.name = path
+    return source
 
 
 def _ingest(args) -> SalesTable:
-    """The table of `--input`, whose bytes are read once.  Their digest is
-    recorded for the manifest, so it names the bytes parsed even if the file
-    changes during the run."""
-    with open(args.input, "rb") as fh:
-        data = fh.read()
-    args._digests = {args.input: hashlib.sha256(data).hexdigest()}
-    source = io.BytesIO(data)
-    source.name = args.input
-    return ingest_csv(source)
+    return ingest_csv(_read(args, args.input))
 
 
-def _manifest(command: str, args: argparse.Namespace, input_paths: list[str]) -> dict:
+def _manifest(command: str, args: argparse.Namespace) -> dict:
     config = {
         k: v
         for k, v in sorted(vars(args).items())
         if k != "func" and not k.startswith("_")
     }
-    digests = getattr(args, "_digests", {})
     return {
         "command": command,
         "config": config,
-        "inputs": {path: digests.get(path) or _sha256(path) for path in input_paths},
+        "inputs": args._digests,
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }
@@ -158,6 +159,11 @@ def _given(args, name: str) -> bool:
     return value is not None and value is not False
 
 
+def _flag(name: str) -> str:
+    """The flag of the argument `name`."""
+    return "--" + name.replace("_", "-")
+
+
 class FlagRule(NamedTuple):
     reads: Callable  # whether a run reads the flag, from its arguments
     words: str  # when it does: "--<flag> is read only <words>"
@@ -199,7 +205,7 @@ FLAG_DEFAULTS = {
 def _check_flags(args) -> None:
     """Apply `FLAG_RULES` to the run's arguments, then `FLAG_DEFAULTS`."""
     for name, rule in FLAG_RULES.get(args.command, {}).items():
-        flag = "--" + name.replace("_", "-")
+        flag = _flag(name)
         if _given(args, name) and not rule.reads(args):
             raise DiftransError(f"{flag} is read only {rule.words}")
         if rule.required and rule.reads(args) and not _given(args, name):
@@ -209,27 +215,41 @@ def _check_flags(args) -> None:
             setattr(args, name, value)
 
 
-#: The flags that name a file the run writes.
+#: The sections that `report` bundles, each read from the file its flag names.
+REPORT_SECTIONS = ("scan", "dit", "equilibrium", "did", "ci")
+
+#: The flags that name a file the run reads, and those that name one it writes.
+_INPUTS = ("input", "wtp", *REPORT_SECTIONS)
 _OUTPUTS = ("out", "out_csv", "trends_csv", "dump_draws", "plan", "markdown")
 
 
 def _check_outputs(args) -> None:
-    """Reject an output path that is empty, names a directory or lies in a
-    directory that does not exist, before any input is read."""
+    """Reject an output path that is empty, names a directory, lies in a
+    directory that does not exist, or names the file of another output or
+    of an input (compared as `os.path.realpath` forms), before any input is
+    read."""
+    taken = {}
+    for name in _INPUTS:
+        path = getattr(args, name, None)
+        if path is not None:
+            taken.setdefault(os.path.realpath(path), _flag(name))
     for name in _OUTPUTS:
         path = getattr(args, name, None)
         if path is None:
             continue
-        flag = "--" + name.replace("_", "-")
+        flag = _flag(name)
         if not path or os.path.isdir(path):
             raise DiftransError(f"{flag} must name a file, got {path!r}")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise DiftransError(f"{flag} must be in an existing directory, got {path!r}")
+        other = taken.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise DiftransError(f"{flag} names the same file as {other}, got {path!r}")
 
 
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
     """The valuation schedule read from --wtp and the market of the market flags."""
-    curve = equilibrium.WtpCurve.from_csv(args.wtp, strictify=args.strictify)
+    curve = equilibrium.WtpCurve.from_csv(_read(args, args.wtp), strictify=args.strictify)
     return curve, equilibrium.MarketConfig(
         N=args.market_size, q=args.quota, z=args.speculator_share
     )
@@ -255,7 +275,7 @@ def cmd_ingest(args) -> int:
         "cities": sorted(table.cities),
         "first_period": "%04d-%02d" % min(periods) if periods else None,
         "last_period": "%04d-%02d" % max(periods) if periods else None,
-        "manifest": _manifest("ingest", args, [args.input]),
+        "manifest": _manifest("ingest", args),
     }
     _write_json(report, args.out)
     return 0
@@ -274,7 +294,7 @@ def cmd_transport(args) -> int:
         "d": args.d,
         "n_pre": pre.n,
         "n_post": post.n,
-        "manifest": _manifest("transport", args, [args.input]),
+        "manifest": _manifest("transport", args),
     }
     _write_json(report, args.out)
     return 0
@@ -293,7 +313,7 @@ def cmd_scan(args) -> int:
         "n_post": post.n,
         "threshold": args.threshold,
         "scan_csv": args.out_csv,
-        "manifest": _manifest("scan", args, [args.input]),
+        "manifest": _manifest("scan", args),
     }
     try:
         selected = scan.select(args.threshold)
@@ -352,7 +372,7 @@ def cmd_dit(args) -> int:
         "d_star": d_star,
         "s_dit": s_dit,
         "floors": {"placebo_d": placebo_d, "displacement_d": displacement_d, "d_min": d_min},
-        "manifest": _manifest("dit", args, [args.input]),
+        "manifest": _manifest("dit", args),
     }
     _write_json(report, args.out)
     return 0
@@ -380,7 +400,7 @@ def cmd_equilibrium(args) -> int:
         "rows": rendered,
         "p_notc": p_notc,
         "s_notc": cfg.s_notc,
-        "manifest": _manifest("equilibrium", args, [args.wtp]),
+        "manifest": _manifest("equilibrium", args),
     }
     if args.out_csv is not None:
         names = [f.name for f in dataclasses.fields(equilibrium.MarketSolution)]
@@ -412,7 +432,7 @@ def cmd_did(args) -> int:
         treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting
     )
     report = result.as_dict()
-    report["manifest"] = _manifest("did", args, [args.input])
+    report["manifest"] = _manifest("did", args)
     _write_json(report, args.out)
     return 0
 
@@ -428,10 +448,8 @@ def cmd_ci(args) -> int:
     if args.estimator == "dit":
         control = _city_pmfs(table, [args.control_city], args.pre, args.post, args.exclude)
 
-    inputs = [args.input]
     if args.map != "share":
         curve, mcfg = _market(args)
-        inputs.append(args.wtp)
 
     result = inference.subsample_ci(pre, post, args.d, cfg, control=control)
     if args.map != "share":
@@ -457,32 +475,30 @@ def cmd_ci(args) -> int:
         "n_draws": args.draws,
         "n_failed": result.n_failed,
         "b": {"pre": cfg.size_for(pre.n), "post": cfg.size_for(post.n)},
-        "manifest": _manifest("ci", args, inputs),
+        "manifest": _manifest("ci", args),
     }
+    if control is not None:
+        c_pre, c_post = control
+        report["b_control"] = {"pre": cfg.size_for(c_pre.n), "post": cfg.size_for(c_post.n)}
     _write_json(report, args.out)
     return 0
-
-
-REPORT_SECTIONS = ("scan", "dit", "equilibrium", "did", "ci")
 
 
 def cmd_report(args) -> int:
     sections = {}
     gaps = []
-    inputs = []
     for name in REPORT_SECTIONS:
         path = getattr(args, name)
         if path is None:
             sections[name] = {"missing": True}
             gaps.append(name)
             continue
-        sections[name] = _read_section(name, path)
-        inputs.append(path)
+        sections[name] = _read_section(args, name, path)
     markdown = _render_markdown(sections, gaps, args) if args.markdown is not None else None
     bundle = {
         "sections": sections,
         "gaps": gaps,
-        "manifest": _manifest("report", args, inputs),
+        "manifest": _manifest("report", args),
     }
     _write_json(bundle, args.out)
     if markdown is not None:
@@ -491,15 +507,17 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _read_section(name: str, path: str) -> dict:
-    """The JSON object in a section's file; any other content is an error
-    naming the section and the path."""
+def _read_section(args, name: str, path: str) -> dict:
+    """The JSON object in a section's file, read once by `_read`; any other
+    content is an error naming the section and the path.  The bytes are
+    decoded as a text file opened as UTF-8 reads them, newlines included."""
     where = f"report input for {name!r}"
-    if not os.path.exists(path):
-        raise DiftransError(f"{where} not found: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            section = json.load(fh)
+        source = _read(args, path)
+    except FileNotFoundError:
+        raise DiftransError(f"{where} not found: {path}") from None
+    try:
+        section = json.load(io.TextIOWrapper(source, encoding="utf-8"))
     except UnicodeDecodeError:
         raise DiftransError(f"{where} is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
@@ -752,6 +770,7 @@ def main(argv=None) -> int:
         _check_numbers(args)
         _check_flags(args)
         _check_outputs(args)
+        args._digests = {}
         return args.func(args)
     except (DiftransError, OSError) as exc:
         print(f"diftrans {args.command}: {exc}", file=sys.stderr)

@@ -27,13 +27,14 @@ from a sum over the distinct knots in the last bits.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
-from .pmf import _csv_rows
+from .pmf import _csv_rows, _read_bytes
 from .transport import SCRATCH_CELLS
 
 
@@ -97,26 +98,32 @@ class WtpCurve:
     def from_csv(cls, path, strictify: bool = False) -> "WtpCurve":
         """Load knots from a CSV with header `n,v` and ascending n.
 
-        A leading UTF-8 byte-order mark is no part of the header.
+        A leading UTF-8 byte-order mark is no part of the header.  `path`
+        names the file, or is a binary file object, read from where it
+        stands to its end; messages then name the object's `name`.  The
+        bytes are read once and decoded whole, so a caller that must know
+        which bytes were parsed (say, to record their digest, as the CLI
+        does) reads them first and passes them as an `io.BytesIO`.
         """
-        knots = []
+        data, path = _read_bytes(path)
         try:
-            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-                reader = _csv_rows(csv.reader(fh), path)
-                header = [h.strip().lower() for h in next(reader, [])]
-                if header[:2] != ["n", "v"]:
-                    raise ValidationError(f"{path}: expected header 'n,v', got {header}")
-                for rownum, row in enumerate(reader, start=2):
-                    if not row or all(not c.strip() for c in row):
-                        continue
-                    try:
-                        knots.append((float(row[0]), float(row[1])))
-                    except (IndexError, ValueError):
-                        raise ParseError(
-                            f"{path}: expected two numbers n,v, got {row}, row {rownum}"
-                        ) from None
+            text = data.decode("utf-8-sig")
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None
+        reader = _csv_rows(csv.reader(io.StringIO(text, newline="")), path)
+        header = [h.strip().lower() for h in next(reader, [])]
+        if header[:2] != ["n", "v"]:
+            raise ValidationError(f"{path}: expected header 'n,v', got {header}")
+        knots = []
+        for rownum, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            try:
+                knots.append((float(row[0]), float(row[1])))
+            except (IndexError, ValueError):
+                raise ParseError(
+                    f"{path}: expected two numbers n,v, got {row}, row {rownum}"
+                ) from None
         return cls.from_knots(knots, strictify=strictify)
 
     @classmethod
@@ -197,35 +204,6 @@ class MarketSolution:
     net_gains: float = float("nan")
     tc_share: float = float("nan")
     meets_price_floor: bool | None = None
-
-
-def demand(cfg: MarketConfig, curve: WtpCurve, p: float, t: float) -> float:
-    """Buyers willing to pay the price plus their half of the transaction cost."""
-    return (cfg.N - cfg.q * (1.0 - cfg.z)) * (1.0 - curve.cdf(p + t))
-
-
-def supply(
-    cfg: MarketConfig,
-    curve: WtpCurve,
-    p: float,
-    t: float,
-    s: float | None = None,
-) -> float:
-    """Winners willing to sell at the price net of their half of the cost.
-
-    Speculators supply their whole allotment at any nonnegative net price, so
-    with z > 0 the curve has a flat segment of height z*q; `s` scales the
-    remaining winners' segment and is unused when z = 0.
-    """
-    if cfg.z == 0.0:
-        return cfg.q * curve.cdf(p - t)
-    if s is None or s <= 0.0:
-        raise ConfigError("supply with speculators needs the trade share s > 0")
-    if cfg.z > s:
-        raise ConfigError(
-            f"speculator share exceeds trade share: z={cfg.z} > s={s}"
-        )
-    return cfg.z * cfg.q + (s - cfg.z) / s * cfg.q * curve.cdf(p - t)
 
 
 def solve_no_tc(cfg: MarketConfig, curve: WtpCurve) -> tuple[float, float]:
@@ -428,15 +406,6 @@ def comparative_statics(cfg: MarketConfig, curve: WtpCurve, s):
     if shares.ndim == 0:
         return float(dp[0]), float(dt[0])
     return dp, dt
-
-
-def clear_share(cfg: MarketConfig, curve: WtpCurve, p: float, t: float) -> float:
-    """Trade share implied by market clearing at the given price and wedge.
-
-    Read off the demand side, which pins the share even with speculators
-    (their supply segment scales with the share itself).
-    """
-    return demand(cfg, curve, p, t) / cfg.q
 
 
 def solution_as_dict(sol: MarketSolution) -> dict:

@@ -12,8 +12,8 @@ advance monotonically with `i`.  A left-to-right greedy that hands each source
 the leftmost target mass still available in its window is then a maximum
 matching (Glover 1967).  Correctness is defined by the underlying linear
 program; the test suite checks the costs against a dense LP solver and
-against a brute-force dual on small instances, and against the dual scan
-below at any size.
+against Strassen's (1965) dual, by brute force on small instances and by a
+scan of its own at any size.
 
 The greedy uses up target mass strictly from left to right, so its whole state
 is one number: the level `C`, the cumulative target mass already used up or
@@ -111,19 +111,6 @@ The unmatched source parts `a_i - take_i` and the target mass left uncovered
 are then paired in sorted order by the same overlap rule over their own
 prefix sums; none of those pairs is within `d`, so each costs its full mass.
 Overlaps below `ZERO_COST` are rounding slivers and are dropped.
-
-The dual is Strassen's (1965): the cost equals the largest `a(A) - b(A^d)`
-over sets `A` of source points, where `A^d` is the set of targets within `d`
-of `A`.  Because the windows are monotone, filling the gap between two chosen
-sources whose windows overlap never lowers the value, so some optimal `A` is
-a union of blocks of consecutive sources whose neighbourhoods are disjoint.
-Block `s..e` is worth `SA[e+1] - SA[s] - (SB[hi_e] - SB[lo_s])`, exactly when
-its windows chain together and as a lower bound otherwise.  With `P[s]` the
-best value of blocks ending before source `s`,
-
-    P[e+1] = max(P[e], SA[e+1] - SB[hi_e] + max_{s<=e}(P[s] - SA[s] + SB[lo_s]))
-
-is one left-to-right scan that also records where each block starts.
 """
 
 from __future__ import annotations
@@ -135,9 +122,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .pmf import PricePMF
-
-#: Feasibility tolerance for plan marginals.
-MARGINAL_TOL = 1e-10
 
 
 def _check_bandwidth(d) -> int:
@@ -161,27 +145,6 @@ class TransportPlan:
     d: int
     src_support: np.ndarray
     tgt_support: np.ndarray
-
-    def indicator_cost(self) -> float:
-        return math.fsum(
-            m
-            for i, j, m in self.entries
-            if abs(int(self.src_support[i]) - int(self.tgt_support[j])) > self.d
-        )
-
-    def check_feasible(self, a: PricePMF, b: PricePMF, tol: float = MARGINAL_TOL) -> None:
-        """Raise if the plan's marginals deviate from (a, b) beyond `tol`."""
-        row = np.zeros(a.support.size)
-        col = np.zeros(b.support.size)
-        for i, j, m in self.entries:
-            if m <= 0:
-                raise ValidationError("nonpositive plan entry")
-            row[i] += m
-            col[j] += m
-        if np.max(np.abs(row - a.mass)) > tol:
-            raise ValidationError("plan row sums deviate from source marginal")
-        if np.max(np.abs(col - b.mass)) > tol:
-            raise ValidationError("plan column sums deviate from target marginal")
 
     def to_csv(self, fh) -> None:
         fh.write("i,j,x_i,x_j,mass\n")
@@ -456,44 +419,3 @@ def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
         a.support,
         b.support,
     )
-
-
-def strassen_certificate(a: PricePMF, b: PricePMF, d) -> tuple[set[int], float]:
-    """Dual set certificate: the largest a(A) - b(A^d), and a set A attaining it.
-
-    `A^d` enlarges a set of source prices by `d` inside the target support.
-    By strong duality on finite spaces the maximum equals `ot_cost(a, b, d)`,
-    which makes this a check on the solver that reaches the value by other
-    arithmetic.  One O(K) scan over the sources finds it (see the module
-    docstring); when no set has a positive value the set is empty.
-    """
-    d = _check_bandwidth(d)
-    lo, hi = _windows(a.support, b.support, d)
-    sa = _prefix(a.mass).tolist()
-    sb = _prefix(b.mass)
-    best = 0.0
-    # Where the block ending at each source starts, or -1 when the best sets
-    # among the sources up to it do not end there.
-    block_start = []
-    run = -math.inf
-    run_start = 0
-    for e, (passed, reach) in enumerate(zip(sb[lo].tolist(), sb[hi].tolist())):
-        opened = best - sa[e] + passed
-        if opened > run:
-            run, run_start = opened, e
-        value = sa[e + 1] - reach + run
-        if value > best:
-            best = value
-            block_start.append(run_start)
-        else:
-            block_start.append(-1)
-    chosen: set[int] = set()
-    e = len(block_start)
-    while e > 0:
-        s = block_start[e - 1]
-        if s < 0:
-            e -= 1
-        else:
-            chosen.update(range(s, e))
-            e = s
-    return chosen, best

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from diftrans.errors import EmptyDistributionError
+from diftrans.errors import ConfigError, EmptyDistributionError, ValidationError
 from diftrans.estimators import PLACEBO_QUANTILES
 from diftrans.pmf import PricePMF
 from diftrans.transport import ZERO_COST
@@ -57,6 +58,88 @@ def set_value(a: PricePMF, b: PricePMF, d: int, chosen) -> float:
         np.abs(x[np.minimum(k, x.size - 1)] - b.support),
     )
     return math.fsum(a.mass[idx].tolist()) - math.fsum(b.mass[nearest <= d].tolist())
+
+
+#: Feasibility tolerance for plan marginals.
+MARGINAL_TOL = 1e-10
+
+
+def indicator_cost(plan) -> float:
+    """The mass a `TransportPlan` moves farther than its `d`, summed exactly."""
+    return math.fsum(
+        m
+        for i, j, m in plan.entries
+        if abs(int(plan.src_support[i]) - int(plan.tgt_support[j])) > plan.d
+    )
+
+
+def check_feasible(plan, a: PricePMF, b: PricePMF, tol: float = MARGINAL_TOL) -> None:
+    """Raise if the plan's marginals deviate from (a, b) beyond `tol`."""
+    row = np.zeros(a.support.size)
+    col = np.zeros(b.support.size)
+    for i, j, m in plan.entries:
+        if m <= 0:
+            raise ValidationError("nonpositive plan entry")
+        row[i] += m
+        col[j] += m
+    if np.max(np.abs(row - a.mass)) > tol:
+        raise ValidationError("plan row sums deviate from source marginal")
+    if np.max(np.abs(col - b.mass)) > tol:
+        raise ValidationError("plan column sums deviate from target marginal")
+
+
+def strassen_certificate(a: PricePMF, b: PricePMF, d: int) -> tuple[set[int], float]:
+    """Strassen's (1965) dual set certificate: the largest a(A) - b(A^d), and
+    a set A of source indices attaining it.
+
+    `A^d` is the set of targets within `d` of `A`.  By strong duality on
+    finite spaces the maximum equals `ot_cost(a, b, d)`, which the solver
+    reaches by other arithmetic.  Because the windows `[lo_i, hi_i)` of
+    targets within `d` of each source are monotone, filling the gap between
+    two chosen sources whose windows overlap never lowers the value, so some
+    optimal `A` is a union of blocks of consecutive sources whose
+    neighbourhoods are disjoint.  Block `s..e` is worth
+    `SA[e+1] - SA[s] - (SB[hi_e] - SB[lo_s])`, exactly when its windows chain
+    together and as a lower bound otherwise.  With `P[s]` the best value of
+    blocks ending before source `s`,
+
+        P[e+1] = max(P[e], SA[e+1] - SB[hi_e] + max_{s<=e}(P[s] - SA[s] + SB[lo_s]))
+
+    is one left-to-right scan that also records where each block starts.
+    The windows are found by `bisect` on Python integers, so no bandwidth
+    can overflow; when no set has a positive value the set is empty.
+    """
+    tgt = b.support.tolist()
+    sa = list(itertools.accumulate(a.mass.tolist(), initial=0.0))
+    sb = list(itertools.accumulate(b.mass.tolist(), initial=0.0))
+    best = 0.0
+    # Where the block ending at each source starts, or -1 when the best sets
+    # among the sources up to it do not end there.
+    block_start = []
+    run = -math.inf
+    run_start = 0
+    for e, x in enumerate(a.support.tolist()):
+        passed = sb[bisect.bisect_left(tgt, x - d)]
+        reach = sb[bisect.bisect_right(tgt, x + d)]
+        opened = best - sa[e] + passed
+        if opened > run:
+            run, run_start = opened, e
+        value = sa[e + 1] - reach + run
+        if value > best:
+            best = value
+            block_start.append(run_start)
+        else:
+            block_start.append(-1)
+    chosen: set[int] = set()
+    e = len(block_start)
+    while e > 0:
+        s = block_start[e - 1]
+        if s < 0:
+            e -= 1
+        else:
+            chosen.update(range(s, e))
+            e = s
+    return chosen, best
 
 
 def per_source_cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -203,6 +286,36 @@ def scalar_inversion(cfg, curve, s: float):
     gross = float(np.trapezoid(buyers - sellers, u))
     tc_total = 2.0 * t * s * cfg.q
     return v_seller, v_buyer, p, t, gross, tc_total, gross - tc_total, tc_total / gross if gross > 0.0 else 0.0
+
+
+def demand(cfg, curve, p: float, t: float) -> float:
+    """Buyers willing to pay the price plus their half of the transaction cost."""
+    return (cfg.N - cfg.q * (1.0 - cfg.z)) * (1.0 - curve.cdf(p + t))
+
+
+def supply(cfg, curve, p: float, t: float, s: float | None = None) -> float:
+    """Winners willing to sell at the price net of their half of the cost.
+
+    Speculators supply their whole allotment at any nonnegative net price, so
+    with z > 0 the curve has a flat segment of height z*q; `s` scales the
+    remaining winners' segment and is unused when z = 0.
+    """
+    if cfg.z == 0.0:
+        return cfg.q * curve.cdf(p - t)
+    if s is None or s <= 0.0:
+        raise ConfigError("supply with speculators needs the trade share s > 0")
+    if cfg.z > s:
+        raise ConfigError(f"speculator share exceeds trade share: z={cfg.z} > s={s}")
+    return cfg.z * cfg.q + (s - cfg.z) / s * cfg.q * curve.cdf(p - t)
+
+
+def clear_share(cfg, curve, p: float, t: float) -> float:
+    """Trade share implied by market clearing at the given price and wedge.
+
+    Read off the demand side, which pins the share even with speculators
+    (their supply segment scales with the share itself).
+    """
+    return demand(cfg, curve, p, t) / cfg.q
 
 
 def table_rows(table) -> list[tuple]:

@@ -759,6 +759,30 @@ class TestCi:
         if estimator == "before_after":
             assert 0 < report["n_failed"] < report["n_draws"]
 
+    def test_subsample_sizes_of_every_side(self, tmp_path, synth_csv):
+        # The report gives the subsample size of each side that is drawn:
+        # `b` for the treated pair and, with the dit estimator, `b_control`.
+        argv = self.ci_args(synth_csv)
+        code, report = run(tmp_path, *argv)
+        assert code == 0
+        assert "b_control" not in report
+        argv[argv.index("before_after")] = "dit"
+        code, report = run(tmp_path, *argv, "--control-city", "coastal", "--b", "300")
+        assert code == 0
+        assert report["b"] == report["b_control"] == {"pre": 300, "post": 300}
+        code, report = run(tmp_path, *argv, "--control-city", "coastal")
+        assert code == 0
+        table = pmf.ingest_csv(synth_csv)
+        years = {"pre": 2010, "post": 2011}
+        sizes = {}
+        for key, city in [("b", "metro"), ("b_control", "coastal")]:
+            sizes[key] = {
+                side: int(build_pmf(table, city, PeriodFilter(include=(((y, 1), (y, 12)),))).n ** 0.7)
+                for side, y in years.items()
+            }
+        assert {key: report[key] for key in sizes} == sizes
+        assert sizes["b"] != sizes["b_control"]
+
     def test_block_fraction_below_one_unit_is_one_line_error(self, tmp_path, capsys, synth_csv):
         code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--block-fraction", "1e-9"]))
         assert (code, report) == (1, None)
@@ -983,6 +1007,37 @@ def test_manifest_digests_the_bytes_parsed(tmp_path, synth_csv, uniform_wtp, mon
     assert report["manifest"]["inputs"] == {str(synth_csv): hashlib.sha256(original).hexdigest()}
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "ci", "report"])
+def test_manifest_digests_the_wtp_and_sections_parsed(tmp_path, synth_csv, uniform_wtp, monkeypatch, command):
+    # `--wtp` and every report section are read once too: a file rewritten
+    # right after its read keeps the digest of the bytes the run parsed.
+    if command == "report":
+        target = tmp_path / "dit.json"
+        target.write_text('{"d_star": 1000, "s_dit": 0.25}\n', encoding="utf-8")
+        argv = ["report", "--dit", str(target)]
+        owner, name = cli, "_read_section"
+    else:
+        target = uniform_wtp
+        argv = writer_argv(command, tmp_path, synth_csv, uniform_wtp)
+        if command == "ci":
+            argv += ["--map", "net-gains", "--wtp", str(uniform_wtp)]
+            argv += ["--market-size", "50000", "--quota", "20000"]
+        owner, name = equilibrium.WtpCurve, "from_csv"
+    original = target.read_bytes()
+    read = getattr(owner, name)
+
+    def rewrite(*args, **kwargs):
+        parsed = read(*args, **kwargs)
+        target.write_bytes(original + b"\n")
+        return parsed
+
+    monkeypatch.setattr(owner, name, rewrite)
+    code, report = run(tmp_path, *argv)
+    assert code == 0
+    assert target.read_bytes() != original
+    assert report["manifest"]["inputs"][str(target)] == hashlib.sha256(original).hexdigest()
+
+
 #: Every output flag of every command.
 OUTPUT_FLAGS = [(command, "--out") for command in cli._COMMANDS] + [
     ("transport", "--plan"),
@@ -1016,6 +1071,64 @@ def test_bad_output_path_is_one_line_error_before_input(
     words = "must name a file" if kind != "missing-directory" else "must be in an existing directory"
     assert capsys.readouterr() == ("", f"diftrans {command}: {flag} {words}, got {path!r}\n")
     assert sorted(tmp_path.iterdir()) == before
+
+
+def clashing_argv(tmp_path, synth_csv, wtp, command, flag, other, link):
+    """An argument vector of `command` whose output `flag` names the file of
+    `other`, through a symbolic link to it with `link`."""
+    section = tmp_path / "scan.json"
+    section.write_text("{}", encoding="utf-8")
+    inputs = {"--input": synth_csv, "--wtp": wtp, "--scan": section}
+    if command == "report":
+        argv = ["report", "--scan", str(section)]
+    else:
+        argv = writer_argv(command, tmp_path, synth_csv, wtp)
+    path = inputs.get(other)
+    if path is None:
+        path = tmp_path / "shared.out"
+        argv += [other, str(path)]
+    if link:
+        (tmp_path / "link").symlink_to(path)
+        path = tmp_path / "link"
+    return argv + [flag, str(path)]
+
+
+@pytest.mark.parametrize(
+    "command,flag,other,link",
+    [
+        ("dit", "--out-csv", "--out", False),
+        ("dit", "--out-csv", "--input", False),
+        ("dit", "--trends-csv", "--out-csv", False),
+        ("ci", "--dump-draws", "--out", False),
+        ("ci", "--dump-draws", "--input", True),
+        ("report", "--markdown", "--out", False),
+        ("report", "--markdown", "--scan", False),
+        ("equilibrium", "--out-csv", "--wtp", True),
+    ],
+)
+def test_output_naming_another_file_is_one_line_error_before_input(
+    tmp_path, capsys, synth_csv, uniform_wtp, monkeypatch, command, flag, other, link
+):
+    # Two outputs naming one file (the later write would replace the
+    # earlier), or an output naming an input (the run would write over its
+    # own data), are a one-line error before anything is read or written.
+    # Paths are compared as `os.path.realpath` resolves them.
+    def read(*args, **kwargs):
+        raise AssertionError("input read before the output paths were checked")
+
+    for owner, name in [(cli, "ingest_csv"), (cli, "_read_section"), (equilibrium.WtpCurve, "from_csv")]:
+        monkeypatch.setattr(owner, name, read)
+    argv = clashing_argv(tmp_path, synth_csv, uniform_wtp, command, flag, other, link)
+    inputs = [synth_csv, uniform_wtp, tmp_path / "scan.json"]
+    before = [path.read_bytes() for path in inputs]
+    listing = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"diftrans {command}: {flag} names the same file as {other}, got ")
+    assert len(err.splitlines()) == 1
+    assert [path.read_bytes() for path in inputs] == before
+    assert sorted(tmp_path.iterdir()) == listing
 
 
 def parsed(parse, argv):

@@ -10,18 +10,15 @@ from diftrans.equilibrium import (
     MarketConfig,
     WtpCurve,
     bounds_table,
-    clear_share,
     comparative_statics,
-    demand,
     invert_from_volume,
     invert_shares,
     solution_as_dict,
     solve_no_tc,
-    supply,
 )
 from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
 
-from _oracles import random_curve
+from _oracles import clear_share, demand, random_curve, supply
 
 N, Q = 700_000, 260_000
 VMAX = 280_000.0

@@ -19,13 +19,12 @@ from scipy.integrate import quad
 from diftrans.equilibrium import (
     MarketConfig,
     bounds_table,
-    clear_share,
     comparative_statics,
     invert_from_volume,
     invert_shares,
 )
 
-from _oracles import random_curve, scalar_inversion
+from _oracles import clear_share, random_curve, scalar_inversion
 
 N, Q = 700_000, 260_000
 GAINS_TOL = 1e-9
