@@ -12,9 +12,9 @@ A flag that a run does not read is an error before the input is read, and
 so is a flag that the run needs and was not given.  `FLAG_RULES` lists when
 each conditional flag is read; `main` checks it before any command runs.
 So is an output path that is empty, names a directory, lies in a
-directory that does not exist, or names the same file as another output or
-an input, so a run fails before its work, not after, and never writes over
-its own input or output.
+directory that does not exist, or names the same regular file as another
+output or an input, so a run fails before its work, not after, and never
+writes over its own input or output.
 
 `main` builds the arguments of the invoked command alone: building every
 command's took ~3 ms a call, against under 1 ms to build and parse `ci`'s
@@ -223,16 +223,25 @@ _INPUTS = ("input", "wtp", *REPORT_SECTIONS)
 _OUTPUTS = ("out", "out_csv", "trends_csv", "dump_draws", "plan", "markdown")
 
 
+def _file_key(path: str) -> str | None:
+    """The `os.path.realpath` form of `path`, or None for a path that exists
+    and is not a regular file (say, `/dev/null` or `/dev/stdout`), which
+    several flags may name without one write undoing another."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    return os.path.realpath(path)
+
+
 def _check_outputs(args) -> None:
     """Reject an output path that is empty, names a directory, lies in a
-    directory that does not exist, or names the file of another output or
-    of an input (compared as `os.path.realpath` forms), before any input is
+    directory that does not exist, or names the regular file of another
+    output or of an input (compared by `_file_key`), before any input is
     read."""
     taken = {}
     for name in _INPUTS:
         path = getattr(args, name, None)
         if path is not None:
-            taken.setdefault(os.path.realpath(path), _flag(name))
+            taken.setdefault(_file_key(path), _flag(name))
     for name in _OUTPUTS:
         path = getattr(args, name, None)
         if path is None:
@@ -242,9 +251,9 @@ def _check_outputs(args) -> None:
             raise DiftransError(f"{flag} must name a file, got {path!r}")
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise DiftransError(f"{flag} must be in an existing directory, got {path!r}")
-        other = taken.setdefault(os.path.realpath(path), flag)
-        if other != flag:
-            raise DiftransError(f"{flag} names the same file as {other}, got {path!r}")
+        key = _file_key(path)
+        if key is not None and taken.setdefault(key, flag) != flag:
+            raise DiftransError(f"{flag} names the same file as {taken[key]}, got {path!r}")
 
 
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
@@ -477,9 +486,6 @@ def cmd_ci(args) -> int:
         "b": {"pre": cfg.size_for(pre.n), "post": cfg.size_for(post.n)},
         "manifest": _manifest("ci", args),
     }
-    if control is not None:
-        c_pre, c_post = control
-        report["b_control"] = {"pre": cfg.size_for(c_pre.n), "post": cfg.size_for(c_post.n)}
     _write_json(report, args.out)
     return 0
 

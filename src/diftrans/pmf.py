@@ -266,23 +266,18 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     quote is first parsed by `_parse_plain`, a numpy pass over its bytes that
     reads only what it can read exactly as the `csv` row loop does: rows of
     exactly the header's width between empty or non-empty line ends (LF,
-    CRLF or a lone CR), integer cells matching `[ \t]*-?[0-9]{1,18}[ \t]*`
-    or, as a float formatter writes them, `[ \t]*-?[0-9]{1,15}\\.0{0,18}[ \t]*`,
+    CRLF or a lone CR), integer cells matching `[ \t]*-?[0-9]{1,18}[ \t]*`,
     city labels short enough that their fixed-width words take no more
-    bytes than the file, and no NUL byte.  A decimal cell is read as its
-    integer part, which is the row loop's `int(float(cell))` exactly: at
-    most 15 digits stay below 2**53, where every integer is a float.
-    Anything else, or columns the table's field rules reject, sends the
-    decoded text to the row loop, which reads fields of any length.  Only
-    the loop reports errors, so the path taken changes the speed, never the
-    table or the message.  A file the byte pass rejects pays, before the row
-    loop, for its line and comma scan of the whole file plus every numeric
-    column up to the one that rejects it, wherever in that column the
-    rejected cell sits (say, one `1e5` price).  The byte pass trims blanks
-    around integer cells only in a file that holds a space or tab byte,
-    reads signs only in one that holds a `-` and decimal cells only in one
-    that holds a `.`, since no such step can change a cell of any other
-    file.
+    bytes than the file, and no NUL byte.  Anything else, or columns the
+    table's field rules reject, sends the decoded text to the row loop,
+    which reads fields of any length.  Only the loop reports errors, so the
+    path taken changes the speed, never the table or the message.  A file
+    the byte pass rejects pays, before the row loop, for its line and comma
+    scan of the whole file plus every numeric column up to the one that
+    rejects it, wherever in that column the rejected cell sits (say, one
+    `.0` price).  The byte pass trims blanks around integer cells only in a
+    file that holds a space or tab byte, and reads signs only in one that
+    holds a `-`, since neither step can change a cell of any other file.
     """
     columns = dict(DEFAULT_SCHEMA)
     if schema:
@@ -340,7 +335,7 @@ def _locate(header: list[str], columns: dict) -> dict[str, int]:
 
 
 #: Byte values the quote-free parser looks for.
-_LF, _CR, _COMMA, _MINUS, _DOT, _ZERO, _SPACE, _TAB = b"\n\r,-.0 \t"
+_LF, _CR, _COMMA, _MINUS, _ZERO, _SPACE, _TAB = b"\n\r,-0 \t"
 #: Masks keeping the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -389,10 +384,9 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
     # Each is one scan of the bytes; a file without them skips whole passes.
     blanks = b" " in data or b"\t" in data
     signs = b"-" in data
-    dots = _dotted_fields(buf, bounds, numeric) if b"." in data else {}
     numbers = []
     for i in numeric:
-        column = _integers(buf, *field(i), blanks=blanks, signs=signs, dots=dots.get(i))
+        column = _integers(buf, *field(i), blanks=blanks, signs=signs)
         if column is None:
             return None
         numbers.append(column)
@@ -405,42 +399,17 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
         return None
 
 
-def _dotted_fields(buf: np.ndarray, bounds: np.ndarray, numeric: list[int]) -> dict:
-    """For each column of `numeric`, the (rows, offsets) of every `.` in its
-    fields: the delimiter after a byte ends the field the byte lies in."""
-    at = np.flatnonzero(buf == _DOT)
-    line, column = np.divmod(np.searchsorted(bounds.ravel(), at), bounds.shape[1])
-    dots = {}
-    for i in numeric:
-        # Line 0 is the header, so a field's row is its line less one.
-        hit = (column == i) & (line > 0)
-        if hit.any():
-            dots[i] = line[hit] - 1, at[hit]
-    return dots
-
-
 def _integers(
-    buf: np.ndarray,
-    first: np.ndarray,
-    last: np.ndarray,
-    *,
-    blanks: bool,
-    signs: bool,
-    dots: tuple[np.ndarray, np.ndarray] | None,
+    buf: np.ndarray, first: np.ndarray, last: np.ndarray, *, blanks: bool, signs: bool
 ) -> np.ndarray | None:
     """Values of the fields from byte `first` to byte `last`, or None unless
     every field matches `[ \t]*-?[0-9]{1,18}[ \t]*` (and so has the value
-    `int()` gives it) or `[ \t]*-?[0-9]{1,15}\\.0{0,18}[ \t]*` (and so has the
-    value `int(float())` gives it).  The bound arrays are trimmed in place.
+    `int()` gives it).  The bound arrays are trimmed in place.
 
     The blank walks run only when `blanks` says that `buf` may hold a space
     or tab, and the sign pass only when `signs` says it may hold a `-`.  A
     field's own delimiters stop both trimming walks, so an all-blank field
-    is left with a length below one.  `dots` holds the (row, offset) of
-    every `.` in the fields, or is None when they hold none.  A field with
-    a dot is cut to the digits before it once a walk over its trailing zeros
-    ends on that dot, which fails for a second dot.  At most 18 zeros keep
-    that walk as short as the digit loop.
+    is left with a length below one.
     """
     if blanks:
         while (pad := _is_blank(buf[first])).any():
@@ -450,16 +419,6 @@ def _integers(
     if signs:
         negative = buf[first] == _MINUS
         first += negative
-    if dots is not None:
-        rows, dot = dots
-        end = last[rows]
-        if int((end - dot).max()) > 18:
-            return None
-        while (pad := (buf[end] == _ZERO) & (end > dot)).any():
-            end -= pad
-        if (end != dot).any() or int((dot - first[rows]).max()) > 15:
-            return None
-        last[rows] = dot - 1
     length = last - first + 1
     shortest, longest = int(length.min()), int(length.max())
     if shortest < 1 or longest > 18:

@@ -759,30 +759,6 @@ class TestCi:
         if estimator == "before_after":
             assert 0 < report["n_failed"] < report["n_draws"]
 
-    def test_subsample_sizes_of_every_side(self, tmp_path, synth_csv):
-        # The report gives the subsample size of each side that is drawn:
-        # `b` for the treated pair and, with the dit estimator, `b_control`.
-        argv = self.ci_args(synth_csv)
-        code, report = run(tmp_path, *argv)
-        assert code == 0
-        assert "b_control" not in report
-        argv[argv.index("before_after")] = "dit"
-        code, report = run(tmp_path, *argv, "--control-city", "coastal", "--b", "300")
-        assert code == 0
-        assert report["b"] == report["b_control"] == {"pre": 300, "post": 300}
-        code, report = run(tmp_path, *argv, "--control-city", "coastal")
-        assert code == 0
-        table = pmf.ingest_csv(synth_csv)
-        years = {"pre": 2010, "post": 2011}
-        sizes = {}
-        for key, city in [("b", "metro"), ("b_control", "coastal")]:
-            sizes[key] = {
-                side: int(build_pmf(table, city, PeriodFilter(include=(((y, 1), (y, 12)),))).n ** 0.7)
-                for side, y in years.items()
-            }
-        assert {key: report[key] for key in sizes} == sizes
-        assert sizes["b"] != sizes["b_control"]
-
     def test_block_fraction_below_one_unit_is_one_line_error(self, tmp_path, capsys, synth_csv):
         code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--block-fraction", "1e-9"]))
         assert (code, report) == (1, None)
@@ -1129,6 +1105,22 @@ def test_output_naming_another_file_is_one_line_error_before_input(
     assert len(err.splitlines()) == 1
     assert [path.read_bytes() for path in inputs] == before
     assert sorted(tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("dit", ["--out-csv", "--trends-csv"]),
+        ("report", ["--markdown"]),
+    ],
+)
+def test_outputs_may_share_a_special_file(tmp_path, synth_csv, uniform_wtp, command, flags):
+    # Writing one device twice undoes nothing, so outputs may all name
+    # `os.devnull`; only regular files clash.
+    argv = writer_argv(command, tmp_path, synth_csv, uniform_wtp)
+    for flag in ["--out", *flags]:
+        argv += [flag, os.devnull]
+    assert main(argv) == 0
 
 
 def parsed(parse, argv):
