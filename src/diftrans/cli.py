@@ -256,6 +256,20 @@ def _check_outputs(args) -> None:
             raise DiftransError(f"{flag} names the same file as {taken[key]}, got {path!r}")
 
 
+def _controls(args) -> list[str]:
+    """The run's control cities: `--control-cities` split at commas, or `--control-city`."""
+    if getattr(args, "control_cities", None) is not None:
+        return [c.strip() for c in args.control_cities.split(",") if c.strip()]
+    return [args.control_city] if getattr(args, "control_city", None) is not None else []
+
+
+def _check_cities(args) -> None:
+    """Reject a control city that is the treated city before any input is read."""
+    treated = getattr(args, "treated_city", getattr(args, "city", None))
+    if treated in _controls(args):
+        raise DiftransError(f"control city {treated!r} is the treated city")
+
+
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
     """The valuation schedule read from --wtp and the market of the market flags."""
     curve = equilibrium.WtpCurve.from_csv(_read(args, args.wtp), strictify=args.strictify)
@@ -432,7 +446,7 @@ def _csv_cell(value) -> str:
 
 def cmd_did(args) -> int:
     table = _ingest(args)
-    controls = [c.strip() for c in args.control_cities.split(",") if c.strip()]
+    controls = _controls(args)
     treated = table.in_cities(args.treated_city)
     pre = _period_filter(args.pre, args.exclude).mask(table.period)
     post = _period_filter(args.post, args.exclude).mask(table.period) & ~pre
@@ -776,6 +790,7 @@ def main(argv=None) -> int:
         _check_numbers(args)
         _check_flags(args)
         _check_outputs(args)
+        _check_cities(args)
         args._digests = {}
         return args.func(args)
     except (DiftransError, OSError) as exc:

@@ -10,18 +10,18 @@ which pins down the price, the per-side cost wedge, and the gains from trade.
 
 Every inversion runs through one array core, `invert_shares`, which inverts
 a whole vector of shares with no Python loop over them: the marginal
-valuations are one `np.interp` each, and each share's gains integral is a
-trapezoid over one row of a fixed-width matrix of knots, sorted per row, so
-every solution it returns carries its gains.  A share the model cannot
-invert gets a NaN row there.  `invert_from_volume` (one share, which raises
-instead) and `bounds_table` read from it.  So does `ci --map`, which maps a
-share interval after inference: the full-sample point through
-`invert_from_volume`, so a point the model cannot invert is an error naming
-the bound it breaks, and all the draws through one `invert_shares` call,
-whose NaN draws the interval leaves out.  Prices, wedges and marginal
-valuations are the same floats as a scalar read of the schedule; the gains
-sum the same terms plus exact zeros from repeated knots, so they can differ
-from a sum over the distinct knots in the last bits.
+valuations are one `np.interp` each, and the gains are a closed form in the
+schedule's prefix areas, read with one `np.searchsorted` and one
+`np.interp` per margin, so every solution it returns carries its gains.
+A share the model cannot invert gets a NaN row there.  `invert_from_volume`
+(one share, which raises instead) and `bounds_table` read from it.  So does
+`ci --map`, which maps a share interval after inference: the full-sample
+point through `invert_from_volume`, so a point the model cannot invert is an
+error naming the bound it breaks, and all the draws through one
+`invert_shares` call, whose NaN draws the interval leaves out.  Prices,
+wedges and marginal valuations are the same floats as a scalar read of the
+schedule; the gains add the linear pieces of a trapezoid over the traded
+volume in another order, so they can differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
 from .pmf import _csv_rows, _read_bytes
-from .transport import SCRATCH_CELLS
 
 
 @dataclass(frozen=True)
@@ -185,6 +184,11 @@ class MarketConfig:
         """Frictionless trade share of the quota; independent of the curve."""
         return (self.N - self.q) / self.N
 
+    @property
+    def pool(self) -> float:
+        """Buyer pool N - q (1 - z): the market less the winners who are not speculators."""
+        return self.N - self.q * (1.0 - self.z)
+
 
 @dataclass
 class MarketSolution:
@@ -251,11 +255,10 @@ def _margins(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray):
     is speculator supply) and at the buyer's 1 - s q / pool, elementwise.
     """
     M = curve.market_size
-    pool = cfg.N - cfg.q * (1.0 - cfg.z)
     v_seller = np.interp(M * (1.0 - s), curve.volumes, curve.values)
     if cfg.z > 0.0:
         v_seller[s == cfg.z] = 0.0
-    v_buyer = np.interp(M * (1.0 - (1.0 - s * cfg.q / pool)), curve.volumes, curve.values)
+    v_buyer = np.interp(M * (1.0 - (1.0 - s * cfg.q / cfg.pool)), curve.volumes, curve.values)
     return v_seller, v_buyer
 
 
@@ -264,8 +267,10 @@ def invert_shares(cfg: MarketConfig, curve: WtpCurve, s) -> MarketSolution:
 
     Returns a `MarketSolution` whose fields are arrays over the shares, with
     the prices, wedges and gains that `invert_from_volume` gives each share.
-    A share the model cannot invert (see `invert_from_volume`), NaN
-    included, gets a NaN row instead of an error.
+    Each share reads the schedule's prefix areas at two points (see
+    `_gains`), so time and memory grow with the shares plus the knots.  A
+    share the model cannot invert (see `invert_from_volume`), NaN included,
+    gets a NaN row instead of an error.
     """
     s = np.asarray(s, dtype=np.float64)
     ok = _supported(cfg, s)
@@ -301,56 +306,35 @@ def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSo
     return _rows(invert_shares(cfg, curve, [s]))[0]
 
 
-def _gross_gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray) -> np.ndarray:
-    """Gross gains of each share s > 0: the surplus area up to the traded volume.
-
-    Gross gains integrate the gap between inverse demand and inverse supply up
-    to the traded volume sq.  At traded volume u the marginal buyer sits at
-    schedule share u / pool and the marginal seller at share (u - zq) s /
-    ((s - z) q) of the winners (valuation zero along the speculators' flat
-    segment u <= zq), both read in shares of the curve's own market size M.
-    Both are linear in u between the images of the curve knots, so the
-    trapezoid over those images, 0, zq and sq is the exact integral.
-
-    Each share's knots fill one row of a (shares, 2K + 3) matrix, sorted per
-    row; a repeated knot adds an exact zero to the trapezoid.  Where no
-    winner sells (s <= z, so sq <= zq) the span is set to 1: the seller
-    knots then lie at or above zq and clip to sq, and the seller's schedule
-    share clips to 0, where the valuation is 0.  The rows go in blocks of at
-    most `SCRATCH_CELLS` knots.
-    """
-    M = curve.market_size
-    pool = cfg.N - cfg.q * (1.0 - cfg.z)
-    zq = cfg.z * cfg.q
-    frac = curve.volumes / M
-    width = 3 + 2 * frac.size
-    out = np.empty(s.size)
-    step = max(1, SCRATCH_CELLS // width)
-    for start in range(0, s.size, step):
-        rows = s[start : start + step]
-        sq = (rows * cfg.q)[:, None]
-        # Winners' volume per unit of schedule share above the flat segment.
-        span = np.where(rows > cfg.z, (rows - cfg.z) * cfg.q / rows, 1.0)[:, None]
-        u = np.empty((rows.size, width))
-        u[:, 0] = 0.0
-        u[:, 1] = zq
-        u[:, 2:3] = sq
-        u[:, 3 : 3 + frac.size] = frac * pool
-        u[:, 3 + frac.size :] = zq + (1.0 - frac) * span
-        np.clip(u, 0.0, sq, out=u)
-        u.sort(axis=1)
-        v_buyer = np.interp(u / pool * M, curve.volumes, curve.values)
-        shares = np.clip((u - zq) / span, 0.0, 1.0)
-        v_seller = np.interp(M * (1.0 - shares), curve.volumes, curve.values)
-        out[start : start + step] = np.trapezoid(v_buyer - v_seller, u, axis=1)
-    return out
-
-
 def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> dict:
     """The gains fields of supported shares and their wedges: the surplus
     area, the cost burden (the full two-sided wedge on every trade) and
-    their net."""
-    gross = _gross_gains(cfg, curve, s)
+    their net.
+
+    Gross gains integrate inverse demand less inverse supply up to the
+    traded volume sq.  At traded volume u the marginal buyer sits at
+    schedule volume u M / pool and the marginal seller at M (1 - (u - zq) s
+    / ((s - z) q)), with valuation zero along the speculators' flat segment
+    u <= zq.  Both are linear changes of variable, so with A(x) the area
+    under the schedule from 0 to x and B(x) the area from x to M,
+
+        gross = pool / M * A(s q M / pool) - (s - z) q / (s M) * B(M (1 - s)).
+
+    A is the running sum of the knot trapezoids below x plus the partial
+    trapezoid up to x, and B the same sum taken from the top, so a small
+    share's areas are not differences of large ones.
+    """
+    M, n, v = curve.market_size, curve.volumes, curve.values
+    piece = 0.5 * np.diff(n) * (v[:-1] + v[1:])
+    below = np.concatenate(([0.0], np.cumsum(piece)))
+    above = np.concatenate((np.cumsum(piece[::-1])[::-1], [0.0]))
+    n_buyer = s * cfg.q * M / cfg.pool
+    i = np.clip(np.searchsorted(n, n_buyer, side="right") - 1, 0, n.size - 2)
+    area_a = below[i] + 0.5 * (n_buyer - n[i]) * (v[i] + np.interp(n_buyer, n, v))
+    n_seller = M * (1.0 - s)
+    j = np.clip(np.searchsorted(n, n_seller, side="left"), 1, n.size - 1)
+    area_b = above[j] + 0.5 * (n[j] - n_seller) * (np.interp(n_seller, n, v) + v[j])
+    gross = cfg.pool / M * area_a - (s - cfg.z) * cfg.q / (s * M) * area_b
     tc_total = 2.0 * t * s * cfg.q
     return {
         "gross_gains": gross,
@@ -391,11 +375,10 @@ def comparative_statics(cfg: MarketConfig, curve: WtpCurve, s):
     flat = shares.reshape(-1)
     _check_shares(cfg, flat)
     v_seller, v_buyer = _margins(cfg, curve, flat)
-    pool = cfg.N - cfg.q * (1.0 - cfg.z)
     f_buyer = curve._density(v_buyer)
     if np.any(f_buyer <= 0.0):
         raise ValidationError("zero density at the marginal buyer valuation")
-    dv_buyer = -(cfg.q / pool) / f_buyer
+    dv_buyer = -(cfg.q / cfg.pool) / f_buyer
     # Where the whole share is speculator supply the seller margin stays at 0.
     limit = (flat == cfg.z) & (cfg.z > 0.0)
     f_seller = curve._density(v_seller)

@@ -230,9 +230,6 @@ class PricePMF:
             raise ValidationError("mass vector is not n-fold integral; cannot recover counts")
         return counts
 
-    def span(self) -> int:
-        return int(self.support[-1] - self.support[0])
-
 
 def _parse_int(value: str, name: str, row: int) -> int:
     text = value.strip()

@@ -328,27 +328,6 @@ class TestDit:
             *extra,
         ]
 
-    def test_null_when_control_equals_treated(self, tmp_path, synth_csv):
-        out_csv = tmp_path / "curve.csv"
-        code, report = run(
-            tmp_path,
-            "dit",
-            "--input", str(synth_csv),
-            "--treated-city", "coastal",
-            "--control-city", "coastal",
-            "--pre", "2010-01:2010-12",
-            "--post", "2011-01:2011-12",
-            "--d-grid", "0:8000:1000",
-            "--sims", "40",
-            "--seed", "3",
-            "--d-min", "0",
-            "--out-csv", str(out_csv),
-        )
-        assert code == 0
-        dits = [float(l.split(",")[-1]) for l in out_csv.read_text().splitlines()[1:]]
-        assert all(v <= 1e-12 for v in dits)
-        assert report["s_dit"] <= 1e-12
-
     def test_planted_trades_detected(self, tmp_path, synth_csv):
         code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path))
         assert code == 0
@@ -922,6 +901,28 @@ def test_ci_before_after_rejects_control_city(tmp_path, capsys, synth_csv, monke
     assert (code, report) == (1, None)
     err = capsys.readouterr().err
     assert err == "diftrans ci: --control-city is read only by the dit estimator\n"
+
+
+@pytest.mark.parametrize("command", ["dit", "ci", "did"])
+def test_control_naming_treated_city_is_one_line_error_before_input(
+    tmp_path, capsys, synth_csv, monkeypatch, command
+):
+    # A control city that is the treated city compares the city with itself,
+    # so it is a one-line error before the input is read; `did` checks every
+    # label of its list.
+    argv = {
+        "dit": TestDit().dit_args(synth_csv, tmp_path, extra=["--control-city", "metro"]),
+        "ci": TestCi().ci_args(synth_csv, extra=["--estimator", "dit", "--control-city", "metro"]),
+        "did": writer_argv("did", tmp_path, synth_csv, None) + ["--control-cities", "metro,coastal"],
+    }[command]
+
+    def ingest(*args):
+        raise AssertionError("input read before the cities were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *argv)
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans {command}: control city 'metro' is the treated city\n"
 
 
 @pytest.mark.parametrize(

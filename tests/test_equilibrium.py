@@ -1,6 +1,7 @@
 """Market inversion: demand/supply, frictionless benchmark, gains, statics."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ class TestInversion:
         assert np.isnan(sol.p).tolist() == [False, True, True, True, True, True, True, False]
         assert sol.p[0] == invert_from_volume(cfg, curve, 0.11).p
         assert sol.v_seller[-1] == 0.0
+
+    def test_memory_grows_with_shares_plus_knots(self):
+        # Each share reads the schedule's prefix areas at two points, so 1,000
+        # shares on a 20,001-knot schedule need no array of shares times
+        # knots, which would hold 160 MB per float64 array.
+        curve = WtpCurve(np.linspace(0.0, N, 20_001), np.linspace(VMAX, 0.0, 20_001))
+        cfg = MarketConfig(N=N, q=Q, z=0.05)
+        shares = np.linspace(cfg.z, cfg.s_notc, 1_000)
+        tracemalloc.start()
+        try:
+            sol = invert_shares(cfg, curve, shares)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.isnan(sol.gross_gains).any()
+        assert peak < 4_000_000
 
     def test_clearing_roundtrip(self, uniform):
         cfg, curve = uniform

@@ -34,7 +34,7 @@ ENVELOPE_TOL = 1e-9
 #: Central-difference residual of d(p, t)/ds, relative to the slope or to v_max.
 STATICS_TOL = 1e-6
 #: Gains of the array core against the scalar oracle, relative to the gross
-#: gains: the trapezoid sums the same terms plus exact zeros, grouped otherwise.
+#: gains: the prefix areas add the oracle's linear pieces, grouped otherwise.
 CORE_GAINS_TOL = 1e-12
 #: Step of the central difference in the trade share; gross gains are
 #: quadratic in s between kinks, so the difference is exact up to rounding.
