@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Run every diftrans command on a synthetic market through the `diftrans` on PATH.
+#
+# Usage, from the repository root:  bash .github/run-every-command.sh DIR
+#
+# pytest imports src/, so only this script runs the installed package on a
+# market and a willingness-to-pay curve.  It writes its inputs and outputs
+# in DIR.  The market has a second control city, `inland`, so `dit`,
+# `ci --estimator dit` and `did` also run with the pooled control
+# `coastal,inland`.  `report` bundles the JSON files the commands before it
+# write.  Any command that exits non-zero stops the script with its status.
+set -eu
+
+PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "import sys; from _synth import two_city_records, write_csv; write_csv(sys.argv[1], two_city_records(4000, 1600, 0.3, seed=5, growth=0.03, extra_controls=('inland',)))" "$1/market.csv"
+cd "$1"
+printf 'n,v\n0,280000\n700000,0\n' > wtp.csv
+window="--pre 2010-01:2010-12 --post 2011-01:2011-12"
+diftrans dit --input market.csv --treated-city metro --control-city coastal $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --out-csv curve.csv --out dit.json
+diftrans dit --input market.csv --treated-city metro --control-city coastal,inland $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --out-csv curve_pooled.csv --out dit_pooled.json
+diftrans ci --input market.csv --city metro --control-city coastal $window --estimator dit --d 2000 --draws 40 --seed 21 --out ci.json
+diftrans ci --input market.csv --city metro --control-city coastal,inland $window --estimator dit --d 2000 --draws 40 --seed 21 --out ci_pooled.json
+diftrans equilibrium --wtp wtp.csv --s 0.1,0.2 --out equilibrium.json
+diftrans ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 21 --map net-gains --wtp wtp.csv --market-size 50000 --quota 20000 --out ci_net_gains.json
+diftrans scan --input market.csv --city metro $window --d-grid 0:4000:1000 --sims 10 --threshold 0.5 --out-csv scan.csv --out scan.json
+diftrans transport --input market.csv --city metro $window --d 2000 --plan plan.csv --out transport.json
+diftrans did --input market.csv --treated-city metro --control-cities coastal $window --out did.json
+diftrans did --input market.csv --treated-city metro --control-cities coastal,inland $window --out did_pooled.json
+# z = 0.05 < s puts the first trades on the speculators' flat segment.
+diftrans equilibrium --wtp wtp.csv --speculator-share 0.05 --s 0.1 --out equilibrium_speculators.json
+diftrans report --scan scan.json --dit dit.json --equilibrium equilibrium_speculators.json --did did.json --ci ci.json --markdown report.md --out report.json

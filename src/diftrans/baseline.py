@@ -42,8 +42,9 @@ def did_ols(treated, post, price, weight=None, weighting: str = "units") -> DidR
     """Weighted OLS of log price on treated, post, and their interaction.
 
     The design is saturated, so the coefficients are exactly the weighted
-    cell means of log price and their differences; standard errors are
-    classical homoskedastic ones under the frequency-weight convention.
+    cell means of log price and their differences.  Standard errors are
+    classical homoskedastic ones under the frequency-weight convention, in
+    closed form: a cell mean of weight W has variance sigma^2 / W.
     `weighting="units"` weights each observation by its unit count,
     `"rows"` counts every input row once.
     """
@@ -84,25 +85,15 @@ def did_ols(treated, post, price, weight=None, weighting: str = "units") -> DidR
     alpha2 = mean[0, 1] - mean[0, 0]
     alpha3 = (mean[1, 1] - mean[1, 0]) - (mean[0, 1] - mean[0, 0])
 
-    X = np.column_stack(
-        [
-            np.ones(y.size),
-            treated.astype(float),
-            post.astype(float),
-            (treated & post).astype(float),
-        ]
-    )
-    beta = np.array([alpha0, alpha1, alpha2, alpha3])
-    resid = y - X @ beta
+    resid = y - mean[treated.astype(np.intp), post.astype(np.intp)]
     rss = float(np.sum(w * resid**2))
     w_total = float(w.sum())
     ybar = float(np.sum(w * y)) / w_total
     tss = float(np.sum(w * (y - ybar) ** 2))
     dof = w_total - 4.0
-    xtwx = X.T @ (w[:, None] * X)
     if dof > 0:
-        cov = rss / dof * np.linalg.inv(xtwx)
-        se = tuple(float(v) for v in np.sqrt(np.diag(cov)))
+        v = rss / dof / cell_w
+        se = tuple(math.sqrt(x) for x in (v[0, 0], v[0, 0] + v[1, 0], v[0, 0] + v[0, 1], v.sum()))
     else:
         se = (math.nan,) * 4
     r2 = 1.0 - rss / tss if tss > 0 else 0.0

@@ -256,17 +256,21 @@ def _check_outputs(args) -> None:
             raise DiftransError(f"{flag} names the same file as {taken[key]}, got {path!r}")
 
 
-def _controls(args) -> list[str]:
-    """The run's control cities: `--control-cities` split at commas, or `--control-city`."""
-    if getattr(args, "control_cities", None) is not None:
-        return [c.strip() for c in args.control_cities.split(",") if c.strip()]
-    return [args.control_city] if getattr(args, "control_city", None) is not None else []
+def _controls(args) -> tuple[str, ...] | None:
+    """The run's control list split at commas, each label stripped, empty parts
+    dropped; None for a run without one.  A pooled control has several."""
+    text = getattr(args, "control_cities", getattr(args, "control_city", None))
+    return None if text is None else tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _check_cities(args) -> None:
-    """Reject a control city that is the treated city before any input is read."""
+    """Reject a control list that names no city, or the treated city, before input is read."""
+    controls = _controls(args)
+    if controls == ():
+        flag = "--control-cities" if args.command == "did" else "--control-city"
+        raise DiftransError(f"{flag} names no city")
     treated = getattr(args, "treated_city", getattr(args, "city", None))
-    if treated in _controls(args):
+    if controls and treated in controls:
         raise DiftransError(f"control city {treated!r} is the treated city")
 
 
@@ -279,7 +283,8 @@ def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
 
 
 def _city_pmfs(table, cities, pre: str, post: str, exclude: str | None) -> tuple:
-    """Each city's PMFs in the `pre` and then the `post` window, less `exclude`."""
+    """Each city's PMFs in the `pre` and then the `post` window, less `exclude`;
+    a city is a label or a tuple of labels pooled, as `build_pmf` takes."""
     return tuple(
         build_pmf(table, city, _period_filter(w, exclude)) for city in cities for w in (pre, post)
     )
@@ -358,7 +363,7 @@ PLACEBO_BASES = ("treated-pre", "treated-post", "control-pre", "control-post")
 
 def cmd_dit(args) -> int:
     table = _ingest(args)
-    cities = (args.treated_city, args.control_city)
+    cities = (args.treated_city, _controls(args))
     pmfs = _city_pmfs(table, cities, args.pre, args.post, args.exclude)
     t_pre, t_post, c_pre, c_post = pmfs
     grid = _parse_grid(args.d_grid)
@@ -446,11 +451,10 @@ def _csv_cell(value) -> str:
 
 def cmd_did(args) -> int:
     table = _ingest(args)
-    controls = _controls(args)
     treated = table.in_cities(args.treated_city)
     pre = _period_filter(args.pre, args.exclude).mask(table.period)
     post = _period_filter(args.post, args.exclude).mask(table.period) & ~pre
-    keep = (treated | table.in_cities(*controls)) & (pre | post)
+    keep = (treated | table.in_cities(*_controls(args))) & (pre | post)
     result = baseline.did_ols(
         treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting
     )
@@ -469,7 +473,7 @@ def cmd_ci(args) -> int:
     pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
     control = None
     if args.estimator == "dit":
-        control = _city_pmfs(table, [args.control_city], args.pre, args.post, args.exclude)
+        control = _city_pmfs(table, [_controls(args)], args.pre, args.post, args.exclude)
 
     if args.map != "share":
         curve, mcfg = _market(args)
@@ -680,7 +684,7 @@ def _scan_args(sub):
 def _dit_args(sub):
     _add_common_io(sub, needs_city=False)
     sub.add_argument("--treated-city", required=True)
-    sub.add_argument("--control-city", required=True)
+    _add(sub, "dit", "--control-city", "control city label, or comma-separated labels pooled", required=True)
     sub.add_argument("--d-grid", required=True)
     sub.add_argument("--sims", type=int, default=500)
     _add(sub, "dit", "--threshold", "placebo-mean threshold of the noise floor", type=float)
@@ -718,7 +722,7 @@ def _did_args(sub):
 def _ci_args(sub):
     _add_common_io(sub)
     sub.add_argument("--estimator", choices=["before_after", "dit"], default="before_after")
-    _add(sub, "ci", "--control-city", "control city label")
+    _add(sub, "ci", "--control-city", "control city label, or comma-separated labels pooled")
     sub.add_argument("--d", type=int, required=True)
     sub.add_argument("--draws", type=int, default=200)
     sub.add_argument("--b", type=int, help="explicit subsample size")

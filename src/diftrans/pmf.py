@@ -115,10 +115,13 @@ class SalesTable:
         return cls(cities, [code[row[0]] for row in rows], *numbers.T)
 
     def in_cities(self, *labels: str) -> np.ndarray:
-        """Boolean mask of the rows whose city is one of `labels`."""
-        hit = np.zeros(len(self.cities), dtype=bool)
-        hit[[i for i, label in enumerate(self.cities) if label in labels]] = True
-        return hit[self.city]
+        """Boolean mask of the rows whose city is one of `labels`; a label the
+        table lacks matches none.  Codes are compared once per label held."""
+        codes = [code for code, label in enumerate(self.cities) if label in labels]
+        keep = self.city == (codes[0] if codes else -1)
+        for code in codes[1:]:
+            keep |= self.city == code
+        return keep
 
 
 @dataclass(frozen=True)
@@ -529,21 +532,23 @@ def _file_row(index: int, skipped: list[int]) -> int:
 
 def build_pmf(
     table: SalesTable,
-    city: str,
+    city: str | tuple[str, ...],
     period_filter: PeriodFilter | None = None,
 ) -> PricePMF:
     """Aggregate the table rows of `city` in the admitted periods into a price PMF.
 
-    The support is the set of distinct matching prices in ascending order
+    `city` is one label or a tuple of labels whose rows are pooled.  The
+    support is the set of distinct matching prices in ascending order
     (prices whose units sum to zero included) and each mass is
     quantity-at-price divided by total quantity, so normalization is exact.
     No binning or rounding is applied.
 
-    Rows are kept by comparing city codes and by masking the table's period
-    key.  One sort of the kept prices then puts each price's rows in one
-    run, and one `np.add.reduceat` sums the quantities of every run.
+    Rows are kept by `SalesTable.in_cities` and by masking the table's
+    period key.  One sort of the kept prices then puts each price's rows in
+    one run, and one `np.add.reduceat` sums the quantities of every run.
     """
-    keep = table.city == (table.cities.index(city) if city in table.cities else -1)
+    labels = (city,) if isinstance(city, str) else tuple(city)
+    keep = table.in_cities(*labels)
     if period_filter is not None:
         keep &= period_filter.mask(table.period)
     price, quantity = table.price[keep], table.quantity[keep]
@@ -554,7 +559,6 @@ def build_pmf(
     support, counts = price[starts], np.add.reduceat(quantity, starts)
     grand_total = int(counts.sum())
     if grand_total == 0:
-        raise EmptyDistributionError(
-            f"no units for city {city!r} in the requested periods"
-        )
+        named = labels[0] if len(labels) == 1 else labels
+        raise EmptyDistributionError(f"no units for city {named!r} in the requested periods")
     return PricePMF(support, counts / grand_total, grand_total)

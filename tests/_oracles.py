@@ -355,11 +355,13 @@ def admits(period_filter, year: int, month: int) -> bool:
     return not period_filter.include or any(lo <= ym <= hi for lo, hi in period_filter.include)
 
 
-def dict_loop_pmf(rows, city: str, period_filter=None) -> PricePMF:
-    """Price PMF of `rows` by one pass that sums quantities per price in a dict."""
+def dict_loop_pmf(rows, city, period_filter=None) -> PricePMF:
+    """Price PMF of the `rows` of `city`, one label or a tuple of labels
+    pooled, by one pass that sums quantities per price in a dict."""
+    labels = {city} if isinstance(city, str) else set(city)
     totals: dict[int, int] = {}
     for label, year, month, price, quantity in rows:
-        if label != city:
+        if label not in labels:
             continue
         if period_filter is not None and not admits(period_filter, year, month):
             continue

@@ -81,15 +81,23 @@ def two_city_records(
     control: str = "coastal",
     pre_year: int = 2010,
     post_year: int = 2011,
+    extra_controls: tuple[str, ...] = (),
 ) -> SalesTable:
-    """Sales table for a treated city with a lottery and an untouched control."""
+    """Sales table for a treated city with a lottery and an untouched control.
+
+    The k-th of `extra_controls` (k = 1, 2, ...) is one more untouched city
+    whose buyers pay 5k% more than the first control's, so its price PMF
+    differs from every other city's.  Its rows follow the first control's.
+    """
     curve = synth_curve(n_buyers)
     prices = population_prices(n_buyers, curve)
     rows = []
     rows += sales_rows(treated, pre_year, prices)
     rows += sales_rows(treated, post_year, lottery_post_prices(prices, q, sigma, seed, growth))
-    rows += sales_rows(control, pre_year, prices)
-    rows += sales_rows(control, post_year, grow(prices, growth) if growth else prices)
+    for k, city in enumerate((control, *extra_controls)):
+        base = grow(prices, 0.05 * k) if k else prices
+        rows += sales_rows(city, pre_year, base)
+        rows += sales_rows(city, post_year, grow(base, growth) if growth else base)
     return SalesTable.from_rows(rows)
 
 

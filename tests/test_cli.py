@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 import diftrans
-from diftrans import cli, equilibrium, estimators, pmf, transport
+from diftrans import cli, equilibrium, estimators, inference, pmf, transport
 from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
 
-from _oracles import admits, csv_rows
+from _oracles import admits, csv_rows, dict_loop_pmf
+from _synth import two_city_records, write_csv
 
 WORKED_EXAMPLE = (
     "city,year,month,price,quantity\n"
@@ -923,6 +924,98 @@ def test_control_naming_treated_city_is_one_line_error_before_input(
     code, report = run(tmp_path, *argv)
     assert (code, report) == (1, None)
     assert capsys.readouterr().err == f"diftrans {command}: control city 'metro' is the treated city\n"
+
+
+@pytest.mark.parametrize("command,value", [("dit", " , "), ("ci", ","), ("did", ",")])
+def test_empty_control_list_is_one_line_error_before_input(
+    tmp_path, capsys, synth_csv, monkeypatch, command, value
+):
+    # A control list with no label pools no city, so it is a one-line error
+    # before the input is read.
+    flag = "--control-cities" if command == "did" else "--control-city"
+    argv = {
+        "dit": TestDit().dit_args(synth_csv, tmp_path),
+        "ci": TestCi().ci_args(synth_csv, extra=["--estimator", "dit"]),
+        "did": writer_argv("did", tmp_path, synth_csv, None),
+    }[command]
+
+    def ingest(*args):
+        raise AssertionError("input read before the cities were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *argv, flag, value)
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans {command}: {flag} names no city\n"
+
+
+class TestPooledControl:
+    """`dit` and `ci --estimator dit` pool a comma-separated control list."""
+
+    WINDOWS = [PeriodFilter(include=(((year, 1), (year, 12)),)) for year in (2010, 2011)]
+
+    @pytest.fixture
+    def three_city_csv(self, tmp_path):
+        """The synthetic market with a second control city, `inland`."""
+        path = tmp_path / "three.csv"
+        table = two_city_records(4000, 1600, 0.3, seed=5, growth=0.03, extra_controls=("inland",))
+        write_csv(path, table)
+        return path
+
+    def pmfs(self, path):
+        """Treated pre and post, then pooled control pre and post, by the dict-loop oracle."""
+        rows = csv_rows(path)
+        return [
+            dict_loop_pmf(rows, city, window)
+            for city in ("metro", ("coastal", "inland"))
+            for window in self.WINDOWS
+        ]
+
+    def test_dit_equals_library_on_pooled_pmfs(self, tmp_path, three_city_csv):
+        argv = TestDit().dit_args(three_city_csv, tmp_path, extra=["--control-city", "coastal,inland"])
+        code, report = run(tmp_path, *argv)
+        assert code == 0
+        t_pre, t_post, c_pre, c_post = self.pmfs(three_city_csv)
+        placebo = estimators.PlaceboConfig(n_sims=40, seed=3)
+        grid = list(range(0, 9000, 1000))
+        scan = estimators.bandwidth_scan(
+            t_pre, t_post, grid, placebo, base=t_post, control=(c_pre, c_post)
+        )
+        d_star, s_dit = estimators.select_dstar(scan, scan.select(0.005))
+        assert (report["d_star"], report["s_dit"]) == (d_star, s_dit)
+        curve = io.StringIO()
+        scan.to_csv(curve)
+        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == curve.getvalue()
+
+    def test_ci_equals_library_on_pooled_pmfs(self, tmp_path, three_city_csv):
+        argv = TestCi().ci_args(
+            three_city_csv, extra=["--estimator", "dit", "--control-city", "coastal, inland"]
+        )
+        code, report = run(tmp_path, *argv)
+        assert code == 0
+        t_pre, t_post, c_pre, c_post = self.pmfs(three_city_csv)
+        cfg = inference.SubsampleConfig(n_draws=40, seed=21)
+        want = inference.subsample_ci(t_pre, t_post, 2000, cfg, control=(c_pre, c_post))
+        assert (report["point"], report["lower"], report["upper"]) == (
+            want.point, want.lower, want.upper
+        )
+
+    @pytest.mark.parametrize("command", ["dit", "ci"])
+    def test_repeated_label_is_that_city(self, tmp_path, three_city_csv, command):
+        def argv(control):
+            if command == "dit":
+                return TestDit().dit_args(three_city_csv, tmp_path, extra=["--control-city", control])
+            extra = ["--estimator", "dit", "--control-city", control]
+            return TestCi().ci_args(three_city_csv, extra=extra)
+
+        # A repeated label pools the city with itself: the same rows, once.
+        outputs = []
+        for control in ("coastal", "coastal,coastal"):
+            code, report = run(tmp_path, *argv(control))
+            assert code == 0
+            report.pop("manifest")
+            curve = tmp_path / "curve.csv"
+            outputs.append((report, curve.read_bytes() if curve.exists() else None))
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

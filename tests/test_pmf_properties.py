@@ -3,9 +3,10 @@
 Rows come from a few cities, a small price lattice (so prices repeat within
 and across cities) and quantities that are often zero.  Period filters mix
 include ranges, exclusions inside and outside them, and no filter at all.
-`build_pmf` must equal the dict-loop oracle bit for bit, and a CSV written
-from the rows with blank lines, padded and quoted cells and integral floats
-must ingest to the same columns as a plain `csv` loop reads.  Plain files
+`build_pmf` must equal the dict-loop oracle bit for bit, for one city or a
+pooled set of them, whose counts are the sums of its cities' counts.  A CSV
+written from the rows with blank lines, padded and quoted cells and integral
+floats must ingest to the same columns as a plain `csv` loop reads.  Plain files
 with rows (unquoted integer cells, empty lines, any line ending) must take
 the byte-level path and read the same; odd cells and lines at that path's
 boundary, and any one-character edit of a plain file, must give the row
@@ -94,6 +95,32 @@ def test_build_pmf_matches_dict_loop(rows, city, filt):
     assert got.support.tolist() == want.support.tolist()
     assert got.mass.tobytes() == want.mass.tobytes()
     assert got.n == want.n
+
+
+@PROPERTIES
+@given(
+    rows=rows_strategy,
+    labels=st.lists(st.sampled_from(CITIES + ("nowhere",)), max_size=4).map(tuple),
+    filt=period_filters(),
+)
+def test_pooled_pmf_matches_dict_loop_and_sums_its_cities(rows, labels, filt):
+    # Labels repeat, miss the table or are absent; an empty set has no units.
+    table = SalesTable.from_rows(rows)
+    got = pmf_or_empty(build_pmf, table, labels, filt)
+    want = pmf_or_empty(dict_loop_pmf, rows, labels, filt)
+    if want == "empty":
+        assert got == "empty"
+        return
+    assert got.support.tolist() == want.support.tolist()
+    assert got.mass.tobytes() == want.mass.tobytes()
+    assert got.n == want.n
+    summed = dict.fromkeys(got.support.tolist(), 0)
+    for label in set(labels):
+        city = pmf_or_empty(build_pmf, table, label, filt)
+        if city != "empty":
+            for price, count in zip(city.support.tolist(), city.counts().tolist()):
+                summed[price] += count
+    assert got.counts().tolist() == list(summed.values())
 
 
 @st.composite
