@@ -9,7 +9,20 @@
 # `ci --estimator dit` and `did` also run with the pooled control
 # `coastal,inland`.  `report` bundles the JSON files the commands before it
 # write.  Any command that exits non-zero stops the script with its status.
+# Last, a pooled control with a typo and a month in both windows must each
+# exit 1 with exactly one line on stderr.
 set -eu
+
+# Run diftrans with the arguments given; fail unless it exits 1 with one stderr line.
+fails_in_one_line() {
+    status=0
+    diftrans "$@" > /dev/null 2> error.txt || status=$?
+    if [ "$status" -ne 1 ] || [ "$(wc -l < error.txt)" -ne 1 ]; then
+        echo "expected exit 1 and one stderr line, got exit $status from: diftrans $*" >&2
+        cat error.txt >&2
+        exit 1
+    fi
+}
 
 PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "import sys; from _synth import two_city_records, write_csv; write_csv(sys.argv[1], two_city_records(4000, 1600, 0.3, seed=5, growth=0.03, extra_controls=('inland',)))" "$1/market.csv"
 cd "$1"
@@ -28,3 +41,6 @@ diftrans did --input market.csv --treated-city metro --control-cities coastal,in
 # z = 0.05 < s puts the first trades on the speculators' flat segment.
 diftrans equilibrium --wtp wtp.csv --speculator-share 0.05 --s 0.1 --out equilibrium_speculators.json
 diftrans report --scan scan.json --dit dit.json --equilibrium equilibrium_speculators.json --did did.json --ci ci.json --markdown report.md --out report.json
+fails_in_one_line dit --input market.csv --treated-city metro --control-city coastal,inlnad $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --out-csv curve_typo.csv --out dit_typo.json
+fails_in_one_line did --input market.csv --treated-city metro --control-cities coastal,inlnad $window --out did_typo.json
+fails_in_one_line transport --input market.csv --city metro --pre 2010-01:2010-12 --post 2010-12:2011-12 --d 2000 --out transport_overlap.json

@@ -8,13 +8,13 @@ sales CSV, the willingness-to-pay CSV, a report section) is read once, by
 manifest names the bytes the run parsed, even if a file changes during the
 run.
 
-A flag that a run does not read is an error before the input is read, and
-so is a flag that the run needs and was not given.  `FLAG_RULES` lists when
-each conditional flag is read; `main` checks it before any command runs.
-So is an output path that is empty, names a directory, lies in a
-directory that does not exist, or names the same regular file as another
-output or an input, so a run fails before its work, not after, and never
-writes over its own input or output.
+Every flag value is parsed and checked before the input is read, so a run
+fails before its work, not after.  A flag that a run does not read is an
+error, as is a flag that it needs and was not given (`FLAG_RULES`); so is an
+output path that is empty, names a directory, lies in a directory that does
+not exist, or names the regular file of another output or an input.  Two
+windows of a pair (pre and post, or the diagnostic two) that share a month
+are an error too.  Only a control label that names no city waits for the input.
 
 `main` builds the arguments of the invoked command alone: building every
 command's took ~3 ms a call, against under 1 ms to build and parse `ci`'s
@@ -55,7 +55,12 @@ def _read(args, path: str) -> io.BytesIO:
 
 
 def _ingest(args) -> SalesTable:
-    return ingest_csv(_read(args, args.input))
+    """The table of `--input`; a control label that names none of its cities is an error."""
+    table = ingest_csv(_read(args, args.input))
+    for label in args._controls or ():
+        if label not in table.cities:
+            raise DiftransError(f"control city {label!r} is not in {args.input}")
+    return table
 
 
 def _manifest(command: str, args: argparse.Namespace) -> dict:
@@ -94,18 +99,8 @@ def _parse_ym(text: str) -> tuple[int, int]:
 
 
 def _parse_window(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    if ":" not in text:
-        ym = _parse_ym(text)
-        return ym, ym
-    lo, hi = text.split(":", 1)
-    return _parse_ym(lo), _parse_ym(hi)
-
-
-def _period_filter(window: str, exclude: str | None) -> PeriodFilter:
-    excludes = frozenset(
-        _parse_ym(part) for part in (exclude or "").split(",") if part.strip()
-    )
-    return PeriodFilter(include=(_parse_window(window),), exclude=excludes)
+    lo, colon, hi = text.partition(":")
+    return _parse_ym(lo), _parse_ym(hi if colon else lo)
 
 
 #: Most bandwidths in one grid: the recurrence state of one mass column, three
@@ -256,22 +251,34 @@ def _check_outputs(args) -> None:
             raise DiftransError(f"{flag} names the same file as {taken[key]}, got {path!r}")
 
 
-def _controls(args) -> tuple[str, ...] | None:
-    """The run's control list split at commas, each label stripped, empty parts
-    dropped; None for a run without one.  A pooled control has several."""
+def _select(args) -> None:
+    """Decide which rows a run reads, before the input is read, as `args`
+    fields the manifest skips: `_controls`, the control labels (None
+    without a list); `_windows` and `_diag`, the (pre, post) and diagnostic
+    `PeriodFilter`s less `--exclude` (None without them); `_grid`, the
+    bandwidths.  Controls that name no city or the treated city are an
+    error, as is a pair of windows that admits a common month."""
     text = getattr(args, "control_cities", getattr(args, "control_city", None))
-    return None if text is None else tuple(c.strip() for c in text.split(",") if c.strip())
-
-
-def _check_cities(args) -> None:
-    """Reject a control list that names no city, or the treated city, before input is read."""
-    controls = _controls(args)
-    if controls == ():
+    args._controls = None if text is None else tuple(c.strip() for c in text.split(",") if c.strip())
+    if args._controls == ():
         flag = "--control-cities" if args.command == "did" else "--control-city"
         raise DiftransError(f"{flag} names no city")
     treated = getattr(args, "treated_city", getattr(args, "city", None))
-    if controls and treated in controls:
+    if args._controls and treated in args._controls:
         raise DiftransError(f"control city {treated!r} is the treated city")
+    parts = (getattr(args, "exclude", None) or "").split(",")
+    exclude = frozenset(_parse_ym(part) for part in parts if part.strip())
+    for name, flags in (("_windows", ("pre", "post")), ("_diag", ("diag_pre", "diag_post"))):
+        texts = [getattr(args, flag, None) for flag in flags]
+        pair = None
+        if None not in texts:
+            pair = tuple(PeriodFilter((_parse_window(text),), exclude) for text in texts)
+            common = pair[0].first_common(pair[1])
+            if common is not None:
+                raise DiftransError("%s and %s both admit %04d-%02d" % (*map(_flag, flags), *common))
+        setattr(args, name, pair)
+    if getattr(args, "d_grid", None) is not None:
+        args._grid = _parse_grid(args.d_grid)
 
 
 def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
@@ -282,12 +289,9 @@ def _market(args) -> tuple[equilibrium.WtpCurve, equilibrium.MarketConfig]:
     )
 
 
-def _city_pmfs(table, cities, pre: str, post: str, exclude: str | None) -> tuple:
-    """Each city's PMFs in the `pre` and then the `post` window, less `exclude`;
-    a city is a label or a tuple of labels pooled, as `build_pmf` takes."""
-    return tuple(
-        build_pmf(table, city, _period_filter(w, exclude)) for city in cities for w in (pre, post)
-    )
+def _city_pmfs(table, cities, windows) -> tuple:
+    """Each city's PMF in each window; a city is one label or a tuple pooled."""
+    return tuple(build_pmf(table, city, window) for city in cities for window in windows)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_transport(args) -> int:
     table = _ingest(args)
-    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
+    pre, post = _city_pmfs(table, [args.city], args._windows)
     cost = ot_cost(pre, post, args.d)
     if args.plan is not None:
         plan = solve_ot(pre, post, args.d)
@@ -330,10 +334,9 @@ def cmd_transport(args) -> int:
 
 def cmd_scan(args) -> int:
     table = _ingest(args)
-    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
-    grid = _parse_grid(args.d_grid)
+    pre, post = _city_pmfs(table, [args.city], args._windows)
     placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
-    scan = estimators.bandwidth_scan(pre, post, grid, placebo)
+    scan = estimators.bandwidth_scan(pre, post, args._grid, placebo)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
     report = {
@@ -363,18 +366,15 @@ PLACEBO_BASES = ("treated-pre", "treated-post", "control-pre", "control-post")
 
 def cmd_dit(args) -> int:
     table = _ingest(args)
-    cities = (args.treated_city, _controls(args))
-    pmfs = _city_pmfs(table, cities, args.pre, args.post, args.exclude)
+    cities = (args.treated_city, args._controls)
+    pmfs = _city_pmfs(table, cities, args._windows)
     t_pre, t_post, c_pre, c_post = pmfs
-    grid = _parse_grid(args.d_grid)
     base = dict(zip(PLACEBO_BASES, pmfs))[args.placebo_base]
     # The trends floor's pairs ride in the scan's sweep, so they are built first.
-    trends = None
-    if args.diag_pre is not None:
-        trends = _city_pmfs(table, cities, args.diag_pre, args.diag_post, args.exclude)
+    trends = None if args._diag is None else _city_pmfs(table, cities, args._diag)
     placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
     scan = estimators.bandwidth_scan(
-        t_pre, t_post, grid, placebo, base=base, control=(c_pre, c_post), trends=trends
+        t_pre, t_post, args._grid, placebo, base=base, control=(c_pre, c_post), trends=trends
     )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
@@ -452,9 +452,8 @@ def _csv_cell(value) -> str:
 def cmd_did(args) -> int:
     table = _ingest(args)
     treated = table.in_cities(args.treated_city)
-    pre = _period_filter(args.pre, args.exclude).mask(table.period)
-    post = _period_filter(args.post, args.exclude).mask(table.period) & ~pre
-    keep = (treated | table.in_cities(*_controls(args))) & (pre | post)
+    pre, post = (window.mask(table.period) for window in args._windows)
+    keep = (treated | table.in_cities(*args._controls)) & (pre | post)
     result = baseline.did_ols(
         treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting
     )
@@ -470,10 +469,8 @@ def cmd_ci(args) -> int:
         seed=args.seed,
     )
     table = _ingest(args)
-    pre, post = _city_pmfs(table, [args.city], args.pre, args.post, args.exclude)
-    control = None
-    if args.estimator == "dit":
-        control = _city_pmfs(table, [_controls(args)], args.pre, args.post, args.exclude)
+    pre, post = _city_pmfs(table, [args.city], args._windows)
+    control = _city_pmfs(table, [args._controls], args._windows) if args.estimator == "dit" else None
 
     if args.map != "share":
         curve, mcfg = _market(args)
@@ -636,7 +633,7 @@ def _add_common_io(sub, needs_city=True):
     if needs_city:
         sub.add_argument("--city", required=True, help="city label to analyze")
     sub.add_argument("--pre", required=True, help="pre window, YYYY-MM:YYYY-MM")
-    sub.add_argument("--post", required=True, help="post window, YYYY-MM:YYYY-MM")
+    sub.add_argument("--post", required=True, help="post window, YYYY-MM:YYYY-MM, sharing no month with --pre")
     sub.add_argument("--exclude", help="comma-separated YYYY-MM months to drop")
     sub.add_argument("--out", help="report JSON path (default: stdout)")
 
@@ -697,7 +694,7 @@ def _dit_args(sub):
         help="distribution resampled for the placebo columns and the noise floor",
     )
     _add(sub, "dit", "--diag-pre", "diagnostic window of the trends floor")
-    _add(sub, "dit", "--diag-post", "second diagnostic window")
+    _add(sub, "dit", "--diag-post", "second diagnostic window, sharing no month with --diag-pre")
     _add(sub, "dit", "--trends-csv", "write the post-trends table here")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-csv", required=True)
@@ -794,7 +791,7 @@ def main(argv=None) -> int:
         _check_numbers(args)
         _check_flags(args)
         _check_outputs(args)
-        _check_cities(args)
+        _select(args)
         args._digests = {}
         return args.func(args)
     except (DiftransError, OSError) as exc:

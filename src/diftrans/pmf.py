@@ -18,21 +18,13 @@ from .errors import (
     ValidationError,
 )
 
-#: Canonical column names; a schema maps these to the file's actual headers.
-DEFAULT_SCHEMA = {
-    "city": "city",
-    "year": "year",
-    "month": "month",
-    "price": "price",
-    "quantity": "quantity",
-}
-
 MASS_TOL = 1e-12
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 #: Largest year magnitude whose period key `year * 12 + month` fits in int64.
 MAX_YEAR = INT64_MAX // 12 - 1
 
+#: The header names of a sales file, fixed, in the order of `SalesTable`'s columns.
 _COLUMNS = ("city", "year", "month", "price", "quantity")
 
 
@@ -166,6 +158,28 @@ class PeriodFilter:
             keep &= ~np.isin(key, [y * 12 + m for y, m in self.exclude])
         return keep
 
+    def first_common(self, other: PeriodFilter) -> tuple[int, int] | None:
+        """The earliest (year, month) that both filters admit, or None.
+
+        Read from range ends and exclusions, never month by month: in the
+        overlap of two include ranges, every month before the first common
+        one is excluded, so each overlap takes one step per exclusion at
+        most.  An empty `include` stands for every year a table can hold."""
+        every = (((-MAX_YEAR, 1), (MAX_YEAR, 12)),)
+        excluded = {y * 12 + m for y, m in self.exclude | other.exclude}
+        keys = []
+        for lo, hi in self.include or every:
+            for other_lo, other_hi in other.include or every:
+                (ly, lm), (hy, hm) = max(lo, other_lo), min(hi, other_hi)
+                key = ly * 12 + lm
+                while key in excluded:
+                    key += 1
+                keys += [key] if key <= hy * 12 + hm else []
+        if not keys:
+            return None
+        year, month = divmod(min(keys) - 1, 12)
+        return year, month + 1
+
 
 @dataclass(frozen=True, eq=False)
 class PricePMF:
@@ -249,13 +263,13 @@ def _parse_int(value: str, name: str, row: int) -> int:
     return int(as_float)
 
 
-def ingest_csv(path, schema: dict | None = None) -> SalesTable:
+def ingest_csv(path) -> SalesTable:
     """Read a sales CSV into a table, one row per data row (zero quantities kept).
 
-    `schema` maps the canonical names city/year/month/price/quantity to the
-    file's column headers; omitted keys fall back to the canonical name.
-    Blank rows are skipped.  Row numbers in error messages are 1-based file
-    lines (header is row 1).  A leading UTF-8 byte-order mark, as spreadsheet
+    The header names the columns city, year, month, price and quantity, in
+    any order and among any others; these five names are fixed.  Blank rows
+    are skipped.  Row numbers in error messages are 1-based file lines
+    (header is row 1).  A leading UTF-8 byte-order mark, as spreadsheet
     programs write, is no part of the first header name.  `path` names the
     file, or is a binary file object, read from where it stands to its end;
     messages then name the object's `name`.  A caller that must know which
@@ -279,14 +293,21 @@ def ingest_csv(path, schema: dict | None = None) -> SalesTable:
     file that holds a space or tab byte, and reads signs only in one that
     holds a `-`, since neither step can change a cell of any other file.
     """
-    columns = dict(DEFAULT_SCHEMA)
-    if schema:
-        unknown = set(schema) - set(DEFAULT_SCHEMA)
-        if unknown:
-            raise SchemaError(f"unknown schema keys: {sorted(unknown)}")
-        columns.update(schema)
-
-    return _parse_csv(*_read_bytes(path), columns)
+    data, path = _read_bytes(path)
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    # No field is longer than the text, so `csv` reads every field the byte pass does.
+    limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
+    try:
+        table = None if b'"' in data else _parse_plain(data, text)
+        if table is None:
+            table = _read_table(csv.reader(io.StringIO(text, newline="")), path)
+    finally:
+        csv.field_size_limit(limit)
+    return table
 
 
 def _read_bytes(path) -> tuple[bytes, object]:
@@ -299,24 +320,6 @@ def _read_bytes(path) -> tuple[bytes, object]:
         return fh.read(), path
 
 
-def _parse_csv(data: bytes, path, columns: dict) -> SalesTable:
-    """The table in a sales file's bytes; messages name `path`."""
-    data = data.removeprefix(codecs.BOM_UTF8)
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-    # No field is longer than the text, so `csv` reads every field the byte pass does.
-    limit = csv.field_size_limit(max(len(text), csv.field_size_limit()))
-    try:
-        table = None if b'"' in data else _parse_plain(data, text, columns)
-        if table is None:
-            table = _read_table(csv.reader(io.StringIO(text, newline="")), columns, path)
-    finally:
-        csv.field_size_limit(limit)
-    return table
-
-
 def _csv_rows(reader, path):
     """The rows of a `csv` reader; a `csv.Error` becomes a one-line `ParseError`."""
     try:
@@ -325,13 +328,13 @@ def _csv_rows(reader, path):
         raise ParseError(f"{path}: {exc}, row {reader.line_num}") from None
 
 
-def _locate(header: list[str], columns: dict) -> dict[str, int]:
-    """Index of each canonical column in the header row (cells stripped)."""
+def _locate(header: list[str]) -> dict[str, int]:
+    """Index of each of `_COLUMNS` in the header row (cells stripped)."""
     header = [h.strip() for h in header]
-    for col in columns.values():
+    for col in _COLUMNS:
         if col not in header:
             raise SchemaError(f"missing column {col!r}")
-    return {key: header.index(col) for key, col in columns.items()}
+    return {col: header.index(col) for col in _COLUMNS}
 
 
 #: Byte values the quote-free parser looks for.
@@ -340,18 +343,16 @@ _LF, _CR, _COMMA, _MINUS, _ZERO, _SPACE, _TAB = b"\n\r,-0 \t"
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
+def _parse_plain(data: bytes, text: str) -> SalesTable | None:
     """Table of quote-free CSV bytes, or None when the row loop must read `text`."""
     breaks = [i for i in (text.find("\n"), text.find("\r")) if i >= 0]
     header = next(csv.reader([text[: min(breaks, default=len(text))]]), [])
     try:
-        index = _locate(header, columns)
+        index = _locate(header)
     except SchemaError:
         return None
-    numeric = [index[key] for key in _COLUMNS[1:]]
-    # A column parsed as integers cannot also give the city labels, and a NUL
-    # in a label would read as the padding of the fixed-width label bytes.
-    if index["city"] in numeric or b"\0" in data:
+    # A NUL in a label would read as the padding of the fixed-width label bytes.
+    if b"\0" in data:
         return None
     width = len(header)
 
@@ -385,8 +386,8 @@ def _parse_plain(data: bytes, text: str, columns: dict) -> SalesTable | None:
     blanks = b" " in data or b"\t" in data
     signs = b"-" in data
     numbers = []
-    for i in numeric:
-        column = _integers(buf, *field(i), blanks=blanks, signs=signs)
+    for key in _COLUMNS[1:]:
+        column = _integers(buf, *field(index[key]), blanks=blanks, signs=signs)
         if column is None:
             return None
         numbers.append(column)
@@ -480,13 +481,13 @@ def _code_labels(buf: np.ndarray, first: np.ndarray, last: np.ndarray):
     return tuple(codes), np.repeat(code_of[inverse], np.diff(runs, append=length.size))
 
 
-def _read_table(reader, columns: dict, path) -> SalesTable:
+def _read_table(reader, path) -> SalesTable:
     rows = _csv_rows(reader, path)
     try:
         header = next(rows)
     except StopIteration:
         raise SchemaError(f"{path}: empty file, no header row") from None
-    index = _locate(header, columns)
+    index = _locate(header)
     width = len(header)
     ic, iy, im, ip, iq = (index[key] for key in _COLUMNS)
 

@@ -150,13 +150,15 @@ class TestTransport:
         assert report["n_post"] == 4
 
     def test_same_window_is_free(self, tmp_path, worked_csv):
+        # A month cannot be both pre and post, so the two windows are the
+        # January of each year, whose prices are the same.
         code, report = run(
             tmp_path,
             "transport",
             "--input", str(worked_csv),
             "--city", "metro",
-            "--pre", "2010-01:2010-12",
-            "--post", "2010-01:2010-12",
+            "--pre", "2010-01",
+            "--post", "2011-01",
             "--d", "0",
         )
         assert code == 0
@@ -350,11 +352,7 @@ class TestDit:
             *self.dit_args(
                 synth_csv,
                 tmp_path,
-                extra=[
-                    "--diag-pre", "2010-01:2010-12",
-                    "--diag-post", "2010-01:2010-12",
-                    "--trends-csv", str(trends),
-                ],
+                extra=[*DIAG_WINDOWS, "--trends-csv", str(trends)],
             ),
         )
         assert code == 0
@@ -533,10 +531,9 @@ class TestEquilibrium:
 class TestDid:
     @pytest.mark.parametrize("weighting", ["units", "rows"])
     def test_matches_csv_loop(self, tmp_path, synth_csv, weighting):
-        # Overlapping windows (a period in both counts as pre), an exclusion,
-        # and a control label the file does not have.
-        pre = PeriodFilter(include=(((2010, 1), (2010, 12)),), exclude=frozenset({(2011, 3)}))
-        post = PeriodFilter(include=(((2010, 7), (2011, 12)),), exclude=frozenset({(2011, 3)}))
+        # Windows that meet inside a year, and an exclusion.
+        pre = PeriodFilter(include=(((2010, 1), (2010, 9)),), exclude=frozenset({(2011, 3)}))
+        post = PeriodFilter(include=(((2010, 10), (2011, 12)),), exclude=frozenset({(2011, 3)}))
         treated, is_post, price, weight = [], [], [], []
         for city, year, month, p, q in csv_rows(synth_csv):
             if city not in ("metro", "coastal"):
@@ -556,9 +553,9 @@ class TestDid:
             "did",
             "--input", str(synth_csv),
             "--treated-city", "metro",
-            "--control-cities", "coastal,nowhere",
-            "--pre", "2010-01:2010-12",
-            "--post", "2010-07:2011-12",
+            "--control-cities", "coastal",
+            "--pre", "2010-01:2010-09",
+            "--post", "2010-10:2011-12",
             "--exclude", "2011-03",
             "--weighting", weighting,
         )
@@ -946,6 +943,67 @@ def test_empty_control_list_is_one_line_error_before_input(
     code, report = run(tmp_path, *argv, flag, value)
     assert (code, report) == (1, None)
     assert capsys.readouterr().err == f"diftrans {command}: {flag} names no city\n"
+
+
+@pytest.mark.parametrize("command", ["dit", "ci", "did"])
+def test_control_label_not_in_input_is_one_line_error(tmp_path, capsys, synth_csv, command):
+    # A typo in a pooled list would pool the other labels alone, so a label
+    # that names no city of the input is an error once the input is read.
+    flag = "--control-cities" if command == "did" else "--control-city"
+    argv = {
+        "dit": TestDit().dit_args(synth_csv, tmp_path),
+        "ci": TestCi().ci_args(synth_csv, extra=["--estimator", "dit"]),
+        "did": writer_argv("did", tmp_path, synth_csv, None),
+    }[command]
+    code, report = run(tmp_path, *argv, flag, "coastal,nowhere")
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans {command}: control city 'nowhere' is not in {synth_csv}\n"
+    assert not (tmp_path / "curve.csv").exists()
+
+
+#: The commands that read a pre and a post window.
+WINDOW_COMMANDS = ["transport", "scan", "dit", "did", "ci"]
+
+
+@pytest.mark.parametrize(
+    "command,extra,message",
+    [
+        *[(c, ["--post", "2010-12:2011-12"], "--pre and --post both admit 2010-12") for c in WINDOW_COMMANDS],
+        ("dit", DIAG_WINDOWS[:3] + ["2010-06:2010-12"], "--diag-pre and --diag-post both admit 2010-06"),
+        ("dit", ["--d-grid", "0:10:0"], "grid '0:10:0' is empty"),
+        ("dit", ["--pre", "2010-01:2010"], "period '2010' is not of the form YYYY-MM"),
+        ("dit", ["--exclude", "2010-02,2010-13"], "month out of range in period '2010-13'"),
+    ],
+    ids=[*(f"{c}-overlap" for c in WINDOW_COMMANDS), "dit-diag-overlap", "grid", "pre", "exclude"],
+)
+def test_row_selection_is_checked_before_input(
+    tmp_path, capsys, synth_csv, monkeypatch, command, extra, message
+):
+    # Windows, exclusions, the grid and the control list are parsed once
+    # before the input is read, and a month in both windows of a pair is an
+    # error for every command that reads a pair.
+    def ingest(*args):
+        raise AssertionError("input read before the windows were checked")
+
+    monkeypatch.setattr(cli, "ingest_csv", ingest)
+    code, report = run(tmp_path, *writer_argv(command, tmp_path, synth_csv, None), *extra)
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans {command}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["transport", "did"])
+def test_exclusion_covering_the_overlap_is_no_overlap(tmp_path, synth_csv, command):
+    # Months that both windows hold and `--exclude` drops are in neither, so
+    # the run reads as the one whose windows stop short of them.
+    argv = writer_argv(command, tmp_path, synth_csv, None)
+    code, overlapping = run(
+        tmp_path, *argv, "--post", "2010-11:2011-12", "--exclude", "2010-11,2010-12"
+    )
+    code_apart, apart = run(tmp_path, *argv, "--pre", "2010-01:2010-10")
+    assert code == code_apart == 0
+    overlapping.pop("manifest")
+    apart.pop("manifest")
+    assert overlapping == apart
 
 
 class TestPooledControl:

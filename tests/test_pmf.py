@@ -114,26 +114,9 @@ class TestIngest:
         )
         assert ingest_csv(path).price.tolist() == [100000]
 
-    def test_schema_mapping(self, tmp_path):
-        path = write(
-            tmp_path,
-            "town,yr,mo,msrp,units\nmetro,2010,1,100000,5\n",
-        )
-        table = ingest_csv(
-            path,
-            schema={
-                "city": "town",
-                "year": "yr",
-                "month": "mo",
-                "price": "msrp",
-                "quantity": "units",
-            },
-        )
-        assert table_rows(table) == [("metro", 2010, 1, 100000, 5)]
-
     def test_canonical_file_skips_row_loop(self, synth_csv, monkeypatch):
         with open(synth_csv, encoding="utf-8", newline="") as fh:
-            loop = pmf._read_table(csv.reader(fh), dict(pmf.DEFAULT_SCHEMA), synth_csv)
+            loop = pmf._read_table(csv.reader(fh), synth_csv)
         forbid_row_loop(monkeypatch)
         table = ingest_csv(synth_csv)
         assert table_rows(table) == csv_rows(synth_csv)
@@ -220,16 +203,6 @@ class TestIngest:
         broken.name = "named.csv"
         with pytest.raises(ParseError, match="^named.csv: not UTF-8 text$"):
             ingest_csv(broken)
-
-    def test_city_and_year_share_a_column(self, tmp_path):
-        path = write(tmp_path, "city,year,month,price,quantity\nmetro, 2010 ,1,5,4\n")
-        table = ingest_csv(path, schema={"city": "year"})
-        assert table_rows(table) == [("2010", 2010, 1, 5, 4)]
-
-    def test_unknown_schema_key(self, tmp_path):
-        path = write(tmp_path, "city,year,month,price,quantity\n")
-        with pytest.raises(SchemaError, match="unknown schema keys"):
-            ingest_csv(path, schema={"color": "paint"})
 
 
 class TestBuildPmf:
@@ -391,6 +364,14 @@ class TestPricePMF:
         pmf = PricePMF.from_counts([10, 20], [1, 1])
         with pytest.raises(ValueError):
             pmf.mass[0] = 0.9
+
+    def test_first_common_spans_any_number_of_years(self):
+        # Read from range ends and exclusions, so 10^17 years take no longer
+        # than one; the excluded first month of the overlap is skipped.
+        wide = PeriodFilter(include=(((0, 1), (10**17, 12)),), exclude=frozenset({(10**17, 1)}))
+        assert wide.first_common(PeriodFilter(include=(((10**17, 1), (10**17, 2)),))) == (10**17, 2)
+        assert wide.first_common(PeriodFilter(include=(((10**17, 1), (10**17, 1)),))) is None
+        assert wide.first_common(PeriodFilter()) == (0, 1)
 
     def test_period_filter_validation(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,9 @@ Rows come from a few cities, a small price lattice (so prices repeat within
 and across cities) and quantities that are often zero.  Period filters mix
 include ranges, exclusions inside and outside them, and no filter at all.
 `build_pmf` must equal the dict-loop oracle bit for bit, for one city or a
-pooled set of them, whose counts are the sums of its cities' counts.  A CSV
+pooled set of them, whose counts are the sums of its cities' counts.  The
+earliest month two filters both admit must be the one a walk over every
+month finds.  A CSV
 written from the rows with blank lines, padded and quoted cells and integral
 floats must ingest to the same columns as a plain `csv` loop reads.  Plain files
 with rows (unquoted integer cells, empty lines, any line ending) must take
@@ -29,7 +31,7 @@ from diftrans import pmf
 from diftrans.errors import EmptyDistributionError, ParseError, ValidationError
 from diftrans.pmf import PeriodFilter, SalesTable, build_pmf, ingest_csv
 
-from _oracles import csv_rows, dict_loop_pmf, table_rows
+from _oracles import admits, csv_rows, dict_loop_pmf, table_rows
 
 PROPERTIES = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 #: Each CSV example draws every cell's formatting, so fewer examples fit the same time.
@@ -68,6 +70,36 @@ def period_filters(draw):
     ranges = draw(st.lists(st.tuples(periods, periods).map(sorted).map(tuple), max_size=2))
     exclude = draw(st.frozensets(periods, max_size=4))
     return PeriodFilter(include=tuple(ranges), exclude=exclude)
+
+
+#: The months of 2010 and 2011, as (year, month).
+MONTHS = [(year, month) for year in (2010, 2011) for month in range(1, 13)]
+
+
+@st.composite
+def overlapping_filters(draw):
+    """A filter of up to two ranges in `MONTHS`, which excludes a run of
+    consecutive months and a few more, so exclusions often cover the start
+    of an overlap."""
+    month = st.sampled_from(range(len(MONTHS)))
+    ranges = draw(st.lists(st.tuples(month, month).map(sorted), max_size=2))
+    start, length = draw(month), draw(st.integers(0, 5))
+    excluded = {*range(start, start + length), *draw(st.sets(month, max_size=3))}
+    return PeriodFilter(
+        include=tuple((MONTHS[lo], MONTHS[hi]) for lo, hi in ranges),
+        exclude=frozenset(MONTHS[i] for i in excluded if i < len(MONTHS)),
+    )
+
+
+@settings(PROPERTIES, max_examples=60)
+@given(first=overlapping_filters(), second=overlapping_filters())
+def test_first_common_month_matches_enumeration(first, second):
+    got = first.first_common(second)
+    if not (first.include or second.include):
+        # Both admit every period, and every exclusion lies in 2010-2011.
+        assert got == (-pmf.MAX_YEAR, 1)
+        return
+    assert got == next((ym for ym in MONTHS if admits(first, *ym) and admits(second, *ym)), None)
 
 
 @pytest.fixture(scope="module")
@@ -298,5 +330,5 @@ def test_one_character_edit_reads_like_row_loop(csv_path, case, data):
     text = text[:at] + data.draw(st.sampled_from(EDIT_CHARACTERS)) + text[at + replace :]
     csv_path.write_text(text, encoding="utf-8", newline="")
     reader = csv.reader(io.StringIO(text, newline=""))
-    want = outcome(lambda: pmf._read_table(reader, dict(pmf.DEFAULT_SCHEMA), csv_path))
+    want = outcome(lambda: pmf._read_table(reader, csv_path))
     assert outcome(lambda: ingest_csv(csv_path)) == want
