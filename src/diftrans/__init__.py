@@ -19,8 +19,6 @@ from .estimators import (
     PlaceboConfig,
     bandwidth_scan,
     diff_in_transports,
-    displacement_floor,
-    select_dstar,
 )
 from .inference import SubsampleConfig, SubsampleResult, subsample_ci
 from .pmf import PeriodFilter, PricePMF, SalesTable, build_pmf, ingest_csv
@@ -46,12 +44,10 @@ __all__ = [
     "comparative_statics",
     "did_ols",
     "diff_in_transports",
-    "displacement_floor",
     "ingest_csv",
     "invert_from_volume",
     "invert_shares",
     "ot_cost",
-    "select_dstar",
     "solve_no_tc",
     "solve_ot",
     "subsample_ci",

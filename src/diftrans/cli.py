@@ -14,7 +14,8 @@ error, as is a flag that it needs and was not given (`FLAG_RULES`); so is an
 output path that is empty, names a directory, lies in a directory that does
 not exist, or names the regular file of another output or an input.  Two
 windows of a pair (pre and post, or the diagnostic two) that share a month
-are an error too.  Only a control label that names no city waits for the input.
+are an error too.  Only a city label that names none of the input's cities
+waits for the input.
 
 `main` builds the arguments of the invoked command alone: building every
 command's took ~3 ms a call, against under 1 ms to build and parse `ci`'s
@@ -35,7 +36,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import __version__, baseline, equilibrium, estimators, inference
-from .errors import DiftransError, SelectionError
+from .errors import DiftransError
 from .estimators import PlaceboConfig
 from .inference import SubsampleConfig
 from .pmf import PeriodFilter, SalesTable, build_pmf, ingest_csv
@@ -55,11 +56,13 @@ def _read(args, path: str) -> io.BytesIO:
 
 
 def _ingest(args) -> SalesTable:
-    """The table of `--input`; a control label that names none of its cities is an error."""
+    """The table of `--input`; a city label, treated or control, that names
+    none of its cities is an error."""
     table = ingest_csv(_read(args, args.input))
-    for label in args._controls or ():
-        if label not in table.cities:
-            raise DiftransError(f"control city {label!r} is not in {args.input}")
+    named = [("city", args._treated)] + [("control city", label) for label in args._controls or ()]
+    for kind, label in named:
+        if label is not None and label not in table.cities:
+            raise DiftransError(f"{kind} {label!r} is not in {args.input}")
     return table
 
 
@@ -256,16 +259,17 @@ def _select(args) -> None:
     fields the manifest skips: `_controls`, the control labels (None
     without a list); `_windows` and `_diag`, the (pre, post) and diagnostic
     `PeriodFilter`s less `--exclude` (None without them); `_grid`, the
-    bandwidths.  Controls that name no city or the treated city are an
+    bandwidths; `_treated`, the label of `--treated-city` or `--city` (None
+    without one).  Controls that name no city or the treated city are an
     error, as is a pair of windows that admits a common month."""
     text = getattr(args, "control_cities", getattr(args, "control_city", None))
     args._controls = None if text is None else tuple(c.strip() for c in text.split(",") if c.strip())
     if args._controls == ():
         flag = "--control-cities" if args.command == "did" else "--control-city"
         raise DiftransError(f"{flag} names no city")
-    treated = getattr(args, "treated_city", getattr(args, "city", None))
-    if args._controls and treated in args._controls:
-        raise DiftransError(f"control city {treated!r} is the treated city")
+    args._treated = getattr(args, "treated_city", getattr(args, "city", None))
+    if args._controls and args._treated in args._controls:
+        raise DiftransError(f"control city {args._treated!r} is the treated city")
     parts = (getattr(args, "exclude", None) or "").split(",")
     exclude = frozenset(_parse_ym(part) for part in parts if part.strip())
     for name, flags in (("_windows", ("pre", "post")), ("_diag", ("diag_pre", "diag_post"))):
@@ -339,67 +343,43 @@ def cmd_scan(args) -> int:
     scan = estimators.bandwidth_scan(pre, post, args._grid, placebo)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
+    chosen = scan.select(args.threshold)
     report = {
         "n_pre": pre.n,
         "n_post": post.n,
         "threshold": args.threshold,
         "scan_csv": args.out_csv,
+        "selected_d": chosen.d_star,
+        "estimate_at_selected_d": chosen.value,
         "manifest": _manifest("scan", args),
     }
-    try:
-        selected = scan.select(args.threshold)
-        report["selected_d"] = selected
-        report["estimate_at_selected_d"] = next(
-            row.real_cost for row in scan.rows if row.d == selected
-        )
-    except SelectionError as exc:
-        report["selection_error"] = str(exc)
-        _write_json(report, args.out)
-        raise
     _write_json(report, args.out)
     return 0
-
-
-#: The distributions `dit --placebo-base` names, in the order `cmd_dit` builds them.
-PLACEBO_BASES = ("treated-pre", "treated-post", "control-pre", "control-post")
 
 
 def cmd_dit(args) -> int:
     table = _ingest(args)
     cities = (args.treated_city, args._controls)
-    pmfs = _city_pmfs(table, cities, args._windows)
-    t_pre, t_post, c_pre, c_post = pmfs
-    base = dict(zip(PLACEBO_BASES, pmfs))[args.placebo_base]
+    t_pre, t_post, c_pre, c_post = _city_pmfs(table, cities, args._windows)
     # The trends floor's pairs ride in the scan's sweep, so they are built first.
     trends = None if args._diag is None else _city_pmfs(table, cities, args._diag)
     placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
     scan = estimators.bandwidth_scan(
-        t_pre, t_post, args._grid, placebo, base=base, control=(c_pre, c_post), trends=trends
+        t_pre, t_post, args._grid, placebo, control=(c_pre, c_post), trends=trends
     )
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         scan.to_csv(fh)
-
-    if args.d_min is not None:
-        placebo_d = displacement_d = None
-        d_min = args.d_min
-    else:
-        placebo_d = scan.select(args.threshold)
-        displacement_d = 0
-        if scan.trends is not None:
-            if args.trends_csv is not None:
-                with open(args.trends_csv, "w", encoding="utf-8") as fh:
-                    fh.write("d,cost_treated,cost_control,difference\n")
-                    for d, ca, cb, diff in scan.trends:
-                        fh.write(f"{d},{ca!r},{cb!r},{diff!r}\n")
-            displacement_d = estimators.displacement_floor(scan.trends, tau=args.tau)
-        d_min = max(placebo_d, displacement_d)
-
-    d_star, s_dit = estimators.select_dstar(scan, d_min)
+    if args.trends_csv is not None:
+        with open(args.trends_csv, "w", encoding="utf-8") as fh:
+            fh.write("d,cost_treated,cost_control,difference\n")
+            for d, ca, cb, diff in scan.trends:
+                fh.write(f"{d},{ca!r},{cb!r},{diff!r}\n")
+    chosen = scan.select(args.threshold, args.tau, args.d_min)
     report = {
         "curve_csv": args.out_csv,
-        "d_star": d_star,
-        "s_dit": s_dit,
-        "floors": {"placebo_d": placebo_d, "displacement_d": displacement_d, "d_min": d_min},
+        "d_star": chosen.d_star,
+        "s_dit": chosen.value,
+        "floors": {key: getattr(chosen, key) for key in ("placebo_d", "displacement_d", "d_min")},
         "manifest": _manifest("dit", args),
     }
     _write_json(report, args.out)
@@ -552,8 +532,8 @@ def _markdown_scan(scan: dict) -> list[str]:
     return [
         "## Before-and-after",
         "",
-        f"- selected bandwidth: {scan.get('selected_d', 'selection failed')}",
-        f"- estimate: {scan.get('estimate_at_selected_d', 'n/a')}",
+        f"- selected bandwidth: {scan['selected_d']}",
+        f"- estimate: {scan['estimate_at_selected_d']}",
         "",
     ]
 
@@ -672,8 +652,10 @@ def _transport_args(sub):
 def _scan_args(sub):
     _add_common_io(sub)
     sub.add_argument("--d-grid", required=True, help="grid as lo:hi:step")
-    sub.add_argument("--sims", type=int, default=500, help="placebo replicates")
-    sub.add_argument("--threshold", type=float, default=estimators.PLACEBO_THRESHOLD)
+    sub.add_argument(
+        "--sims", type=int, default=500, help="placebo replicates, each two resamples of the post window"
+    )
+    _add(sub, "scan", "--threshold", "placebo-mean threshold of the noise floor", type=float)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-csv", required=True, help="scan table CSV path")
 
@@ -683,16 +665,12 @@ def _dit_args(sub):
     sub.add_argument("--treated-city", required=True)
     _add(sub, "dit", "--control-city", "control city label, or comma-separated labels pooled", required=True)
     sub.add_argument("--d-grid", required=True)
-    sub.add_argument("--sims", type=int, default=500)
+    sub.add_argument(
+        "--sims", type=int, default=500, help="placebo replicates, each two resamples of the treated post window"
+    )
     _add(sub, "dit", "--threshold", "placebo-mean threshold of the noise floor", type=float)
     _add(sub, "dit", "--tau", "equal-displacement tolerance", type=float)
     sub.add_argument("--d-min", type=int, help="explicit admissibility floor, skips the rules")
-    sub.add_argument(
-        "--placebo-base",
-        choices=PLACEBO_BASES,
-        default="treated-post",
-        help="distribution resampled for the placebo columns and the noise floor",
-    )
     _add(sub, "dit", "--diag-pre", "diagnostic window of the trends floor")
     _add(sub, "dit", "--diag-post", "second diagnostic window, sharing no month with --diag-pre")
     _add(sub, "dit", "--trends-csv", "write the post-trends table here")
@@ -744,8 +722,13 @@ def _report_args(sub):
 _COMMANDS = {
     "ingest": ("validate and summarize a sales CSV", cmd_ingest, _ingest_args),
     "transport": ("one transport cost at a fixed bandwidth", cmd_transport, _transport_args),
-    "scan": ("real and placebo costs over a bandwidth grid", cmd_scan, _scan_args),
-    "dit": ("difference-in-transports with bandwidth selection", cmd_dit, _dit_args),
+    "scan": ("before-and-after cost over a bandwidth grid, read at the noise floor", cmd_scan, _scan_args),
+    "dit": (
+        "difference-in-transports over a bandwidth grid, read at its largest value "
+        "above the noise and trends floors",
+        cmd_dit,
+        _dit_args,
+    ),
     "equilibrium": ("invert trade shares into prices and costs", cmd_equilibrium, _equilibrium_args),
     "did": ("log-price difference-in-differences benchmark", cmd_did, _did_args),
     "ci": ("subsampling confidence interval for an estimator", cmd_ci, _ci_args),

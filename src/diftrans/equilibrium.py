@@ -125,36 +125,17 @@ class WtpCurve:
                 ) from None
         return cls.from_knots(knots, strictify=strictify)
 
-    @classmethod
-    def uniform(cls, market_size: float, v_max: float) -> "WtpCurve":
-        """Linear schedule whose valuation CDF is uniform on [0, v_max]."""
-        return cls(np.array([0.0, market_size]), np.array([float(v_max), 0.0]))
-
     def value_at(self, n) -> float:
         return float(np.interp(n, self.volumes, self.values))
-
-    def cdf(self, v) -> float:
-        """Share of the market valuing a license at most `v` (clamped outside)."""
-        if v <= 0.0:
-            return 0.0
-        if v >= self.v_max:
-            return 1.0
-        inv = np.interp(v, self.values[::-1], self.volumes[::-1])
-        return 1.0 - float(inv) / self.market_size
 
     def inverse_cdf(self, share: float) -> float:
         if not 0.0 <= share <= 1.0:
             raise ValidationError(f"share must be in [0, 1], got {share}")
         return self.value_at(self.market_size * (1.0 - share))
 
-    def density(self, v: float) -> float:
-        """Slope of the valuation CDF at `v` (piecewise constant, right-continuous)."""
-        if not 0.0 <= v <= self.v_max:
-            raise ValidationError(f"valuation {v} outside [0, {self.v_max}]")
-        return float(self._density(np.array([v]))[0])
-
     def _density(self, v: np.ndarray) -> np.ndarray:
-        """`density` at every valuation of `v`, all within [0, v_max]."""
+        """The slope of the valuation CDF (piecewise constant, right-continuous)
+        at every valuation of `v`, all within [0, v_max]."""
         vals_asc = self.values[::-1]
         vols_desc = self.volumes[::-1]
         k = np.clip(np.searchsorted(vals_asc, v, side="right"), 1, vals_asc.size - 1)

@@ -7,11 +7,12 @@ a control city's displacement; over-smoothing the treated term with `2d` keeps
 the difference a valid in-sample lower bound for every bandwidth.
 
 `bandwidth_scan` computes both over a bandwidth grid, with the placebo
-summaries and the equal-displacement (trends) curves, and the bandwidth is
-read off the scan: `BandwidthScan.select` is the noise floor, the smallest `d`
-at which pure sampling noise produces a negligible apparent displacement;
-`displacement_floor` is the trends floor; `select_dstar` picks the most
-informative bandwidth at or above both.
+summaries and the equal-displacement (trends) curves.  One rule,
+`BandwidthScan.select`, reads the bandwidth off either scan: the most
+informative `d` at or above the noise floor, where placebo resamples of the
+post distribution (the one base of both estimators) show a negligible
+displacement, and the trends floor.  The before-and-after estimate is that
+rule with no control pair.
 
 Every transport cost of a scan comes from one `transport._sweep`: its pairs
 and placebo replicates are the mass columns of one kernel pass per block,
@@ -90,6 +91,19 @@ class ScanRow:
 
 
 @dataclass(frozen=True)
+class Selection:
+    """`BandwidthScan.select`'s bandwidth `d_star`, the estimate there, and the
+    floors under it; `placebo_d` and `displacement_d` are None for an
+    explicit `d_min`."""
+
+    d_star: int
+    value: float
+    placebo_d: int | None
+    displacement_d: int | None
+    d_min: int
+
+
+@dataclass(frozen=True)
 class BandwidthScan:
     """Real, placebo, and optional difference-in-transports costs per bandwidth,
     and, for a scan run with `trends`, the trends curves: rows
@@ -105,14 +119,44 @@ class BandwidthScan:
         costs = [row.real_cost for row in self.rows]
         if any(b > a + 1e-12 for a, b in zip(costs, costs[1:])):
             raise ValidationError("real cost must be nonincreasing in d")
+        if len({row.dit_value is None for row in self.rows}) > 1:
+            raise ValidationError("scan rows must all carry a dit value or none")
 
-    def select(self, threshold: float) -> int:
-        """The noise floor: the smallest scanned `d` whose placebo mean is
-        strictly below `threshold`.
+    def select(
+        self,
+        threshold: float = PLACEBO_THRESHOLD,
+        tau: float = DISPLACEMENT_TAU,
+        d_min: int | None = None,
+    ) -> Selection:
+        """The most informative bandwidth at or above `d_min`: the largest
+        estimate there, ties toward the smaller `d`.  The estimate is the
+        DiT value of a scan with a control pair and the real cost otherwise.
+        The real cost does not rise with `d`, so its first admissible row is
+        taken, which a rise within the rows' 1e-12 tolerance cannot move.
 
-        The CLI's default 0.05% threshold makes sampling noise invisible at
-        one-decimal percentage precision.
+        Without an explicit `d_min` it is the larger of two floors.  The
+        noise floor is the smallest scanned `d` whose placebo mean is
+        strictly below `threshold`; the default 0.05% makes sampling noise
+        invisible at one-decimal percentage precision.  The trends floor is
+        the smallest scanned `d` from which the trends curves' |difference|
+        stays below `tau`, or 0 for a scan without them.
         """
+        placebo_d = displacement_d = None
+        if d_min is None:
+            placebo_d = self._noise_floor(threshold)
+            displacement_d = 0 if self.trends is None else self._trends_floor(tau)
+            d_min = max(placebo_d, displacement_d)
+        admissible = [row for row in self.rows if row.d >= d_min]
+        if not admissible:
+            raise SelectionError(f"no scan row at or above d_min={d_min}")
+        if admissible[0].dit_value is None:
+            best, value = admissible[0], admissible[0].real_cost
+        else:
+            best = max(admissible, key=lambda row: (row.dit_value, -row.d))
+            value = best.dit_value
+        return Selection(best.d, value, placebo_d, displacement_d, d_min)
+
+    def _noise_floor(self, threshold: float) -> int:
         for row in self.rows:
             if row.placebo_mean < threshold:
                 return row.d
@@ -121,6 +165,21 @@ class BandwidthScan:
             f"no bandwidth in the grid has placebo cost below {threshold}; "
             f"minimum placebo mean is {best.placebo_mean:.6g} at d={best.d}"
         )
+
+    def _trends_floor(self, tau: float) -> int:
+        floor = None
+        for d, _, _, diff in reversed(self.trends):
+            if abs(diff) < tau:
+                floor = d
+            else:
+                break
+        if floor is None:
+            worst = min(abs(diff) for _, _, _, diff in self.trends)
+            raise SelectionError(
+                f"displacement difference never settles below {tau}; "
+                f"smallest |difference| is {worst:.6g}"
+            )
+        return floor
 
     def to_csv(self, fh) -> None:
         fh.write(SCAN_CSV_HEADER + "\n")
@@ -138,16 +197,17 @@ def bandwidth_scan(
     post: PricePMF,
     grid: list[int],
     cfg: PlaceboConfig,
-    base: PricePMF | None = None,
     control: tuple[PricePMF, PricePMF] | None = None,
     trends: tuple[PricePMF, PricePMF, PricePMF, PricePMF] | None = None,
 ) -> BandwidthScan:
     """Scan real and placebo costs over a bandwidth grid.
 
-    Placebo replicate `rep` is two independent multinomial resamples of
-    `base` (default: the pre distribution) at the observed sample sizes,
-    from a stream keyed by (seed, rep), so results do not depend on
-    execution order or batching, and draws are shared across bandwidths.
+    Placebo replicate `rep` is two independent multinomial resamples of the
+    post distribution at the observed sample sizes (`pre.n`, `post.n`), from
+    a stream keyed by (seed, rep), so results do not depend on execution
+    order or batching, and draws are shared across bandwidths.  The post
+    distribution is the one base of both estimators: a scan with a control
+    pair resamples the treated post, as one without resamples its post.
     The streams are seeded in one pass over all replicates (see `streams`)
     and match `default_rng(SeedSequence(entropy=(seed, rep)))` bit for bit.
     With `control` supplied, each row also carries the
@@ -158,7 +218,6 @@ def bandwidth_scan(
     grid (and its doubles).
     """
     grid = _check_grid(grid)
-    base = pre if base is None else base
     pairs = [(pre, post)] + ([] if control is None else [control])
     if trends is not None:
         pairs += [trends[:2], trends[2:]]
@@ -173,10 +232,10 @@ def bandwidth_scan(
         if r < n:
             return r, pairs[r][0].mass, pairs[r][1].mass, 1.0, 1.0
         rng = stream(r - n)
-        a = rng.multinomial(pre.n, base.mass)
-        return n, a, rng.multinomial(post.n, base.mass), pre.n, post.n
+        a = rng.multinomial(pre.n, post.mass)
+        return n, a, rng.multinomial(post.n, post.mass), pre.n, post.n
 
-    out = _sweep(pairs + [(base, base)], ds, n + cfg.n_sims, column)
+    out = _sweep(pairs + [(post, post)], ds, n + cfg.n_sims, column)
     # Per bandwidth, the cost of each pair.
     at = dict(zip(ds, out[:n].T.tolist()))
     index = {d: col for col, d in enumerate(ds)}
@@ -196,38 +255,3 @@ def bandwidth_scan(
     if trends is not None:
         curves = tuple((d, at[d][-2], at[d][-1], at[d][-2] - at[d][-1]) for d in grid)
     return BandwidthScan(tuple(rows), curves)
-
-
-def select_dstar(scan: BandwidthScan, d_min: int) -> tuple[int, float]:
-    """Most informative admissible bandwidth: the largest dit value at d >= d_min.
-
-    Ties break toward the smaller bandwidth.
-    """
-    if any(row.dit_value is None for row in scan.rows):
-        raise ValidationError("scan is missing dit values; run it with control data")
-    admissible = [row for row in scan.rows if row.d >= d_min]
-    if not admissible:
-        raise SelectionError(f"no scan row at or above d_min={d_min}")
-    best = max(admissible, key=lambda row: (row.dit_value, -row.d))
-    return best.d, best.dit_value
-
-
-def displacement_floor(
-    curves: list[tuple[int, float, float, float]],
-    tau: float = DISPLACEMENT_TAU,
-) -> int:
-    """Smallest grid bandwidth from which |difference| stays below `tau`."""
-    floor = None
-    for d, _, _, diff in reversed(curves):
-        if abs(diff) < tau:
-            floor = d
-        else:
-            break
-    if floor is None:
-        worst = min(abs(diff) for _, _, _, diff in curves)
-        raise SelectionError(
-            f"displacement difference never settles below {tau}; "
-            f"smallest |difference| is {worst:.6g}"
-        )
-    return floor
-

@@ -10,6 +10,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
+from diftrans.equilibrium import WtpCurve
 from diftrans.errors import ConfigError, EmptyDistributionError, ValidationError
 from diftrans.estimators import PLACEBO_QUANTILES
 from diftrans.pmf import PricePMF
@@ -250,8 +251,6 @@ def subsample_draw(sides, cfg, k: int) -> list[PricePMF]:
 
 def random_curve(rng: np.random.Generator, market_size: float = 700_000.0):
     """Random strictly decreasing piecewise-linear valuation schedule."""
-    from diftrans.equilibrium import WtpCurve
-
     k = int(rng.integers(2, 12))
     interior = np.sort(rng.uniform(0.0, market_size, size=k - 1))
     volumes = np.concatenate([[0.0], interior, [market_size]])
@@ -288,9 +287,31 @@ def scalar_inversion(cfg, curve, s: float):
     return v_seller, v_buyer, p, t, gross, tc_total, gross - tc_total, tc_total / gross if gross > 0.0 else 0.0
 
 
+def uniform_curve(market_size: float, v_max: float):
+    """Linear schedule whose valuation CDF is uniform on [0, v_max]."""
+    return WtpCurve(np.array([0.0, market_size]), np.array([float(v_max), 0.0]))
+
+
+def cdf(curve, v) -> float:
+    """Share of the market valuing a license at most `v` (clamped outside)."""
+    if v <= 0.0:
+        return 0.0
+    if v >= curve.v_max:
+        return 1.0
+    inv = np.interp(v, curve.values[::-1], curve.volumes[::-1])
+    return 1.0 - float(inv) / curve.market_size
+
+
+def density(curve, v: float) -> float:
+    """Slope of the valuation CDF at `v` (piecewise constant, right-continuous)."""
+    if not 0.0 <= v <= curve.v_max:
+        raise ValidationError(f"valuation {v} outside [0, {curve.v_max}]")
+    return float(curve._density(np.array([v]))[0])
+
+
 def demand(cfg, curve, p: float, t: float) -> float:
     """Buyers willing to pay the price plus their half of the transaction cost."""
-    return (cfg.N - cfg.q * (1.0 - cfg.z)) * (1.0 - curve.cdf(p + t))
+    return (cfg.N - cfg.q * (1.0 - cfg.z)) * (1.0 - cdf(curve, p + t))
 
 
 def supply(cfg, curve, p: float, t: float, s: float | None = None) -> float:
@@ -301,12 +322,12 @@ def supply(cfg, curve, p: float, t: float, s: float | None = None) -> float:
     remaining winners' segment and is unused when z = 0.
     """
     if cfg.z == 0.0:
-        return cfg.q * curve.cdf(p - t)
+        return cfg.q * cdf(curve, p - t)
     if s is None or s <= 0.0:
         raise ConfigError("supply with speculators needs the trade share s > 0")
     if cfg.z > s:
         raise ConfigError(f"speculator share exceeds trade share: z={cfg.z} > s={s}")
-    return cfg.z * cfg.q + (s - cfg.z) / s * cfg.q * curve.cdf(p - t)
+    return cfg.z * cfg.q + (s - cfg.z) / s * cfg.q * cdf(curve, p - t)
 
 
 def clear_share(cfg, curve, p: float, t: float) -> float:

@@ -19,7 +19,7 @@ from diftrans.baseline import did_ols
 from diftrans.cli import main
 from diftrans.pmf import PeriodFilter, build_pmf
 
-from _oracles import admits, csv_rows, dict_loop_pmf
+from _oracles import admits, csv_rows, dict_loop_pmf, uniform_curve
 from _synth import two_city_records, write_csv
 
 WORKED_EXAMPLE = (
@@ -277,7 +277,7 @@ class TestScan:
             "--city", "metro",
             "--pre", "2010-01:2010-12",
             "--post", "2011-01:2011-12",
-            "--d-grid", "0:10000:2000",
+            "--d-grid", "0:12000:2000",
             "--sims", "30",
             "--seed", "1",
             "--out-csv", str(out_csv),
@@ -297,16 +297,38 @@ class TestScan:
             rep.pop("scan_csv")
         assert rep1 == rep2
 
-    def test_selection_failure_still_writes_scan(self, tmp_path, worked_csv):
+    def test_selection_failure_writes_scan_and_no_report(self, tmp_path, capsys, worked_csv):
+        # As in `dit`: the scan CSV is written, then a one-line error and no report.
         out_csv = tmp_path / "scan.csv"
         args = self.scan_args(worked_csv, out_csv)
         args[args.index("--d-grid") + 1] = "0:0:1"
-        out = tmp_path / "report.json"
-        code = main([*args, "--threshold", "1e-12", "--out", str(out)])
-        assert code == 1
+        code, report = run(tmp_path, *args, "--threshold", "1e-12")
+        assert (code, report) == (1, None)
         assert out_csv.exists()
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert "selection_error" in report
+        err = capsys.readouterr().err
+        assert err.startswith("diftrans scan: no bandwidth in the grid has placebo cost below 1e-12")
+        assert len(err.splitlines()) == 1
+
+    def test_placebo_columns_match_dit(self, tmp_path, synth_csv):
+        # One placebo base, the treated city's post window: for one city,
+        # window pair and seed, `scan` and `dit` write the same placebo columns.
+        dit = TestDit().dit_args(synth_csv, tmp_path)
+        scan = ["scan", "--input", str(synth_csv), "--city", "metro"]
+        for flag in ("--pre", "--post", "--d-grid", "--sims", "--seed", "--threshold"):
+            scan += [flag, dit[dit.index(flag) + 1]]
+        scan += ["--out-csv", str(tmp_path / "scan.csv")]
+        for argv in (scan, dit):
+            code, _ = run(tmp_path, *argv)
+            assert code == 0, argv[0]
+
+        def placebo_columns(name):
+            rows = (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            return [row.split(",")[2:9] for row in rows]
+
+        columns = placebo_columns("scan.csv")
+        assert columns[0] == ["placebo_mean", "placebo_sd", "q025", "q25", "q50", "q75", "q975"]
+        assert len(columns) == 10
+        assert columns == placebo_columns("curve.csv")
 
 
 DIAG_WINDOWS = ["--diag-pre", "2010-01:2010-06", "--diag-post", "2010-07:2010-12"]
@@ -363,7 +385,7 @@ class TestDit:
     def test_floor_is_larger_of_placebo_and_trends(
         self, tmp_path, synth_csv, monkeypatch, trends_d
     ):
-        monkeypatch.setattr(estimators, "displacement_floor", lambda curves, tau: trends_d)
+        monkeypatch.setattr(estimators.BandwidthScan, "_trends_floor", lambda scan, tau: trends_d)
         code, report = run(tmp_path, *self.dit_args(synth_csv, tmp_path, extra=DIAG_WINDOWS))
         assert code == 0
         floors = report["floors"]
@@ -697,7 +719,7 @@ class TestCi:
         assert [np.shape(s) for s in calls["invert_shares"]] == [(1,), (40,)]
         assert calls["invert_shares"][0] == [point]
         market = equilibrium.MarketConfig(N=50_000, q=20_000)
-        curve = equilibrium.WtpCurve.uniform(700_000, 280_000)
+        curve = uniform_curve(700_000, 280_000)
         assert report["point"] == equilibrium.invert_from_volume(market, curve, point).net_gains
 
     @pytest.mark.parametrize("estimator", ["before_after", "dit"])
@@ -961,6 +983,17 @@ def test_control_label_not_in_input_is_one_line_error(tmp_path, capsys, synth_cs
     assert not (tmp_path / "curve.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["transport", "scan", "dit", "did", "ci"])
+def test_city_label_not_in_input_is_one_line_error(tmp_path, capsys, synth_csv, command):
+    # A treated (or only) city label that names no city of the input is the
+    # same error as such a control label, once the input is read.
+    flag = "--treated-city" if command in ("dit", "did") else "--city"
+    code, report = run(tmp_path, *writer_argv(command, tmp_path, synth_csv, None), flag, "metr0")
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err == f"diftrans {command}: city 'metr0' is not in {synth_csv}\n"
+    assert not (tmp_path / "curve.csv").exists()
+
+
 #: The commands that read a pre and a post window.
 WINDOW_COMMANDS = ["transport", "scan", "dit", "did", "ci"]
 
@@ -1035,11 +1068,9 @@ class TestPooledControl:
         t_pre, t_post, c_pre, c_post = self.pmfs(three_city_csv)
         placebo = estimators.PlaceboConfig(n_sims=40, seed=3)
         grid = list(range(0, 9000, 1000))
-        scan = estimators.bandwidth_scan(
-            t_pre, t_post, grid, placebo, base=t_post, control=(c_pre, c_post)
-        )
-        d_star, s_dit = estimators.select_dstar(scan, scan.select(0.005))
-        assert (report["d_star"], report["s_dit"]) == (d_star, s_dit)
+        scan = estimators.bandwidth_scan(t_pre, t_post, grid, placebo, control=(c_pre, c_post))
+        chosen = scan.select(0.005)
+        assert (report["d_star"], report["s_dit"]) == (chosen.d_star, chosen.value)
         curve = io.StringIO()
         scan.to_csv(curve)
         assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == curve.getvalue()
@@ -1302,7 +1333,7 @@ ONE_COMMAND = [[command, "--help"] for command in cli._COMMANDS] + [
     ["ci", "--input", "x", "--city", "c", "--pre", "p", "--post", "q", "--d", "1", "--version"],
     ["ci", "--input", "x", "--city", "c", "--pre", "p", "--post", "q", "--d", "x"],
     ["dit", "--input", "x", "--pre", "p", "--post", "q", "--treated-city", "t", "--control-city", "c",
-     "--d-grid", "0:1:1", "--out-csv", "o", "--placebo-base", "x"],
+     "--d-grid", "0:1:1", "--out-csv", "o"],
     ["equilibrium", "--wtp", "w", "--s", "0.1", "--strictify", "--quota", "3"],
     ["report", "--ci", "x", "--markdown", "m"],
 ]
@@ -1405,9 +1436,10 @@ def test_grid_length_is_capped(tmp_path, capsys, synth_csv, monkeypatch):
 
 
 def test_transport_windows_are_capped(tmp_path, capsys, synth_csv, monkeypatch):
-    # A grid within MAX_GRID whose windows over the market's 169 source
-    # prices would pass transport.WINDOW_CELLS (~470 MB per int64 array) is
-    # a one-line error before any window array is built.
+    # A grid within MAX_GRID whose windows over the scan's 174 source prices
+    # (the union of the pre and post windows' 169 each; the placebo resamples
+    # post) would pass transport.WINDOW_CELLS (~470 MB per int64 array) is a
+    # one-line error before any window array is built.
     def windows(*args):
         raise AssertionError("window arrays built past the cap")
 
@@ -1418,7 +1450,7 @@ def test_transport_windows_are_capped(tmp_path, capsys, synth_csv, monkeypatch):
     assert (code, report) == (1, None)
     err = capsys.readouterr().err
     assert err == (
-        f"diftrans scan: transport windows of 169 source prices by {cli.MAX_GRID} "
+        f"diftrans scan: transport windows of 174 source prices by {cli.MAX_GRID} "
         f"bandwidths exceed {transport.WINDOW_CELLS} cells; use a coarser grid\n"
     )
     assert not (tmp_path / "scan.csv").exists()

@@ -84,7 +84,6 @@ FLAGS = {
         "--threshold": numbers,
         "--tau": numbers,
         "--d-min": numbers,
-        "--placebo-base": st.sampled_from(["treated-pre", "control-post", "x"]),
         "--diag-pre": periods,
         "--diag-post": periods,
         "--trends-csv": st.sampled_from(["", "{out}/trends.csv", "/nonexistent/trends.csv"]),

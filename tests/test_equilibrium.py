@@ -19,7 +19,7 @@ from diftrans.equilibrium import (
 )
 from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
 
-from _oracles import clear_share, demand, random_curve, supply
+from _oracles import cdf, clear_share, demand, density, random_curve, supply, uniform_curve
 
 N, Q = 700_000, 260_000
 VMAX = 280_000.0
@@ -27,7 +27,7 @@ VMAX = 280_000.0
 
 @pytest.fixture
 def uniform():
-    return MarketConfig(N=N, q=Q), WtpCurve.uniform(N, VMAX)
+    return MarketConfig(N=N, q=Q), uniform_curve(N, VMAX)
 
 
 class TestCurve:
@@ -53,26 +53,26 @@ class TestCurve:
             curve = random_curve(rng)
             for share in rng.uniform(0.01, 0.99, size=8):
                 v = curve.inverse_cdf(share)
-                assert curve.cdf(v) == pytest.approx(share, rel=1e-12, abs=1e-12)
+                assert cdf(curve, v) == pytest.approx(share, rel=1e-12, abs=1e-12)
 
     def test_cdf_clamps(self):
-        curve = WtpCurve.uniform(100, 50.0)
-        assert curve.cdf(-1.0) == 0.0
-        assert curve.cdf(60.0) == 1.0
-        assert curve.cdf(25.0) == pytest.approx(0.5)
+        curve = uniform_curve(100, 50.0)
+        assert cdf(curve, -1.0) == 0.0
+        assert cdf(curve, 60.0) == 1.0
+        assert cdf(curve, 25.0) == pytest.approx(0.5)
 
     def test_density_uniform(self):
-        curve = WtpCurve.uniform(N, VMAX)
+        curve = uniform_curve(N, VMAX)
         for v in (0.0, 1234.5, VMAX):
-            assert curve.density(v) == pytest.approx(1.0 / VMAX, rel=1e-12)
+            assert density(curve, v) == pytest.approx(1.0 / VMAX, rel=1e-12)
 
     def test_density_piecewise(self):
         curve = WtpCurve(
             np.array([0.0, 100.0, 200.0]), np.array([30.0, 10.0, 0.0])
         )
         # steeper value drop on the first segment means lower density there
-        assert curve.density(20.0) == pytest.approx(100.0 / 20.0 / 200.0)
-        assert curve.density(5.0) == pytest.approx(100.0 / 10.0 / 200.0)
+        assert density(curve, 20.0) == pytest.approx(100.0 / 20.0 / 200.0)
+        assert density(curve, 5.0) == pytest.approx(100.0 / 10.0 / 200.0)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "wtp.csv"
@@ -120,13 +120,13 @@ class TestDemandSupply:
 
     def test_speculators_flat_segment(self):
         cfg = MarketConfig(N=N, q=Q, z=0.11)
-        curve = WtpCurve.uniform(N, VMAX)
+        curve = uniform_curve(N, VMAX)
         assert supply(cfg, curve, 0.0, 0.0, s=0.11) == pytest.approx(0.11 * Q)
         assert supply(cfg, curve, 50_000.0, 10_000.0, s=0.11) > 0.11 * Q * 0.999
 
     def test_speculator_share_above_trade_share(self):
         cfg = MarketConfig(N=N, q=Q, z=0.5)
-        curve = WtpCurve.uniform(N, VMAX)
+        curve = uniform_curve(N, VMAX)
         with pytest.raises(ConfigError, match="exceeds trade share"):
             supply(cfg, curve, 100.0, 0.0, s=0.2)
 
@@ -145,7 +145,7 @@ class TestFrictionless:
             cfg = MarketConfig(N=N, q=Q)
             p_notc, s_notc = solve_no_tc(cfg, curve)
             assert s_notc == (N - Q) / N
-            assert curve.cdf(p_notc) == pytest.approx((N - Q) / N, abs=1e-9)
+            assert cdf(curve, p_notc) == pytest.approx((N - Q) / N, abs=1e-9)
 
     def test_share_vanishes_as_quota_fills_market(self):
         cfg = MarketConfig(N=1000, q=999)
@@ -277,7 +277,7 @@ class TestGains:
         assert sol.tc_share == pytest.approx(0.0, abs=1e-12)
 
     def test_quadrature_oracle_with_speculators(self):
-        curve = WtpCurve.uniform(N, VMAX)
+        curve = uniform_curve(N, VMAX)
         cfg = MarketConfig(N=N, q=Q, z=0.05)
         s = 0.11
         sol = invert_from_volume(cfg, curve, s)
@@ -379,6 +379,6 @@ def _near_kink(curve, cfg, s, width):
     pool = cfg.N - cfg.q * (1.0 - cfg.z)
     shares = []
     for v in curve.values[1:-1]:
-        shares.append(curve.cdf(v))
-        shares.append((1.0 - curve.cdf(v)) * pool / cfg.q)
+        shares.append(cdf(curve, v))
+        shares.append((1.0 - cdf(curve, v)) * pool / cfg.q)
     return any(abs(s - k) <= width for k in shares)

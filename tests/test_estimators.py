@@ -17,10 +17,9 @@ from diftrans.estimators import (
     BandwidthScan,
     PlaceboConfig,
     ScanRow,
+    Selection,
     bandwidth_scan,
     diff_in_transports,
-    displacement_floor,
-    select_dstar,
 )
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
@@ -37,9 +36,10 @@ def two_point():
 
 
 def placebo_scan(base, n_pre, n_post, grid, cfg):
-    """A scan whose placebo columns resample `base` at sizes `n_pre` and `n_post`."""
+    """A scan whose placebo columns resample `base` at sizes `n_pre` and
+    `n_post`: its pre and post are `base` at those sizes."""
     pre, post = (PricePMF(base.support, base.mass, n) for n in (n_pre, n_post))
-    return bandwidth_scan(pre, post, grid, cfg, base=base)
+    return bandwidth_scan(pre, post, grid, cfg)
 
 
 def trends_curves(a_pre, a_post, b_pre, b_post, grid):
@@ -104,18 +104,19 @@ class TestPlacebo:
         # Each replicate's multinomial counts are written into its column and
         # the block is divided by the sample sizes once: bit for bit the
         # oracle's `counts / n`, lifted onto the union with the pair's support.
+        # The replicates resample the post distribution, whose support is
+        # not the pre's.
         pre = PricePMF.from_counts([2, 5, 7], [10, 20, 5])
-        post = PricePMF.from_counts([5, 9, 40, 41], [3, 8, 13, 4])
-        base = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
+        post = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
         cfg = PlaceboConfig(n_sims=9, seed=31)
         kernel, calls = transport._cost_columns, []
         monkeypatch.setattr(transport, "_cost_columns", lambda *args: calls.append(args) or kernel(*args))
-        bandwidth_scan(pre, post, [0, 3], cfg, base=base)
+        bandwidth_scan(pre, post, [0, 3], cfg)
         [(_, _, A, B)] = calls
-        src = np.union1d(pre.support, base.support)
-        tgt = np.union1d(post.support, base.support)
+        src = np.union1d(pre.support, post.support)
+        tgt = post.support
         for rep in range(cfg.n_sims):
-            for got, pmf, union in zip((A, B), replicate_pair(base, pre.n, post.n, cfg.seed, rep), (src, tgt)):
+            for got, pmf, union in zip((A, B), replicate_pair(post, pre.n, post.n, cfg.seed, rep), (src, tgt)):
                 want = np.zeros(union.size)
                 want[np.searchsorted(union, pmf.support)] = pmf.mass
                 assert got[:, 1 + rep].tobytes() == want.tobytes()
@@ -136,22 +137,23 @@ class TestPlacebo:
 
 
 class TestSelectBandwidth:
-    # `BandwidthScan.select`: the first scanned d whose placebo mean is below the threshold.
+    # The noise floor of `BandwidthScan.select`: the first scanned d whose
+    # placebo mean is below the threshold.
     def test_point_mass_selects_grid_minimum(self):
         base = PricePMF.from_counts([100], [5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
-        assert placebo_scan(base, 10, 10, [3, 7, 11], cfg).select(0.0005) == 3
+        assert placebo_scan(base, 10, 10, [3, 7, 11], cfg).select(0.0005).placebo_d == 3
 
     def test_single_span_plus_one_grid(self):
         base = PricePMF.from_counts([0, 200], [5, 5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
-        assert placebo_scan(base, 30, 30, [201], cfg).select(0.0005) == 201
+        assert placebo_scan(base, 30, 30, [201], cfg).select(0.0005).placebo_d == 201
 
     def test_tighter_threshold_weakly_raises_d(self):
         base = PricePMF.from_counts([0, 100_000], [12, 8])
         cfg = PlaceboConfig(n_sims=300, seed=3)
         scan = placebo_scan(base, 40, 40, list(range(0, 120_001, 10_000)), cfg)
-        assert scan.select(0.0005) >= scan.select(0.005)
+        assert scan.select(0.0005).placebo_d >= scan.select(0.005).placebo_d
 
     def test_failure_lists_minimum(self):
         base = PricePMF.from_counts([0, 100_000], [1, 1])
@@ -164,8 +166,8 @@ class TestSelectBandwidth:
         # first of tied minima.
         means = {1: 0.3, 2: 0.2, 3: 0.2}
         scan = scan_from_rows([(d, 0.5, m, 0.0, (0.0,), None) for d, m in means.items()])
-        assert scan.select(0.3) == 2
-        assert scan.select(0.30001) == 1
+        assert scan.select(0.3).placebo_d == 2
+        assert scan.select(0.30001).placebo_d == 1
         with pytest.raises(SelectionError, match="minimum placebo mean is 0.2 at d=2"):
             scan.select(0.2)
 
@@ -241,13 +243,20 @@ def scan_from_rows(rows):
     return BandwidthScan(tuple(ScanRow(*r) for r in rows))
 
 
+def chosen(scan, d_min):
+    """`d_star` and the estimate there, from a scan's rule at an explicit `d_min`."""
+    selection = scan.select(d_min=d_min)
+    return selection.d_star, selection.value
+
+
 class TestSelectDstar:
+    # `BandwidthScan.select` at an explicit floor: the largest estimate at d >= d_min.
     def base_row(self, d, dit):
         return (d, 0.5, 0.0, 0.0, (0.0,), dit)
 
     def test_single_admissible_row(self):
         scan = scan_from_rows([self.base_row(5, 0.2)])
-        assert select_dstar(scan, 0) == (5, 0.2)
+        assert chosen(scan, 0) == (5, 0.2)
 
     def test_reference_style_rows(self):
         scan = scan_from_rows(
@@ -257,36 +266,66 @@ class TestSelectDstar:
                 self.base_row(15000, 0.0683),
             ]
         )
-        assert select_dstar(scan, 7000) == (7000, 0.1187)
+        assert chosen(scan, 7000) == (7000, 0.1187)
 
     def test_tie_breaks_to_smaller_d(self):
         scan = scan_from_rows([self.base_row(d, 0.1) for d in (2, 4, 8)])
-        assert select_dstar(scan, 0) == (2, 0.1)
+        assert chosen(scan, 0) == (2, 0.1)
 
     def test_invariant_to_rows_below_floor(self):
         high = [self.base_row(10, 0.3), self.base_row(20, 0.1)]
         padded = [self.base_row(1, 0.9)] + high
-        assert select_dstar(scan_from_rows(high), 10) == select_dstar(
-            scan_from_rows(padded), 10
-        )
+        assert chosen(scan_from_rows(high), 10) == chosen(scan_from_rows(padded), 10)
 
     def test_empty_admissible_set(self):
         scan = scan_from_rows([self.base_row(5, 0.2)])
         with pytest.raises(SelectionError):
-            select_dstar(scan, 6)
+            chosen(scan, 6)
 
     def test_missing_dit_column(self):
-        scan = scan_from_rows([self.base_row(5, None)])
+        # A scan carries a dit value on every row or on none.
         with pytest.raises(ValidationError):
-            select_dstar(scan, 0)
+            scan_from_rows([self.base_row(5, None), self.base_row(6, 0.1)])
+
+    def test_explicit_floor_skips_both_floors(self):
+        # No placebo mean is below the threshold and the trends never settle,
+        # but an explicit d_min reads neither floor.
+        rows = [(d, 0.5, 0.9, 0.0, (0.0,), 0.1 * d) for d in (0, 1, 2)]
+        trends = tuple((d, 0.5, 0.1, 0.4) for d in (0, 1, 2))
+        scan = BandwidthScan(tuple(ScanRow(*r) for r in rows), trends)
+        assert scan.select(0.5, 0.1, d_min=1) == Selection(2, 0.2, None, None, 1)
+        with pytest.raises(SelectionError, match="placebo cost below 0.5"):
+            scan.select(0.5, 0.1)
+
+    def test_floor_is_larger_of_the_two(self):
+        # Noise floor 1, trends floor 2; the largest dit value lies below both.
+        means_and_dit = [(0.9, 0.9), (0.0, 0.3), (0.0, 0.2), (0.0, 0.25)]
+        rows = [(d, 0.5, m, 0.0, (0.0,), dit) for d, (m, dit) in enumerate(means_and_dit)]
+        trends = tuple((d, 0.5, 0.1, diff) for d, diff in enumerate([0.4, 0.4, 0.0, 0.0]))
+        scan = BandwidthScan(tuple(ScanRow(*r) for r in rows), trends)
+        assert scan.select(0.5, 0.1) == Selection(3, 0.25, 1, 2, 2)
+        assert scan.select(0.5, 0.5) == Selection(1, 0.3, 1, 0, 1)
+        no_trends = BandwidthScan(scan.rows)
+        assert no_trends.select(0.5, 1e-9) == Selection(1, 0.3, 1, 0, 1)
+
+    def test_before_after_reads_the_floor_itself(self):
+        # Without a control pair the estimate is the real cost at d_min, even
+        # where a later row's cost rises within the tolerated 1e-12.
+        costs_and_means = [(0.5, 0.9), (0.3, 0.0), (0.3 + 5e-13, 0.0)]
+        scan = scan_from_rows([(d, c, m, 0.0, (0.0,), None) for d, (c, m) in enumerate(costs_and_means)])
+        assert scan.select(0.5) == Selection(1, 0.3, 1, 0, 1)
+        assert scan.select(d_min=2) == Selection(2, 0.3 + 5e-13, None, None, 2)
+        assert scan.select(d_min=0).d_star == 0
 
 
 class TestFloors:
     def test_displacement_floor(self):
-        curves = [(0, 0.5, 0.2, 0.3), (10, 0.2, 0.19, 0.01), (20, 0.1, 0.099, 0.001)]
-        assert displacement_floor(curves, tau=0.02) == 10
+        curves = ((0, 0.5, 0.2, 0.3), (10, 0.2, 0.19, 0.01), (20, 0.1, 0.099, 0.001))
+        rows = tuple(ScanRow(d, 0.5, 0.0, 0.0, (0.0,)) for d in (0, 10, 20))
+        scan = BandwidthScan(rows, curves)
+        assert scan.select(0.0005, tau=0.02).displacement_d == 10
         with pytest.raises(SelectionError):
-            displacement_floor(curves, tau=1e-4)
+            scan.select(0.0005, tau=1e-4)
 
 
 class TestEqualDisplacement:
@@ -344,7 +383,7 @@ class TestScan:
         s2 = bandwidth_scan(a, b, [0, 1], cfg)
         for r1, r2 in zip(s1.rows, s2.rows):
             assert r1 == r2
-        pairs = [replicate_pair(a, a.n, b.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
+        pairs = [replicate_pair(b, a.n, b.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
         for row in s1.rows:
             cells = np.array([ot_cost(pre, post, row.d) for pre, post in pairs])
             assert row.placebo_mean == pytest.approx(float(np.mean(cells)), abs=1e-15)
