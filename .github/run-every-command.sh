@@ -10,8 +10,9 @@
 # `coastal,inland`.  `report` bundles the JSON files the commands before it
 # write.  Any command that exits non-zero stops the script with its status.
 # Last, a pooled control with a typo, a treated city with a typo, a month in
-# both windows and a scan threshold that no bandwidth meets must each exit 1
-# with exactly one line on stderr; the failed scan writes its CSV and no report.
+# both windows, a pair of windows whose unit totals multiply past 2**53 and a
+# scan threshold that no bandwidth meets must each exit 1 with exactly one
+# line on stderr; the failed scan writes its CSV and no report.
 set -eu
 
 # Run diftrans with the arguments given; fail unless it exits 1 with one stderr line.
@@ -46,6 +47,9 @@ fails_in_one_line dit --input market.csv --treated-city metro --control-city coa
 fails_in_one_line did --input market.csv --treated-city metro --control-cities coastal,inlnad $window --out did_typo.json
 fails_in_one_line transport --input market.csv --city metro --pre 2010-01:2010-12 --post 2010-12:2011-12 --d 2000 --out transport_overlap.json
 fails_in_one_line did --input market.csv --treated-city metr0 --control-cities coastal $window --out did_treated_typo.json
+# 10**8 units in each window: their product passes 2**53, past which costs are not exact.
+printf 'city,year,month,price,quantity\nmetro,2010,1,50000,100000000\nmetro,2011,1,52000,100000000\n' > huge.csv
+fails_in_one_line transport --input huge.csv --city metro $window --d 2000 --out transport_huge.json
 # No placebo mean is below 0, so the scan's selection fails.
 fails_in_one_line scan --input market.csv --city metro $window --d-grid 0:4000:1000 --sims 10 --threshold 0 --out-csv scan_failed.csv --out scan_failed.json
 if [ -e scan_failed.json ] || [ ! -s scan_failed.csv ]; then

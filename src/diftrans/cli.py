@@ -106,7 +106,7 @@ def _parse_window(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     return _parse_ym(lo), _parse_ym(hi if colon else lo)
 
 
-#: Most bandwidths in one grid: the recurrence state of one mass column, three
+#: Most bandwidths in one grid: the recurrence state of one column, three
 #: cells per bandwidth, then fits the transport kernel's scratch budget.
 MAX_GRID = SCRATCH_CELLS // 3
 

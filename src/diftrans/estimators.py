@@ -15,9 +15,9 @@ displacement, and the trends floor.  The before-and-after estimate is that
 rule with no control pair.
 
 Every transport cost of a scan comes from one `transport._sweep`: its pairs
-and placebo replicates are the mass columns of one kernel pass per block,
-lifted with zero masses onto shared supports, which leaves each cost bit for
-bit `ot_cost`'s.
+and placebo replicates are the columns of one kernel pass per block, lifted
+with zero counts onto shared supports.  Each cost is an exact rational
+rounded once, so it is `ot_cost`'s (see `transport`).
 """
 
 from __future__ import annotations
@@ -113,11 +113,15 @@ class BandwidthScan:
     trends: tuple[tuple[int, float, float, float], ...] | None = None
 
     def __post_init__(self):
+        if not self.rows:
+            raise ValidationError("a scan needs at least one row")
+        if self.trends is not None and not self.trends:
+            raise ValidationError("trends curves need at least one row")
         ds = [row.d for row in self.rows]
         if any(b <= a for a, b in zip(ds, ds[1:])):
             raise ValidationError("scan rows must be sorted by ascending d")
         costs = [row.real_cost for row in self.rows]
-        if any(b > a + 1e-12 for a, b in zip(costs, costs[1:])):
+        if any(b > a for a, b in zip(costs, costs[1:])):
             raise ValidationError("real cost must be nonincreasing in d")
         if len({row.dit_value is None for row in self.rows}) > 1:
             raise ValidationError("scan rows must all carry a dit value or none")
@@ -132,7 +136,7 @@ class BandwidthScan:
         estimate there, ties toward the smaller `d`.  The estimate is the
         DiT value of a scan with a control pair and the real cost otherwise.
         The real cost does not rise with `d`, so its first admissible row is
-        taken, which a rise within the rows' 1e-12 tolerance cannot move.
+        taken.
 
         Without an explicit `d_min` it is the larger of two floors.  The
         noise floor is the smallest scanned `d` whose placebo mean is
@@ -230,20 +234,22 @@ def bandwidth_scan(
         # The pairs lead the sweep's columns; replicate r - n follows, drawn
         # from its (seed, rep) stream straight into its column as counts.
         if r < n:
-            return r, pairs[r][0].mass, pairs[r][1].mass, 1.0, 1.0
+            a, b = pairs[r]
+            return r, a.counts, b.counts, a.n, b.n
         rng = stream(r - n)
         a = rng.multinomial(pre.n, post.mass)
         return n, a, rng.multinomial(post.n, post.mass), pre.n, post.n
 
-    out = _sweep(pairs + [(post, post)], ds, n + cfg.n_sims, column)
+    cost, scale = _sweep(pairs + [(post, post)], ds, n + cfg.n_sims, column)
     # Per bandwidth, the cost of each pair.
-    at = dict(zip(ds, out[:n].T.tolist()))
+    at = dict(zip(ds, (cost[:n] / scale[:n, None]).T.tolist()))
     index = {d: col for col, d in enumerate(ds)}
-    # One row of replicates per grid bandwidth.  Reducing the rows of this
-    # contiguous copy sums each as a 1-D array does; `axis=0` on the sweep's
-    # layout sums in another order and can differ in the last bit.
-    placebo = np.ascontiguousarray(out[n:, [index[d] for d in grid]].T)
-    mean = placebo.mean(axis=1).tolist()
+    # Per grid bandwidth, the replicates' numerators over pre.n * post.n: the mean
+    # is their exact sum divided once, and the sd reduces contiguous rows.
+    numerators = cost[n:, [index[d] for d in grid]].T
+    total = cfg.n_sims * pre.n * post.n
+    mean = [sum(row) / total for row in numerators.tolist()]
+    placebo = np.divide(numerators, pre.n * post.n, order="C")
     sd = placebo.std(axis=1, ddof=1).tolist() if cfg.n_sims > 1 else [0.0] * len(grid)
     qs = np.quantile(placebo, PLACEBO_QUANTILES, axis=1).T.tolist()
     rows = []

@@ -8,8 +8,8 @@ hypergeometric draws so the expansion is never materialized.  The full sample
 and every draw are columns of one `transport._sweep`: per draw, one column
 for the treated pair and, for difference in transports, one for the control
 pair, each at both bandwidths of the estimator.  A draw's column holds its
-integer counts and its subsample sizes; the sweep divides each block by the
-sizes once, which gives the masses `counts / b` bit for bit.
+integer counts and its subsample sizes, from which the sweep computes each
+cost exactly and rounds it once (see `transport`).
 
 Each side of each draw has its own random stream, keyed by (seed, draw,
 side): stream `draw * sides + side` of `streams.keyed_streams(seed, (draws,
@@ -135,15 +135,16 @@ def subsample_ci(
     pairs = [(pre, post)] + ([] if control is None else [control])
     sides = [p for pair in pairs for p in pair]
     sizes = [cfg.size_for(p.n) for p in sides]
-    counts = [p.counts() for p in sides]
+    counts = [p.counts for p in sides]
     stream = keyed_streams(cfg.seed, (cfg.n_draws, len(sides)))
 
     def column(r):
         # Pair i of the full sample for k = 0, of draw k - 1 after it.
         k, i = divmod(r, len(pairs))
         if k == 0:
-            return i, pairs[i][0].mass, pairs[i][1].mass, 1.0, 1.0
-        # Each side's counts, from stream (k - 1, side), over its subsample size.
+            a, b = pairs[i]
+            return i, a.counts, b.counts, a.n, b.n
+        # Each side's counts, from stream (k - 1, side), and its subsample size.
         a, b = (
             stream((k - 1) * len(sides) + side).multivariate_hypergeometric(counts[side], sizes[side])
             for side in (2 * i, 2 * i + 1)
@@ -151,7 +152,8 @@ def subsample_ci(
         return i, a, b, sizes[2 * i], sizes[2 * i + 1]
 
     grid = sorted({d, 2 * d}) if control is not None else [d]
-    costs = _sweep(pairs, grid, len(pairs) * (cfg.n_draws + 1), column)
+    cost, scale = _sweep(pairs, grid, len(pairs) * (cfg.n_draws + 1), column)
+    costs = cost / scale[:, None]
     if control is None:
         values = costs[:, 0]
     else:

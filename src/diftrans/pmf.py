@@ -18,8 +18,6 @@ from .errors import (
     ValidationError,
 )
 
-MASS_TOL = 1e-12
-
 INT64_MAX = int(np.iinfo(np.int64).max)
 #: Largest year magnitude whose period key `year * 12 + month` fits in int64.
 MAX_YEAR = INT64_MAX // 12 - 1
@@ -183,69 +181,58 @@ class PeriodFilter:
 
 @dataclass(frozen=True, eq=False)
 class PricePMF:
-    """Probability mass function over a sorted integer price support.
+    """Unit counts over a sorted integer price support.
 
-    `mass[i]` is the exact ratio units-at-price / total-units evaluated in
-    double precision, and `n` is the total unit count behind the distribution.
+    `counts[i]` units sold at price `support[i]`; `n` is their total, and
+    `mass` the probabilities `counts / n`, read by the placebo's resamples
+    and by callers that want them.  Transport costs are computed from the
+    counts themselves (see `transport`).
     """
 
     support: np.ndarray
-    mass: np.ndarray
-    n: int
+    counts: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=np.int64)
-        mass = np.asarray(self.mass, dtype=np.float64)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "mass", mass)
-        if support.ndim != 1 or mass.shape != support.shape or support.size == 0:
-            raise ValidationError("support and mass must be equal-length 1-D vectors")
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "iu":
+            raise ValidationError(f"counts must be integers, got {counts.dtype} values")
+        counts = counts.astype(np.int64)
+        if support.ndim != 1 or counts.shape != support.shape or support.size == 0:
+            raise ValidationError("support and counts must be equal-length 1-D vectors")
         if np.any(support < 0):
             raise ValidationError("negative price in support")
         if np.any(np.diff(support) <= 0):
             raise ValidationError("support must be strictly increasing")
-        if np.any(mass < 0):
-            raise ValidationError("negative mass entry")
-        total = float(np.sum(mass))
-        # Written so that a NaN or infinite mass, whose sum is not finite, fails too.
-        if not abs(total - 1.0) <= MASS_TOL:
-            raise ValidationError(f"mass sums to {total!r}, not 1")
-        if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
-            raise ValidationError(f"sample size must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        if np.any(counts < 0):
+            raise ValidationError("negative count")
+        if int(counts.max()) > INT64_MAX // counts.size and sum(counts.tolist()) > INT64_MAX:
+            raise ValidationError("total count exceeds the int64 range")
+        n = int(counts.sum())
+        if n == 0:
+            raise EmptyDistributionError("zero total quantity")
+        for name, value in (("support", support), ("counts", counts), ("n", n)):
+            object.__setattr__(self, name, value)
         support.flags.writeable = False
-        mass.flags.writeable = False
+        counts.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, PricePMF):
             return NotImplemented
-        return (
-            self.n == other.n
-            and np.array_equal(self.support, other.support)
-            and np.array_equal(self.mass, other.mass)
+        return np.array_equal(self.support, other.support) and np.array_equal(
+            self.counts, other.counts
         )
 
     def __len__(self) -> int:
         return int(self.support.size)
 
-    @classmethod
-    def from_counts(cls, support, counts) -> "PricePMF":
-        """Build a PMF from integer unit counts on a sorted support."""
-        counts = np.asarray(counts, dtype=np.int64)
-        if np.any(counts < 0):
-            raise ValidationError("negative count")
-        total = int(counts.sum())
-        if total <= 0:
-            raise EmptyDistributionError("zero total quantity")
-        return cls(np.asarray(support, dtype=np.int64), counts / total, total)
-
-    def counts(self) -> np.ndarray:
-        """Recover integer unit counts (mass * n, validated to be integral)."""
-        raw = self.mass * self.n
-        counts = np.rint(raw).astype(np.int64)
-        if np.max(np.abs(raw - counts)) > 1e-6 or int(counts.sum()) != self.n:
-            raise ValidationError("mass vector is not n-fold integral; cannot recover counts")
-        return counts
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        """Read-only probabilities `counts / n`."""
+        mass = self.counts / self.n
+        mass.flags.writeable = False
+        return mass
 
 
 def _parse_int(value: str, name: str, row: int) -> int:
@@ -540,9 +527,8 @@ def build_pmf(
 
     `city` is one label or a tuple of labels whose rows are pooled.  The
     support is the set of distinct matching prices in ascending order
-    (prices whose units sum to zero included) and each mass is
-    quantity-at-price divided by total quantity, so normalization is exact.
-    No binning or rounding is applied.
+    (prices whose units sum to zero included), each with its summed
+    quantity.  No binning or rounding is applied.
 
     Rows are kept by `SalesTable.in_cities` and by masking the table's
     period key.  One sort of the kept prices then puts each price's rows in
@@ -558,8 +544,7 @@ def build_pmf(
     # Prices are non-negative, so a run starts at index 0 of any non-empty price.
     starts = np.flatnonzero(np.diff(price, prepend=-1))
     support, counts = price[starts], np.add.reduceat(quantity, starts)
-    grand_total = int(counts.sum())
-    if grand_total == 0:
+    if not counts.any():
         named = labels[0] if len(labels) == 1 else labels
         raise EmptyDistributionError(f"no units for city {named!r} in the requested periods")
-    return PricePMF(support, counts / grand_total, grand_total)
+    return PricePMF(support, counts)

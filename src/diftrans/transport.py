@@ -30,79 +30,75 @@ lie left of the current window; since `lo` never decreases, no later source can
 reach them either, so counting their leftovers as passed over loses nothing.
 The target straddling `C` keeps `SB[j+1] - C`, and every target above `C` is
 untouched.  Taking the leftmost available mass of the window up to `a_i` is
-therefore exactly moving `C` up by `take`.  `ot_cost` runs the recurrence in
-plain floats.  The column kernel `_cost_columns` runs it in the same order
-with `C` an array over mass columns and bandwidths: columns `A[:, r]` and
-`B[:, r]` hold one source and one target distribution on a shared pair of
-supports, so the windows depend on the bandwidth alone.  The kernel writes
-the clamp at zero as `max(SB[hi_i], C) - C`, which rounds to the same bits
-as `max(SB[hi_i] - C, 0)`: where `SB[hi_i] >= C` both are the one rounded
-difference (+0.0 when equal), and elsewhere both are +0.0.  So the two give
-bit-identical costs.
+therefore exactly moving `C` up by `take`.
 
-Zero masses change nothing, bit for bit, which lets distributions on
-different supports share one kernel call on the union of their supports.  A
-zero-mass target repeats a prefix sum (adding 0.0 is exact), so every window
-edge reads the same value.  A zero-mass source takes nothing and adds 0.0 to
-the cost; its `max` with `SB[lo_i]` is absorbed by the next source with mass,
-whose `lo` is no smaller, or changes the level only after the last one.
+Exactness.  The recurrence uses only max, min, add and subtract, so it runs
+on integers.  For a pair with `n_a` and `n_b` units it runs on the
+numerators `counts_a * n_b` and `counts_b * n_a`, which both total
+`n_a * n_b`: every level, take and cost is an exact integer over that common
+denominator, and each cost is divided by it once, which gives the float
+nearest the exact rational in whatever order the integers were added.  No
+prefix sum or numerator passes `n_a * n_b`, so a pair whose product passes
+`MAX_SCALE` (2**53) is a `ValidationError` before any window is built, and
+below it every numerator fits int64 and converts to float64 exactly.
+`ot_cost` runs the recurrence on Python integers and `_cost_columns` on
+int64 arrays, so the two agree exactly, whatever the chunk depth or the
+block size; `solve_ot` reads its plan off the same integer levels and
+rounds each entry once.
 
+Zero masses change no numerator, which lets distributions on different
+supports share one kernel call on the union of their supports.  A
+zero-count target repeats a prefix sum, so every window edge reads the same
+value.  A zero-count source takes nothing and adds nothing to the cost; its
+`max` with `SB[lo_i]` is absorbed by the next source with units, whose `lo`
+is no smaller, or changes the level only after the last one.
+
+In the kernel, columns `A[:, r]` and `B[:, r]` hold one source and one
+target distribution on a shared pair of supports, so the windows depend on
+the bandwidth alone, and `C` is an array over bandwidths and columns.
 Every estimator (the grid curves, the placebo matrix, the subsample draws)
 reads its costs off one sweep, `_sweep`, which is where distributions are
 lifted onto the union supports, the windows are found once, and columns are
-blocked.  The kernel's scratch grows with its column count (the masses,
+blocked.  The kernel's scratch grows with its column count (the numerators,
 their prefix sums and the bandwidth-by-column state), so `_sweep` cuts the
 columns into blocks by one rule, `_blocks`, which keeps each call within
-`SCRATCH_CELLS`.  The blocks hold consecutive columns and each column is
-computed alone, so the costs do not depend on the block size.  The windows
-are (source, bandwidth) arrays shared by every block, so no block size
-bounds them, nor the (column, bandwidth) costs; `_sweep` refuses a sweep
-whose windows or costs would pass `WINDOW_CELLS` before it builds them.
+`SCRATCH_CELLS`.  The windows are (source, bandwidth) arrays shared by every
+block, so no block size bounds them, nor the (column, bandwidth) costs;
+`_sweep` refuses a sweep whose windows or costs would pass `WINDOW_CELLS`
+before it builds them.
 
 A drawn column (a placebo replicate or a subsample draw) reaches the sweep
-as integer counts and its sample size, not as masses.  The counts are
-written into the block as they are, and the whole block is divided by its
-columns' sizes in one ufunc after its last column, where a per-draw
-`counts / n` would add a temporary and a call per column.  A count below
-2**53 converts to float64 exactly, so the division rounds as `counts / n`
-does, and a mass column, divided by 1.0, is unchanged.  A column is written
-through a slice when its pair's support is the whole union, the common case,
-and through an index array otherwise.
+as integer counts and its sample sizes.  The counts are written into the
+block as they are, and the whole block is scaled by its columns' sizes in
+one ufunc after its last column, where a per-draw product would add a
+temporary and a call per column.  A column is written through a slice when
+its pair's support is the whole union, the common case, and through an
+index array otherwise.
 
 Within a call the kernel pays numpy's per-call overhead per chunk of
 sources, not per source.  A chunk holds as many sources as fit
-`SCRATCH_CELLS / 32` cells of (bandwidth, column) state, and at least one,
-but never more than the call has sources, so a call with few cells
-allocates no buffer rows it never reaches.  Two gathers fetch the chunk's
-`SB[lo_i]` and `SB[hi_i]` into reused buffers, and one copy repeats each
-source's masses `a_i` over the bandwidths.  Each source then runs the first
-three lines of the recurrence as five in-place ufuncs on its contiguous
-slice, turning its `SB[hi_i]` into `take_i`.  One subtraction turns the
-chunk's takes into the unmatched parts `a_i - take_i`, which are added to
-the cost one source after another, so every sum rounds exactly as in
-`ot_cost` and the costs do not depend on the chunk depth either.  The
-per-source views of the three buffers are made once per call, and each
-chunk walks a prefix of them, so no chunk pays to slice its buffers row by
-row.  At (G, R) = (76, 14) on 1,681 sources, the gathers, the mass copy and
-the subtraction take ~27% of the kernel (3.9 of 14.3-14.6 ms, numpy 2.4 on
-one Xeon core); the rest is the per-source ufuncs.
+`SCRATCH_CELLS / 32` cells of (bandwidth, column) state, at least one and
+at most the call's sources, so a small call allocates no rows it never
+reaches.  Two gathers fetch the chunk's `SB[lo_i]` and `SB[hi_i]` into
+reused buffers, and one copy repeats each source's numerators `a_i` over
+the bandwidths.  Each source then runs the first three lines of the
+recurrence as five in-place ufuncs on its slice, turning its `SB[hi_i]`
+into `take_i`.  One subtraction turns the chunk's takes into the unmatched
+parts, which are added to the cost one source after another: on int64 that
+was faster than one reduction over the chunk.  The per-source views of the
+buffers are made once per call, and each chunk walks a prefix of them.
 
 Every operand of those five ufuncs is a whole contiguous (bandwidth,
-column) array of the same shape.  At the CLI's sizes each call costs about
-a microsecond, so per-call overhead sets the pace, and for such operands
-numpy takes its fast path and runs the (G, R) cells as one flat loop.  An
-(R,) mass row broadcast over the bandwidths, or a Python float converted to
-an array on every call, sends the call through numpy's slower general setup
-instead, even at G = 1.  Measured with numpy 2.4 on one Xeon core at
-(G, R) = (76, 14), `np.minimum` against the mass row took ~2.9 µs and
-against the repeated masses ~1.2 µs; `np.maximum` against `0.0` took
-~1.8 µs and against an array ~1.1 µs.  The clamp at zero reads the level,
-already in cache, rather than an array of zeros, which at (76, 505) cells
-of state per source kept the kernel faster than the broadcast form where a
-zero array made it slower.
+column) array of the same shape, so numpy runs the (G, R) cells as one
+flat loop.  At the CLI's sizes a call costs about a microsecond, and a
+broadcast row or a scalar operand sends it through numpy's slower general
+setup (`np.minimum` at (G, R) = (76, 14): ~2.9 µs against a broadcast row,
+~1.2 µs against the repeated values; numpy 2.4, one Xeon core, float64).
+So the clamp at zero is written as `max(SB[hi_i], C) - C`, against the
+level, already in cache.
 
 The plan is read off the same recurrence.  Source `i` holds the interval
-`[C_i, C_i + take_i)` of the target's cumulative-mass axis, where
+`[C_i, C_i + take_i)` of the target's cumulative axis, where
 `C_i = max(C, SB[lo_i])` is the level after its first line, so both ends are
 known once the level before and after each source is recorded.  The interval
 lies inside `[SB[lo_i], SB[hi_i])`, and its free entries are the overlaps
@@ -110,7 +106,7 @@ with the target cells `[SB[j], SB[j+1])`.
 The unmatched source parts `a_i - take_i` and the target mass left uncovered
 are then paired in sorted order by the same overlap rule over their own
 prefix sums; none of those pairs is within `d`, so each costs its full mass.
-Overlaps below `ZERO_COST` are rounding slivers and are dropped.
+A zero-count target is an empty cell, whose empty overlaps are dropped.
 """
 
 from __future__ import annotations
@@ -136,8 +132,8 @@ def _check_bandwidth(d) -> int:
 class TransportPlan:
     """A sparse coupling: (source index, target index, mass) triples.
 
-    `cost` is the total mass moved farther than `d`; indices refer to
-    `src_support` and `tgt_support`.
+    `cost` is the `math.fsum` of the entries moved farther than `d`;
+    indices refer to `src_support` and `tgt_support`.
     """
 
     entries: tuple[tuple[int, int, float], ...]
@@ -152,17 +148,18 @@ class TransportPlan:
             fh.write(f"{i},{j},{int(self.src_support[i])},{int(self.tgt_support[j])},{m!r}\n")
 
 
-#: Costs and plan entries below this are indistinguishable from rounding in the marginals.
-ZERO_COST = 1e-12
+#: Largest `n_a * n_b` of a pair: every cost numerator is at most it, so
+#: each fits int64 and converts to float64 exactly.
+MAX_SCALE = 1 << 53
 
-#: Scratch budget of one kernel call, in float64 cells (8 MiB).
+#: Scratch budget of one kernel call, in 8-byte cells (8 MiB).
 SCRATCH_CELLS = 1 << 20
 
 #: Most (source, bandwidth) cells in one sweep's windows: 128 MiB for each of
 #: `_windows`' int64 arrays (`lo`, `hi` and the temporary that each is found
 #: from).  A scan of the paper-scale market (~1,700 sources) over 501
 #: bandwidths fills ~5% of it.  It bounds the sweep's (column, bandwidth)
-#: float64 costs too.
+#: int64 costs too.
 WINDOW_CELLS = 16 * SCRATCH_CELLS
 
 
@@ -187,42 +184,46 @@ def _windows(src: np.ndarray, tgt: np.ndarray, d):
     return lo, hi
 
 
-def _prefix(mass: np.ndarray) -> np.ndarray:
-    """Prefix sums along the first axis from 0: entry j is the mass of rows 0..j-1."""
-    out = np.zeros((mass.shape[0] + 1,) + mass.shape[1:])
-    np.cumsum(mass, axis=0, out=out[1:])
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """Prefix sums along the first axis from 0: entry j is the sum of rows 0..j-1."""
+    out = np.zeros((values.shape[0] + 1,) + values.shape[1:], dtype=values.dtype)
+    np.cumsum(values, axis=0, out=out[1:])
     return out
 
 
-def _levels(a: PricePMF, b: PricePMF, d: int, record: bool = False):
-    """Run the level recurrence for `ot_cost(a, b, d)`.
+def _scale(a: PricePMF, b: PricePMF) -> int:
+    """The common denominator `a.n * b.n` of the pair's costs, at most `MAX_SCALE`."""
+    if a.n * b.n > MAX_SCALE:
+        raise ValidationError(
+            f"transport of {a.n} into {b.n} units: their product passes 2**53, past which costs are not exact"
+        )
+    return a.n * b.n
 
-    Returns the raw cost, the levels (with `record`: the level before each
-    source and after the last, else None), the target prefix sums `SB` and
-    the window starts `lo`.  Recording costs ~10% of the loop, so `ot_cost`
-    skips it.
+
+def _levels(a: PricePMF, b: PricePMF, d: int, record: bool = False):
+    """Run the level recurrence for `ot_cost(a, b, d)` on the pair's integer
+    numerators (see the module docstring).
+
+    Returns the cost numerator and its denominator, the levels (with
+    `record`: the level before each source and after the last, else None),
+    the target prefix sums `SB` and the window starts `lo`.  Recording costs
+    ~10% of the loop, so `ot_cost` skips it.
     """
+    scale = _scale(a, b)
     lo, hi = _windows(a.support, b.support, d)
-    sb = _prefix(b.mass)
-    level = cost = 0.0
+    sb = _prefix(b.counts * a.n)
+    level = cost = 0
     levels = [] if record else None
-    for ai, passed, reach in zip(a.mass.tolist(), sb[lo].tolist(), sb[hi].tolist()):
+    for ai, passed, reach in zip((a.counts * b.n).tolist(), sb[lo].tolist(), sb[hi].tolist()):
         if record:
             levels.append(level)
-        if ai <= 0.0:
-            continue
-        if level < passed:
-            level = passed
-        take = reach - level
-        if take < 0.0:
-            take = 0.0
-        elif take > ai:
-            take = ai
+        level = max(level, passed)
+        take = min(max(reach - level, 0), ai)
         level += take
         cost += ai - take
     if record:
         levels.append(level)
-    return cost, levels, sb, lo
+    return cost, scale, levels, sb, lo
 
 
 def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
@@ -230,22 +231,19 @@ def ot_cost(a: PricePMF, b: PricePMF, d) -> float:
 
     This is the exact optimal value of the transportation linear program with
     ground cost 1 when two support points differ by more than `d` and 0
-    otherwise.  At d = 0 it equals the total variation distance.  Values below
-    the PMF normalization tolerance are indistinguishable from rounding in the
-    marginals and report as exactly zero; the result is clamped into [0, 1].
+    otherwise, rounded once to a float (see the module docstring).  At d = 0
+    it equals the total variation distance.
     """
-    cost = _levels(a, b, _check_bandwidth(d))[0]
-    if cost < ZERO_COST:
-        return 0.0
-    return min(cost, 1.0)
+    cost, scale = _levels(a, b, _check_bandwidth(d))[:2]
+    return cost / scale
 
 
 def _blocks(count: int, k_src: int, k_tgt: int, n_grid: int) -> list[range]:
-    """Consecutive ranges covering `count` mass columns, for kernel calls on
+    """Consecutive ranges covering `count` columns, for kernel calls on
     `k_src` sources, `k_tgt` targets and `n_grid` bandwidths.
 
-    Each column costs `k_src + k_tgt` cells of masses and prefix sums and
-    `3 * n_grid` of recurrence state, so a block holds at most
+    Each column costs `k_src + k_tgt` cells of numerators and prefix sums
+    and `3 * n_grid` of recurrence state, so a block holds at most
     `SCRATCH_CELLS // (k_src + k_tgt + 3 * n_grid)` columns, and at least one.
     """
     step = max(1, SCRATCH_CELLS // (k_src + k_tgt + 3 * n_grid))
@@ -253,25 +251,26 @@ def _blocks(count: int, k_src: int, k_tgt: int, n_grid: int) -> list[range]:
 
 
 def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
-    """`ot_cost` of mass column `A[:, r]` into `B[:, r]` for every column r
-    and every bandwidth g, as an (R, G) array, given the (K_src, G) window
-    bounds `lo` and `hi` from `_windows`.
+    """The cost numerator of int64 column `A[:, r]` into `B[:, r]`, two
+    columns of equal total, for every column r and every bandwidth g, as an
+    (R, G) int64 array, given the (K_src, G) window bounds `lo` and `hi`
+    from `_windows`.
 
     One pass over the sources runs the level recurrence for every column and
     bandwidth at once.  The sources go in chunks of `depth`: the window sums
-    of a chunk are gathered by one call each, its masses repeated over the
-    bandwidths by one copy, and its unmatched parts found by one
+    of a chunk are gathered by one call each, its numerators repeated over
+    the bandwidths by one copy, and its unmatched parts found by one
     subtraction.  Every ufunc in the per-source step then reads whole
     contiguous (G, R) operands, and the clamp at zero is taken against the
     level, which keeps numpy off its slower broadcast and scalar paths (see
     the module docstring).
     """
     sb = _prefix(B)
-    level = np.zeros((lo.shape[1], A.shape[1]))
+    level = np.zeros((lo.shape[1], A.shape[1]), dtype=np.int64)
     cost = np.zeros_like(level)
     k_src = A.shape[0]
     depth = max(1, min(k_src, (SCRATCH_CELLS >> 5) // level.size))
-    passed_buf = np.empty((depth,) + level.shape)
+    passed_buf = np.empty((depth,) + level.shape, dtype=np.int64)
     take_buf = np.empty_like(passed_buf)
     a_buf = np.empty_like(passed_buf)
     # Each source's (passed, take, a) slices, made once; a chunk reads a prefix.
@@ -285,13 +284,13 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
         # The bounds are in range; "clip" lets `np.take` fill `out` unbuffered.
         gather(sb, lo[start:stop], axis=0, out=passed, mode="clip")
         gather(sb, hi[start:stop], axis=0, out=taken, mode="clip")
-        # Each source's masses repeated over the bandwidths, so that no ufunc
-        # below broadcasts a row.
+        # Each source's numerators repeated over the bandwidths, so that no
+        # ufunc below broadcasts a row.
         copyto(a, A[start:stop, None, :])
         chunk = views[:n]
         for passed_i, take_i, a_i in chunk:
             maximum(level, passed_i, out=level)
-            # max(SB[hi] - C, 0), bit for bit (see the module docstring).
+            # max(SB[hi] - C, 0) as max(SB[hi], C) - C.
             maximum(take_i, level, out=take_i)
             subtract(take_i, level, take_i)
             minimum(take_i, a_i, out=take_i)
@@ -300,9 +299,7 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
         subtract(a, taken, taken)
         for _, take_i, _ in chunk:
             add(cost, take_i, cost)
-    out = cost.T
-    out[out < ZERO_COST] = 0.0
-    return np.minimum(out, 1.0, out=out)
+    return cost.T
 
 
 def _rows(union: np.ndarray, support: np.ndarray):
@@ -327,28 +324,33 @@ def _union(supports) -> np.ndarray:
     return merged[keep]
 
 
-def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
-    """`ot_cost` of mass column r at each `d` in `grid`, for r < `count`
-    (default `len(pairs)`), as a (count, G) array.
+def _sweep(pairs, grid, count=None, column=None):
+    """`ot_cost` of column r at each `d` in `grid`, for r < `count` (default
+    `len(pairs)`), as a (count, G) int64 array of numerators and a (count,)
+    int64 array of their denominators.
 
     `pairs` holds (source, target) PMFs.  `column(r)` returns
-    (i, a, b, n_a, n_b): weights `a` on the support of `pairs[i][0]` and `b`
-    on that of `pairs[i][1]`, whose masses are `a / n_a` and `b / n_b` (a
-    draw's counts and its size, or masses and 1.0); by default column r is
-    pair r itself.  Every column is lifted onto the union of the source
-    supports and the union of the target supports, each merged by one sort
-    (`_union`), zero off its own, and the columns go through the kernel in
-    blocks, one call per block, each divided by its sizes once (see the
-    module docstring).  Windows or costs past `WINDOW_CELLS` cells are a
-    `ValidationError`, raised before they exist.
+    (i, a, b, n_a, n_b): integer counts `a` on the support of `pairs[i][0]`
+    and `b` on that of `pairs[i][1]`, totalling `n_a` and `n_b` (a draw's
+    counts and its sizes); by default column r is pair r itself.  No
+    column's `n_a * n_b` passes the largest pair's (a placebo replicate has
+    the real pair's sizes, a subsample draw smaller ones), so a pair past
+    `MAX_SCALE` is a `ValidationError`, raised before anything is built, as
+    are windows or costs past `WINDOW_CELLS` cells.  Every column is lifted
+    onto the union of the source supports and the union of the target
+    supports, each merged by one sort (`_union`), zero off its own, and the
+    columns go through the kernel in blocks, one call per block, each
+    scaled by its sizes once (see the module docstring).
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("need at least one pair of distributions")
+    for a, b in pairs:
+        _scale(a, b)
     if count is None:
         count = len(pairs)
     if column is None:
-        column = lambda r: (r, pairs[r][0].mass, pairs[r][1].mass, 1.0, 1.0)
+        column = lambda r: (r, pairs[r][0].counts, pairs[r][1].counts, pairs[r][0].n, pairs[r][1].n)
     src = _union([a.support for a, _ in pairs])
     tgt = _union([b.support for _, b in pairs])
     rows_a = [_rows(src, a.support) for a, _ in pairs]
@@ -361,54 +363,55 @@ def _sweep(pairs, grid, count=None, column=None) -> np.ndarray:
                 "use a coarser grid"
             )
     lo, hi = _windows(src, tgt, [_check_bandwidth(d) for d in grid])
-    out = np.empty((count, len(grid)))
+    cost = np.empty((count, len(grid)), dtype=np.int64)
+    scale = np.empty(count, dtype=np.int64)
     for block in _blocks(count, src.size, tgt.size, len(grid)):
-        A = np.zeros((src.size, len(block)))
-        B = np.zeros((tgt.size, len(block)))
-        n_a, n_b = np.empty(len(block)), np.empty(len(block))
+        A = np.zeros((src.size, len(block)), dtype=np.int64)
+        B = np.zeros((tgt.size, len(block)), dtype=np.int64)
+        n_a, n_b = np.empty((2, len(block)), dtype=np.int64)
         for col, r in enumerate(block):
             i, a, b, n_a[col], n_b[col] = column(r)
             A[rows_a[i], col] = a
             B[rows_b[i], col] = b
-        A /= n_a
-        B /= n_b
-        out[block.start : block.stop] = _cost_columns(lo, hi, A, B)
-    return out
+        # Both columns of a pair now total n_a * n_b.
+        A *= n_b
+        B *= n_a
+        cost[block.start : block.stop] = _cost_columns(lo, hi, A, B)
+        np.multiply(n_a, n_b, out=scale[block.start : block.stop])
+    return cost, scale
 
 
 def _pieces(starts, stops, edges):
     """Overlaps of sorted disjoint intervals `[starts[i], stops[i])` with the
     cells `[edges[j], edges[j + 1])` of a prefix-sum partition.
 
-    Returns arrays (i, j, length) of the overlaps at least `ZERO_COST` long.
+    Returns arrays (i, j, length) of the overlaps that are not empty.
     """
     first = np.searchsorted(edges[1:], starts, side="right")
     count = np.maximum(np.searchsorted(edges[:-1], stops, side="left") - first, 0)
     i = np.repeat(np.arange(count.size), count)
     j = np.arange(i.size) + np.repeat(first - (np.cumsum(count) - count), count)
     length = np.minimum(stops[i], edges[j + 1]) - np.maximum(starts[i], edges[j])
-    keep = length >= ZERO_COST
+    keep = length > 0
     return i[keep], j[keep], length[keep]
 
 
 def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
     """An optimal plan for `ot_cost(a, b, d)`; ties between optima are not pinned."""
     d = _check_bandwidth(d)
-    _, levels, sb, lo = _levels(a, b, d, record=True)
-    level = np.array(levels)
+    _, scale, levels, sb, lo = _levels(a, b, d, record=True)
+    level = np.array(levels, dtype=np.int64)
     stop = level[1:]
-    # The level a source started from; a zero-mass source holds nothing.
-    start = np.minimum(np.maximum(level[:-1], sb[lo]), stop)
+    start = np.maximum(level[:-1], sb[lo])
     i, j, m = _pieces(start, stop, sb)
     # The unmatched parts: nothing in them is within `d` of each other.
-    matched = np.bincount(j, weights=m, minlength=b.support.size)
-    left_a = _prefix(np.maximum(a.mass - (stop - start), 0.0))
-    far_i, far_j, far_m = _pieces(
-        left_a[:-1], left_a[1:], _prefix(np.maximum(b.mass - matched, 0.0))
-    )
+    matched = np.zeros(b.support.size, dtype=np.int64)
+    np.add.at(matched, j, m)
+    left_a = _prefix(a.counts * b.n - (stop - start))
+    far_i, far_j, far_m = _pieces(left_a[:-1], left_a[1:], _prefix(b.counts * a.n - matched))
     i = np.concatenate([i, far_i])
     j = np.concatenate([j, far_j])
-    m = np.concatenate([m, far_m])
+    m = np.concatenate([m, far_m]) / scale
     order = np.lexsort((j, i))
     i, j, m = i[order], j[order], m[order]
     far = np.abs(a.support[i] - b.support[j]) > d

@@ -6,6 +6,7 @@ import bisect
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -14,7 +15,6 @@ from diftrans.equilibrium import WtpCurve
 from diftrans.errors import ConfigError, EmptyDistributionError, ValidationError
 from diftrans.estimators import PLACEBO_QUANTILES
 from diftrans.pmf import PricePMF
-from diftrans.transport import ZERO_COST
 
 
 def lp_transport_cost(a: PricePMF, b: PricePMF, d: int) -> float:
@@ -145,24 +145,38 @@ def strassen_certificate(a: PricePMF, b: PricePMF, d: int) -> tuple[set[int], fl
 
 def per_source_cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
     """The column kernel's level recurrence one source at a time: seven numpy
-    calls per source on (G, R) arrays, gathering each source's window sums
-    alone.  Same contract as `transport._cost_columns`."""
-    sb = np.zeros((B.shape[0] + 1, B.shape[1]))
+    calls per source on (G, R) int64 arrays, gathering each source's window
+    sums alone.  Same contract as `transport._cost_columns`."""
+    sb = np.zeros((B.shape[0] + 1, B.shape[1]), dtype=np.int64)
     np.cumsum(B, axis=0, out=sb[1:])
-    level = np.zeros((lo.shape[1], A.shape[1]))
+    level = np.zeros((lo.shape[1], A.shape[1]), dtype=np.int64)
     cost = np.zeros_like(level)
     take = np.empty_like(level)
     for ai, lo_i, hi_i in zip(A, lo, hi):
         np.maximum(level, sb[lo_i], out=level)
         np.subtract(sb[hi_i], level, out=take)
-        np.maximum(take, 0.0, out=take)
+        np.maximum(take, 0, out=take)
         np.minimum(take, ai, out=take)
         level += take
         np.subtract(ai, take, out=take)
         cost += take
-    out = cost.T
-    out[out < ZERO_COST] = 0.0
-    return np.minimum(out, 1.0, out=out)
+    return cost.T
+
+
+def fraction_cost(a: PricePMF, b: PricePMF, d: int) -> Fraction:
+    """`ot_cost(a, b, d)` as an exact rational: the level recurrence of the
+    `transport` docstring on `Fraction` masses `count / n`, with each
+    window found by `bisect` on Python integers."""
+    tgt = b.support.tolist()
+    sb = list(itertools.accumulate((Fraction(c, b.n) for c in b.counts.tolist()), initial=Fraction(0)))
+    level = cost = Fraction(0)
+    for x, count in zip(a.support.tolist(), a.counts.tolist()):
+        ai = Fraction(count, a.n)
+        level = max(level, sb[bisect.bisect_left(tgt, x - d)])
+        take = min(max(sb[bisect.bisect_right(tgt, x + d)] - level, Fraction(0)), ai)
+        level += take
+        cost += ai - take
+    return cost
 
 
 def brute_2x2_cost(a: PricePMF, b: PricePMF, d: int) -> float:
@@ -205,10 +219,11 @@ def random_pmf(
     max_price: int = 1000,
     min_points: int = 1,
 ) -> PricePMF:
+    """100 units on 1 to `max_points` prices below `max_price`, drawn as
+    multinomial counts of a Dirichlet mass vector; some prices may hold none."""
     k = int(rng.integers(min_points, max_points + 1))
     support = np.sort(rng.choice(max_price, size=k, replace=False))
-    mass = rng.dirichlet(np.ones(k))
-    return PricePMF(support, mass, 100)
+    return PricePMF(support, rng.multinomial(100, rng.dirichlet(np.ones(k))))
 
 
 def sparse_counts(rng: np.random.Generator, k: int, zero_share: float) -> np.ndarray:
@@ -223,17 +238,18 @@ def replicate_pair(base: PricePMF, n_pre: int, n_post: int, seed: int, rep: int)
     """Placebo replicate `rep` as two PMFs: multinomial resamples of `base` of
     sizes `n_pre` and `n_post`, from the stream keyed by (seed, rep)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, rep)))
-    c_pre = rng.multinomial(n_pre, base.mass)
-    c_post = rng.multinomial(n_post, base.mass)
-    pre = PricePMF(base.support, c_pre / n_pre, n_pre)
-    return pre, PricePMF(base.support, c_post / n_post, n_post)
+    pre = PricePMF(base.support, rng.multinomial(n_pre, base.mass))
+    return pre, PricePMF(base.support, rng.multinomial(n_post, base.mass))
 
 
-def placebo_summary(values) -> tuple:
-    """Mean, sd and quantiles of one placebo column by 1-D reductions."""
-    col = np.array(values)
+def placebo_summary(costs) -> tuple:
+    """Mean, sd and quantiles of one placebo column of exact `Fraction`
+    costs: the mean of the rationals rounded once, the rest by 1-D
+    reductions of the costs rounded to floats."""
+    col = np.array([float(c) for c in costs])
     sd = float(np.std(col, ddof=1)) if col.size > 1 else 0.0
-    return float(np.mean(col)), sd, tuple(float(q) for q in np.quantile(col, PLACEBO_QUANTILES))
+    mean = float(sum(costs) / len(costs))
+    return mean, sd, tuple(float(q) for q in np.quantile(col, PLACEBO_QUANTILES))
 
 
 def subsample_draw(sides, cfg, k: int) -> list[PricePMF]:
@@ -244,8 +260,7 @@ def subsample_draw(sides, cfg, k: int) -> list[PricePMF]:
     for side, pmf in enumerate(sides):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(cfg.seed, k, side)))
         b = cfg.size_for(pmf.n)
-        drawn = rng.multivariate_hypergeometric(pmf.counts(), b)
-        draws.append(PricePMF(pmf.support, drawn / b, b))
+        draws.append(PricePMF(pmf.support, rng.multivariate_hypergeometric(pmf.counts, b)))
     return draws
 
 
@@ -387,9 +402,7 @@ def dict_loop_pmf(rows, city, period_filter=None) -> PricePMF:
         if period_filter is not None and not admits(period_filter, year, month):
             continue
         totals[price] = totals.get(price, 0) + quantity
-    grand_total = sum(totals.values())
-    if grand_total == 0:
+    if sum(totals.values()) == 0:
         raise EmptyDistributionError(f"no units for city {city!r} in the requested periods")
     support = np.array(sorted(totals), dtype=np.int64)
-    counts = np.array([totals[p] for p in support], dtype=np.int64)
-    return PricePMF(support, counts / grand_total, grand_total)
+    return PricePMF(support, np.array([totals[p] for p in support], dtype=np.int64))

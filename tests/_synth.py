@@ -40,7 +40,7 @@ def grow(prices: np.ndarray, growth: float, lattice: int = LATTICE) -> np.ndarra
 
 def pmf_of(prices: np.ndarray) -> PricePMF:
     support, counts = np.unique(prices, return_counts=True)
-    return PricePMF.from_counts(support, counts)
+    return PricePMF(support, counts)
 
 
 def lottery_post_prices(

@@ -1,11 +1,13 @@
 """The estimators' batched transport costs against the scalar recurrence.
 
 A scan sweeps its pairs (real, control, trends) and its placebo replicates
-through the kernel as mass columns on the union of their supports, with zero
-mass off each distribution's own support, in blocks; the subsample draws,
-one column per pair and draw, go through the same sweep.  Each cost must equal the scalar `ot_cost`
-bit for bit, and each placebo summary the 1-D reductions of its column,
-whatever the supports and whatever the block size.  Supports here differ per
+through the kernel as count columns on the union of their supports, with
+zero counts off each distribution's own support, in blocks; the subsample
+draws, one column per pair and draw, go through the same sweep.  Each cost
+must equal the scalar `ot_cost` bit for bit, each placebo mean the exact
+mean of its column rounded once, and each other placebo summary the 1-D
+reductions of its column, whatever the supports and whatever the block
+size.  Supports here differ per
 distribution and overlap only in part, masses include zeros, and bandwidths
 run past the combined span.
 """
@@ -22,7 +24,7 @@ from diftrans.inference import SubsampleConfig, subsample_ci
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
-from _oracles import placebo_summary, replicate_pair, subsample_draw
+from _oracles import fraction_cost, placebo_summary, replicate_pair, subsample_draw
 
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -44,7 +46,7 @@ def pmfs(draw):
     counts = draw(st.lists(st.integers(0, 9), min_size=len(support), max_size=len(support)))
     if sum(counts) < 2:
         counts[0] += 2
-    return PricePMF.from_counts(support, counts)
+    return PricePMF(support, counts)
 
 
 @contextmanager
@@ -64,7 +66,7 @@ def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
     trends = tuple(diag) if with_trends else None
     cfg = PlaceboConfig(n_sims=n_sims, seed=1)
     placebo = [
-        [ot_cost(*replicate_pair(post, pre.n, post.n, cfg.seed, rep), d) for rep in range(n_sims)]
+        [fraction_cost(*replicate_pair(post, pre.n, post.n, cfg.seed, rep), d) for rep in range(n_sims)]
         for d in grid
     ]
     for cells in BUDGETS:
@@ -92,10 +94,12 @@ def test_scan_rows_equal_scalar(dists, grid, n_sims, with_trends):
 
 @PROPERTIES
 @given(pmfs(), st.integers(1, 40), st.integers(1, 40), grids, st.integers(1, 9))
-def test_placebo_matrix_whatever_the_blocks(base, n_pre, n_post, grid, n_sims):
-    # Placebo columns alone: pre and post are `base` at sizes of their own.
+def test_placebo_matrix_whatever_the_blocks(base, k_pre, k_post, grid, n_sims):
+    # Placebo columns alone: pre and post are `base`'s counts times k_pre and
+    # k_post, whose masses are `base.mass` bit for bit.
     cfg = PlaceboConfig(n_sims=n_sims, seed=7)
-    pre, post = (PricePMF(base.support, base.mass, n) for n in (n_pre, n_post))
+    pre, post = (PricePMF(base.support, base.counts * k) for k in (k_pre, k_post))
+    n_pre, n_post = pre.n, post.n
     scans = []
     for cells in BUDGETS:
         with budget(cells):
@@ -104,7 +108,7 @@ def test_placebo_matrix_whatever_the_blocks(base, n_pre, n_post, grid, n_sims):
     pairs = [replicate_pair(base, n_pre, n_post, cfg.seed, rep) for rep in range(n_sims)]
     for row in scans[0].rows:
         stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
-        assert stats == placebo_summary([ot_cost(a, b, row.d) for a, b in pairs])
+        assert stats == placebo_summary([fraction_cost(a, b, row.d) for a, b in pairs])
 
 
 @PROPERTIES

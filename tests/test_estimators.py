@@ -3,6 +3,7 @@ all read off `bandwidth_scan`."""
 
 import dataclasses
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,21 +25,23 @@ from diftrans.estimators import (
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
-from _oracles import placebo_summary, random_pmf, replicate_pair
+from _oracles import fraction_cost, placebo_summary, random_pmf, replicate_pair
 from _synth import grow, lottery_post_prices, pmf_of, population_prices, synth_curve
 
 
 @pytest.fixture
 def two_point():
-    a = PricePMF(np.array([1, 2]), np.array([0.75, 0.25]), 8)
-    b = PricePMF(np.array([1, 2]), np.array([0.25, 0.75]), 4)
+    a = PricePMF(np.array([1, 2]), np.array([6, 2]))
+    b = PricePMF(np.array([1, 2]), np.array([1, 3]))
     return a, b
 
 
 def placebo_scan(base, n_pre, n_post, grid, cfg):
     """A scan whose placebo columns resample `base` at sizes `n_pre` and
-    `n_post`: its pre and post are `base` at those sizes."""
-    pre, post = (PricePMF(base.support, base.mass, n) for n in (n_pre, n_post))
+    `n_post`, multiples of `base.n`: its pre and post are `base`'s counts
+    scaled to those sizes, whose masses are `base.mass` bit for bit."""
+    pre, post = (PricePMF(base.support, base.counts * (n // base.n)) for n in (n_pre, n_post))
+    assert (pre.n, post.n) == (n_pre, n_post)
     return bandwidth_scan(pre, post, grid, cfg)
 
 
@@ -61,13 +64,13 @@ class TestBeforeAfter:
 
 class TestPlacebo:
     def test_point_mass_has_no_noise(self):
-        base = PricePMF.from_counts([50_000], [10])
+        base = PricePMF([50_000], [10])
         row = placebo_scan(base, 40, 60, [0], PlaceboConfig(n_sims=50, seed=1)).rows[0]
         assert row.placebo_mean == 0.0 and row.placebo_sd == 0.0
         assert all(q == 0.0 for q in row.placebo_quantiles)
 
     def test_free_beyond_span(self):
-        base = PricePMF.from_counts([10, 500], [5, 5])
+        base = PricePMF([10, 500], [5, 5])
         row = placebo_scan(base, 30, 30, [490], PlaceboConfig(n_sims=50, seed=1)).rows[0]
         assert row.placebo_mean == 0.0
 
@@ -76,7 +79,7 @@ class TestPlacebo:
         # |B1 - B2| / n with B_i binomial(n, 1/2); check against a direct
         # Monte Carlo of that expression.
         n = 100
-        base = PricePMF.from_counts([0, 10**6], [1, 1])
+        base = PricePMF([0, 10**6], [1, 1])
         cfg = PlaceboConfig(n_sims=2000, seed=9)
         row = placebo_scan(base, n, n, [0], cfg).rows[0]
         mean, sd = row.placebo_mean, row.placebo_sd
@@ -89,7 +92,7 @@ class TestPlacebo:
         assert mean == pytest.approx(0.0563, abs=3 * se + 1e-3)
 
     def test_reproducible_and_matches_scalar_cost(self):
-        base = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
+        base = PricePMF([1, 5, 9, 40], [3, 4, 2, 1])
         cfg = PlaceboConfig(n_sims=70, seed=77)
         grid = [0, 2, 10]
         s1 = placebo_scan(base, 50, 80, grid, cfg)
@@ -98,16 +101,16 @@ class TestPlacebo:
         pairs = [replicate_pair(base, 50, 80, cfg.seed, rep) for rep in range(cfg.n_sims)]
         for row in s1.rows:
             stats = (row.placebo_mean, row.placebo_sd, row.placebo_quantiles)
-            assert stats == placebo_summary([ot_cost(pre, post, row.d) for pre, post in pairs])
+            assert stats == placebo_summary([fraction_cost(pre, post, row.d) for pre, post in pairs])
 
     def test_replicate_columns_are_counts_over_sizes(self, monkeypatch):
         # Each replicate's multinomial counts are written into its column and
-        # the block is divided by the sample sizes once: bit for bit the
-        # oracle's `counts / n`, lifted onto the union with the pair's support.
-        # The replicates resample the post distribution, whose support is
-        # not the pre's.
-        pre = PricePMF.from_counts([2, 5, 7], [10, 20, 5])
-        post = PricePMF.from_counts([1, 5, 9, 40], [3, 4, 2, 1])
+        # the block is scaled by the sample sizes once: the oracle's counts
+        # times the other side's size, lifted onto the union with the pair's
+        # support.  The replicates resample the post distribution, whose
+        # support is not the pre's.
+        pre = PricePMF([2, 5, 7], [10, 20, 5])
+        post = PricePMF([1, 5, 9, 40], [3, 4, 2, 1])
         cfg = PlaceboConfig(n_sims=9, seed=31)
         kernel, calls = transport._cost_columns, []
         monkeypatch.setattr(transport, "_cost_columns", lambda *args: calls.append(args) or kernel(*args))
@@ -116,17 +119,36 @@ class TestPlacebo:
         src = np.union1d(pre.support, post.support)
         tgt = post.support
         for rep in range(cfg.n_sims):
-            for got, pmf, union in zip((A, B), replicate_pair(post, pre.n, post.n, cfg.seed, rep), (src, tgt)):
-                want = np.zeros(union.size)
-                want[np.searchsorted(union, pmf.support)] = pmf.mass
+            drawn = replicate_pair(post, pre.n, post.n, cfg.seed, rep)
+            for got, pmf, union, other in zip((A, B), drawn, (src, tgt), (post.n, pre.n)):
+                want = np.zeros(union.size, dtype=np.int64)
+                want[np.searchsorted(union, pmf.support)] = pmf.counts * other
                 assert got[:, 1 + rep].tobytes() == want.tobytes()
+
+    def test_placebo_mean_is_the_exact_mean_rounded_once(self):
+        # On the synthetic lottery market, at every grid bandwidth, the mean
+        # is the sum of the replicates' exact numerators over sims * n_a * n_b,
+        # rounded once.
+        prices = population_prices(2_000, synth_curve(2_000))
+        pre = pmf_of(prices)
+        post = pmf_of(lottery_post_prices(prices, 800, 0.3, seed=4, growth=0.03))
+        cfg = PlaceboConfig(n_sims=20, seed=6)
+        grid = list(range(0, 6_001, 1_000))
+        scan = bandwidth_scan(pre, post, grid, cfg)
+        pairs = [replicate_pair(post, pre.n, post.n, cfg.seed, rep) for rep in range(cfg.n_sims)]
+        scale = pre.n * post.n
+        for row, d in zip(scan.rows, grid):
+            numerators = [fraction_cost(a, b, d) * scale for a, b in pairs]
+            assert all(x.denominator == 1 for x in numerators)
+            want = Fraction(int(sum(numerators)), cfg.n_sims * scale)
+            assert row.placebo_mean == float(want)
 
     def test_per_replicate_monotone_in_d(self):
         # Each replicate's cost is nonincreasing in d, so its mean and every
         # quantile across replicates are too.
-        base = PricePMF.from_counts([1, 3, 8, 20, 50], [5, 1, 2, 2, 4])
+        base = PricePMF([1, 3, 8, 20, 50], [5, 1, 2, 2, 4])
         grid = [0, 2, 5, 12, 30, 49]
-        rows = placebo_scan(base, 60, 60, grid, PlaceboConfig(n_sims=60, seed=5)).rows
+        rows = placebo_scan(base, 70, 70, grid, PlaceboConfig(n_sims=60, seed=5)).rows
         stats = np.array([(row.placebo_mean, *row.placebo_quantiles) for row in rows])
         assert np.all(np.diff(stats, axis=0) <= 1e-12)
 
@@ -140,23 +162,23 @@ class TestSelectBandwidth:
     # The noise floor of `BandwidthScan.select`: the first scanned d whose
     # placebo mean is below the threshold.
     def test_point_mass_selects_grid_minimum(self):
-        base = PricePMF.from_counts([100], [5])
+        base = PricePMF([100], [5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
         assert placebo_scan(base, 10, 10, [3, 7, 11], cfg).select(0.0005).placebo_d == 3
 
     def test_single_span_plus_one_grid(self):
-        base = PricePMF.from_counts([0, 200], [5, 5])
+        base = PricePMF([0, 200], [5, 5])
         cfg = PlaceboConfig(n_sims=20, seed=0)
         assert placebo_scan(base, 30, 30, [201], cfg).select(0.0005).placebo_d == 201
 
     def test_tighter_threshold_weakly_raises_d(self):
-        base = PricePMF.from_counts([0, 100_000], [12, 8])
+        base = PricePMF([0, 100_000], [12, 8])
         cfg = PlaceboConfig(n_sims=300, seed=3)
         scan = placebo_scan(base, 40, 40, list(range(0, 120_001, 10_000)), cfg)
         assert scan.select(0.0005).placebo_d >= scan.select(0.005).placebo_d
 
     def test_failure_lists_minimum(self):
-        base = PricePMF.from_counts([0, 100_000], [1, 1])
+        base = PricePMF([0, 100_000], [1, 1])
         scan = placebo_scan(base, 10, 10, [0, 1], PlaceboConfig(n_sims=50, seed=0))
         with pytest.raises(SelectionError, match="minimum placebo mean"):
             scan.select(1e-9)
@@ -183,7 +205,7 @@ class TestDifferenceInTransports:
 
     def test_degenerate_control(self, two_point):
         a, b = two_point
-        c = PricePMF.from_counts([7], [3])
+        c = PricePMF([7], [3])
         assert diff_in_transports(a, b, c, c, 0) == 0.5
 
     def test_triangle_rearrangement_on_random_draws(self):
@@ -233,8 +255,8 @@ class TestDifferenceInTransports:
             assert row.dit_value <= swapped + bound.real_cost
 
     def test_reported_verbatim_when_negative(self):
-        near = PricePMF.from_counts([0, 1], [1, 1])
-        far = PricePMF.from_counts([1000, 2000], [1, 1])
+        near = PricePMF([0, 1], [1, 1])
+        far = PricePMF([1000, 2000], [1, 1])
         value = diff_in_transports(near, near, near, far, 0)
         assert value == -1.0
 
@@ -309,13 +331,26 @@ class TestSelectDstar:
         assert no_trends.select(0.5, 1e-9) == Selection(1, 0.3, 1, 0, 1)
 
     def test_before_after_reads_the_floor_itself(self):
-        # Without a control pair the estimate is the real cost at d_min, even
-        # where a later row's cost rises within the tolerated 1e-12.
-        costs_and_means = [(0.5, 0.9), (0.3, 0.0), (0.3 + 5e-13, 0.0)]
+        # Without a control pair the estimate is the real cost at d_min, the
+        # first admissible row, even where a later row's cost ties it.
+        costs_and_means = [(0.5, 0.9), (0.3, 0.0), (0.3, 0.0)]
         scan = scan_from_rows([(d, c, m, 0.0, (0.0,), None) for d, (c, m) in enumerate(costs_and_means)])
         assert scan.select(0.5) == Selection(1, 0.3, 1, 0, 1)
-        assert scan.select(d_min=2) == Selection(2, 0.3 + 5e-13, None, None, 2)
+        assert scan.select(d_min=2) == Selection(2, 0.3, None, None, 2)
         assert scan.select(d_min=0).d_star == 0
+
+    def test_rising_real_cost_is_rejected(self):
+        # Each cost is an exact rational rounded once, so no rise with d is rounding.
+        with pytest.raises(ValidationError, match="nonincreasing"):
+            scan_from_rows([(0, 0.3, 0.0, 0.0, (0.0,), None), (1, 0.3 + 5e-13, 0.0, 0.0, (0.0,), None)])
+
+    def test_scan_without_rows_is_rejected(self):
+        # Neither floor can be read off no rows, nor the trends floor off no curves.
+        with pytest.raises(ValidationError, match="^a scan needs at least one row$"):
+            BandwidthScan(())
+        rows = (ScanRow(0, 0.5, 0.0, 0.0, (0.0,)),)
+        with pytest.raises(ValidationError, match="^trends curves need at least one row$"):
+            BandwidthScan(rows, ())
 
 
 class TestFloors:
@@ -340,7 +375,7 @@ class TestEqualDisplacement:
         rng = np.random.default_rng(11)
         a = random_pmf(rng)
         b = random_pmf(rng)
-        c = PricePMF.from_counts([3], [1])
+        c = PricePMF([3], [1])
         rows = trends_curves(a, b, c, c, [0, 5, 50])
         for d, cost_a, cost_b, diff in rows:
             assert cost_b == 0.0

@@ -50,8 +50,8 @@ class TestConfig:
 
 class TestSubsampleCI:
     def test_point_mass_interval_is_degenerate(self):
-        pre = PricePMF.from_counts([50_000], [30])
-        post = PricePMF.from_counts([50_000], [20])
+        pre = PricePMF([50_000], [30])
+        post = PricePMF([50_000], [20])
         res = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=40, seed=1))
         assert res.point == 0.0
         assert res.lower == res.upper == 0.0
@@ -60,15 +60,15 @@ class TestSubsampleCI:
     def test_near_full_subsample_tracks_point(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(1, 50, size=12)
-        pre = PricePMF.from_counts(np.arange(12) * 1000, counts)
-        post = PricePMF.from_counts(np.arange(12) * 1000 + 200, counts[::-1])
+        pre = PricePMF(np.arange(12) * 1000, counts)
+        post = PricePMF(np.arange(12) * 1000 + 200, counts[::-1])
         cfg = SubsampleConfig(n_draws=1, b=min(pre.n, post.n) - 1, seed=2)
         res = subsample_ci(pre, post, 0, cfg)
         assert res.draws[0] == pytest.approx(res.point, abs=0.05)
 
     def test_reproducible_and_matches_scalar_cost(self):
-        pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
-        post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
+        pre = PricePMF([1, 2, 3, 10], [10, 20, 5, 30])
+        post = PricePMF([1, 2, 3, 10], [25, 5, 20, 15])
         cfg = SubsampleConfig(n_draws=50, seed=11)
         r1 = subsample_ci(pre, post, 1, cfg)
         r2 = subsample_ci(pre, post, 1, cfg)
@@ -84,13 +84,13 @@ class TestSubsampleCI:
         # Every side on its own support, and a scratch budget so small that
         # the full sample and 40 draws take 14 kernel calls, or 82 (two
         # pairs a draw) for the dit estimator.
-        pre = PricePMF.from_counts([1, 4, 9, 30], [10, 20, 5, 30])
-        post = PricePMF.from_counts([2, 4, 12, 25, 40], [25, 5, 20, 15, 7])
+        pre = PricePMF([1, 4, 9, 30], [10, 20, 5, 30])
+        post = PricePMF([2, 4, 12, 25, 40], [25, 5, 20, 15, 7])
         control = None
         if estimator == "dit":
             control = (
-                PricePMF.from_counts([0, 9, 50], [12, 9, 30]),
-                PricePMF.from_counts([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
+                PricePMF([0, 9, 50], [12, 9, 30]),
+                PricePMF([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
             )
         sides = [pre, post] + list(control or [])
         d = 3
@@ -118,15 +118,15 @@ class TestSubsampleCI:
         assert res.n_failed == 0
 
     def test_draw_columns_are_counts_over_sizes(self, monkeypatch):
-        # The sweep writes each draw's counts into its column and divides the
-        # block by the sizes once: every column holds, bit for bit, the
-        # masses `counts / b` of the oracle's draw on its own rows, and zero
-        # on the other side's.
+        # The sweep writes each draw's counts into its column and scales the
+        # block by the sizes once: every column holds the oracle's draw's
+        # counts times the other side's subsample size on its own rows, and
+        # zero on the other side's.
         sides = [
-            PricePMF.from_counts([1, 4, 9, 30], [10, 20, 5, 30]),
-            PricePMF.from_counts([2, 4, 12, 25, 40], [25, 5, 20, 15, 7]),
-            PricePMF.from_counts([0, 9, 50], [12, 9, 30]),
-            PricePMF.from_counts([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
+            PricePMF([1, 4, 9, 30], [10, 20, 5, 30]),
+            PricePMF([2, 4, 12, 25, 40], [25, 5, 20, 15, 7]),
+            PricePMF([0, 9, 50], [12, 9, 30]),
+            PricePMF([3, 8, 31, 50, 70], [8, 11, 9, 20, 4]),
         ]
         cfg = SubsampleConfig(n_draws=7, seed=12)
         kernel, calls = transport._cost_columns, []
@@ -136,21 +136,22 @@ class TestSubsampleCI:
         src = np.union1d(sides[0].support, sides[2].support)
         tgt = np.union1d(sides[1].support, sides[3].support)
 
-        def lifted(pmf, union):
-            column = np.zeros(union.size)
-            column[np.searchsorted(union, pmf.support)] = pmf.mass
+        def lifted(pmf, union, other):
+            column = np.zeros(union.size, dtype=np.int64)
+            column[np.searchsorted(union, pmf.support)] = pmf.counts * other.n
             return column.tobytes()
 
         for k in range(cfg.n_draws):
             draw = subsample_draw(sides, cfg, k)
             for i in (0, 1):
                 col = 2 * (k + 1) + i
-                assert A[:, col].tobytes() == lifted(draw[2 * i], src)
-                assert B[:, col].tobytes() == lifted(draw[2 * i + 1], tgt)
+                src_draw, tgt_draw = draw[2 * i], draw[2 * i + 1]
+                assert A[:, col].tobytes() == lifted(src_draw, src, tgt_draw)
+                assert B[:, col].tobytes() == lifted(tgt_draw, tgt, src_draw)
 
     def test_interval_orientation_and_width(self):
-        pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
-        post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
+        pre = PricePMF([1, 2, 3, 10], [10, 20, 5, 30])
+        post = PricePMF([1, 2, 3, 10], [25, 5, 20, 15])
         wide = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=80, seed=3))
         narrow = subsample_ci(
             pre, post, 0, SubsampleConfig(n_draws=80, seed=3, alpha=0.5)
@@ -160,8 +161,8 @@ class TestSubsampleCI:
         assert narrow.upper <= wide.upper
 
     def test_dit_estimator_with_control(self):
-        pre = PricePMF.from_counts([1, 2, 3, 10], [10, 20, 5, 30])
-        post = PricePMF.from_counts([1, 2, 3, 10], [25, 5, 20, 15])
+        pre = PricePMF([1, 2, 3, 10], [10, 20, 5, 30])
+        post = PricePMF([1, 2, 3, 10], [25, 5, 20, 15])
         cfg = SubsampleConfig(n_draws=30, seed=7)
         res = subsample_ci(pre, post, 1, cfg, control=(pre, post))
         # Shared data for both pairs: every draw resamples the four sides
@@ -170,8 +171,8 @@ class TestSubsampleCI:
         assert res.lower <= res.upper
 
     def test_dump_draws_csv(self):
-        pre = PricePMF.from_counts([1, 2], [5, 5])
-        post = PricePMF.from_counts([1, 2], [5, 5])
+        pre = PricePMF([1, 2], [5, 5])
+        post = PricePMF([1, 2], [5, 5])
         res = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=3, seed=1))
         buf = io.StringIO()
         dump_draws(res, buf)
@@ -184,8 +185,8 @@ class TestFromDraws:
     def test_mapped_draws(self):
         # A map applied to the point and the draws after inference gives the
         # interval of the mapped draws.
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
+        pre = PricePMF([1, 2], [50, 50])
+        post = PricePMF([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
         raw = subsample_ci(pre, post, 0, cfg)
         mapped = SubsampleResult.from_draws(2 * raw.point, 2 * raw.draws, cfg.alpha)
@@ -196,8 +197,8 @@ class TestFromDraws:
         assert mapped.n_failed == 0
 
     def test_nan_draws_left_out(self):
-        pre = PricePMF.from_counts([1, 2], [50, 50])
-        post = PricePMF.from_counts([1, 2], [20, 80])
+        pre = PricePMF([1, 2], [50, 50])
+        post = PricePMF([1, 2], [20, 80])
         cfg = SubsampleConfig(n_draws=25, seed=13)
         raw = subsample_ci(pre, post, 0, cfg)
         # The point is 0.3 and the draws run from 0.12 to 0.44.

@@ -328,17 +328,18 @@ class TestSalesTable:
 class TestPricePMF:
     def test_rejects_unsorted_support(self):
         with pytest.raises(ValidationError):
-            PricePMF(np.array([2, 1]), np.array([0.5, 0.5]), 2)
+            PricePMF(np.array([2, 1]), np.array([1, 1]))
 
     def test_rejects_duplicate_support(self):
         with pytest.raises(ValidationError):
-            PricePMF(np.array([1, 1]), np.array([0.5, 0.5]), 2)
+            PricePMF(np.array([1, 1]), np.array([1, 1]))
 
     def test_rejects_bad_mass(self):
-        with pytest.raises(ValidationError):
-            PricePMF(np.array([1, 2]), np.array([0.6, 0.6]), 2)
-        with pytest.raises(ValidationError):
-            PricePMF(np.array([1, 2]), np.array([1.2, -0.2]), 2)
+        # Masses in place of counts, and negative counts, fail in one line.
+        for counts in ([0.5, 0.5], [0.6, 0.6], [1.2, -0.2], [3, -1]):
+            with pytest.raises(ValidationError) as err:
+                PricePMF(np.array([1, 2]), np.array(counts))
+            assert len(str(err.value).splitlines()) == 1
 
     @pytest.mark.parametrize(
         "mass",
@@ -346,24 +347,30 @@ class TestPricePMF:
     )
     def test_rejects_non_finite_mass(self, mass):
         with pytest.raises(ValidationError) as err:
-            PricePMF(np.array([1, 2]), np.array(mass), 1)
+            PricePMF(np.array([1, 2]), np.array(mass))
         assert len(str(err.value).splitlines()) == 1
 
     def test_rejects_bad_n(self):
+        # The total is the counts' sum: none, a fraction, or past int64.
+        with pytest.raises(EmptyDistributionError, match="^zero total quantity$"):
+            PricePMF(np.array([1, 2]), np.array([0, 0]))
         with pytest.raises(ValidationError):
-            PricePMF(np.array([1]), np.array([1.0]), 0)
-        with pytest.raises(ValidationError):
-            PricePMF(np.array([1]), np.array([1.0]), 2.5)
+            PricePMF(np.array([1]), np.array([2.5]))
+        with pytest.raises(ValidationError, match="int64 range"):
+            PricePMF(np.array([1, 2]), np.array([2**62, 2**62]))
 
     def test_counts_roundtrip(self):
-        pmf = PricePMF.from_counts([10, 20, 30], [3, 0, 7])
-        assert pmf.counts().tolist() == [3, 0, 7]
+        pmf = PricePMF([10, 20, 30], [3, 0, 7])
+        assert pmf.counts.tolist() == [3, 0, 7]
         assert pmf.n == 10
+        assert pmf.mass.tolist() == [0.3, 0.0, 0.7]
 
     def test_immutable(self):
-        pmf = PricePMF.from_counts([10, 20], [1, 1])
+        pmf = PricePMF([10, 20], [1, 1])
         with pytest.raises(ValueError):
             pmf.mass[0] = 0.9
+        with pytest.raises(ValueError):
+            pmf.counts[0] = 2
 
     def test_first_common_spans_any_number_of_years(self):
         # Read from range ends and exclusions, so 10^17 years take no longer

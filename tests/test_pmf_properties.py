@@ -150,9 +150,9 @@ def test_pooled_pmf_matches_dict_loop_and_sums_its_cities(rows, labels, filt):
     for label in set(labels):
         city = pmf_or_empty(build_pmf, table, label, filt)
         if city != "empty":
-            for price, count in zip(city.support.tolist(), city.counts().tolist()):
+            for price, count in zip(city.support.tolist(), city.counts.tolist()):
                 summed[price] += count
-    assert got.counts().tolist() == list(summed.values())
+    assert got.counts.tolist() == list(summed.values())
 
 
 @st.composite

@@ -24,8 +24,8 @@ from _oracles import (
 
 @pytest.fixture
 def two_point():
-    a = PricePMF(np.array([1, 2]), np.array([0.75, 0.25]), 8)
-    b = PricePMF(np.array([1, 2]), np.array([0.25, 0.75]), 4)
+    a = PricePMF(np.array([1, 2]), np.array([6, 2]))
+    b = PricePMF(np.array([1, 2]), np.array([1, 3]))
     return a, b
 
 
@@ -42,8 +42,8 @@ class TestCost:
                 assert ot_cost(p, p, d) == 0.0
 
     def test_brute_2x2_example(self):
-        a = PricePMF(np.array([0, 10]), np.array([0.5, 0.5]), 10)
-        b = PricePMF(np.array([0, 10]), np.array([0.2, 0.8]), 10)
+        a = PricePMF(np.array([0, 10]), np.array([5, 5]))
+        b = PricePMF(np.array([0, 10]), np.array([2, 8]))
         assert ot_cost(a, b, 5) == pytest.approx(0.3, abs=1e-15)
         assert ot_cost(a, b, 5) == pytest.approx(brute_2x2_cost(a, b, 5), abs=1e-12)
 
@@ -95,12 +95,12 @@ class TestCost:
             assert abs(fast - dual) <= 1e-10
 
     def test_disjoint_supports_differ_entirely(self):
-        a = PricePMF.from_counts([0, 5], [1, 1])
-        b = PricePMF.from_counts([1000, 1005], [1, 1])
+        a = PricePMF([0, 5], [1, 1])
+        b = PricePMF([1000, 1005], [1, 1])
         assert ot_cost(a, b, 10) == 1.0
 
     def test_bandwidth_validation(self):
-        a = PricePMF.from_counts([1], [1])
+        a = PricePMF([1], [1])
         with pytest.raises(ValidationError):
             ot_cost(a, a, -1)
         with pytest.raises(ValidationError):
@@ -111,16 +111,17 @@ class TestCost:
     @pytest.mark.parametrize("d", [2**63 - 5, 2**63, 10**30])
     def test_bandwidth_past_int64_is_free(self, d):
         # `price + d` would wrap in int64; every move is within such a `d`.
-        a = PricePMF.from_counts([10, 20], [1, 1])
-        b = PricePMF.from_counts([1000, 5000], [1, 1])
+        a = PricePMF([10, 20], [1, 1])
+        b = PricePMF([1000, 5000], [1, 1])
         assert ot_cost(a, b, d) == 0.0
         assert solve_ot(a, b, d).cost == 0.0
         assert strassen_certificate(a, b, d) == (set(), 0.0)
-        assert _sweep([(a, b)], [0, d]).tolist() == [[1.0, 0.0]]
+        cost, scale = _sweep([(a, b)], [0, d])
+        assert (cost / scale[:, None]).tolist() == [[1.0, 0.0]]
 
     def test_unrepresentable_window_is_validation_error(self):
         top = 2**62 + 2**61
-        a = PricePMF.from_counts([1, top], [1, 1])
+        a = PricePMF([1, top], [1, 1])
         assert ot_cost(a, a, 0) == 0.0
         with pytest.raises(ValidationError, match="overflows int64"):
             ot_cost(a, a, top)
@@ -138,7 +139,7 @@ class TestPlan:
         assert np.allclose(as_matrix, np.array([[1, 2], [0, 1]]) / 4)
 
     def test_identity_plan_is_diagonal(self):
-        p = PricePMF.from_counts([1, 5, 9], [2, 3, 5])
+        p = PricePMF([1, 5, 9], [2, 3, 5])
         plan = solve_ot(p, p, 0)
         assert plan.cost == 0.0
         assert all(i == j for i, j, _ in plan.entries)
@@ -170,14 +171,14 @@ class TestCertificate:
         assert best == {0}
 
     def test_identity_gives_zero_and_empty_set(self):
-        p = PricePMF.from_counts([1, 2, 3], [1, 1, 1])
+        p = PricePMF([1, 2, 3], [1, 1, 1])
         best, value = strassen_certificate(p, p, 5)
         assert value == 0.0
         assert best == set()
 
     def test_disjoint_far_supports(self):
-        a = PricePMF.from_counts([0, 5], [1, 1])
-        b = PricePMF.from_counts([1000, 1005], [1, 1])
+        a = PricePMF([0, 5], [1, 1])
+        b = PricePMF([1000, 1005], [1, 1])
         best, value = strassen_certificate(a, b, 10)
         assert value == 1.0
         assert best == {0, 1}
@@ -188,8 +189,8 @@ class TestCertificate:
         rng = np.random.default_rng(13)
         for n in (13, 2000):
             support = np.arange(n) * 100
-            a = PricePMF.from_counts(support, sparse_counts(rng, n, 0.3))
-            b = PricePMF.from_counts(support + 50, sparse_counts(rng, n, 0.3))
+            a = PricePMF(support, sparse_counts(rng, n, 0.3))
+            b = PricePMF(support + 50, sparse_counts(rng, n, 0.3))
             for d in (0, 50, 500):
                 best, value = strassen_certificate(a, b, d)
                 assert abs(value - ot_cost(a, b, d)) <= 1e-12
@@ -212,7 +213,7 @@ class TestCertificate:
             na = int(rng.integers(1, 12))
             nb = int(rng.integers(1, 13 - na))
             a, b = (
-                PricePMF.from_counts(
+                PricePMF(
                     np.sort(rng.choice(60, size=k, replace=False)), sparse_counts(rng, k, 0.3)
                 )
                 for k in (na, nb)

@@ -3,10 +3,11 @@
 Supports are small sorted price sets, masses come from integer counts with
 zeros allowed, target supports are drawn independently, equal to the source
 or shifted past it (disjoint), and bandwidths run past the combined span.
-The scalar recurrence and the column sweep run the same float operations, so
-they must agree to rounding; the LP, the plan's entries and the dual scan sum
-differently, so they get the looser tolerance.  At paper scale (supports of
-up to ~2,000 prices) the dual scan is the oracle.
+The scalar recurrence and the column sweep compute each cost exactly and
+round it once, so both must equal the `Fraction` recurrence; the LP, the
+plan's entries and the dual scan sum floats, so they get the looser
+tolerance.  At paper scale (supports of up to ~2,000 prices) the dual scan
+is the oracle.
 """
 
 import tracemalloc
@@ -19,10 +20,11 @@ from hypothesis import strategies as st
 from diftrans import transport
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
-from diftrans.transport import ZERO_COST, _sweep, ot_cost, solve_ot
+from diftrans.transport import _sweep, ot_cost, solve_ot
 
 from _oracles import (
     check_feasible,
+    fraction_cost,
     indicator_cost,
     lp_transport_cost,
     per_source_cost_columns,
@@ -45,6 +47,12 @@ bandwidths = st.integers(0, 1500)
 FINE_LATTICE = np.arange(20_000, 188_001, 100)
 
 
+def sweep_costs(*args):
+    """`_sweep`'s costs: its numerators over their denominators."""
+    cost, scale = _sweep(*args)
+    return cost / scale[:, None]
+
+
 def counts_on(support):
     return st.lists(
         st.integers(0, 9), min_size=len(support), max_size=len(support)
@@ -53,7 +61,7 @@ def counts_on(support):
 
 @st.composite
 def pmfs_on(draw, support):
-    return PricePMF.from_counts(support, draw(counts_on(support)))
+    return PricePMF(support, draw(counts_on(support)))
 
 
 @st.composite
@@ -91,10 +99,10 @@ def test_batch_equals_scalar(data):
 
     def column(r):
         i, a, b = columns[r]
-        return i, a.mass, b.mass, 1.0, 1.0
+        return i, a.counts, b.counts, a.n, b.n
 
-    batch = _sweep(pairs, grid)
-    picked = _sweep(pairs, grid, len(columns), column)
+    batch = sweep_costs(pairs, grid)
+    picked = sweep_costs(pairs, grid, len(columns), column)
     assert batch.shape == (len(pairs), len(grid))
     assert picked.shape == (len(columns), len(grid))
     expected = pairs + [(a, b) for _, a, b in columns]
@@ -103,11 +111,46 @@ def test_batch_equals_scalar(data):
             assert abs(cost - ot_cost(a, b, d)) <= BATCH_TOL
 
 
+@PROPERTIES
+@given(st.data())
+def test_costs_equal_fraction_recurrence(data):
+    # Every cost of `ot_cost` and of one sweep over several pairs, on shared
+    # union supports, is the exact rational cost rounded once, and every
+    # sweep numerator is that rational times its denominator.
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        src, tgt = data.draw(support_pairs())
+        pairs.append((data.draw(pmfs_on(src)), data.draw(pmfs_on(tgt))))
+    grid = data.draw(st.lists(bandwidths, min_size=1, max_size=4, unique=True).map(sorted))
+    cost, scale = _sweep(pairs, grid)
+    for (a, b), numerators, denominator in zip(pairs, cost.tolist(), scale.tolist()):
+        assert denominator == a.n * b.n
+        for numerator, d in zip(numerators, grid):
+            exact = fraction_cost(a, b, d)
+            assert numerator == exact * denominator
+            assert ot_cost(a, b, d) == float(exact) == numerator / denominator
+
+
+def test_scale_past_two_to_the_53_fails_before_the_windows(monkeypatch):
+    # 2**27 units into 2**26 totals 2**53, every numerator exact; one unit
+    # more on the target side passes it, in `ot_cost`, `solve_ot` and in a
+    # sweep whose first pair is within the limit.
+    a = PricePMF([5], [2**27])
+    b, big = PricePMF([7], [2**26]), PricePMF([7], [2**26 + 1])
+    assert ot_cost(a, b, 1) == 1.0 and sweep_costs([(a, b)], [2]).tolist() == [[0.0]]
+    assert solve_ot(a, b, 2).entries == ((0, 0, 1.0),)
+    monkeypatch.setattr(transport, "_windows", lambda *args: pytest.fail("windows built"))
+    for call in (ot_cost, solve_ot, lambda a, b, d: _sweep([(b, b), (a, b)], [d])):
+        with pytest.raises(ValidationError, match="product passes 2\\*\\*53"):
+            call(a, big, 2)
+
+
 @st.composite
 def lifted_columns(draw):
-    """Windows and mass columns as `_sweep` hands them to the kernel: sorted
-    supports of up to a few hundred prices, zero-mass rows (prices no column
-    uses), zero-mass columns, and columns of counts over their totals."""
+    """Windows and columns as `_sweep` hands them to the kernel: sorted
+    supports of up to a few hundred prices, zero-count rows (prices no column
+    uses), zero columns, and each column's counts times the other side's
+    total, so that the two columns of a pair total alike."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k_src, k_tgt = draw(st.integers(1, 300)), draw(st.integers(1, 300))
     src = np.sort(rng.choice(5_000, size=k_src, replace=False))
@@ -115,12 +158,17 @@ def lifted_columns(draw):
     grid = np.array(draw(st.lists(st.integers(0, 8_000), min_size=1, max_size=6)))
     lo, hi = transport._windows(src, tgt, grid)
     n_cols = draw(st.integers(1, 8))
-    masses = []
+    counts = []
     for k in (k_src, k_tgt):
-        counts = rng.integers(0, 50, size=(k, n_cols)) * (rng.random((k, 1)) >= 0.3)
-        counts[:, rng.random(n_cols) < 0.2] = 0
-        masses.append(counts / np.maximum(counts.sum(axis=0), 1))
-    return lo, hi, *masses
+        drawn = rng.integers(0, 50, size=(k, n_cols)) * (rng.random((k, 1)) >= 0.3)
+        drawn[:, rng.random(n_cols) < 0.2] = 0
+        counts.append(drawn)
+    return lo, hi, *scaled(*counts)
+
+
+def scaled(counts_a, counts_b):
+    """Count columns as the kernel takes them: each times the other's total."""
+    return counts_a * counts_b.sum(axis=0), counts_b * counts_a.sum(axis=0)
 
 
 @PROPERTIES
@@ -160,17 +208,16 @@ def test_chunked_kernel_at_cli_shapes(shape):
     src, tgt = FINE_LATTICE, np.arange(20_000, 193_001, 100)
     lo, hi = transport._windows(src, tgt, grid)
     A, B = (
-        rng.integers(0, 50, size=(k, shape[1])) * (rng.random((k, 1)) >= 0.3) / 1.0
+        rng.integers(0, 50, size=(k, shape[1])) * (rng.random((k, 1)) >= 0.3)
         for k in (src.size, tgt.size)
     )
-    A[:, -1] = 0.0
-    A /= np.maximum(A.sum(axis=0), 1.0)
-    B /= B.sum(axis=0)
+    A[:, -1] = 0
+    A, B = scaled(A, B)
     before = A.copy(), B.copy()
     got = transport._cost_columns(lo, hi, A, B)
     assert np.array_equal(got, per_source_cost_columns(lo, hi, A, B))
     assert np.array_equal(A, before[0]) and np.array_equal(B, before[1])
-    assert 0.0 < got.max() < 1.0
+    assert 0.0 < (got / np.maximum(A.sum(axis=0), 1)[:, None]).max() < 1.0
 
 
 def test_chunk_depth_is_capped_at_the_source_count():
@@ -180,9 +227,7 @@ def test_chunk_depth_is_capped_at_the_source_count():
     rng = np.random.default_rng(0)
     src = np.arange(0, 5_000, 100)
     lo, hi = transport._windows(src, src, [0, 300])
-    A, B = rng.random((2, src.size, 3))
-    A /= A.sum(axis=0)
-    B /= B.sum(axis=0)
+    A, B = scaled(*rng.integers(1, 50, size=(2, src.size, 3)))
     assert (transport.SCRATCH_CELLS >> 5) // 6 > src.size
     tracemalloc.start()
     try:
@@ -225,7 +270,7 @@ def test_union_equals_unique_of_concatenation(sets):
 
 
 def assert_optimal_plan(a, b, d):
-    """`solve_ot(a, b, d)` is feasible, has no rounding slivers, and attains `ot_cost`.
+    """`solve_ot(a, b, d)` is feasible, has no empty entries, and attains `ot_cost`.
 
     The far entries pair only mass that no free move could take: no source
     that sends mass far is within `d` of a target that receives mass from far.
@@ -233,7 +278,7 @@ def assert_optimal_plan(a, b, d):
     plan = solve_ot(a, b, d)
     check_feasible(plan, a, b)
     i, j, m = (np.array(column) for column in zip(*plan.entries))
-    assert m.min() >= ZERO_COST
+    assert m.min() > 0.0
     src, tgt = a.support[i], b.support[j]
     near = np.abs(src - tgt) <= d
     gaps = np.abs(np.unique(src[~near])[:, None] - np.unique(tgt[~near])[None, :])
@@ -255,8 +300,8 @@ def test_matches_lp_and_greedy_plan(instance):
 @pytest.mark.parametrize("d", [0, 100, 2_500, 200_000])
 def test_plan_at_paper_scale(d):
     rng = np.random.default_rng(d)
-    a = PricePMF.from_counts(FINE_LATTICE, sparse_counts(rng, FINE_LATTICE.size, 0.3))
-    b = PricePMF.from_counts(FINE_LATTICE + 300, sparse_counts(rng, FINE_LATTICE.size, 0.3))
+    a = PricePMF(FINE_LATTICE, sparse_counts(rng, FINE_LATTICE.size, 0.3))
+    b = PricePMF(FINE_LATTICE + 300, sparse_counts(rng, FINE_LATTICE.size, 0.3))
     assert_optimal_plan(a, b, d)
 
 
@@ -276,7 +321,7 @@ def paper_scale_instances(draw):
             support = np.sort(rng.choice(FINE_LATTICE, size=k, replace=False)) + shift
         else:
             support = np.sort(rng.choice(200_000, size=k, replace=False))
-        pmfs.append(PricePMF.from_counts(support, sparse_counts(rng, k, zero_share)))
+        pmfs.append(PricePMF(support, sparse_counts(rng, k, zero_share)))
     d = draw(st.one_of(st.integers(0, 3_000), st.integers(0, 250_000)))
     return pmfs[0], pmfs[1], d
 
@@ -287,7 +332,7 @@ def test_dual_scan_at_paper_scale(instance):
     a, b, d = instance
     chosen, value = strassen_certificate(a, b, d)
     assert abs(ot_cost(a, b, d) - value) <= ORACLE_TOL
-    assert abs(_sweep([(a, b)], [d])[0, 0] - value) <= ORACLE_TOL
+    assert abs(sweep_costs([(a, b)], [d])[0, 0] - value) <= ORACLE_TOL
     assert abs(set_value(a, b, d, chosen) - value) <= ORACLE_TOL
 
 
@@ -309,7 +354,7 @@ def test_symmetric(instance):
 @given(instances(), st.integers(0, 10**7))
 def test_price_shift_invariant(instance, shift):
     a, b, d = instance
-    moved = [PricePMF(p.support + shift, p.mass, p.n) for p in (a, b)]
+    moved = [PricePMF(p.support + shift, p.counts) for p in (a, b)]
     assert ot_cost(*moved, d) == ot_cost(a, b, d)
 
 
@@ -319,11 +364,11 @@ def test_free_beyond_span(instance):
     a, b, _ = instance
     span = max(a.support[-1], b.support[-1]) - min(a.support[0], b.support[0])
     assert ot_cost(a, b, int(span)) == 0.0
-    assert _sweep([(a, b)], [int(span), int(span) + 1]).tolist() == [[0.0, 0.0]]
+    assert sweep_costs([(a, b)], [int(span), int(span) + 1]).tolist() == [[0.0, 0.0]]
 
 
 def test_batch_rejects_bad_shapes_and_bandwidths():
-    p = PricePMF.from_counts([1, 2], [1, 1])
+    p = PricePMF([1, 2], [1, 1])
     with pytest.raises(ValidationError):
         _sweep([], [0])
     for bad in (-1, 0.5, True):
@@ -334,9 +379,9 @@ def test_batch_rejects_bad_shapes_and_bandwidths():
 def test_sweep_caps_window_cells(monkeypatch):
     # The (source, bandwidth) windows are refused past WINDOW_CELLS before
     # `_windows` builds them, and admitted up to it.
-    p = PricePMF.from_counts([1, 2, 3], [1, 1, 1])
+    p = PricePMF([1, 2, 3], [1, 1, 1])
     monkeypatch.setattr(transport, "WINDOW_CELLS", 6)
-    assert _sweep([(p, p)], [0, 1]).shape == (1, 2)
+    assert sweep_costs([(p, p)], [0, 1]).shape == (1, 2)
     built = []
     monkeypatch.setattr(transport, "_windows", lambda *args: built.append(args))
     with pytest.raises(ValidationError, match="3 source prices by 3 bandwidths exceed 6 cells"):
@@ -347,12 +392,12 @@ def test_sweep_caps_window_cells(monkeypatch):
 def test_sweep_caps_cost_cells(monkeypatch):
     # The (column, bandwidth) costs are refused past WINDOW_CELLS before
     # they are allocated, and admitted up to it.
-    p = PricePMF.from_counts([1, 2], [1, 1])
-    column = lambda r: (0, p.mass, p.mass, 1.0, 1.0)
+    p = PricePMF([1, 2], [1, 1])
+    column = lambda r: (0, p.counts, p.counts, p.n, p.n)
     with pytest.raises(ValidationError, match="costs of 10000000000000 columns by 2 bandwidths"):
         _sweep([(p, p)], [0, 1], 10**13, column)
     monkeypatch.setattr(transport, "WINDOW_CELLS", 6)
-    assert _sweep([(p, p)], [0, 1], 3, column).shape == (3, 2)
+    assert sweep_costs([(p, p)], [0, 1], 3, column).shape == (3, 2)
     with pytest.raises(ValidationError, match="costs of 4 columns by 2 bandwidths exceed 6 cells"):
         _sweep([(p, p)], [0, 1], 4, column)
 
