@@ -9,11 +9,23 @@
 # `ci --estimator dit` and `did` also run with the pooled control
 # `coastal,inland`.  `report` bundles the JSON files the commands before it
 # write.  Any command that exits non-zero stops the script with its status.
+# Each CSV the commands write must have its header line and its line count,
+# and no cell may hold a numpy scalar's repr such as `np.float64(...)`,
+# which numpy 2 prints for a numpy float written by its repr.
 # Last, a pooled control with a typo, a treated city with a typo, a month in
 # both windows, a pair of windows whose unit totals multiply past 2**53 and a
 # scan threshold that no bandwidth meets must each exit 1 with exactly one
 # line on stderr; the failed scan writes its CSV and no report.
 set -eu
+
+# Fail unless the CSV file $1 has the header line $2 and $3 lines in all.
+csv_is() {
+    if [ "$(head -n 1 "$1")" != "$2" ] || [ "$(wc -l < "$1")" -ne "$3" ]; then
+        echo "expected header $2 and $3 lines in $1, got:" >&2
+        head -n 3 "$1" >&2
+        exit 1
+    fi
+}
 
 # Run diftrans with the arguments given; fail unless it exits 1 with one stderr line.
 fails_in_one_line() {
@@ -42,6 +54,31 @@ diftrans did --input market.csv --treated-city metro --control-cities coastal $w
 diftrans did --input market.csv --treated-city metro --control-cities coastal,inland $window --out did_pooled.json
 # z = 0.05 < s puts the first trades on the speculators' flat segment.
 diftrans equilibrium --wtp wtp.csv --speculator-share 0.05 --s 0.1 --out equilibrium_speculators.json
+diftrans ingest --input market.csv --out ingest.json
+diftrans did --input market.csv --treated-city metro --control-cities coastal $window --weighting rows --out did_rows.json
+diftrans dit --input market.csv --treated-city metro --control-city coastal $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --diag-pre 2010-01:2010-06 --diag-post 2010-07:2010-12 --tau 0.5 --trends-csv trends.csv --out-csv curve_trends.csv --out dit_trends.json
+diftrans ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 21 --dump-draws draws.csv --out ci_draws.json
+# s_notc = 0.25 here, below 30 of the 40 share draws: they cannot be inverted and are empty.
+diftrans ci --input market.csv --city metro $window --map p --wtp wtp.csv --market-size 50000 --quota 37500 --d 2000 --draws 40 --seed 21 --dump-draws draws_nan.csv --out ci_nan.json
+diftrans equilibrium --wtp wtp.csv --s 0.1,0.2 --price-floor 150000 --out-csv eq.csv --out equilibrium_floor.json
+scan_header=d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit
+for name in curve curve_pooled curve_trends; do
+    csv_is $name.csv $scan_header 10
+done
+csv_is scan.csv $scan_header 6
+csv_is trends.csv d,cost_treated,cost_control,difference 10
+csv_is plan.csv i,j,x_i,x_j,mass 333
+csv_is draws.csv draw_index,value 41
+csv_is draws_nan.csv draw_index,value 41
+csv_is eq.csv s,p,t,v_seller,v_buyer,gross_gains,tc_total,net_gains,tc_share,meets_price_floor 3
+if [ "$(grep -c ',$' draws_nan.csv)" -ne 30 ] || grep -q ',$' draws.csv; then
+    echo "expected 30 empty draws in draws_nan.csv and none in draws.csv" >&2
+    exit 1
+fi
+if grep -l 'np\.' ./*.csv; then
+    echo "a CSV above holds a numpy scalar's repr" >&2
+    exit 1
+fi
 diftrans report --scan scan.json --dit dit.json --equilibrium equilibrium_speculators.json --did did.json --ci ci.json --markdown report.md --out report.json
 fails_in_one_line dit --input market.csv --treated-city metro --control-city coastal,inlnad $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --out-csv curve_typo.csv --out dit_typo.json
 fails_in_one_line did --input market.csv --treated-city metro --control-cities coastal,inlnad $window --out did_typo.json

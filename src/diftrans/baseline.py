@@ -26,34 +26,21 @@ class DidResult:
     n_obs: int
     r2: float
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha0": self.alpha0,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "alpha3": self.alpha3,
-            "se": list(self.se),
-            "n_obs": self.n_obs,
-            "r2": self.r2,
-        }
 
-
-def did_ols(treated, post, price, weight=None, weighting: str = "units") -> DidResult:
+def did_ols(treated, post, price, weight=None) -> DidResult:
     """Weighted OLS of log price on treated, post, and their interaction.
 
     The design is saturated, so the coefficients are exactly the weighted
     cell means of log price and their differences.  Standard errors are
     classical homoskedastic ones under the frequency-weight convention, in
     closed form: a cell mean of weight W has variance sigma^2 / W.
-    `weighting="units"` weights each observation by its unit count,
-    `"rows"` counts every input row once.
+    `weight` is each observation's frequency, such as its unit count; without
+    it every observation counts once.
     """
     treated = np.asarray(treated, dtype=bool)
     post = np.asarray(post, dtype=bool)
     price = np.asarray(price, dtype=np.float64)
-    if weighting not in ("units", "rows"):
-        raise ValidationError(f"weighting must be 'units' or 'rows', got {weighting!r}")
-    if weighting == "rows" or weight is None:
+    if weight is None:
         w = np.ones(price.shape, dtype=np.float64)
     else:
         w = np.asarray(weight, dtype=np.float64)

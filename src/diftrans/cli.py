@@ -1,12 +1,20 @@
 """Command-line pipeline around the library: ingest, scan, estimate, invert.
 
-Every report embeds a manifest (command, resolved configuration, input file
-digests, seed, tool version) and all randomness flows from a single --seed,
-so reruns of the same manifest are byte-identical.  Each input file (the
-sales CSV, the willingness-to-pay CSV, a report section) is read once, by
-`_read`, which digests those bytes and hands them to their parser.  So the
-manifest names the bytes the run parsed, even if a file changes during the
-run.
+The library returns values and this module writes them.  Each command
+returns its report; `main` adds the manifest (command, resolved
+configuration, input file digests, seed, tool version) and writes it by
+`_write_json` once the command has returned, so a run that fails writes no
+report.  Every CSV a command writes (`--out-csv`, `--trends-csv`, `--plan`,
+`--dump-draws`) goes through `_write_csv`: a number is its repr, a flag true
+or false, and a missing value (the DiT value of a scan without a control, a
+draw without a value) an empty cell.  The one other file written is
+`report --markdown`.  All randomness flows from a single --seed, so reruns
+of the same manifest are byte-identical.
+
+Each input file (the sales CSV, the willingness-to-pay CSV, a report
+section) is read once, by `_read`, which digests those bytes and hands them
+to their parser.  So the manifest names the bytes the run parsed, even if a
+file changes during the run.
 
 Every flag value is parsed and checked before the input is read, so a run
 fails before its work, not after.  A flag that a run does not read is an
@@ -66,14 +74,10 @@ def _ingest(args) -> SalesTable:
     return table
 
 
-def _manifest(command: str, args: argparse.Namespace) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k != "func" and not k.startswith("_")
-    }
+def _manifest(args: argparse.Namespace) -> dict:
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")}
     return {
-        "command": command,
+        "command": args.command,
         "config": config,
         "inputs": args._digests,
         "seed": getattr(args, "seed", None),
@@ -88,6 +92,26 @@ def _write_json(obj: dict, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _csv_cell(value) -> str:
+    """A number by its repr, a flag as true or false, a missing value empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Write `rows` under the column names `header` to the CSV `path`, each
+    cell by `_csv_cell`.  A row holds Python numbers, such as `tolist()`
+    values (numpy 2 writes a numpy float's repr as `np.float64(...)`), and
+    None for a missing value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def _parse_ym(text: str) -> tuple[int, int]:
@@ -302,62 +326,75 @@ def _city_pmfs(table, cities, windows) -> tuple:
 # Subcommands
 
 
-def cmd_ingest(args) -> int:
+def _period_text(key: int) -> str:
+    """The period of key `year * 12 + month` as YYYY-MM."""
+    year, month = divmod(key - 1, 12)
+    return "%04d-%02d" % (year, month + 1)
+
+
+def cmd_ingest(args) -> dict:
     table = _ingest(args)
-    periods = list(zip(table.year.tolist(), table.month.tolist()))
-    report = {
+    first = last = None
+    if len(table):
+        first, last = _period_text(int(table.period.min())), _period_text(int(table.period.max()))
+    return {
         "rows": len(table),
         "total_units": int(table.quantity.sum()),
         "cities": sorted(table.cities),
-        "first_period": "%04d-%02d" % min(periods) if periods else None,
-        "last_period": "%04d-%02d" % max(periods) if periods else None,
-        "manifest": _manifest("ingest", args),
+        "first_period": first,
+        "last_period": last,
     }
-    _write_json(report, args.out)
-    return 0
 
 
-def cmd_transport(args) -> int:
+def _write_plan(path: str, plan) -> None:
+    """The plan's entries, each with the prices its indices name."""
+    src, tgt = plan.src_support.tolist(), plan.tgt_support.tolist()
+    rows = [(i, j, src[i], tgt[j], mass) for i, j, mass in plan.entries]
+    _write_csv(path, ("i", "j", "x_i", "x_j", "mass"), rows)
+
+
+def cmd_transport(args) -> dict:
     table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args._windows)
     cost = ot_cost(pre, post, args.d)
     if args.plan is not None:
-        plan = solve_ot(pre, post, args.d)
-        with open(args.plan, "w", encoding="utf-8") as fh:
-            plan.to_csv(fh)
-    report = {
-        "cost": cost,
-        "d": args.d,
-        "n_pre": pre.n,
-        "n_post": post.n,
-        "manifest": _manifest("transport", args),
-    }
-    _write_json(report, args.out)
-    return 0
+        _write_plan(args.plan, solve_ot(pre, post, args.d))
+    return {"cost": cost, "d": args.d, "n_pre": pre.n, "n_post": post.n}
 
 
-def cmd_scan(args) -> int:
+#: The columns of `scan`'s and `dit`'s `--out-csv`, one row per bandwidth:
+#: the placebo quantiles are labelled by their levels,
+#: `estimators.PLACEBO_QUANTILES`, and `dit` is empty for `scan`.
+SCAN_CSV_HEADER = "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit".split(",")
+
+
+def _write_scan(path: str, scan: estimators.BandwidthScan) -> None:
+    """The scan's rows, one per bandwidth, under `SCAN_CSV_HEADER`."""
+    rows = [
+        (row.d, row.real_cost, row.placebo_mean, row.placebo_sd, *row.placebo_quantiles, row.dit_value)
+        for row in scan.rows
+    ]
+    _write_csv(path, SCAN_CSV_HEADER, rows)
+
+
+def cmd_scan(args) -> dict:
     table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args._windows)
     placebo = PlaceboConfig(n_sims=args.sims, seed=args.seed)
     scan = estimators.bandwidth_scan(pre, post, args._grid, placebo)
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        scan.to_csv(fh)
+    _write_scan(args.out_csv, scan)
     chosen = scan.select(args.threshold)
-    report = {
+    return {
         "n_pre": pre.n,
         "n_post": post.n,
         "threshold": args.threshold,
         "scan_csv": args.out_csv,
         "selected_d": chosen.d_star,
         "estimate_at_selected_d": chosen.value,
-        "manifest": _manifest("scan", args),
     }
-    _write_json(report, args.out)
-    return 0
 
 
-def cmd_dit(args) -> int:
+def cmd_dit(args) -> dict:
     table = _ingest(args)
     cities = (args.treated_city, args._controls)
     t_pre, t_post, c_pre, c_post = _city_pmfs(table, cities, args._windows)
@@ -367,26 +404,35 @@ def cmd_dit(args) -> int:
     scan = estimators.bandwidth_scan(
         t_pre, t_post, args._grid, placebo, control=(c_pre, c_post), trends=trends
     )
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        scan.to_csv(fh)
+    _write_scan(args.out_csv, scan)
     if args.trends_csv is not None:
-        with open(args.trends_csv, "w", encoding="utf-8") as fh:
-            fh.write("d,cost_treated,cost_control,difference\n")
-            for d, ca, cb, diff in scan.trends:
-                fh.write(f"{d},{ca!r},{cb!r},{diff!r}\n")
+        _write_csv(args.trends_csv, ("d", "cost_treated", "cost_control", "difference"), scan.trends)
     chosen = scan.select(args.threshold, args.tau, args.d_min)
-    report = {
+    return {
         "curve_csv": args.out_csv,
         "d_star": chosen.d_star,
         "s_dit": chosen.value,
         "floors": {key: getattr(chosen, key) for key in ("placebo_d", "displacement_d", "d_min")},
-        "manifest": _manifest("dit", args),
     }
-    _write_json(report, args.out)
-    return 0
 
 
-def cmd_equilibrium(args) -> int:
+def _solution_json(sol: equilibrium.MarketSolution, dp_ds: float, dt_ds: float) -> dict:
+    """One row of `equilibrium`'s report: the solution's fields in RMB, less
+    an unset `meets_price_floor`, their displays in RMB thousand and
+    billion, and the derivatives of price and cost wedge in the share."""
+    out = {key: value for key, value in dataclasses.asdict(sol).items() if value is not None}
+    out["display"] = {
+        "p_thousand": sol.p / 1e3,
+        "t_thousand": sol.t / 1e3,
+        "gross_gains_billion": sol.gross_gains / 1e9,
+        "tc_total_billion": sol.tc_total / 1e9,
+        "net_gains_billion": sol.net_gains / 1e9,
+    }
+    out["comparative_statics"] = {"dp_ds": dp_ds, "dt_ds": dt_ds}
+    return out
+
+
+def cmd_equilibrium(args) -> dict:
     try:
         s_values = [float(part) for part in args.s.split(",") if part.strip()]
     except ValueError:
@@ -396,54 +442,34 @@ def cmd_equilibrium(args) -> int:
     curve, cfg = _market(args)
     rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
     dp, dt = equilibrium.comparative_statics(cfg, curve, [sol.s for sol in rows])
-    rendered = []
-    for sol, dp_ds, dt_ds in zip(rows, dp.tolist(), dt.tolist()):
-        entry = equilibrium.solution_as_dict(sol)
-        entry["comparative_statics"] = {"dp_ds": dp_ds, "dt_ds": dt_ds}
-        rendered.append(entry)
-    p_notc = None
-    if cfg.z == 0.0:
-        p_notc, _ = equilibrium.solve_no_tc(cfg, curve)
-    report = {
-        "rows": rendered,
-        "p_notc": p_notc,
-        "s_notc": cfg.s_notc,
-        "manifest": _manifest("equilibrium", args),
-    }
     if args.out_csv is not None:
         names = [f.name for f in dataclasses.fields(equilibrium.MarketSolution)]
-        with open(args.out_csv, "w", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")
-            for sol in rows:
-                fh.write(",".join(_csv_cell(getattr(sol, name)) for name in names) + "\n")
-    _write_json(report, args.out)
-    return 0
+        _write_csv(args.out_csv, names, map(dataclasses.astuple, rows))
+    return {
+        "rows": list(map(_solution_json, rows, dp.tolist(), dt.tolist())),
+        "p_notc": equilibrium.solve_no_tc(cfg, curve)[0] if cfg.z == 0.0 else None,
+        "s_notc": cfg.s_notc,
+    }
 
 
-def _csv_cell(value) -> str:
-    """A float by its repr, a flag as true or false, an unset flag empty."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    return repr(value)
-
-
-def cmd_did(args) -> int:
+def cmd_did(args) -> dict:
     table = _ingest(args)
     treated = table.in_cities(args.treated_city)
     pre, post = (window.mask(table.period) for window in args._windows)
     keep = (treated | table.in_cities(*args._controls)) & (pre | post)
-    result = baseline.did_ols(
-        treated[keep], post[keep], table.price[keep], table.quantity[keep], weighting=args.weighting
-    )
-    report = result.as_dict()
-    report["manifest"] = _manifest("did", args)
-    _write_json(report, args.out)
-    return 0
+    # No weights count each row once.
+    weight = table.quantity[keep] if args.weighting == "units" else None
+    result = baseline.did_ols(treated[keep], post[keep], table.price[keep], weight)
+    return dataclasses.asdict(result)
 
 
-def cmd_ci(args) -> int:
+def _write_draws(path: str, draws) -> None:
+    """Each draw by its index; a NaN draw, one without a value, is empty."""
+    rows = [(k, None if math.isnan(v) else v) for k, v in enumerate(draws.tolist())]
+    _write_csv(path, ("draw_index", "value"), rows)
+
+
+def cmd_ci(args) -> dict:
     cfg = SubsampleConfig(
         n_draws=args.draws, b=args.b, block_fraction=args.block_fraction, alpha=args.alpha,
         seed=args.seed,
@@ -466,9 +492,8 @@ def cmd_ci(args) -> int:
             getattr(point, field), getattr(draws, field), cfg.alpha
         )
     if args.dump_draws is not None:
-        with open(args.dump_draws, "w", encoding="utf-8") as fh:
-            inference.dump_draws(result, fh)
-    report = {
+        _write_draws(args.dump_draws, result.draws)
+    return {
         "estimator": args.estimator,
         "map": args.map,
         "d": args.d,
@@ -479,13 +504,10 @@ def cmd_ci(args) -> int:
         "n_draws": args.draws,
         "n_failed": result.n_failed,
         "b": {"pre": cfg.size_for(pre.n), "post": cfg.size_for(post.n)},
-        "manifest": _manifest("ci", args),
     }
-    _write_json(report, args.out)
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict:
     sections = {}
     gaps = []
     for name in REPORT_SECTIONS:
@@ -495,17 +517,11 @@ def cmd_report(args) -> int:
             gaps.append(name)
             continue
         sections[name] = _read_section(args, name, path)
-    markdown = _render_markdown(sections, gaps, args) if args.markdown is not None else None
-    bundle = {
-        "sections": sections,
-        "gaps": gaps,
-        "manifest": _manifest("report", args),
-    }
-    _write_json(bundle, args.out)
-    if markdown is not None:
+    if args.markdown is not None:
+        markdown = _render_markdown(sections, gaps, args)
         with open(args.markdown, "w", encoding="utf-8") as fh:
             fh.write(markdown)
-    return 0
+    return {"sections": sections, "gaps": gaps}
 
 
 def _read_section(args, name: str, path: str) -> dict:
@@ -776,7 +792,10 @@ def main(argv=None) -> int:
         _check_outputs(args)
         _select(args)
         args._digests = {}
-        return args.func(args)
+        report = args.func(args)
+        report["manifest"] = _manifest(args)
+        _write_json(report, args.out)
+        return 0
     except (DiftransError, OSError) as exc:
         print(f"diftrans {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
-from .pmf import _csv_rows, _read_bytes
+from .pmf import _csv_rows, _read_bytes, _read_only
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class WtpCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        volumes = np.asarray(self.volumes, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        volumes = _read_only(self.volumes, np.float64)
+        values = _read_only(self.values, np.float64)
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "values", values)
         if volumes.ndim != 1 or volumes.shape != values.shape or volumes.size < 2:
@@ -71,8 +71,6 @@ class WtpCurve:
                 "values must be strictly decreasing; load with strictify=True "
                 "to perturb ties"
             )
-        volumes.flags.writeable = False
-        values.flags.writeable = False
 
     @property
     def market_size(self) -> float:
@@ -370,28 +368,3 @@ def comparative_statics(cfg: MarketConfig, curve: WtpCurve, s):
     if shares.ndim == 0:
         return float(dp[0]), float(dt[0])
     return dp, dt
-
-
-def solution_as_dict(sol: MarketSolution) -> dict:
-    """JSON-friendly rendering in RMB plus RMB-thousand / billion displays."""
-    out = {
-        "s": sol.s,
-        "p": sol.p,
-        "t": sol.t,
-        "v_seller": sol.v_seller,
-        "v_buyer": sol.v_buyer,
-        "gross_gains": sol.gross_gains,
-        "tc_total": sol.tc_total,
-        "net_gains": sol.net_gains,
-        "tc_share": sol.tc_share,
-        "display": {
-            "p_thousand": sol.p / 1e3,
-            "t_thousand": sol.t / 1e3,
-            "gross_gains_billion": sol.gross_gains / 1e9,
-            "tc_total_billion": sol.tc_total / 1e9,
-            "net_gains_billion": sol.net_gains / 1e9,
-        },
-    }
-    if sol.meets_price_floor is not None:
-        out["meets_price_floor"] = sol.meets_price_floor
-    return out

@@ -31,9 +31,8 @@ from .pmf import PricePMF
 from .streams import keyed_streams
 from .transport import _check_bandwidth, _sweep, ot_cost
 
-#: Quantile levels of each placebo column, labelled in the scan CSV header.
+#: Quantile levels of each placebo column, `ScanRow.placebo_quantiles`.
 PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
-SCAN_CSV_HEADER = "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit"
 #: Default placebo-mean threshold of the noise floor.
 PLACEBO_THRESHOLD = 0.0005
 #: Default tolerance of the equal-displacement (trends) floor.
@@ -184,16 +183,6 @@ class BandwidthScan:
                 f"smallest |difference| is {worst:.6g}"
             )
         return floor
-
-    def to_csv(self, fh) -> None:
-        fh.write(SCAN_CSV_HEADER + "\n")
-        for row in self.rows:
-            qs = ",".join(repr(v) for v in row.placebo_quantiles)
-            dit = "" if row.dit_value is None else repr(row.dit_value)
-            fh.write(
-                f"{row.d},{row.real_cost!r},{row.placebo_mean!r},"
-                f"{row.placebo_sd!r},{qs},{dit}\n"
-            )
 
 
 def bandwidth_scan(

@@ -28,7 +28,6 @@ there; a draw it cannot map is NaN and left out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +159,3 @@ def subsample_ci(
         # `diff_in_transports`: the treated pair at 2d minus the control pair at d.
         values = costs[::2, grid.index(2 * d)] - costs[1::2, grid.index(d)]
     return SubsampleResult.from_draws(values[0], values[1:].copy(), cfg.alpha)
-
-
-def dump_draws(result: SubsampleResult, fh) -> None:
-    """CSV of the raw draw vector for external diagnostics."""
-    fh.write("draw_index,value\n")
-    for k, v in enumerate(result.draws):
-        fh.write(f"{k},{'' if math.isnan(v) else repr(float(v))}\n")

@@ -26,6 +26,14 @@ MAX_YEAR = INT64_MAX // 12 - 1
 _COLUMNS = ("city", "year", "month", "price", "quantity")
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """A read-only view of `values` as a `dtype` array.  Every array that a
+    value type holds is one; a view leaves the caller's own array writeable."""
+    view = np.asarray(values, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class _RowError(ValidationError):
     """Row `index` of a table breaks the field rule `rule`."""
 
@@ -58,11 +66,9 @@ class SalesTable:
     def __post_init__(self):
         object.__setattr__(self, "cities", tuple(self.cities))
         for name in _COLUMNS:
-            # A view, so freezing it leaves the caller's own array writeable.
-            column = np.asarray(getattr(self, name), dtype=np.int64).view()
+            column = _read_only(getattr(self, name), np.int64)
             if column.ndim != 1 or column.shape != np.shape(self.city):
                 raise ValidationError("table columns must be equal-length 1-D vectors")
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
         if np.any((self.city < 0) | (self.city >= len(self.cities))):
             raise ValidationError("city code outside the label tuple")
@@ -88,9 +94,7 @@ class SalesTable:
     @functools.cached_property
     def period(self) -> np.ndarray:
         """Read-only period key `year * 12 + month` of every row."""
-        period = self.year * 12 + self.month
-        period.flags.writeable = False
-        return period
+        return _read_only(self.year * 12 + self.month, np.int64)
 
     @classmethod
     def from_rows(cls, rows) -> "SalesTable":
@@ -194,11 +198,12 @@ class PricePMF:
     n: int = field(init=False)
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.int64)
+        support = _read_only(self.support, np.int64)
         counts = np.asarray(self.counts)
         if counts.dtype.kind not in "iu":
             raise ValidationError(f"counts must be integers, got {counts.dtype} values")
-        counts = counts.astype(np.int64)
+        # A copy, so that no later write to the caller's array moves `n` or `mass`.
+        counts = _read_only(counts.astype(np.int64), np.int64)
         if support.ndim != 1 or counts.shape != support.shape or support.size == 0:
             raise ValidationError("support and counts must be equal-length 1-D vectors")
         if np.any(support < 0):
@@ -214,8 +219,6 @@ class PricePMF:
             raise EmptyDistributionError("zero total quantity")
         for name, value in (("support", support), ("counts", counts), ("n", n)):
             object.__setattr__(self, name, value)
-        support.flags.writeable = False
-        counts.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, PricePMF):
@@ -230,9 +233,7 @@ class PricePMF:
     @functools.cached_property
     def mass(self) -> np.ndarray:
         """Read-only probabilities `counts / n`."""
-        mass = self.counts / self.n
-        mass.flags.writeable = False
-        return mass
+        return _read_only(self.counts / self.n, np.float64)
 
 
 def _parse_int(value: str, name: str, row: int) -> int:

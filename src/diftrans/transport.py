@@ -142,11 +142,6 @@ class TransportPlan:
     src_support: np.ndarray
     tgt_support: np.ndarray
 
-    def to_csv(self, fh) -> None:
-        fh.write("i,j,x_i,x_j,mass\n")
-        for i, j, m in self.entries:
-            fh.write(f"{i},{j},{int(self.src_support[i])},{int(self.tgt_support[j])},{m!r}\n")
-
 
 #: Largest `n_a * n_b` of a pair: every cost numerator is at most it, so
 #: each fits int64 and converts to float64 exactly.

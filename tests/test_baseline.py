@@ -108,10 +108,10 @@ class TestIdentities:
         treated = [True, True, False, False]
         post = [False, True, False, True]
         price = [10.0, 20.0, 10.0, 15.0]
-        weight = [99, 1, 1, 42]
-        by_rows = did_ols(treated, post, price, weight, weighting="rows")
-        unweighted = did_ols(treated, post, price, None)
-        assert by_rows.alpha3 == unweighted.alpha3
+        # No weights count each row once, as unit weights do.
+        by_rows = did_ols(treated, post, price, None)
+        unit_weights = did_ols(treated, post, price, [1, 1, 1, 1])
+        assert by_rows.alpha3 == unit_weights.alpha3
         assert by_rows.n_obs == 4
 
 
@@ -128,10 +128,6 @@ class TestErrors:
                 [10.0, 0.0, 10.0, 15.0],
                 [1, 1, 1, 1],
             )
-
-    def test_bad_weighting_mode(self):
-        with pytest.raises(ValidationError):
-            did_ols([True], [True], [1.0], [1], weighting="sideways")
 
 
 def _force_full_design(treated, post):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -82,6 +83,14 @@ class TestIngest:
         assert report["cities"] == sorted({row[0] for row in rows})
         assert report["first_period"] == "%04d-%02d" % periods[0]
         assert report["last_period"] == "%04d-%02d" % periods[-1]
+
+    def test_header_only_input(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("city,year,month,price,quantity\n", encoding="utf-8")
+        code, report = run(tmp_path, "ingest", "--input", str(path))
+        assert code == 0
+        assert (report["rows"], report["total_units"], report["cities"]) == (0, 0, [])
+        assert report["first_period"] is report["last_period"] is None
 
 
 MALFORMED = {
@@ -569,7 +578,9 @@ class TestDid:
             treated.append(city == "metro")
             price.append(p)
             weight.append(q)
-        want = did_ols(treated, is_post, price, weight, weighting=weighting).as_dict()
+        # `--weighting rows` passes no weights: each row counts once.
+        result = did_ols(treated, is_post, price, weight if weighting == "units" else None)
+        want = json.loads(json.dumps(dataclasses.asdict(result)))
         code, report = run(
             tmp_path,
             "did",
@@ -621,6 +632,57 @@ class TestDid:
             "--weighting", "rows",
         )
         assert units["n_obs"] != rows["n_obs"]
+
+
+def test_csv_cells_are_reprs_of_library_values(tmp_path, synth_csv, uniform_wtp):
+    # Every CSV kind the CLI writes, read back through `csv`: each number is
+    # the repr of the library's value, and a draw without a value is empty.
+    def cells(name):
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))[1:]
+
+    windows = ["--pre", "2010-01:2010-12", "--post", "2011-01:2011-12"]
+    dit = [
+        "dit", "--input", str(synth_csv), "--treated-city", "metro", "--control-city", "coastal",
+        *windows, "--d-grid", "0:4000:1000", "--sims", "10", "--seed", "3", "--threshold", "0.5",
+        "--diag-pre", "2010-01:2010-06", "--diag-post", "2010-07:2010-12", "--tau", "0.5",
+        "--out-csv", str(tmp_path / "curve.csv"), "--trends-csv", str(tmp_path / "trends.csv"),
+    ]
+    plan_argv = ["transport", "--input", str(synth_csv), "--city", "metro", *windows, "--d", "2000"]
+    ci = [
+        "ci", "--input", str(synth_csv), "--city", "metro", *windows, "--d", "2000", "--draws", "40",
+        "--seed", "21", "--map", "p", "--wtp", str(uniform_wtp), "--market-size", "50000",
+        "--quota", "36000", "--dump-draws", str(tmp_path / "draws.csv"),
+    ]
+    for argv in (dit, [*plan_argv, "--plan", str(tmp_path / "plan.csv")], ci):
+        assert run(tmp_path, *argv)[0] == 0
+
+    table = pmf.ingest_csv(synth_csv)
+    years = [PeriodFilter(include=(((year, 1), (year, 12)),)) for year in (2010, 2011)]
+    halves = [PeriodFilter(include=(((2010, lo), (2010, lo + 5)),)) for lo in (1, 7)]
+    pre, post, c_pre, c_post = (build_pmf(table, city, w) for city in ("metro", "coastal") for w in years)
+    trends = tuple(build_pmf(table, city, w) for city in ("metro", "coastal") for w in halves)
+    scan = estimators.bandwidth_scan(
+        pre, post, [0, 1000, 2000, 3000, 4000], estimators.PlaceboConfig(n_sims=10, seed=3),
+        control=(c_pre, c_post), trends=trends,
+    )
+    curve = [
+        [row.d, row.real_cost, row.placebo_mean, row.placebo_sd, *row.placebo_quantiles, row.dit_value]
+        for row in scan.rows
+    ]
+    assert cells("curve.csv") == [[repr(value) for value in row] for row in curve]
+    assert cells("trends.csv") == [[repr(value) for value in row] for row in scan.trends]
+    plan = transport.solve_ot(pre, post, 2000)
+    src, tgt = plan.src_support.tolist(), plan.tgt_support.tolist()
+    assert cells("plan.csv") == [
+        [repr(i), repr(j), repr(src[i]), repr(tgt[j]), repr(mass)] for i, j, mass in plan.entries
+    ]
+    shares = inference.subsample_ci(pre, post, 2000, inference.SubsampleConfig(n_draws=40, seed=21)).draws
+    market = equilibrium.MarketConfig(N=50000, q=36000)
+    prices = equilibrium.invert_shares(market, equilibrium.WtpCurve.from_csv(uniform_wtp), shares).p
+    draws = ["" if np.isnan(p) else repr(p) for p in prices.tolist()]
+    assert 0 < draws.count("") < len(draws)
+    assert cells("draws.csv") == [[repr(k), value] for k, value in enumerate(draws)]
 
 
 class TestCi:
@@ -1071,9 +1133,9 @@ class TestPooledControl:
         scan = estimators.bandwidth_scan(t_pre, t_post, grid, placebo, control=(c_pre, c_post))
         chosen = scan.select(0.005)
         assert (report["d_star"], report["s_dit"]) == (chosen.d_star, chosen.value)
-        curve = io.StringIO()
-        scan.to_csv(curve)
-        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == curve.getvalue()
+        cli._write_scan(str(tmp_path / "want.csv"), scan)
+        want = (tmp_path / "want.csv").read_text(encoding="utf-8")
+        assert (tmp_path / "curve.csv").read_text(encoding="utf-8") == want
 
     def test_ci_equals_library_on_pooled_pmfs(self, tmp_path, three_city_csv):
         argv = TestCi().ci_args(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from diftrans import cli
 from diftrans.equilibrium import (
     MarketConfig,
     WtpCurve,
@@ -14,7 +15,6 @@ from diftrans.equilibrium import (
     comparative_statics,
     invert_from_volume,
     invert_shares,
-    solution_as_dict,
     solve_no_tc,
 )
 from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
@@ -369,9 +369,11 @@ class TestBoundsTable:
     def test_as_dict_display_units(self, uniform):
         cfg, curve = uniform
         row = bounds_table(cfg, curve, [0.11])[0]
-        out = solution_as_dict(row)
+        dp_ds, dt_ds = comparative_statics(cfg, curve, row.s)
+        out = cli._solution_json(row, dp_ds, dt_ds)
         assert out["display"]["p_thousand"] == pytest.approx(146.3)
         assert out["display"]["tc_total_billion"] == pytest.approx(6.6066)
+        assert out["comparative_statics"] == {"dp_ds": dp_ds, "dt_ds": dt_ds}
 
 
 def _near_kink(curve, cfg, s, width):

@@ -2,7 +2,6 @@
 all read off `bandwidth_scan`."""
 
 import dataclasses
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diftrans import transport
+from diftrans import cli, transport
 from diftrans.errors import SelectionError, ValidationError
 from diftrans.estimators import (
     PLACEBO_QUANTILES,
-    SCAN_CSV_HEADER,
     BandwidthScan,
     PlaceboConfig,
     ScanRow,
@@ -398,16 +396,16 @@ class TestEqualDisplacement:
 
 
 class TestScan:
-    def test_scan_rows_and_csv(self, two_point):
+    def test_scan_rows_and_csv(self, two_point, tmp_path):
         a, b = two_point
         cfg = PlaceboConfig(n_sims=30, seed=2)
         scan = bandwidth_scan(a, b, [0, 1], cfg, control=(a, b))
         assert [row.d for row in scan.rows] == [0, 1]
         assert scan.rows[0].real_cost == 0.5
         assert scan.rows[0].dit_value is not None
-        buf = io.StringIO()
-        scan.to_csv(buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "scan.csv"
+        cli._write_scan(str(path), scan)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit"
         assert len(lines) == 3
 
@@ -430,6 +428,6 @@ class TestScan:
 
     def test_quantile_labels(self):
         # The header's labels name the quantile levels of each row: q025 is 0.025.
-        labels = SCAN_CSV_HEADER.split(",")[4:-1]
+        labels = cli.SCAN_CSV_HEADER[4:-1]
         assert labels == ["q025", "q25", "q50", "q75", "q975"]
         assert tuple(float("0." + label[1:]) for label in labels) == PLACEBO_QUANTILES

@@ -1,14 +1,12 @@
 """Subsampling intervals for the trade-share estimators."""
 
-import io
-
 import numpy as np
 import pytest
 
-from diftrans import transport
+from diftrans import cli, transport
 from diftrans.errors import ConfigError, ValidationError
 from diftrans.estimators import diff_in_transports
-from diftrans.inference import SubsampleConfig, SubsampleResult, dump_draws, subsample_ci
+from diftrans.inference import SubsampleConfig, SubsampleResult, subsample_ci
 from diftrans.pmf import PricePMF
 from diftrans.transport import ot_cost
 
@@ -170,13 +168,13 @@ class TestSubsampleCI:
         assert res.point <= 0.0
         assert res.lower <= res.upper
 
-    def test_dump_draws_csv(self):
+    def test_dump_draws_csv(self, tmp_path):
         pre = PricePMF([1, 2], [5, 5])
         post = PricePMF([1, 2], [5, 5])
         res = subsample_ci(pre, post, 0, SubsampleConfig(n_draws=3, seed=1))
-        buf = io.StringIO()
-        dump_draws(res, buf)
-        lines = buf.getvalue().splitlines()
+        path = tmp_path / "draws.csv"
+        cli._write_draws(str(path), res.draws)
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "draw_index,value"
         assert len(lines) == 4
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from diftrans import pmf
+from diftrans.equilibrium import WtpCurve
 from diftrans.errors import (
     EmptyDistributionError,
     ParseError,
@@ -387,3 +388,28 @@ class TestPricePMF:
             PeriodFilter(exclude=frozenset({(2010, 13)}))
         with pytest.raises(ValidationError, match="month out of range"):
             PeriodFilter(include=(((2010, 0), (2010, 12)),))
+
+
+#: Each value type that holds arrays, built from the caller's own arrays,
+#: named by the attributes that hold them.
+VALUE_TYPES = {
+    "SalesTable": (
+        lambda *columns: SalesTable(("metro",), *columns),
+        {"city": [0, 0], "year": [2010, 2011], "month": [1, 2], "price": [5, 7], "quantity": [3, 4]},
+    ),
+    "PricePMF": (PricePMF, {"support": [1, 2], "counts": [1, 1]}),
+    "WtpCurve": (WtpCurve, {"volumes": [0.0, 10.0], "values": [5.0, 0.0]}),
+}
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_caller_arrays_stay_writeable(kind):
+    # The value holds read-only arrays; the caller's own, of the held dtype
+    # (int64 or float64), stay writeable.
+    make, given = VALUE_TYPES[kind]
+    arrays = {name: np.array(values) for name, values in given.items()}
+    value = make(*arrays.values())
+    for name, array in arrays.items():
+        assert array.flags.writeable, name
+        assert not getattr(value, name).flags.writeable, name
+        assert getattr(value, name).tolist() == given[name]

@@ -1,10 +1,9 @@
 """Thresholded transport: level recurrence vs. LP oracle vs. dual set certificate."""
 
-import io
-
 import numpy as np
 import pytest
 
+from diftrans import cli
 from diftrans.errors import ValidationError
 from diftrans.pmf import PricePMF
 from diftrans.transport import _sweep, ot_cost, solve_ot
@@ -154,11 +153,11 @@ class TestPlan:
             check_feasible(plan, a, b)
             assert abs(plan.cost - ot_cost(a, b, d)) <= 1e-10
 
-    def test_plan_csv(self, two_point):
+    def test_plan_csv(self, two_point, tmp_path):
         a, b = two_point
-        buf = io.StringIO()
-        solve_ot(a, b, 0).to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
+        path = tmp_path / "plan.csv"
+        cli._write_plan(str(path), solve_ot(a, b, 0))
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "i,j,x_i,x_j,mass"
         assert lines[1].startswith("0,0,1,1,")
 
