@@ -15,7 +15,10 @@
 # Last, a pooled control with a typo, a treated city with a typo, a month in
 # both windows, a pair of windows whose unit totals multiply past 2**53 and a
 # scan threshold that no bandwidth meets must each exit 1 with exactly one
-# line on stderr; the failed scan writes its CSV and no report.
+# line on stderr; the failed scan writes its CSV and no report.  So must a
+# quota past the market size, a negative bandwidth and a grid that starts
+# below zero, each with an input file that does not exist: these values are
+# checked before the input is read, so the error names the flag, not the file.
 set -eu
 
 # Fail unless the CSV file $1 has the header line $2 and $3 lines in all.
@@ -33,6 +36,18 @@ fails_in_one_line() {
     diftrans "$@" > /dev/null 2> error.txt || status=$?
     if [ "$status" -ne 1 ] || [ "$(wc -l < error.txt)" -ne 1 ]; then
         echo "expected exit 1 and one stderr line, got exit $status from: diftrans $*" >&2
+        cat error.txt >&2
+        exit 1
+    fi
+}
+
+# As fails_in_one_line with the arguments after $1; fail unless the line holds $1.
+fails_naming() {
+    word=$1
+    shift
+    fails_in_one_line "$@"
+    if ! grep -qF -e "$word" error.txt; then
+        echo "expected an error naming $word from: diftrans $*" >&2
         cat error.txt >&2
         exit 1
     fi
@@ -93,3 +108,8 @@ if [ -e scan_failed.json ] || [ ! -s scan_failed.csv ]; then
     echo "a failed scan must write its CSV and no report" >&2
     exit 1
 fi
+fails_naming quota ci --input absent.csv --city metro $window --d 2000 --map p --wtp wtp.csv --quota 800000 --out ci_quota.json
+fails_naming --d transport --input absent.csv --city metro $window --d=-5 --out transport_negative.json
+fails_naming --d ci --input absent.csv --city metro $window --d=-5 --out ci_negative.json
+fails_naming grid scan --input absent.csv --city metro $window --d-grid=-1000:3000:1000 --out-csv scan_negative.csv --out scan_negative.json
+fails_naming grid dit --input absent.csv --treated-city metro --control-city coastal $window --d-grid=-1000:3000:1000 --out-csv dit_negative.csv --out dit_negative.json

@@ -140,6 +140,8 @@ def _parse_grid(text: str) -> list[int]:
         lo, hi, step = (int(p) for p in text.split(":"))
     except ValueError:
         raise DiftransError(f"grid {text!r} is not of the form lo:hi:step") from None
+    if lo < 0:
+        raise DiftransError(f"--d-grid must be a grid of nonnegative bandwidths, got {text}")
     if step <= 0 or hi < lo:
         raise DiftransError(f"grid {text!r} is empty")
     size = (hi - lo) // step + 1
@@ -158,14 +160,14 @@ MAX_DRAWS = 100_000
 
 
 def _check_numbers(args) -> None:
-    """Reject a negative seed or floor, a draw count outside [1, MAX_DRAWS],
-    and a non-finite threshold, tau or price floor before any work; an unset
-    flag is not checked."""
+    """Reject a negative seed, bandwidth or floor, a draw count outside [1,
+    MAX_DRAWS], and a non-finite threshold, tau or price floor before any
+    work; an unset flag is not checked."""
     for name in ("sims", "draws"):
         value = getattr(args, name, None)
         if value is not None and not 1 <= value <= MAX_DRAWS:
             raise DiftransError(f"--{name} must be from 1 to {MAX_DRAWS}, got {value}")
-    for name in ("seed", "d_min"):
+    for name in ("seed", "d", "d_min"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise DiftransError(f"--{name.replace('_', '-')} must be nonnegative, got {value}")
@@ -474,13 +476,11 @@ def cmd_ci(args) -> dict:
         n_draws=args.draws, b=args.b, block_fraction=args.block_fraction, alpha=args.alpha,
         seed=args.seed,
     )
+    if args.map != "share":
+        curve, mcfg = _market(args)
     table = _ingest(args)
     pre, post = _city_pmfs(table, [args.city], args._windows)
     control = _city_pmfs(table, [args._controls], args._windows) if args.estimator == "dit" else None
-
-    if args.map != "share":
-        curve, mcfg = _market(args)
-
     result = inference.subsample_ci(pre, post, args.d, cfg, control=control)
     if args.map != "share":
         # A point the model cannot invert is an error that names the bound it

@@ -49,6 +49,8 @@ class PlaceboConfig:
     def __post_init__(self):
         if self.n_sims < 1:
             raise ValidationError("n_sims must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _check_grid(grid) -> list[int]:

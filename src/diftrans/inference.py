@@ -64,6 +64,8 @@ class SubsampleConfig:
             raise ValidationError("block_fraction must lie strictly inside (0, 1)")
         if self.b is not None and self.block_fraction is not None:
             raise ValidationError("give either b or block_fraction, not both")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     def size_for(self, n: int) -> int:
         if self.b is not None:
@@ -80,7 +82,7 @@ class SubsampleConfig:
         b = int(n**0.7)
         if b >= n:
             raise ConfigError(f"cannot subsample below a sample of size {n}")
-        return max(1, b)
+        return b
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ at once instead: `SeedSequence`'s entropy mixing and `generate_state` run as
 uint32 array arithmetic over the keys' entropy words, then PCG64's two-step
 seeding runs in Python ints.  `keyed_streams(seed, shape)` keys index `i` by
 `(seed, *np.unravel_index(i, shape))`, so it builds the entropy words of up
-to `PASS_KEYS` keys as arrays (the seed's words broadcast, then one column
-per index part, two for a part of 2**32 or more) without a Python loop over
-the keys, and sets each state, when asked for, on one reused `Generator`.
+to `PASS_KEYS` keys as arrays (the seed's words broadcast, then one uint32
+word per index part, as no dimension of `shape` may pass 2**32) without a
+Python loop over the keys, and sets each state, when asked for, on one
+reused `Generator`.
 Both algorithms are part of NumPy's stream-compatibility promise (NEP 19),
 and the test suite checks the states against NumPy's own construction for
-seeds and index parts of every entropy width, so every stream stays
-bit-identical.
+seeds of every entropy width, so every stream stays bit-identical.
 """
 
 from __future__ import annotations
@@ -115,27 +115,11 @@ def _states(entropy: np.ndarray) -> list[tuple[int, int]]:
 def _index_states(seed: np.ndarray, shape: tuple, start: int, stop: int) -> list[tuple[int, int]]:
     """(state, inc) of `PCG64(SeedSequence(entropy=key))` for the keys
     `key = (seed, *np.unravel_index(i, shape))` with `start <= i < stop`,
-    given the seed's entropy words.
-
-    The entropy rows are built as arrays: the seed's words broadcast over the
-    keys, then each index part as one uint32 column, or as two (low word
-    first) where it is 2**32 or more.  Keys whose parts take the same words
-    share one entropy array.
-    """
+    given the seed's entropy words; a key's entropy is those words, then one
+    uint32 word per index part."""
     parts = np.unravel_index(np.arange(start, stop), shape)
-    low = [(part & _MASK32).astype(np.uint32) for part in parts]
-    high = [(part >> 32).astype(np.uint32) for part in parts]
-    # Bit j of a key's layout is set when its part j takes two words.
-    layout = sum((word != 0).astype(np.int64) << j for j, word in enumerate(high))
-    states = [None] * (stop - start)
-    for code in np.unique(layout).tolist():
-        rows = np.flatnonzero(layout == code)
-        columns = [np.broadcast_to(seed, (rows.size, seed.size))]
-        for j in range(len(parts)):
-            columns += [low[j][rows, None]] + ([high[j][rows, None]] if code >> j & 1 else [])
-        for i, state in zip(rows.tolist(), _states(np.hstack(columns))):
-            states[i] = state
-    return states
+    seeds = np.broadcast_to(seed, (stop - start, seed.size))
+    return _states(np.column_stack((seeds, *parts)).astype(np.uint32))
 
 
 def keyed_streams(seed: int, shape):
@@ -147,6 +131,8 @@ def keyed_streams(seed: int, shape):
     computed in one pass per `PASS_KEYS` consecutive indices, when one of
     them is asked for, so their memory stays bounded whatever the count.
     """
+    if max(shape) > 1 << 32:
+        raise ValueError(f"stream key dimensions must be at most 2**32, got shape {shape}")
     count = math.prod(shape)
     words = np.array(_words(seed), dtype=np.uint32)
     gen = np.random.Generator(np.random.PCG64(0))

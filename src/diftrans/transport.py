@@ -43,8 +43,9 @@ prefix sum or numerator passes `n_a * n_b`, so a pair whose product passes
 below it every numerator fits int64 and converts to float64 exactly.
 `ot_cost` runs the recurrence on Python integers and `_cost_columns` on
 int64 arrays, so the two agree exactly, whatever the chunk depth or the
-block size; `solve_ot` reads its plan off the same integer levels and
-rounds each entry once.
+block size; `solve_ot` reads its plan off the same integer levels, rounds
+each entry once, and takes its cost from the same numerator as `ot_cost`,
+so the plan's cost is `ot_cost`'s.
 
 Zero masses change no numerator, which lets distributions on different
 supports share one kernel call on the union of their supports.  A
@@ -111,7 +112,6 @@ A zero-count target is an empty cell, whose empty overlaps are dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +132,8 @@ def _check_bandwidth(d) -> int:
 class TransportPlan:
     """A sparse coupling: (source index, target index, mass) triples.
 
-    `cost` is the `math.fsum` of the entries moved farther than `d`;
-    indices refer to `src_support` and `tgt_support`.
+    `cost` is `ot_cost`'s: the exact mass moved farther than `d`, rounded
+    once; indices refer to `src_support` and `tgt_support`.
     """
 
     entries: tuple[tuple[int, int, float], ...]
@@ -158,20 +158,17 @@ SCRATCH_CELLS = 1 << 20
 WINDOW_CELLS = 16 * SCRATCH_CELLS
 
 
-def _windows(src: np.ndarray, tgt: np.ndarray, d):
-    """Target index bounds [lo, hi) within `d` of each source price.
+def _windows(src: np.ndarray, tgt: np.ndarray, grid):
+    """Target index bounds [lo, hi) within `d` of each source price, as
+    (source, bandwidth) arrays over the checked bandwidths `d` of `grid`.
 
-    `d` is one checked bandwidth, or a list of them that adds a trailing
-    axis.  No window reaches past the span of the two supports, so each
-    bandwidth is clipped to that span before the int64 arithmetic: the
-    windows stay the same, and `price + d` cannot wrap however large `d` is.
+    No window reaches past the span of the two supports, so each bandwidth
+    is clipped to that span before the int64 arithmetic: the windows stay
+    the same, and `price + d` cannot wrap however large `d` is.
     """
     top = max(int(src[-1]), int(tgt[-1]))
     span = top - min(int(src[0]), int(tgt[0]))
-    if isinstance(d, int):
-        d = min(d, span)
-    else:
-        d = np.array([min(x, span) for x in d], dtype=np.int64)
+    d = np.array([min(x, span) for x in grid], dtype=np.int64)
     if top + int(np.max(d)) > np.iinfo(np.int64).max:
         raise ValidationError(f"bandwidth {int(np.max(d))} past price {top} overflows int64")
     lo = np.searchsorted(tgt, np.subtract.outer(src, d), side="left")
@@ -195,28 +192,23 @@ def _scale(a: PricePMF, b: PricePMF) -> int:
     return a.n * b.n
 
 
-def _levels(a: PricePMF, b: PricePMF, d: int, record: bool = False):
+def _levels(a: PricePMF, b: PricePMF, d: int):
     """Run the level recurrence for `ot_cost(a, b, d)` on the pair's integer
     numerators (see the module docstring).
 
-    Returns the cost numerator and its denominator, the levels (with
-    `record`: the level before each source and after the last, else None),
-    the target prefix sums `SB` and the window starts `lo`.  Recording costs
-    ~10% of the loop, so `ot_cost` skips it.
+    Returns the cost numerator and its denominator, the levels before each
+    source and after the last, the prefix sums `SB` and the window starts `lo`.
     """
     scale = _scale(a, b)
-    lo, hi = _windows(a.support, b.support, d)
+    lo, hi = (bound[:, 0] for bound in _windows(a.support, b.support, [d]))
     sb = _prefix(b.counts * a.n)
     level = cost = 0
-    levels = [] if record else None
+    levels = [level]
     for ai, passed, reach in zip((a.counts * b.n).tolist(), sb[lo].tolist(), sb[hi].tolist()):
-        if record:
-            levels.append(level)
         level = max(level, passed)
         take = min(max(reach - level, 0), ai)
         level += take
         cost += ai - take
-    if record:
         levels.append(level)
     return cost, scale, levels, sb, lo
 
@@ -394,7 +386,7 @@ def _pieces(starts, stops, edges):
 def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
     """An optimal plan for `ot_cost(a, b, d)`; ties between optima are not pinned."""
     d = _check_bandwidth(d)
-    _, scale, levels, sb, lo = _levels(a, b, d, record=True)
+    cost, scale, levels, sb, lo = _levels(a, b, d)
     level = np.array(levels, dtype=np.int64)
     stop = level[1:]
     start = np.maximum(level[:-1], sb[lo])
@@ -408,12 +400,5 @@ def solve_ot(a: PricePMF, b: PricePMF, d) -> TransportPlan:
     j = np.concatenate([j, far_j])
     m = np.concatenate([m, far_m]) / scale
     order = np.lexsort((j, i))
-    i, j, m = i[order], j[order], m[order]
-    far = np.abs(a.support[i] - b.support[j]) > d
-    return TransportPlan(
-        tuple(zip(i.tolist(), j.tolist(), m.tolist())),
-        math.fsum(m[far].tolist()),
-        d,
-        a.support,
-        b.support,
-    )
+    entries = tuple(zip(i[order].tolist(), j[order].tolist(), m[order].tolist()))
+    return TransportPlan(entries, cost / scale, d, a.support, b.support)

@@ -925,22 +925,32 @@ HUGE = "99999999999999999999"
         ("ci", "--draws", "1000000000"),
         ("ci", "--draws", str(cli.MAX_DRAWS + 1)),
         ("ci", "--draws", "-3"),
+        ("transport", "--d", "-5"),
+        ("ci", "--d", "-5"),
+        ("scan", "--d-grid", "-1000:3000:1000"),
+        ("dit", "--d-grid", "-1000:3000:1000"),
     ],
 )
 def test_bad_numbers_rejected_before_ingest(
     tmp_path, capsys, synth_csv, monkeypatch, command, flag, value
 ):
-    # A negative seed or floor, a non-finite threshold or tau, or a draw
-    # count outside [1, MAX_DRAWS] is a one-line error that names it, raised
-    # before the input is read.
+    # A negative seed, bandwidth, grid start or floor, a non-finite
+    # threshold or tau, or a draw count outside [1, MAX_DRAWS] is a
+    # one-line error that names it, raised before the input is read.
     scan, dit = scan_and_dit_args(synth_csv, tmp_path)
-    argv = {"scan": scan, "dit": dit, "ci": TestCi().ci_args(synth_csv)}[command]
+    argv = {
+        "transport": writer_argv("transport", tmp_path, synth_csv, None),
+        "scan": scan,
+        "dit": dit,
+        "ci": TestCi().ci_args(synth_csv),
+    }[command]
 
     def ingest(*args):
         raise AssertionError("input read before the arguments were checked")
 
     monkeypatch.setattr(cli, "ingest_csv", ingest)
-    code, report = run(tmp_path, *argv, flag, value)
+    # One argument, so that argparse takes a value such as -1000:3000:1000.
+    code, report = run(tmp_path, *argv, f"{flag}={value}")
     assert (code, report) == (1, None)
     err = capsys.readouterr().err
     assert err.startswith(f"diftrans {command}: {flag} must be ")
@@ -1179,16 +1189,27 @@ class TestPooledControl:
         (["--b", "0"], "subsample size must be at least 1, got 0"),
         (["--block-fraction", "1.5"], "block_fraction must lie strictly inside (0, 1)"),
         (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+        (["--map", "p", "--wtp", "WTP", "--quota", "800000"], "quota must be smaller than the market size"),
+        (["--map", "t", "--wtp", "WTP", "--speculator-share", "2"], "speculator share must lie in [0, 1], got 2.0"),
+        (
+            ["--map", "net-gains", "--wtp", "/nonexistent/wtp.csv"],
+            "[Errno 2] No such file or directory: '/nonexistent/wtp.csv'",
+        ),
     ],
-    ids=["dit-no-control", "p-no-wtp", "net-gains-no-wtp", "b-and-fraction", "b-zero", "fraction", "alpha"],
+    ids=[
+        "dit-no-control", "p-no-wtp", "net-gains-no-wtp", "b-and-fraction", "b-zero", "fraction", "alpha",
+        "quota", "speculator-share", "wtp-missing",
+    ],
 )
-def test_ci_checks_run_before_ingest(tmp_path, capsys, synth_csv, monkeypatch, extra, message):
-    # A missing flag that the run needs and a subsample rule that no input
-    # can satisfy are one-line errors before the input is read.
+def test_ci_checks_run_before_ingest(tmp_path, capsys, synth_csv, uniform_wtp, monkeypatch, extra, message):
+    # A missing flag that the run needs, a subsample rule that no input can
+    # satisfy and a market that cannot be built are one-line errors before
+    # the input is read.  WTP stands for a valid --wtp file.
     def ingest(*args):
         raise AssertionError("input read before the flags were checked")
 
     monkeypatch.setattr(cli, "ingest_csv", ingest)
+    extra = [str(uniform_wtp) if part == "WTP" else part for part in extra]
     code, report = run(tmp_path, *TestCi().ci_args(synth_csv, extra=extra))
     assert (code, report) == (1, None)
     assert capsys.readouterr().err == f"diftrans ci: {message}\n"

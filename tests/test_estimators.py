@@ -153,6 +153,10 @@ class TestPlacebo:
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             PlaceboConfig(n_sims=0)
+        # A stream key part must be nonnegative: a DiftransError here, not
+        # the streams' ValueError later.
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            PlaceboConfig(seed=-1)
         assert [f.name for f in dataclasses.fields(PlaceboConfig)] == ["n_sims", "seed"]
 
 

@@ -26,6 +26,10 @@ class TestConfig:
             SubsampleConfig(b=5, block_fraction=0.5)
         with pytest.raises(ValidationError):
             SubsampleConfig(block_fraction=1.0)
+        # A stream key part must be nonnegative: a DiftransError here, not
+        # the streams' ValueError later.
+        with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
+            SubsampleConfig(seed=-1)
 
     def test_size_rules(self):
         assert SubsampleConfig(b=7).size_for(100) == 7

@@ -52,17 +52,20 @@ def test_array_seeded_streams_match_numpy(monkeypatch, seed, shape, pass_keys):
         assert stream_state(stream(i)) == numpy_state(key), key
 
 
-def test_index_parts_past_uint32_match_numpy(monkeypatch):
-    # Parts of 2^32 and more take two entropy words, low word first; one pass
-    # mixes keys of both layouts.  With three parts, a three-word seed makes
-    # keys of up to seven words.
+def test_index_parts_past_uint32_are_rejected(monkeypatch):
+    # A dimension of 2^32 keeps every index part in one entropy word, up to
+    # the last; one past it is refused before any state is computed.
     monkeypatch.setattr(streams, "PASS_KEYS", 4)
-    for shape in ((3, 2**33 + 1), (2, 3, 2**33 + 1)):
+    for shape in ((2**32,), (3, 2**32), (2, 2**32, 3)):
         for seed in WIDE_SEEDS:
             stream = keyed_streams(seed, shape)
-            for i in (2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 2, math.prod(shape) - 1):
+            for i in (2**32 - 1, math.prod(shape) - 1):
                 key = (seed, *(int(part) for part in np.unravel_index(i, shape)))
                 assert stream_state(stream(i)) == numpy_state(key), key
+    monkeypatch.setattr(streams, "_states", lambda *args: pytest.fail("states computed"))
+    for shape in ((2**32 + 1,), (3, 2**33 + 1), (2**33, 2)):
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            keyed_streams(7, shape)
 
 
 def test_negative_key_part_is_rejected():

@@ -151,7 +151,7 @@ class TestPlan:
             d = int(rng.integers(0, 800))
             plan = solve_ot(a, b, d)
             check_feasible(plan, a, b)
-            assert abs(plan.cost - ot_cost(a, b, d)) <= 1e-10
+            assert plan.cost == ot_cost(a, b, d)
 
     def test_plan_csv(self, two_point, tmp_path):
         a, b = two_point
