@@ -19,6 +19,9 @@
 # quota past the market size, a negative bandwidth and a grid that starts
 # below zero, each with an input file that does not exist: these values are
 # checked before the input is read, so the error names the flag, not the file.
+# A market larger than one block of the byte pass (256 KiB), written once
+# with LF and once with CRLF line ends, must ingest to the same rows, units
+# and cities.
 set -eu
 
 # Fail unless the CSV file $1 has the header line $2 and $3 lines in all.
@@ -54,6 +57,7 @@ fails_naming() {
 }
 
 PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "import sys; from _synth import two_city_records, write_csv; write_csv(sys.argv[1], two_city_records(4000, 1600, 0.3, seed=5, growth=0.03, extra_controls=('inland',)))" "$1/market.csv"
+PYTHONPATH=tests${PYTHONPATH:+:$PYTHONPATH} python -c "import sys; from _synth import two_city_records, write_csv; write_csv(sys.argv[1], two_city_records(20000, 8000, 0.3, seed=5, growth=0.03, extra_controls=('inland', 'north', 'west')))" "$1/big_lf.csv"
 cd "$1"
 printf 'n,v\n0,280000\n700000,0\n' > wtp.csv
 window="--pre 2010-01:2010-12 --post 2011-01:2011-12"
@@ -94,6 +98,18 @@ if grep -l 'np\.' ./*.csv; then
     echo "a CSV above holds a numpy scalar's repr" >&2
     exit 1
 fi
+sed 's/$/\r/' big_lf.csv > big_crlf.csv
+for ending in lf crlf; do
+    if [ "$(wc -c < big_$ending.csv)" -le 262144 ]; then
+        echo "expected big_$ending.csv to be larger than 256 KiB" >&2
+        exit 1
+    fi
+    diftrans ingest --input big_$ending.csv --out ingest_$ending.json
+done
+python -c "import json, sys; lf, crlf = (json.load(open(p)) for p in sys.argv[1:]); keys = ('rows', 'total_units', 'cities'); sys.exit([lf[k] for k in keys] != [crlf[k] for k in keys] or lf['rows'] != 20280)" ingest_lf.json ingest_crlf.json || {
+    echo "ingest_lf.json and ingest_crlf.json differ in rows, total_units or cities, or do not hold 20280 rows" >&2
+    exit 1
+}
 diftrans report --scan scan.json --dit dit.json --equilibrium equilibrium_speculators.json --did did.json --ci ci.json --markdown report.md --out report.json
 fails_in_one_line dit --input market.csv --treated-city metro --control-city coastal,inlnad $window --d-grid 0:8000:1000 --sims 40 --seed 3 --threshold 0.005 --out-csv curve_typo.csv --out dit_typo.json
 fails_in_one_line did --input market.csv --treated-city metro --control-cities coastal,inlnad $window --out did_typo.json

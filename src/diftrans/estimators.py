@@ -29,7 +29,7 @@ import numpy as np
 from .errors import SelectionError, ValidationError
 from .pmf import PricePMF
 from .streams import keyed_streams
-from .transport import _check_bandwidth, _sweep, ot_cost
+from .transport import _check_bandwidth, _is_integer, _sweep, ot_cost
 
 #: Quantile levels of each placebo column, `ScanRow.placebo_quantiles`.
 PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -47,6 +47,10 @@ class PlaceboConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_sims", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_sims < 1:
             raise ValidationError("n_sims must be at least 1")
         if self.seed < 0:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .pmf import PricePMF
 from .streams import keyed_streams
-from .transport import _check_bandwidth, _sweep
+from .transport import _check_bandwidth, _is_integer, _sweep
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,10 @@ class SubsampleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_draws", "b", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value) and not (name == "b" and value is None):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_draws < 1:
             raise ValidationError("n_draws must be at least 1")
         if not 0.0 < self.alpha < 1.0:

@@ -17,12 +17,20 @@ scan of its own at any size.
 
 The greedy uses up target mass strictly from left to right, so its whole state
 is one number: the level `C`, the cumulative target mass already used up or
-passed over.  With `SB[j]` the mass of targets `0..j-1`, source `i` runs
+passed over.  With `SB[j]` the mass of targets `0..j-1`, source `i` takes
+the level `C_{i-1}` before it (`C_0 = 0`) to
 
-    C = max(C, SB[lo_i])                  # targets left of the window are gone
-    take = clip(SB[hi_i] - C, 0, a_i)     # mass left in the window, up to a_i
-    C += take
-    cost += a_i - take                    # the unmatched part must move far
+    L_i = max(C_{i-1}, SB[lo_i])          # targets left of the window are gone
+    C_i = min(L_i + a_i, SB[hi_i])        # take up to a_i of the window's mass
+
+and adds its unmatched part `L_i + a_i - C_i` to the cost, since it must
+move far.  Its take `C_i - L_i` is the window's mass left above `L_i`, up to
+`a_i`, and is never negative: `L_i <= SB[hi_i]` holds for every `i`.
+`SB[lo_i] <= SB[hi_i]`, because `lo_i <= hi_i` and `SB` never decreases;
+and `C_{i-1} <= SB[hi_{i-1}] <= SB[hi_i]`, by the second line for source
+`i - 1` (or `C_0 = 0`) and because `hi` never decreases in `i`.  So the
+clamp at zero of `take = clip(SB[hi_i] - L_i, 0, a_i)` never acts, and the
+two lines are that clamped form exactly.
 
 This is the sweep itself, not a relaxation of it.  After any step the targets
 whose cumulative interval `[SB[j], SB[j+1])` lies below `C` are exhausted or
@@ -30,7 +38,7 @@ lie left of the current window; since `lo` never decreases, no later source can
 reach them either, so counting their leftovers as passed over loses nothing.
 The target straddling `C` keeps `SB[j+1] - C`, and every target above `C` is
 untouched.  Taking the leftmost available mass of the window up to `a_i` is
-therefore exactly moving `C` up by `take`.
+therefore exactly moving the level from `L_i` up to `C_i`.
 
 Exactness.  The recurrence uses only max, min, add and subtract, so it runs
 on integers.  For a pair with `n_a` and `n_b` units it runs on the
@@ -40,7 +48,8 @@ denominator, and each cost is divided by it once, which gives the float
 nearest the exact rational in whatever order the integers were added.  No
 prefix sum or numerator passes `n_a * n_b`, so a pair whose product passes
 `MAX_SCALE` (2**53) is a `ValidationError` before any window is built, and
-below it every numerator fits int64 and converts to float64 exactly.
+below it every numerator fits int64 and converts to float64 exactly; the
+sum `L_i + a_i`, at most `2 * MAX_SCALE`, fits int64 too.
 `ot_cost` runs the recurrence on Python integers and `_cost_columns` on
 int64 arrays, so the two agree exactly, whatever the chunk depth or the
 block size; `solve_ot` reads its plan off the same integer levels, rounds
@@ -52,7 +61,8 @@ supports share one kernel call on the union of their supports.  A
 zero-count target repeats a prefix sum, so every window edge reads the same
 value.  A zero-count source takes nothing and adds nothing to the cost; its
 `max` with `SB[lo_i]` is absorbed by the next source with units, whose `lo`
-is no smaller, or changes the level only after the last one.
+is no smaller, or changes the level only after the last one.  (Its second
+line gives `C_i = L_i`, since `L_i <= SB[hi_i]`.)
 
 In the kernel, columns `A[:, r]` and `B[:, r]` hold one source and one
 target distribution on a shared pair of supports, so the windows depend on
@@ -82,31 +92,33 @@ sources, not per source.  A chunk holds as many sources as fit
 at most the call's sources, so a small call allocates no rows it never
 reaches.  Two gathers fetch the chunk's `SB[lo_i]` and `SB[hi_i]` into
 reused buffers, and one copy repeats each source's numerators `a_i` over
-the bandwidths.  Each source then runs the first three lines of the
-recurrence as five in-place ufuncs on its slice, turning its `SB[hi_i]`
-into `take_i`.  One subtraction turns the chunk's takes into the unmatched
-parts, which are added to the cost one source after another: on int64 that
-was faster than one reduction over the chunk.  The per-source views of the
-buffers are made once per call, and each chunk walks a prefix of them.
+the bandwidths.  Each source then runs the two lines of the recurrence as
+three in-place ufuncs on its slices: `maximum` turns its `SB[lo_i]` into
+`L_i`, `add` its `a_i` into `L_i + a_i`, and `minimum` its `SB[hi_i]` into
+`C_i`, which is the level the next source reads.  One subtraction turns the
+chunk's `L_i + a_i` into the unmatched parts, which are added to the cost
+one source after another: that is four ufuncs per source, where the clamped
+form took six.  On int64 the per-source add was faster than one reduction
+over the chunk at `dit --sims 500`, whose chunks hold one or two sources.
+The per-source views of the buffers are made once per call, and each chunk
+walks a prefix of them.
 
-Every operand of those five ufuncs is a whole contiguous (bandwidth,
-column) array of the same shape, so numpy runs the (G, R) cells as one
-flat loop.  At the CLI's sizes a call costs about a microsecond, and a
-broadcast row or a scalar operand sends it through numpy's slower general
-setup (`np.minimum` at (G, R) = (76, 14): ~2.9 µs against a broadcast row,
-~1.2 µs against the repeated values; numpy 2.4, one Xeon core, float64).
-So the clamp at zero is written as `max(SB[hi_i], C) - C`, against the
-level, already in cache.
+Every operand of those ufuncs is a whole contiguous (bandwidth, column)
+array of the same shape, so numpy runs the (G, R) cells as one flat loop.
+At the CLI's sizes a call costs about a microsecond, and a broadcast row or
+a scalar operand sends it through numpy's slower general setup
+(`np.minimum` at (G, R) = (76, 14): ~2.9 µs against a broadcast row, ~1.2
+µs against the repeated values; numpy 2.4, one Xeon core, float64).
 
 The plan is read off the same recurrence.  Source `i` holds the interval
-`[C_i, C_i + take_i)` of the target's cumulative axis, where
-`C_i = max(C, SB[lo_i])` is the level after its first line, so both ends are
-known once the level before and after each source is recorded.  The interval
-lies inside `[SB[lo_i], SB[hi_i])`, and its free entries are the overlaps
-with the target cells `[SB[j], SB[j+1])`.
-The unmatched source parts `a_i - take_i` and the target mass left uncovered
-are then paired in sorted order by the same overlap rule over their own
-prefix sums; none of those pairs is within `d`, so each costs its full mass.
+`[L_i, C_i)` of the target's cumulative axis, where `L_i = max(C_{i-1},
+SB[lo_i])`, so both ends are known once the level before and after each
+source is recorded.  The interval lies inside `[SB[lo_i], SB[hi_i])`, and
+its free entries are the overlaps with the target cells `[SB[j], SB[j+1])`.
+The unmatched source parts `L_i + a_i - C_i` and the target mass left
+uncovered are then paired in sorted order by the same overlap rule over
+their own prefix sums; none of those pairs is within `d`, so each costs its
+full mass.
 A zero-count target is an empty cell, whose empty overlaps are dropped.
 """
 
@@ -120,8 +132,13 @@ from .errors import ValidationError
 from .pmf import PricePMF
 
 
+def _is_integer(value) -> bool:
+    """Whether `value` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_bandwidth(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+    if not _is_integer(d):
         raise ValidationError(f"bandwidth must be an integer number of RMB, got {d!r}")
     if d < 0:
         raise ValidationError(f"bandwidth must be nonnegative, got {d}")
@@ -205,10 +222,9 @@ def _levels(a: PricePMF, b: PricePMF, d: int):
     level = cost = 0
     levels = [level]
     for ai, passed, reach in zip((a.counts * b.n).tolist(), sb[lo].tolist(), sb[hi].tolist()):
-        level = max(level, passed)
-        take = min(max(reach - level, 0), ai)
-        level += take
-        cost += ai - take
+        top = max(level, passed) + ai
+        level = min(top, reach)
+        cost += top - level
         levels.append(level)
     return cost, scale, levels, sb, lo
 
@@ -244,13 +260,20 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
     from `_windows`.
 
     One pass over the sources runs the level recurrence for every column and
-    bandwidth at once.  The sources go in chunks of `depth`: the window sums
-    of a chunk are gathered by one call each, its numerators repeated over
-    the bandwidths by one copy, and its unmatched parts found by one
-    subtraction.  Every ufunc in the per-source step then reads whole
-    contiguous (G, R) operands, and the clamp at zero is taken against the
-    level, which keeps numpy off its slower broadcast and scalar paths (see
-    the module docstring).
+    bandwidth at once, in its two-line form
+
+        L_i = max(C_{i-1}, SB[lo_i]);  C_i = min(L_i + a_i, SB[hi_i])
+
+    with the unmatched part `L_i + a_i - C_i` added to the cost.  It equals
+    the clamped form `take = clip(SB[hi_i] - L_i, 0, a_i)` because `L_i <=
+    SB[hi_i]` always holds: `lo_i <= hi_i`, `SB` never decreases, `hi`
+    never decreases in `i`, and `C_{i-1} <= SB[hi_{i-1}]` (see the module
+    docstring).  The sources go in chunks of `depth`: the window sums of a
+    chunk are gathered by one call each, its numerators repeated over the
+    bandwidths by one copy, and its unmatched parts found by one
+    subtraction.  Each source then takes three in-place ufuncs on whole
+    contiguous (G, R) operands, which keeps numpy off its slower broadcast
+    and scalar paths, and one more to add its unmatched part to the cost.
     """
     sb = _prefix(B)
     level = np.zeros((lo.shape[1], A.shape[1]), dtype=np.int64)
@@ -258,34 +281,34 @@ def _cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
     k_src = A.shape[0]
     depth = max(1, min(k_src, (SCRATCH_CELLS >> 5) // level.size))
     passed_buf = np.empty((depth,) + level.shape, dtype=np.int64)
-    take_buf = np.empty_like(passed_buf)
-    a_buf = np.empty_like(passed_buf)
-    # Each source's (passed, take, a) slices, made once; a chunk reads a prefix.
-    views = list(zip(passed_buf, take_buf, a_buf))
+    reach_buf = np.empty_like(passed_buf)
+    top_buf = np.empty_like(passed_buf)
+    # Each source's (passed, reach, top) slices, made once; a chunk reads a prefix.
+    views = list(zip(passed_buf, reach_buf, top_buf))
     gather, copyto, maximum, minimum = np.take, np.copyto, np.maximum, np.minimum
     subtract, add = np.subtract, np.add
     for start in range(0, k_src, depth):
         stop = min(start + depth, k_src)
         n = stop - start
-        passed, taken, a = passed_buf[:n], take_buf[:n], a_buf[:n]
+        reach, top = reach_buf[:n], top_buf[:n]
         # The bounds are in range; "clip" lets `np.take` fill `out` unbuffered.
-        gather(sb, lo[start:stop], axis=0, out=passed, mode="clip")
-        gather(sb, hi[start:stop], axis=0, out=taken, mode="clip")
+        gather(sb, lo[start:stop], axis=0, out=passed_buf[:n], mode="clip")
+        gather(sb, hi[start:stop], axis=0, out=reach, mode="clip")
         # Each source's numerators repeated over the bandwidths, so that no
         # ufunc below broadcasts a row.
-        copyto(a, A[start:stop, None, :])
+        copyto(top, A[start:stop, None, :])
         chunk = views[:n]
-        for passed_i, take_i, a_i in chunk:
-            maximum(level, passed_i, out=level)
-            # max(SB[hi] - C, 0) as max(SB[hi], C) - C.
-            maximum(take_i, level, out=take_i)
-            subtract(take_i, level, take_i)
-            minimum(take_i, a_i, out=take_i)
-            add(level, take_i, level)
-        # The unmatched parts a_i - take_i, added to the cost in source order.
-        subtract(a, taken, taken)
-        for _, take_i, _ in chunk:
-            add(cost, take_i, cost)
+        for passed_i, reach_i, top_i in chunk:
+            # L_i = max(C, SB[lo_i]); top = L_i + a_i; C = min(top, SB[hi_i]).
+            maximum(level, passed_i, out=passed_i)
+            add(passed_i, top_i, top_i)
+            level = minimum(top_i, reach_i, out=reach_i)
+        # The level is a row of `reach_buf`, which the next chunk overwrites.
+        level = level.copy()
+        # The unmatched parts top - C, added to the cost in source order.
+        subtract(top, reach, top)
+        for _, _, top_i in chunk:
+            add(cost, top_i, cost)
     return cost.T
 
 

@@ -146,7 +146,10 @@ def strassen_certificate(a: PricePMF, b: PricePMF, d: int) -> tuple[set[int], fl
 def per_source_cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np.ndarray):
     """The column kernel's level recurrence one source at a time: seven numpy
     calls per source on (G, R) int64 arrays, gathering each source's window
-    sums alone.  Same contract as `transport._cost_columns`."""
+    sums alone.  Same contract as `transport._cost_columns`.  It keeps the
+    clamped form `take = min(max(SB[hi_i] - level, 0), a_i)` on purpose,
+    where the kernel drops the clamp by the invariant `L_i <= SB[hi_i]`, so
+    it stays an independent reference for the kernel's two-line form."""
     sb = np.zeros((B.shape[0] + 1, B.shape[1]), dtype=np.int64)
     np.cumsum(B, axis=0, out=sb[1:])
     level = np.zeros((lo.shape[1], A.shape[1]), dtype=np.int64)
@@ -166,7 +169,9 @@ def per_source_cost_columns(lo: np.ndarray, hi: np.ndarray, A: np.ndarray, B: np
 def fraction_cost(a: PricePMF, b: PricePMF, d: int) -> Fraction:
     """`ot_cost(a, b, d)` as an exact rational: the level recurrence of the
     `transport` docstring on `Fraction` masses `count / n`, with each
-    window found by `bisect` on Python integers."""
+    window found by `bisect` on Python integers.  Like
+    `per_source_cost_columns`, it keeps the clamped `take` on purpose, as a
+    reference independent of the invariant that lets the package drop it."""
     tgt = b.support.tolist()
     sb = list(itertools.accumulate((Fraction(c, b.n) for c in b.counts.tolist()), initial=Fraction(0)))
     level = cost = Fraction(0)

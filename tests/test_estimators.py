@@ -157,6 +157,10 @@ class TestPlacebo:
         # the streams' ValueError later.
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
             PlaceboConfig(seed=-1)
+        # Not truncated to 1, nor a TypeError inside the sweep.
+        for field, value in (("seed", 1.9), ("n_sims", 2.5), ("n_sims", True)):
+            with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+                PlaceboConfig(**{field: value})
         assert [f.name for f in dataclasses.fields(PlaceboConfig)] == ["n_sims", "seed"]
 
 

@@ -30,6 +30,10 @@ class TestConfig:
         # the streams' ValueError later.
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
             SubsampleConfig(seed=-1)
+        # Not truncated to 1, nor a TypeError or ValueError inside the sweep.
+        for field, value in (("seed", 1.9), ("n_draws", 2.5), ("b", 2.5)):
+            with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {value!r}$"):
+                SubsampleConfig(**{field: value})
 
     def test_size_rules(self):
         assert SubsampleConfig(b=7).size_for(100) == 7

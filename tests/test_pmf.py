@@ -200,10 +200,79 @@ class TestIngest:
         assert table_rows(ingest_csv(source)) == table_rows(ingest_csv(path))
         with open(path, "rb") as fh:
             assert table_rows(ingest_csv(fh)) == table_rows(ingest_csv(path))
-        broken = io.BytesIO(b"city\n\xff\n")
-        broken.name = "named.csv"
-        with pytest.raises(ParseError, match="^named.csv: not UTF-8 text$"):
-            ingest_csv(broken)
+        # A byte that is not UTF-8 in a label, in the header or in a column
+        # the table does not read ends in the row loop's message.
+        head = b"city,year,month,price,quantity"
+        for data in (
+            b"city\n\xff\n",
+            head + b"\nmetro,2010,1,5,4\n\xffx,2010,1,5,4\n",
+            head + b",\xff\n",
+            head + b",note\nmetro,2010,1,5,4,\xff\n",
+        ):
+            broken = io.BytesIO(data)
+            broken.name = "named.csv"
+            with pytest.raises(ParseError, match="^named.csv: not UTF-8 text$"):
+                ingest_csv(broken)
+
+    @pytest.mark.parametrize("block", [1, 20, 64, pmf._BLOCK])
+    def test_label_ending_its_row_reads_like_row_loop(self, tmp_path, monkeypatch, block):
+        # A label in the last column ends just before its block's line end,
+        # so its 8-byte words read past the block; the last row has no line end.
+        labels = ["a", "coastal", "new town", "metropolis"]
+        lines = [f"2010,{m},{20000 + m},{m % 3},{labels[m % 4]}" for m in range(1, 13)]
+        text = "year,month,price,quantity,city\r\n" + "\r\n".join(lines)
+        path = write(tmp_path, text)
+        loop = pmf._read_table(csv.reader(io.StringIO(text, newline="")), path)
+        forbid_row_loop(monkeypatch)
+        monkeypatch.setattr(pmf, "_BLOCK", block)
+        table = ingest_csv(path)
+        assert table.cities == loop.cities == ("coastal", "new town", "metropolis", "a")
+        assert table_rows(table) == table_rows(loop)
+
+    @staticmethod
+    def several_blocks(tmp_path, first_price="20000"):
+        """A plain file of four or more byte-pass blocks, with the price cell
+        of its first row `first_price`, and its row count."""
+        cities = ("metro", "coastal", "inland")
+        rows = [
+            f"{cities[i % 3]},{2010 + i % 2},{1 + i % 12},{1000 * (i % 97)},{i % 7}" for i in range(48_000)
+        ]
+        rows[0] = f"metro,2010,1,{first_price},5"
+        path = write(tmp_path, "city,year,month,price,quantity\n" + "\n".join(rows) + "\n")
+        assert path.stat().st_size > 4 * pmf._BLOCK
+        return path, len(rows)
+
+    def test_plain_file_of_several_blocks_bounds_peak_memory(self, tmp_path, monkeypatch):
+        # The byte pass holds the file, the table's columns and one block's
+        # temporaries, not masks and field bounds of the whole file.
+        path, n_rows = self.several_blocks(tmp_path)
+        forbid_row_loop(monkeypatch)
+        tracemalloc.start()
+        try:
+            table = ingest_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == n_rows
+        assert peak <= 6 * path.stat().st_size
+
+    def test_rejected_cell_in_first_block_stops_byte_pass(self, tmp_path, monkeypatch):
+        # The price column of the first block rejects `5.5`, so no later
+        # block is parsed before the row loop reports the cell.
+        path, n_rows = self.several_blocks(tmp_path, first_price="5.5")
+        integers = pmf._integers
+        sizes = []
+
+        def spy(buf, first, *args, **kwargs):
+            sizes.append(first.size)
+            return integers(buf, first, *args, **kwargs)
+
+        monkeypatch.setattr(pmf, "_integers", spy)
+        with pytest.raises(ParseError, match=r"^non-integer price '5\.5', row 2$"):
+            ingest_csv(path)
+        # Year, month, then price, each over the first block's rows only.
+        assert len(sizes) == 3 and len(set(sizes)) == 1
+        assert 4 * sizes[0] < n_rows
 
 
 class TestBuildPmf:

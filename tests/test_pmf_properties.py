@@ -15,7 +15,11 @@ boundary, and any one-character edit of a plain file, must give the row
 loop's table or its exact error.  A plain file either holds no space or tab
 at all or may pad its cells and hold a label with an inner space, and either
 holds no `-` at all or may hold negative years and `-0` cells, so the byte
-pass runs with and without its blank walks and its sign pass.
+pass runs with and without its blank walks and its sign pass.  These files
+are read in blocks of a few bytes as well as in one, so block edges fall
+after every kind of line end and blank line, before a last line without a
+line end, and between a label's rows; a file's last line may lack its line
+end.
 """
 
 import contextlib
@@ -195,27 +199,36 @@ def csv_files(draw, plain=False):
             lines.append(draw(st.sampled_from(blanks)) + newline)
         rownums.append(len(lines) + 1)
         lines.append(",".join(draw(formatted_cell(v, plain, padded, signs)) for v in row) + newline)
-    return rows, "".join(lines), rownums
+    text = "".join(lines)
+    # The last line may lack its line end.
+    return rows, text.removesuffix(newline) if draw(st.booleans()) else text, rownums
+
+
+#: The byte pass's block size: a few bytes put block edges after every kind
+#: of line end and blank line, before a last line without a line end, and
+#: before a label's first row; the real size reads these files in one block.
+BLOCKS = st.one_of(st.integers(1, 40), st.just(pmf._BLOCK))
 
 
 @CSV_PROPERTIES
-@given(case=csv_files())
-def test_ingest_matches_csv_loop(csv_path, case):
+@given(case=csv_files(), block=BLOCKS)
+def test_ingest_matches_csv_loop(csv_path, case, block):
     rows, text, _ = case
     csv_path.write_text(text, encoding="utf-8")
-    table = ingest_csv(csv_path)
+    with mock.patch.object(pmf, "_BLOCK", block):
+        table = ingest_csv(csv_path)
     assert table_rows(table) == csv_rows(csv_path) == rows
     assert table.cities == tuple(dict.fromkeys(row[0] for row in rows))
 
 
 @CSV_PROPERTIES
-@given(case=csv_files(plain=True))
-def test_plain_file_skips_row_loop(csv_path, case):
+@given(case=csv_files(plain=True), block=BLOCKS)
+def test_plain_file_skips_row_loop(csv_path, case, block):
     rows, text, _ = case
     csv_path.write_text(text, encoding="utf-8", newline="")
     # A body without rows may take either path.
     row_loop = mock.patch.object(pmf, "_read_table", side_effect=AssertionError("row loop ran"))
-    with row_loop if rows else contextlib.nullcontext():
+    with mock.patch.object(pmf, "_BLOCK", block), row_loop if rows else contextlib.nullcontext():
         table = ingest_csv(csv_path)
     assert table_rows(table) == csv_rows(csv_path) == rows
     assert table.cities == tuple(dict.fromkeys(row[0] for row in rows))
@@ -322,8 +335,8 @@ def outcome(read):
 
 
 @CSV_PROPERTIES
-@given(case=csv_files(plain=True), data=st.data())
-def test_one_character_edit_reads_like_row_loop(csv_path, case, data):
+@given(case=csv_files(plain=True), block=BLOCKS, data=st.data())
+def test_one_character_edit_reads_like_row_loop(csv_path, case, block, data):
     _, text, _ = case
     at = data.draw(st.integers(0, len(text)))
     replace = at < len(text) and data.draw(st.booleans())
@@ -331,4 +344,5 @@ def test_one_character_edit_reads_like_row_loop(csv_path, case, data):
     csv_path.write_text(text, encoding="utf-8", newline="")
     reader = csv.reader(io.StringIO(text, newline=""))
     want = outcome(lambda: pmf._read_table(reader, csv_path))
-    assert outcome(lambda: ingest_csv(csv_path)) == want
+    with mock.patch.object(pmf, "_BLOCK", block):
+        assert outcome(lambda: ingest_csv(csv_path)) == want
