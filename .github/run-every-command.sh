@@ -9,6 +9,7 @@
 # `ci --estimator dit` and `did` also run with the pooled control
 # `coastal,inland`.  `report` bundles the JSON files the commands before it
 # write.  Any command that exits non-zero stops the script with its status.
+# `ci --b 100` must report a subsample size of 100 on each side.
 # Each CSV the commands write must have its header line and its line count,
 # and no cell may hold a numpy scalar's repr such as `np.float64(...)`,
 # which numpy 2 prints for a numpy float written by its repr.
@@ -19,6 +20,7 @@
 # quota past the market size, a negative bandwidth and a grid that starts
 # below zero, each with an input file that does not exist: these values are
 # checked before the input is read, so the error names the flag, not the file.
+# A `--b` past the sample size must exit 1 with one line that names `b=`.
 # A market larger than one block of the byte pass (256 KiB), written once
 # with LF and once with CRLF line ends, must ingest to the same rows, units
 # and cities.
@@ -80,6 +82,11 @@ diftrans ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 2
 # s_notc = 0.25 here, below 30 of the 40 share draws: they cannot be inverted and are empty.
 diftrans ci --input market.csv --city metro $window --map p --wtp wtp.csv --market-size 50000 --quota 37500 --d 2000 --draws 40 --seed 21 --dump-draws draws_nan.csv --out ci_nan.json
 diftrans equilibrium --wtp wtp.csv --s 0.1,0.2 --price-floor 150000 --out-csv eq.csv --out equilibrium_floor.json
+diftrans ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 21 --b 100 --out ci_b.json
+python -c "import json, sys; sys.exit(json.load(open(sys.argv[1]))['b'] != {'pre': 100, 'post': 100})" ci_b.json || {
+    echo "expected ci_b.json to report b = 100 on each side" >&2
+    exit 1
+}
 scan_header=d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit
 for name in curve curve_pooled curve_trends; do
     csv_is $name.csv $scan_header 10
@@ -129,3 +136,4 @@ fails_naming --d transport --input absent.csv --city metro $window --d=-5 --out 
 fails_naming --d ci --input absent.csv --city metro $window --d=-5 --out ci_negative.json
 fails_naming grid scan --input absent.csv --city metro $window --d-grid=-1000:3000:1000 --out-csv scan_negative.csv --out scan_negative.json
 fails_naming grid dit --input absent.csv --treated-city metro --control-city coastal $window --d-grid=-1000:3000:1000 --out-csv dit_negative.csv --out dit_negative.json
+fails_naming b= ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 21 --b 100000000 --out ci_b_huge.json

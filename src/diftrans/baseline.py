@@ -46,6 +46,9 @@ def did_ols(treated, post, price, weight=None) -> DidResult:
         w = np.asarray(weight, dtype=np.float64)
     if not (treated.shape == post.shape == price.shape == w.shape):
         raise ValidationError("treated, post, price, and weight must have equal length")
+    for name, values in (("price", price), ("weight", w)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"non-finite {name}")
     if np.any(w < 0):
         raise ValidationError("negative weight")
     keep = w > 0

@@ -472,10 +472,7 @@ def _write_draws(path: str, draws) -> None:
 
 
 def cmd_ci(args) -> dict:
-    cfg = SubsampleConfig(
-        n_draws=args.draws, b=args.b, block_fraction=args.block_fraction, alpha=args.alpha,
-        seed=args.seed,
-    )
+    cfg = SubsampleConfig(n_draws=args.draws, b=args.b, alpha=args.alpha, seed=args.seed)
     if args.map != "share":
         curve, mcfg = _market(args)
     table = _ingest(args)
@@ -717,7 +714,6 @@ def _ci_args(sub):
     sub.add_argument("--d", type=int, required=True)
     sub.add_argument("--draws", type=int, default=200)
     sub.add_argument("--b", type=int, help="explicit subsample size")
-    sub.add_argument("--block-fraction", type=float)
     sub.add_argument("--alpha", type=float, default=0.05)
     sub.add_argument("--map", choices=["share", "p", "t", "net-gains"], default="share")
     _add(sub, "ci", "--wtp", "willingness-to-pay CSV")

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
 from .pmf import _csv_rows, _read_bytes, _read_only
+from .transport import _is_integer
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,10 @@ class MarketConfig:
     z: float = 0.0
 
     def __post_init__(self):
+        for name in ("N", "q"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.N <= 0 or self.q <= 0:
             raise ValidationError("market size and quota must be positive")
         if self.q >= self.N:

@@ -58,11 +58,9 @@ class PlaceboConfig:
 
 
 def _check_grid(grid) -> list[int]:
-    grid = [int(d) for d in grid]
+    grid = [_check_bandwidth(d) for d in grid]
     if not grid:
         raise ValidationError("bandwidth grid is empty")
-    if any(d < 0 for d in grid):
-        raise ValidationError("bandwidth grid contains negative entries")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError("bandwidth grid must be strictly ascending")
     return grid
@@ -143,18 +141,21 @@ class BandwidthScan:
         The real cost does not rise with `d`, so its first admissible row is
         taken.
 
-        Without an explicit `d_min` it is the larger of two floors.  The
-        noise floor is the smallest scanned `d` whose placebo mean is
-        strictly below `threshold`; the default 0.05% makes sampling noise
-        invisible at one-decimal percentage precision.  The trends floor is
-        the smallest scanned `d` from which the trends curves' |difference|
-        stays below `tau`, or 0 for a scan without them.
+        An explicit `d_min` is checked as any bandwidth is.  Without one it
+        is the larger of two floors.  The noise floor is the smallest
+        scanned `d` whose placebo mean is strictly below `threshold`; the
+        default 0.05% makes sampling noise invisible at one-decimal
+        percentage precision.  The trends floor is the smallest scanned `d`
+        from which the trends curves' |difference| stays below `tau`, or 0
+        for a scan without them.
         """
         placebo_d = displacement_d = None
         if d_min is None:
             placebo_d = self._noise_floor(threshold)
             displacement_d = 0 if self.trends is None else self._trends_floor(tau)
             d_min = max(placebo_d, displacement_d)
+        else:
+            d_min = _check_bandwidth(d_min)
         admissible = [row for row in self.rows if row.d >= d_min]
         if not admissible:
             raise SelectionError(f"no scan row at or above d_min={d_min}")

@@ -24,6 +24,10 @@ the draws that are not NaN.  A caller that wants an interval of a function of
 the share (the price, cost wedge or net gains of the market inversion, as
 `ci --map` does) maps the point and the draws itself and forms the interval
 there; a draw it cannot map is NaN and left out.
+
+Each side of size n is subsampled at an explicit `b` or at floor(n^0.7).
+b-out-of-n subsampling needs b/n to vanish as n grows (Politis, Romano and
+Wolf 1999), which a fixed fraction of n never does, so it is no size rule.
 """
 
 from __future__ import annotations
@@ -40,16 +44,15 @@ from .transport import _check_bandwidth, _is_integer, _sweep
 
 @dataclass(frozen=True)
 class SubsampleConfig:
-    """Draw count, subsample size rule, coverage level, and seed.
+    """Draw count, subsample size, coverage level, and seed.
 
-    The subsample size is the explicit `b` when given, else
-    floor(block_fraction * n), which must be at least 1, else the default
-    floor(n^0.7), evaluated per data side.
+    Each data side of size n is subsampled at the explicit `b` when given,
+    else at floor(n^0.7), whose b/n = n^-0.3 vanishes as n grows; either
+    must be below n.
     """
 
     n_draws: int = 200
     b: int | None = None
-    block_fraction: float | None = None
     alpha: float = 0.05
     seed: int = 0
 
@@ -64,10 +67,6 @@ class SubsampleConfig:
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.b is not None and self.b < 1:
             raise ValidationError(f"subsample size must be at least 1, got {self.b}")
-        if self.block_fraction is not None and not 0.0 < self.block_fraction < 1.0:
-            raise ValidationError("block_fraction must lie strictly inside (0, 1)")
-        if self.b is not None and self.block_fraction is not None:
-            raise ValidationError("give either b or block_fraction, not both")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
@@ -76,13 +75,6 @@ class SubsampleConfig:
             if self.b >= n:
                 raise ConfigError(f"subsample size b={self.b} must be below n={n}")
             return self.b
-        if self.block_fraction is not None:
-            b = int(self.block_fraction * n)
-            if b < 1:
-                raise ConfigError(
-                    f"block fraction {self.block_fraction} of n={n} leaves no unit to subsample"
-                )
-            return b
         b = int(n**0.7)
         if b >= n:
             raise ConfigError(f"cannot subsample below a sample of size {n}")

@@ -129,6 +129,19 @@ class TestErrors:
                 [1, 1, 1, 1],
             )
 
+    def test_non_finite_price_or_weight(self):
+        # Not NaN coefficients from a NaN price, nor a NaN weight's row
+        # dropped without a word.
+        treated, post = [1, 0, 1, 0], [1, 1, 0, 0]
+        for price, weight, name in (
+            ([1.0, np.nan, 2.0, 3.0], None, "price"),
+            ([1.0, np.inf, 2.0, 3.0], [1, 1, 1, 1], "price"),
+            ([1.0, 4.0, 2.0, 3.0], [1, np.nan, 1, 1], "weight"),
+            ([1.0, 4.0, 2.0, 3.0], [1, 1, np.inf, 1], "weight"),
+        ):
+            with pytest.raises(ValidationError, match=f"^non-finite {name}$"):
+                did_ols(treated, post, price, weight)
+
 
 def _force_full_design(treated, post):
     """Overwrite the first four rows so every (treated, post) cell is filled."""

@@ -820,12 +820,16 @@ class TestCi:
         if estimator == "before_after":
             assert 0 < report["n_failed"] < report["n_draws"]
 
-    def test_block_fraction_below_one_unit_is_one_line_error(self, tmp_path, capsys, synth_csv):
-        code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--block-fraction", "1e-9"]))
-        assert (code, report) == (1, None)
-        err = capsys.readouterr().err
-        assert err.startswith("diftrans ci: block fraction 1e-09 of n=")
-        assert len(err.splitlines()) == 1
+    def test_explicit_b_is_the_one_size_flag(self, tmp_path, capsys, synth_csv):
+        # Each side is subsampled at --b or at floor(n^0.7); a fixed fraction
+        # of n is no size rule, so --block-fraction is a usage error.
+        code, report = run(tmp_path, *self.ci_args(synth_csv, extra=["--b", "100"]))
+        assert code == 0
+        assert report["b"] == {"pre": 100, "post": 100}
+        with pytest.raises(SystemExit) as exc:
+            main(self.ci_args(synth_csv, extra=["--block-fraction", "0.5"]))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --block-fraction 0.5" in capsys.readouterr().err
 
     def test_failing_point_is_one_line_error(self, tmp_path, capsys, synth_csv, uniform_wtp):
         # The full-sample share (~0.24) exceeds s_notc = 0.2, so the point
@@ -1185,9 +1189,7 @@ class TestPooledControl:
         (["--estimator", "dit"], "--control-city is required by the dit estimator"),
         (["--map", "p"], "--wtp is required to map the share, with --map p, t or net-gains"),
         (["--map", "net-gains"], "--wtp is required to map the share, with --map p, t or net-gains"),
-        (["--b", "10", "--block-fraction", "0.5"], "give either b or block_fraction, not both"),
         (["--b", "0"], "subsample size must be at least 1, got 0"),
-        (["--block-fraction", "1.5"], "block_fraction must lie strictly inside (0, 1)"),
         (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
         (["--map", "p", "--wtp", "WTP", "--quota", "800000"], "quota must be smaller than the market size"),
         (["--map", "t", "--wtp", "WTP", "--speculator-share", "2"], "speculator share must lie in [0, 1], got 2.0"),
@@ -1197,7 +1199,7 @@ class TestPooledControl:
         ),
     ],
     ids=[
-        "dit-no-control", "p-no-wtp", "net-gains-no-wtp", "b-and-fraction", "b-zero", "fraction", "alpha",
+        "dit-no-control", "p-no-wtp", "net-gains-no-wtp", "b-zero", "alpha",
         "quota", "speculator-share", "wtp-missing",
     ],
 )

@@ -96,7 +96,6 @@ FLAGS = {
         "--d": numbers,
         "--draws": draw_counts,
         "--b": numbers,
-        "--block-fraction": numbers,
         "--alpha": numbers,
         "--map": st.sampled_from(["share", "p", "t", "net-gains", "x"]),
         "--market-size": numbers,

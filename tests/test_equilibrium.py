@@ -151,6 +151,20 @@ class TestFrictionless:
         cfg = MarketConfig(N=1000, q=999)
         assert cfg.s_notc == pytest.approx(1e-3)
 
+    def test_config_validation(self):
+        # Counts of buyers and licenses: neither truncated nor read as a bool.
+        for kwargs, message in (
+            ({"N": 700_000.5}, "N must be an integer, got 700000.5"),
+            ({"N": 10, "q": True}, "q must be an integer, got True"),
+            ({"q": 0}, "market size and quota must be positive"),
+            ({"q": N}, "quota must be smaller than the market size"),
+            ({"z": 1.5}, "speculator share must lie in [0, 1], got 1.5"),
+        ):
+            with pytest.raises(ValidationError) as exc:
+                MarketConfig(**kwargs)
+            assert str(exc.value) == message
+        assert MarketConfig(N=np.int64(N), q=np.int32(Q)).s_notc == (N - Q) / N
+
 
 class TestInversion:
     def test_uniform_closed_form(self, uniform):

@@ -9,16 +9,19 @@ mean of its column rounded once, and each other placebo summary the 1-D
 reductions of its column, whatever the supports and whatever the block
 size.  Supports here differ per
 distribution and overlap only in part, masses include zeros, and bandwidths
-run past the combined span.
+run past the combined span.  A scan's grid and an explicit selection floor
+take exactly the bandwidths `ot_cost` takes, whatever their type.
 """
 
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diftrans import transport
+from diftrans.errors import ValidationError
 from diftrans.estimators import PlaceboConfig, bandwidth_scan, diff_in_transports
 from diftrans.inference import SubsampleConfig, subsample_ci
 from diftrans.pmf import PricePMF
@@ -131,3 +134,57 @@ def test_subsample_draws_whatever_the_blocks(pre, post, c_pre, c_post, d, dit):
     assert results[0].point == scalar(*sides)
     for k in range(cfg.n_draws):
         assert results[0].draws[k] == scalar(*subsample_draw(sides, cfg, k))
+
+
+#: Bandwidths of every type a caller may pass: Python and numpy ints,
+#: integral and non-integral floats, and bools; negatives among them.
+loose_bandwidths = st.one_of(
+    st.integers(-5, 2500),
+    st.integers(-5, 2500).map(np.int64),
+    st.integers(-5, 2500).map(float),
+    st.floats(-5, 2500).filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+
+#: A pair of small PMFs; whether a bandwidth is taken does not depend on them.
+PAIR = (PricePMF([0, 1000], [2, 3]), PricePMF([500, 1500], [1, 4]))
+
+
+def rejection(d):
+    """`ot_cost`'s message rejecting bandwidth `d`, or None where it takes `d`."""
+    try:
+        ot_cost(*PAIR, d)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTIES
+@given(st.lists(loose_bandwidths, min_size=1, max_size=4).map(sorted), loose_bandwidths)
+def test_scan_and_select_take_what_ot_cost_takes(grid, d_min):
+    cfg = PlaceboConfig(n_sims=2)
+    messages = [message for message in map(rejection, grid) if message is not None]
+    ds = [int(d) for d in grid]
+    if messages:
+        expected = messages[0]
+    elif any(b <= a for a, b in zip(ds, ds[1:])):
+        expected = "bandwidth grid must be strictly ascending"
+    else:
+        expected = None
+    if expected is None:
+        assert [row.d for row in bandwidth_scan(*PAIR, grid, cfg).rows] == ds
+    else:
+        with pytest.raises(ValidationError) as exc:
+            bandwidth_scan(*PAIR, grid, cfg)
+        assert str(exc.value) == expected
+
+    scan = bandwidth_scan(*PAIR, [0, 2500], cfg)
+    message = rejection(d_min)
+    if message is None:
+        floor = scan.select(d_min=d_min).d_min
+        assert floor == d_min and type(floor) is int
+    else:
+        with pytest.raises(ValidationError) as exc:
+            scan.select(d_min=d_min)
+        assert str(exc.value) == message

@@ -22,10 +22,6 @@ class TestConfig:
             SubsampleConfig(alpha=1.5)
         with pytest.raises(ValidationError):
             SubsampleConfig(b=0)
-        with pytest.raises(ValidationError):
-            SubsampleConfig(b=5, block_fraction=0.5)
-        with pytest.raises(ValidationError):
-            SubsampleConfig(block_fraction=1.0)
         # A stream key part must be nonnegative: a DiftransError here, not
         # the streams' ValueError later.
         with pytest.raises(ValidationError, match="seed must be nonnegative, got -1"):
@@ -37,13 +33,7 @@ class TestConfig:
 
     def test_size_rules(self):
         assert SubsampleConfig(b=7).size_for(100) == 7
-        assert SubsampleConfig(block_fraction=0.25).size_for(100) == 25
         assert SubsampleConfig().size_for(1000) == int(1000**0.7)
-
-    def test_block_fraction_below_one_unit(self):
-        assert SubsampleConfig(block_fraction=0.01).size_for(100) == 1
-        with pytest.raises(ConfigError, match=r"block fraction 0\.01 of n=99 "):
-            SubsampleConfig(block_fraction=0.01).size_for(99)
 
     def test_explicit_b_too_large(self):
         with pytest.raises(ConfigError):
