@@ -10,6 +10,9 @@
 # `coastal,inland`.  `report` bundles the JSON files the commands before it
 # write.  Any command that exits non-zero stops the script with its status.
 # `ci --b 100` must report a subsample size of 100 on each side.
+# `equilibrium` on the linear schedule must report the frictionless price
+# 176000 (v_max (N - q) / N at the default N and q), and carry the
+# price-floor flag on every row with `--price-floor` and on none without.
 # Each CSV the commands write must have its header line and its line count,
 # and no cell may hold a numpy scalar's repr such as `np.float64(...)`,
 # which numpy 2 prints for a numpy float written by its repr.
@@ -85,6 +88,10 @@ diftrans equilibrium --wtp wtp.csv --s 0.1,0.2 --price-floor 150000 --out-csv eq
 diftrans ci --input market.csv --city metro $window --d 2000 --draws 40 --seed 21 --b 100 --out ci_b.json
 python -c "import json, sys; sys.exit(json.load(open(sys.argv[1]))['b'] != {'pre': 100, 'post': 100})" ci_b.json || {
     echo "expected ci_b.json to report b = 100 on each side" >&2
+    exit 1
+}
+python -c "import json, sys; eq, floor = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(abs(eq['p_notc'] - 176000) > 1e-6 or any('meets_price_floor' in row for row in eq['rows']) or not all('meets_price_floor' in row for row in floor['rows']))" equilibrium.json equilibrium_floor.json || {
+    echo "expected p_notc = 176000 in equilibrium.json, and meets_price_floor on every row of equilibrium_floor.json and on none of equilibrium.json" >&2
     exit 1
 }
 scan_header=d,real_cost,placebo_mean,placebo_sd,q025,q25,q50,q75,q975,dit

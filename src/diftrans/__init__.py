@@ -7,11 +7,9 @@ from .equilibrium import (
     MarketConfig,
     MarketSolution,
     WtpCurve,
-    bounds_table,
     comparative_statics,
     invert_from_volume,
     invert_shares,
-    solve_no_tc,
 )
 from .errors import DiftransError
 from .estimators import (
@@ -39,7 +37,6 @@ __all__ = [
     "TransportPlan",
     "WtpCurve",
     "bandwidth_scan",
-    "bounds_table",
     "build_pmf",
     "comparative_statics",
     "did_ols",
@@ -48,7 +45,6 @@ __all__ = [
     "invert_from_volume",
     "invert_shares",
     "ot_cost",
-    "solve_no_tc",
     "solve_ot",
     "subsample_ci",
 ]

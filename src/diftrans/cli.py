@@ -418,11 +418,16 @@ def cmd_dit(args) -> dict:
     }
 
 
-def _solution_json(sol: equilibrium.MarketSolution, dp_ds: float, dt_ds: float) -> dict:
-    """One row of `equilibrium`'s report: the solution's fields in RMB, less
-    an unset `meets_price_floor`, their displays in RMB thousand and
-    billion, and the derivatives of price and cost wedge in the share."""
-    out = {key: value for key, value in dataclasses.asdict(sol).items() if value is not None}
+def _solution_json(
+    sol: equilibrium.MarketSolution, floor: bool | None, dp_ds: float, dt_ds: float
+) -> dict:
+    """One row of `equilibrium`'s report: the solution's fields in RMB, the
+    price-floor flag `meets_price_floor` unless it is None, their displays in
+    RMB thousand and billion, and the derivatives of price and cost wedge in
+    the share."""
+    out = dataclasses.asdict(sol)
+    if floor is not None:
+        out["meets_price_floor"] = floor
     out["display"] = {
         "p_thousand": sol.p / 1e3,
         "t_thousand": sol.t / 1e3,
@@ -442,14 +447,21 @@ def cmd_equilibrium(args) -> dict:
     if not s_values:
         raise DiftransError(f"trade shares {args.s!r} name no share")
     curve, cfg = _market(args)
-    rows = equilibrium.bounds_table(cfg, curve, s_values, price_floor=args.price_floor)
-    dp, dt = equilibrium.comparative_statics(cfg, curve, [sol.s for sol in rows])
+    # The first share the model cannot invert raises the error naming its bound.
+    rows = [equilibrium.invert_from_volume(cfg, curve, s) for s in s_values]
+    dp, dt = equilibrium.comparative_statics(cfg, curve, s_values)
+    floors = [None if args.price_floor is None else sol.p >= args.price_floor for sol in rows]
     if args.out_csv is not None:
         names = [f.name for f in dataclasses.fields(equilibrium.MarketSolution)]
-        _write_csv(args.out_csv, names, map(dataclasses.astuple, rows))
+        cells = (dataclasses.astuple(sol) + (floor,) for sol, floor in zip(rows, floors))
+        _write_csv(args.out_csv, names + ["meets_price_floor"], cells)
+    p_notc = None
+    if cfg.z == 0.0:
+        # The wedge closes at s_notc, where the seller margin is the price.
+        p_notc = equilibrium.invert_from_volume(cfg, curve, cfg.s_notc).v_seller
     return {
-        "rows": list(map(_solution_json, rows, dp.tolist(), dt.tolist())),
-        "p_notc": equilibrium.solve_no_tc(cfg, curve)[0] if cfg.z == 0.0 else None,
+        "rows": list(map(_solution_json, rows, floors, dp.tolist(), dt.tolist())),
+        "p_notc": p_notc,
         "s_notc": cfg.s_notc,
     }
 

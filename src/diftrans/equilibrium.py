@@ -14,14 +14,16 @@ valuations are one `np.interp` each, and the gains are a closed form in the
 schedule's prefix areas, read with one `np.searchsorted` and one
 `np.interp` per margin, so every solution it returns carries its gains.
 A share the model cannot invert gets a NaN row there.  `invert_from_volume`
-(one share, which raises instead) and `bounds_table` read from it.  So does
-`ci --map`, which maps a share interval after inference: the full-sample
-point through `invert_from_volume`, so a point the model cannot invert is an
-error naming the bound it breaks, and all the draws through one
-`invert_shares` call, whose NaN draws the interval leaves out.  Prices,
-wedges and marginal valuations are the same floats as a scalar read of the
-schedule; the gains add the linear pieces of a trapezoid over the traded
-volume in another order, so they can differ from it in the last bits.
+inverts one share through it and raises instead.  The CLI reads both:
+`equilibrium` inverts each share with `invert_from_volume`, and so its
+frictionless price, the seller margin at s_notc.  `ci --map` maps a share
+interval after inference: the full-sample point through
+`invert_from_volume`, so a point the model cannot invert is an error naming
+the bound it breaks, and all the draws through one `invert_shares` call,
+whose NaN draws the interval leaves out.  Prices, wedges and marginal
+valuations are the same floats as a scalar read of the schedule; the gains
+add the linear pieces of a trapezoid over the traded volume in another
+order, so they can differ from it in the last bits.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleShareError, ParseError, ValidationError
 from .pmf import _csv_rows, _read_bytes, _read_only
-from .transport import _is_integer
+from .transport import _is_integer, _is_real
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,6 @@ class WtpCurve:
                 ) from None
         return cls.from_knots(knots, strictify=strictify)
 
-    def value_at(self, n) -> float:
-        return float(np.interp(n, self.volumes, self.values))
-
-    def inverse_cdf(self, share: float) -> float:
-        if not 0.0 <= share <= 1.0:
-            raise ValidationError(f"share must be in [0, 1], got {share}")
-        return self.value_at(self.market_size * (1.0 - share))
-
     def _density(self, v: np.ndarray) -> np.ndarray:
         """The slope of the valuation CDF (piecewise constant, right-continuous)
         at every valuation of `v`, all within [0, v_max]."""
@@ -160,6 +154,8 @@ class MarketConfig:
             raise ValidationError("market size and quota must be positive")
         if self.q >= self.N:
             raise ValidationError("quota must be smaller than the market size")
+        if not _is_real(self.z):
+            raise ValidationError(f"z must be a real number, got {self.z!r}")
         if not 0.0 <= self.z <= 1.0:
             raise ValidationError(f"speculator share must lie in [0, 1], got {self.z}")
 
@@ -174,12 +170,11 @@ class MarketConfig:
         return self.N - self.q * (1.0 - self.z)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarketSolution:
     """One inverted scenario: share, price, cost wedge, and gains accounting.
 
-    From `invert_shares` every field but `meets_price_floor` is an array
-    over the shares instead.
+    From `invert_shares` every field is an array over the shares instead.
     """
 
     s: float
@@ -191,19 +186,6 @@ class MarketSolution:
     tc_total: float = float("nan")
     net_gains: float = float("nan")
     tc_share: float = float("nan")
-    meets_price_floor: bool | None = None
-
-
-def solve_no_tc(cfg: MarketConfig, curve: WtpCurve) -> tuple[float, float]:
-    """Frictionless equilibrium price and share, both exact.
-
-    With no cost wedge, demand (N - q)(1 - F(p)) equals supply q F(p) where the
-    valuation CDF F hits (N - q) / N, so the share is curve-independent and
-    the price is that quantile of the schedule.
-    """
-    if cfg.z != 0.0:
-        raise ConfigError("frictionless benchmark assumes no speculators")
-    return curve.inverse_cdf(cfg.s_notc), cfg.s_notc
 
 
 def _supported(cfg: MarketConfig, s: np.ndarray) -> np.ndarray:
@@ -235,8 +217,9 @@ def _check_shares(cfg: MarketConfig, s: np.ndarray) -> None:
 def _margins(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray):
     """Marginal seller and buyer valuations of supported shares `s`.
 
-    `inverse_cdf` at the seller's schedule share s (zero when the whole share
-    is speculator supply) and at the buyer's 1 - s q / pool, elementwise.
+    The valuation quantiles F^{-1}(x) = v(M (1 - x)) of the schedule at the
+    seller's share s (zero when the whole share is speculator supply) and at
+    the buyer's 1 - s q / pool, elementwise.
     """
     M = curve.market_size
     v_seller = np.interp(M * (1.0 - s), curve.volumes, curve.values)
@@ -270,24 +253,22 @@ def invert_shares(cfg: MarketConfig, curve: WtpCurve, s) -> MarketSolution:
     return sol
 
 
-def _rows(sol: MarketSolution) -> list[MarketSolution]:
-    """One solution of Python floats per share of an array solution."""
-    columns = {name: values.tolist() for name, values in vars(sol).items() if values is not None}
-    return [MarketSolution(**dict(zip(columns, row))) for row in zip(*columns.values())]
-
-
 def invert_from_volume(cfg: MarketConfig, curve: WtpCurve, s: float) -> MarketSolution:
     """Recover price and cost wedge from a trade share of the quota.
 
     Clearing the market at volume s*q pins the marginal seller valuation at
     the s-quantile of the schedule (zero when the whole share is speculator
     supply) and the marginal buyer valuation at the matching demand quantile;
-    price and cost are their midpoint and half-gap.  A share outside
-    (0, s_notc], below the speculator share or NaN raises an error naming
-    the bound it breaks.
+    price and cost are their midpoint and half-gap.  At s_notc with no
+    speculators the gap closes: demand (N - q)(1 - F(p)) meets supply q F(p)
+    where the valuation CDF F is s_notc, so the seller margin there is the
+    frictionless price.  A share outside (0, s_notc], below the speculator
+    share or NaN raises an error naming the bound it breaks.  The fields are
+    the Python floats of `invert_shares` at the one share.
     """
     _check_share(cfg, s)
-    return _rows(invert_shares(cfg, curve, [s]))[0]
+    sol = invert_shares(cfg, curve, [s])
+    return MarketSolution(*(values.item() for values in vars(sol).values()))
 
 
 def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> dict:
@@ -326,25 +307,6 @@ def _gains(cfg: MarketConfig, curve: WtpCurve, s: np.ndarray, t: np.ndarray) -> 
         "net_gains": gross - tc_total,
         "tc_share": np.divide(tc_total, gross, out=np.zeros_like(gross), where=gross > 0.0),
     }
-
-
-def bounds_table(
-    cfg: MarketConfig,
-    curve: WtpCurve,
-    s_values,
-    price_floor: float | None = None,
-) -> list[MarketSolution]:
-    """Invert a range of trade shares; flag rows meeting a price floor if given.
-
-    All shares are inverted by one `invert_shares` call; the first share the
-    model cannot invert raises its `invert_from_volume` error.
-    """
-    s = np.fromiter(s_values, dtype=np.float64)
-    _check_shares(cfg, s)
-    sol = invert_shares(cfg, curve, s)
-    if price_floor is not None:
-        sol.meets_price_floor = sol.p >= price_floor
-    return _rows(sol)
 
 
 def comparative_statics(cfg: MarketConfig, curve: WtpCurve, s):

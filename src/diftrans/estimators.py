@@ -22,6 +22,7 @@ rounded once, so it is `ot_cost`'s (see `transport`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import SelectionError, ValidationError
 from .pmf import PricePMF
 from .streams import keyed_streams
-from .transport import _check_bandwidth, _is_integer, _sweep, ot_cost
+from .transport import _check_bandwidth, _is_integer, _is_real, _sweep, ot_cost
 
 #: Quantile levels of each placebo column, `ScanRow.placebo_quantiles`.
 PLACEBO_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
@@ -147,8 +148,12 @@ class BandwidthScan:
         default 0.05% makes sampling noise invisible at one-decimal
         percentage precision.  The trends floor is the smallest scanned `d`
         from which the trends curves' |difference| stays below `tau`, or 0
-        for a scan without them.
+        for a scan without them.  Both levels must be finite nonnegative
+        numbers, whether or not a floor reads them.
         """
+        for name, level in (("threshold", threshold), ("tau", tau)):
+            if not (_is_real(level) and math.isfinite(level) and level >= 0):
+                raise ValidationError(f"{name} must be a finite nonnegative number, got {level!r}")
         placebo_d = displacement_d = None
         if d_min is None:
             placebo_d = self._noise_floor(threshold)

@@ -124,6 +124,7 @@ A zero-count target is an empty cell, whose empty overlaps are dropped.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,11 @@ from .pmf import PricePMF
 def _is_integer(value) -> bool:
     """Whether `value` is a Python or numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether `value` is a Python or numpy real number, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_bandwidth(d) -> int:

@@ -288,8 +288,8 @@ def scalar_inversion(cfg, curve, s: float):
     if not (0.0 < s <= cfg.s_notc and cfg.z <= s):
         return None
     pool = cfg.N - cfg.q * (1.0 - cfg.z)
-    v_seller = 0.0 if cfg.z > 0.0 and cfg.z == s else curve.inverse_cdf(s)
-    v_buyer = curve.inverse_cdf(1.0 - s * cfg.q / pool)
+    v_seller = 0.0 if cfg.z > 0.0 and cfg.z == s else inverse_cdf(curve, s)
+    v_buyer = inverse_cdf(curve, 1.0 - s * cfg.q / pool)
     p, t = 0.5 * (v_seller + v_buyer), 0.5 * (v_buyer - v_seller)
     M, zq, sq = curve.market_size, cfg.z * cfg.q, s * cfg.q
     frac = curve.volumes / M
@@ -320,6 +320,14 @@ def cdf(curve, v) -> float:
         return 1.0
     inv = np.interp(v, curve.values[::-1], curve.volumes[::-1])
     return 1.0 - float(inv) / curve.market_size
+
+
+def inverse_cdf(curve, share: float) -> float:
+    """Valuation at which the CDF reaches `share`: the schedule read at
+    market volume M (1 - share), by one scalar `np.interp`."""
+    if not 0.0 <= share <= 1.0:
+        raise ValidationError(f"share must be in [0, 1], got {share}")
+    return float(np.interp(curve.market_size * (1.0 - share), curve.volumes, curve.values))
 
 
 def density(curve, v: float) -> float:

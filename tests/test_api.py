@@ -18,7 +18,6 @@ PUBLIC = [
     "TransportPlan",
     "WtpCurve",
     "bandwidth_scan",
-    "bounds_table",
     "build_pmf",
     "comparative_statics",
     "did_ols",
@@ -27,7 +26,6 @@ PUBLIC = [
     "invert_from_volume",
     "invert_shares",
     "ot_cost",
-    "solve_no_tc",
     "solve_ot",
     "subsample_ci",
 ]
@@ -40,6 +38,7 @@ REMOVED = [
     "PLACEBO_BASES",
     "as_dict",
     "before_after",
+    "bounds_table",
     "cdf",
     "check_feasible",
     "clear_share",
@@ -51,22 +50,27 @@ REMOVED = [
     "equal_displacement_curves",
     "gains_from_trade",
     "indicator_cost",
+    "inverse_cdf",
+    "meets_price_floor",
     "placebo_cost",
     "placebo_cost_matrix",
     "quantile_label",
     "select_bandwidth",
     "select_dstar",
     "solution_as_dict",
+    "solve_no_tc",
     "strassen_certificate",
     "supply",
     "to_csv",
     "uniform",
+    "value_at",
 ]
 
 
 #: Classes that hold, or held, a removed name as an attribute.
 HOLDERS = (
     baseline.DidResult,
+    equilibrium.MarketSolution,
     equilibrium.WtpCurve,
     estimators.BandwidthScan,
     transport.TransportPlan,

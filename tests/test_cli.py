@@ -521,6 +521,54 @@ class TestEquilibrium:
         )
         assert code == 0
         assert report["rows"][0]["t"] == pytest.approx(0.0, abs=1e-6)
+        # The frictionless price is the seller margin there.
+        assert report["p_notc"] == report["rows"][0]["v_seller"]
+        assert report["p_notc"] == pytest.approx(176_000.0, abs=1e-6)
+
+    def test_rows_are_one_share_inversions(self, tmp_path, uniform_wtp):
+        code, report = run(tmp_path, "equilibrium", "--wtp", str(uniform_wtp), "--s", "0.11,0.3")
+        assert code == 0
+        cfg, curve = equilibrium.MarketConfig(), equilibrium.WtpCurve.from_csv(uniform_wtp)
+        for row, s in zip(report["rows"], (0.11, 0.3)):
+            sol = dataclasses.asdict(equilibrium.invert_from_volume(cfg, curve, s))
+            assert {key: row[key] for key in sol} == sol
+            dp_ds, dt_ds = equilibrium.comparative_statics(cfg, curve, s)
+            assert row["comparative_statics"] == {"dp_ds": dp_ds, "dt_ds": dt_ds}
+        display = report["rows"][0]["display"]
+        assert display["p_thousand"] == pytest.approx(146.3)
+        assert display["tc_total_billion"] == pytest.approx(6.6066)
+
+    def test_first_unsupported_share_raises(self, tmp_path, uniform_wtp, capsys):
+        s_notc = (700_000 - 260_000) / 700_000
+        for shares, message in (
+            ("0.11,nan,0.9", "trade share must be a number, got nan"),
+            ("0.11,0.9,nan", f"trade share 0.9 exceeds the frictionless maximum s_notc={s_notc!r}"),
+        ):
+            code, report = run(tmp_path, "equilibrium", "--wtp", str(uniform_wtp), "--s", shares)
+            assert (code, report) == (1, None)
+            assert capsys.readouterr().err == f"diftrans equilibrium: {message}\n"
+
+    def test_price_floor_flag(self, tmp_path, uniform_wtp):
+        # p = 146,300 at s = 0.11, and p_notc = 176,000 at s_notc.
+        out_csv = tmp_path / "table.csv"
+        shares = f"0.11,{(700_000 - 260_000) / 700_000!r}"
+        argv = ["equilibrium", "--wtp", str(uniform_wtp), "--s", shares, "--out-csv", str(out_csv)]
+
+        def csv_flags():
+            with open(out_csv, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header[-1] == "meets_price_floor"
+            return [row[-1] for row in rows]
+
+        code, report = run(tmp_path, *argv, "--price-floor", "150000")
+        assert code == 0
+        assert [row["meets_price_floor"] for row in report["rows"]] == [False, True]
+        assert csv_flags() == ["false", "true"]
+        # Unset, no report row carries the flag and its CSV cells are empty.
+        code, report = run(tmp_path, *argv)
+        assert code == 0
+        assert not any("meets_price_floor" in row for row in report["rows"])
+        assert csv_flags() == ["", ""]
 
     def test_infeasible_share_names_bound(self, tmp_path, uniform_wtp, capsys):
         code, _ = run(

@@ -7,19 +7,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from diftrans import cli
 from diftrans.equilibrium import (
     MarketConfig,
     WtpCurve,
-    bounds_table,
     comparative_statics,
     invert_from_volume,
     invert_shares,
-    solve_no_tc,
 )
 from diftrans.errors import ConfigError, InfeasibleShareError, ValidationError
 
-from _oracles import cdf, clear_share, demand, density, random_curve, supply, uniform_curve
+from _oracles import (
+    cdf,
+    clear_share,
+    demand,
+    density,
+    inverse_cdf,
+    random_curve,
+    supply,
+    uniform_curve,
+)
 
 N, Q = 700_000, 260_000
 VMAX = 280_000.0
@@ -52,7 +58,7 @@ class TestCurve:
         for _ in range(10):
             curve = random_curve(rng)
             for share in rng.uniform(0.01, 0.99, size=8):
-                v = curve.inverse_cdf(share)
+                v = inverse_cdf(curve, share)
                 assert cdf(curve, v) == pytest.approx(share, rel=1e-12, abs=1e-12)
 
     def test_cdf_clamps(self):
@@ -132,19 +138,22 @@ class TestDemandSupply:
 
 
 class TestFrictionless:
+    # The frictionless price is the seller margin of the inversion at s_notc.
     def test_uniform_closed_form(self, uniform):
         cfg, curve = uniform
-        p_notc, s_notc = solve_no_tc(cfg, curve)
-        assert s_notc == (N - Q) / N
+        assert cfg.s_notc == (N - Q) / N
+        p_notc = invert_from_volume(cfg, curve, cfg.s_notc).v_seller
         assert p_notc == pytest.approx(VMAX * (N - Q) / N, rel=1e-12)
+        assert p_notc == inverse_cdf(curve, cfg.s_notc)
 
     def test_share_is_curve_free(self):
         rng = np.random.default_rng(1)
+        cfg = MarketConfig(N=N, q=Q)
+        assert cfg.s_notc == (N - Q) / N
         for _ in range(20):
             curve = random_curve(rng)
-            cfg = MarketConfig(N=N, q=Q)
-            p_notc, s_notc = solve_no_tc(cfg, curve)
-            assert s_notc == (N - Q) / N
+            p_notc = invert_from_volume(cfg, curve, cfg.s_notc).v_seller
+            assert p_notc == inverse_cdf(curve, cfg.s_notc)
             assert cdf(curve, p_notc) == pytest.approx((N - Q) / N, abs=1e-9)
 
     def test_share_vanishes_as_quota_fills_market(self):
@@ -159,11 +168,17 @@ class TestFrictionless:
             ({"q": 0}, "market size and quota must be positive"),
             ({"q": N}, "quota must be smaller than the market size"),
             ({"z": 1.5}, "speculator share must lie in [0, 1], got 1.5"),
+            ({"z": float("nan")}, "speculator share must lie in [0, 1], got nan"),
+            # A share of the quota: neither read as a bool nor compared as text.
+            ({"z": True}, "z must be a real number, got True"),
+            ({"z": "0.5"}, "z must be a real number, got '0.5'"),
+            ({"z": None}, "z must be a real number, got None"),
         ):
             with pytest.raises(ValidationError) as exc:
                 MarketConfig(**kwargs)
             assert str(exc.value) == message
         assert MarketConfig(N=np.int64(N), q=np.int32(Q)).s_notc == (N - Q) / N
+        assert MarketConfig(z=np.float64(0.25)).pool == N - Q * 0.75
 
 
 class TestInversion:
@@ -177,10 +192,18 @@ class TestInversion:
 
     def test_wedge_vanishes_at_frictionless_share(self, uniform):
         cfg, curve = uniform
-        p_notc, s_notc = solve_no_tc(cfg, curve)
-        sol = invert_from_volume(cfg, curve, s_notc)
+        sol = invert_from_volume(cfg, curve, cfg.s_notc)
         assert sol.t == pytest.approx(0.0, abs=1e-6)
-        assert sol.p == pytest.approx(p_notc, abs=1e-3)
+        assert sol.p == pytest.approx(VMAX * (N - Q) / N, abs=1e-3)
+
+    def test_monotone_columns(self, uniform):
+        # Up to s_notc itself the wedge falls and the seller margin rises.
+        cfg, curve = uniform
+        rows = [invert_from_volume(cfg, curve, s) for s in (0.11, 0.3, cfg.s_notc)]
+        ts = [r.t for r in rows]
+        sellers = [r.p - r.t for r in rows]
+        assert all(b < a for a, b in zip(ts, ts[1:]))
+        assert all(b > a for a, b in zip(sellers, sellers[1:]))
 
     def test_domain_errors(self, uniform):
         cfg, curve = uniform
@@ -252,11 +275,9 @@ class TestInversion:
         _, curve = uniform
         cfg = MarketConfig(N=N, q=Q, z=0.05)
         sol = invert_from_volume(cfg, curve, 0.11)
-        assert sol.v_seller == pytest.approx(curve.inverse_cdf(0.11), abs=1e-9)
+        assert sol.v_seller == pytest.approx(inverse_cdf(curve, 0.11), abs=1e-9)
         pool = N - Q * (1 - 0.05)
-        assert sol.v_buyer == pytest.approx(
-            curve.inverse_cdf(1 - 0.11 * Q / pool), abs=1e-9
-        )
+        assert sol.v_buyer == pytest.approx(inverse_cdf(curve, 1 - 0.11 * Q / pool), abs=1e-9)
         assert demand(cfg, curve, sol.p, sol.t) == pytest.approx(0.11 * Q, abs=1.0)
         assert supply(cfg, curve, sol.p, sol.t, 0.11) == pytest.approx(0.11 * Q, abs=1.0)
 
@@ -348,46 +369,6 @@ class TestStatics:
             assert dt == pytest.approx((hi.t - lo.t) / (2 * h), rel=1e-3)
             assert dt < 0.0
             checked += 1
-
-
-class TestBoundsTable:
-    def test_single_frictionless_row(self, uniform):
-        cfg, curve = uniform
-        rows = bounds_table(cfg, curve, [cfg.s_notc])
-        assert len(rows) == 1
-        assert rows[0].t == pytest.approx(0.0, abs=1e-6)
-        assert rows[0].tc_share == pytest.approx(0.0, abs=1e-12)
-
-    def test_monotone_columns(self, uniform):
-        cfg, curve = uniform
-        rows = bounds_table(cfg, curve, [0.11, 0.3, cfg.s_notc])
-        ts = [r.t for r in rows]
-        sellers = [r.p - r.t for r in rows]
-        assert all(b < a for a, b in zip(ts, ts[1:]))
-        assert all(b > a for a, b in zip(sellers, sellers[1:]))
-
-    def test_first_unsupported_share_raises(self, uniform):
-        cfg, curve = uniform
-        with pytest.raises(ValidationError, match="nan"):
-            bounds_table(cfg, curve, [0.11, float("nan"), 0.9])
-        with pytest.raises(InfeasibleShareError, match="0.9"):
-            bounds_table(cfg, curve, [0.11, 0.9, float("nan")])
-        assert bounds_table(cfg, curve, []) == []
-
-    def test_price_floor_flag(self, uniform):
-        cfg, curve = uniform
-        rows = bounds_table(cfg, curve, [0.11, cfg.s_notc], price_floor=150_000.0)
-        assert rows[0].meets_price_floor is False  # p = 146,300
-        assert rows[1].meets_price_floor is True  # p = p_notc = 176,000
-
-    def test_as_dict_display_units(self, uniform):
-        cfg, curve = uniform
-        row = bounds_table(cfg, curve, [0.11])[0]
-        dp_ds, dt_ds = comparative_statics(cfg, curve, row.s)
-        out = cli._solution_json(row, dp_ds, dt_ds)
-        assert out["display"]["p_thousand"] == pytest.approx(146.3)
-        assert out["display"]["tc_total_billion"] == pytest.approx(6.6066)
-        assert out["comparative_statics"] == {"dp_ds": dp_ds, "dt_ds": dt_ds}
 
 
 def _near_kink(curve, cfg, s, width):

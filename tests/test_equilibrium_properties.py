@@ -10,6 +10,8 @@ array core inverts a whole vector of shares as the scalar oracle inverts
 each one.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +20,12 @@ from scipy.integrate import quad
 
 from diftrans.equilibrium import (
     MarketConfig,
-    bounds_table,
     comparative_statics,
     invert_from_volume,
     invert_shares,
 )
 
-from _oracles import clear_share, random_curve, scalar_inversion
+from _oracles import clear_share, inverse_cdf, random_curve, scalar_inversion
 
 N, Q = 700_000, 260_000
 GAINS_TOL = 1e-9
@@ -63,10 +64,10 @@ def seller_share(cfg, s, u):
 
 def gap(cfg, curve, s, u):
     pool = cfg.N - cfg.q * (1.0 - cfg.z)
-    v_buyer = curve.inverse_cdf(1.0 - u / pool)
+    v_buyer = inverse_cdf(curve, 1.0 - u / pool)
     if u <= cfg.z * cfg.q:
         return v_buyer
-    return v_buyer - curve.inverse_cdf(min(seller_share(cfg, s, u), 1.0))
+    return v_buyer - inverse_cdf(curve, min(seller_share(cfg, s, u), 1.0))
 
 
 def kinks(cfg, curve, s):
@@ -169,14 +170,15 @@ def test_array_core_matches_scalar_inversion(market, extra):
         if want is None:
             assert np.isnan(row + gains).all()
             continue
-        feasible.append(share)
+        feasible.append((i, share))
         assert row == list(want[:4])
         tol = CORE_GAINS_TOL * want[4]
         assert all(abs(g - w) <= tol for g, w in zip(gains[:3], want[4:7]))
         assert gains[3] == pytest.approx(want[7], rel=CORE_GAINS_TOL, abs=CORE_GAINS_TOL)
-    # The table and the statics of all feasible shares at once, share by share.
-    rows = bounds_table(cfg, curve, feasible)
-    dp, dt = comparative_statics(cfg, curve, feasible)
-    for i, share in enumerate(feasible):
-        assert rows[i] == invert_from_volume(cfg, curve, share)
-        assert (dp[i], dt[i]) == comparative_statics(cfg, curve, share)
+    # Each feasible share inverted alone is its row of the core, and the
+    # statics of all of them at once are each share's.
+    dp, dt = comparative_statics(cfg, curve, [share for _, share in feasible])
+    for k, (i, share) in enumerate(feasible):
+        core_row = tuple(values[i].item() for values in vars(sol).values())
+        assert dataclasses.astuple(invert_from_volume(cfg, curve, share)) == core_row
+        assert (dp[k], dt[k]) == comparative_statics(cfg, curve, share)

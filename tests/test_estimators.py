@@ -325,6 +325,25 @@ class TestSelectDstar:
         with pytest.raises(SelectionError, match="placebo cost below 0.5"):
             scan.select(0.5, 0.1)
 
+    def test_levels_are_finite_nonnegative_numbers(self):
+        # Checked before any row is read, whether or not a floor reads them:
+        # a NaN threshold read as a failed selection "below nan", and an
+        # infinite one admitted d = 0.
+        rows = [(d, 0.5, mean, 0.0, (0.0,), None) for d, mean in ((0, 0.1), (1, 0.0))]
+        trends = ((0, 0.5, 0.1, 0.4), (1, 0.5, 0.1, 0.0))
+        scan = BandwidthScan(tuple(ScanRow(*r) for r in rows), trends)
+        for name in ("threshold", "tau"):
+            for level in (float("nan"), float("inf"), -1.0, True, "0.5", None):
+                message = f"{name} must be a finite nonnegative number, got {level!r}"
+                for d_min in (None, 1):
+                    with pytest.raises(ValidationError) as exc:
+                        scan.select(**{name: level}, d_min=d_min)
+                    assert str(exc.value) == message
+        # Zero and numpy floats are levels; no placebo mean is below 0.
+        assert scan.select(np.float64(0.05), np.float64(0.05)) == Selection(1, 0.5, 1, 1, 1)
+        with pytest.raises(SelectionError, match="placebo cost below 0;"):
+            scan.select(0)
+
     def test_floor_is_larger_of_the_two(self):
         # Noise floor 1, trends floor 2; the largest dit value lies below both.
         means_and_dit = [(0.9, 0.9), (0.0, 0.3), (0.0, 0.2), (0.0, 0.25)]
